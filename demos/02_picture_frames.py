@@ -26,7 +26,6 @@ TRAIN_PER_CLASS = 800
 TEST_PER_CLASS = 200
 EPISODES = 1000
 SIGMA = 1.0
-MAX_ITER = 3000
 
 train_ds, test_ds = gen_picture_frames(TRAIN_PER_CLASS, TEST_PER_CLASS, seed=0)
 print(f"dataset: {train_ds.size} train / {test_ds.size} test points in 2-D")
@@ -39,7 +38,7 @@ print(f"  class 1 ring |x|_inf in [{np.abs(outer).max(1).min():.3f}, "
 
 print("\n--- linear baseline on raw coordinates ---")
 t0 = time.perf_counter()
-base = train(train_ds.inputs, train_ds.labels, max_iter=MAX_ITER)
+base = train(train_ds.inputs, train_ds.labels)
 base_err = evaluate(base, test_ds.inputs, test_ds.labels)
 print(f"test error {base_err:.4f} in {time.perf_counter() - t0:.1f}s "
       f"(chance is 0.5; the rings are concentric, so this cannot work)")
@@ -55,7 +54,7 @@ def kitchen_sink(ansatz_name):
     feat_test = featurize(machine, test_ds.inputs)
     feat_seconds = time.perf_counter() - t0
     t0 = time.perf_counter()
-    model = train(feat_train, train_ds.labels, max_iter=MAX_ITER)
+    model = train(feat_train, train_ds.labels)
     fit_seconds = time.perf_counter() - t0
     err = evaluate(model, feat_test, test_ds.labels)
     print(f"featurized to {feat_train.num_columns} binary columns in "

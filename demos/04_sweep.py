@@ -29,7 +29,6 @@ from qks import (
 SIGMAS = (0.05, 0.2, 1.0, 5.0)
 EPISODE_GRID = (50, 200, 800)
 SEEDS = (0, 1, 2)
-MAX_ITER = 1500
 
 train_ds, test_ds = gen_picture_frames(200, 100, seed=0)
 template = get_ansatz("cnot2")
@@ -55,7 +54,7 @@ for sigma in SIGMAS:
         for episodes in EPISODE_GRID:
             ftr = full_train.truncate(episodes)
             fte = full_test.truncate(episodes)
-            model = train(ftr, train_ds.labels, max_iter=MAX_ITER)
+            model = train(ftr, train_ds.labels)
             errors[episodes].append(evaluate(model, fte, test_ds.labels))
     cells = "".join(
         f"{np.mean(errors[e]):<10.4f}" for e in EPISODE_GRID

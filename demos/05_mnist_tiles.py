@@ -75,7 +75,6 @@ if data_dir is None:
 
 EPISODES = 500
 SIGMA = 0.05
-MAX_ITER = 2000
 
 print(f"loading MNIST 3 vs 5 from {data_dir}")
 train_raw = load_mnist_split(data_dir, "train")
@@ -86,7 +85,7 @@ print(f"{train_ds.size} train / {test_ds.size} test, {train_ds.dim} pixels "
 
 print("\n--- linear baseline on raw pixels ---")
 t0 = time.perf_counter()
-base = train(train_ds.inputs, train_ds.labels, max_iter=MAX_ITER)
+base = train(train_ds.inputs, train_ds.labels)
 base_err = evaluate(base, test_ds.inputs, test_ds.labels)
 print(f"test error {base_err:.4f} in {time.perf_counter() - t0:.0f}s")
 
@@ -101,7 +100,7 @@ feat_test = featurize(machine, test_ds.inputs)
 print(f"featurized {train_ds.size + test_ds.size} images in "
       f"{time.perf_counter() - t0:.0f}s")
 t0 = time.perf_counter()
-model = train(feat_train, train_ds.labels, max_iter=MAX_ITER)
+model = train(feat_train, train_ds.labels)
 err = evaluate(model, feat_test, test_ds.labels)
 print(f"trained in {time.perf_counter() - t0:.0f}s")
 print(f"test error {err:.4f}  (baseline {base_err:.4f})")

@@ -45,7 +45,13 @@ from .kernels import (
     mc_kernel,
     s_matrix,
 )
-from .logistic import LinearClassifier, evaluate, loss_and_gradient, train
+from .logistic import (
+    FitRecord,
+    LinearClassifier,
+    evaluate,
+    loss_and_gradient,
+    train,
+)
 from .quil import (
     CircuitTemplate,
     ConcreteCircuit,
@@ -79,6 +85,7 @@ __all__ = [
     "EpisodeEngine",
     "FeatureFileError",
     "FeatureMatrix",
+    "FitRecord",
     "GateKind",
     "GateOp",
     "KernelEstimate",

@@ -12,6 +12,7 @@ Exit codes: 0 on success, 2 on usage errors, 1 on data-format or I/O errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -72,7 +73,7 @@ def _add_model_args(parser: argparse.ArgumentParser) -> None:
     g.add_argument("--tol", type=float, default=1e-8, metavar="F",
                    help="gradient tolerance (default 1e-8)")
     g.add_argument("--max-iter", type=int, default=10_000, metavar="N",
-                   help="gradient step cap (default 10000)")
+                   help="Newton step cap (default 10000)")
 
 
 def _add_qks_args(parser: argparse.ArgumentParser, grid: bool = False) -> None:
@@ -244,6 +245,7 @@ def cmd_baseline(args) -> int:
                     "dim": train_ds.dim, "sha256": _checksum(train_ds, test_ds)},
         "results": {"train_error": train_err, "test_error": test_err,
                     "seconds": seconds},
+        "fit": dataclasses.asdict(model.fit),
     })
     if args.save_model:
         model.save(args.save_model)
@@ -282,6 +284,7 @@ def cmd_run(args) -> int:
                     "dim": train_ds.dim, "sha256": _checksum(train_ds, test_ds)},
         "results": {"train_error": train_err, "test_error": test_err,
                     "seconds": seconds},
+        "fit": dataclasses.asdict(model.fit),
     })
     if args.save_model:
         model.save(args.save_model)
@@ -311,6 +314,7 @@ def cmd_sweep(args) -> int:
     e_max = episode_grid[-1]
 
     lines = ["sigma,episodes,train_error,test_error,seconds"]
+    fits = []
     for sigma in sigmas:
         cells = {e: [0.0, 0.0, 0.0] for e in episode_grid}
         for seed in seeds:
@@ -327,6 +331,8 @@ def cmd_sweep(args) -> int:
                 model = train(train_fm, train_ds.labels,
                               reg_lambda=args.reg_lambda, tol=args.tol,
                               max_iter=args.max_iter)
+                fits.append({"sigma": sigma, "episodes": episodes, "seed": seed,
+                             **dataclasses.asdict(model.fit)})
                 cell = cells[episodes]
                 cell[0] += evaluate(model, train_fm, train_ds.labels)
                 cell[1] += evaluate(model, test_fm, test_ds.labels)
@@ -346,6 +352,14 @@ def cmd_sweep(args) -> int:
         print(f"wrote {args.out} ({len(lines) - 1} rows)")
     else:
         sys.stdout.write(text)
+    _write_json(args.report, {
+        "command": "sweep",
+        "config": {"ansatz": args.ansatz, "layers": args.layers,
+                   "structure": structure.pattern,
+                   "reg_lambda": args.reg_lambda, "tol": args.tol,
+                   "max_iter": args.max_iter},
+        "fit": fits,
+    })
     return 0
 
 
@@ -447,6 +461,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_qks_args(p, grid=True)
     _add_model_args(p)
     p.add_argument("--out", metavar="FILE", help="CSV output path (default stdout)")
+    p.add_argument("--report", metavar="FILE",
+                   help="write a JSON report with one fit record per cell")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("kernel", help="Monte Carlo vs closed-form kernels")
@@ -487,9 +503,6 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (DataFormatError, FeatureFileError, QuilParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -146,6 +146,39 @@ def test_sweep_grid(tmp_path, capsys):
         assert float(r[4]) >= 0.0
 
 
+FIT_KEYS = {"iterations", "stop_reason", "grad_inf", "converged",
+            "hessian_vector_products"}
+
+
+def test_reports_carry_fit_record(tmp_path, capsys):
+    flags = ["--frames-train", "20", "--frames-test", "10"]
+    for command in ("baseline", "run"):
+        report = tmp_path / f"{command}.json"
+        rc, _, _ = run_cli([command, *flags, "--out", str(report)], capsys)
+        assert rc == 0
+        fit = json.loads(report.read_text())["fit"]
+        assert set(fit) == FIT_KEYS
+        assert fit["stop_reason"] in ("tol", "max_iter", "no_descent")
+        assert fit["converged"] == (fit["stop_reason"] == "tol")
+
+    report = tmp_path / "sweep.json"
+    rc, _, _ = run_cli(
+        ["sweep", *flags, "--sigma", "0.5,1.0", "--episodes", "16,32",
+         "--seeds", "0,1", "--max-iter", "1", "--out", str(tmp_path / "s.csv"),
+         "--report", str(report)],
+        capsys,
+    )
+    assert rc == 0
+    fits = json.loads(report.read_text())["fit"]
+    assert len(fits) == 2 * 2 * 2  # one per sigma x episodes x seed
+    assert {(f["sigma"], f["episodes"], f["seed"]) for f in fits} == {
+        (s, e, k) for s in (0.5, 1.0) for e in (16, 32) for k in (0, 1)
+    }
+    for f in fits:
+        assert FIT_KEYS <= set(f)
+        assert f["iterations"] == 1 and f["stop_reason"] == "max_iter"
+
+
 def test_sweep_stdout_default(capsys):
     rc, out, _ = run_cli(
         ["sweep", "--frames-train", "10", "--frames-test", "5",

@@ -14,6 +14,7 @@ from qks import (
     sample_machine,
     train,
 )
+from qks.logistic import _curvature, _hessian_vector
 
 
 def toy_data(n=60, seed=0, separable=False):
@@ -160,3 +161,67 @@ def test_save_load_roundtrip(tmp_path):
     assert back.intercept == model.intercept
     assert back.reg_lambda == model.reg_lambda
     assert np.array_equal(back.predict(x), model.predict(x))
+
+
+def _frames_features():
+    t = get_ansatz("cnot2")
+    m = sample_machine(t, EncodingStructure.split(2), 1.0, 64, seed=0)
+    train_ds, _ = gen_picture_frames(40, 20, seed=0)
+    return featurize(m, train_ds.inputs), train_ds.labels
+
+
+@pytest.mark.parametrize("lam", [0.05, 0.0])
+def test_hessian_vector_matches_finite_differences(lam):
+    x, y = toy_data(n=40, seed=12)
+    y_pm = 2.0 * y - 1.0
+    rng = np.random.default_rng(13)
+    eps = 1e-5
+    for _ in range(5):
+        w = rng.normal(size=3)
+        b = float(rng.normal())
+        v_w = rng.normal(size=3)
+        v_b = float(rng.normal())
+        curv = _curvature(y_pm * (x @ w + b))
+        h_w, h_b = _hessian_vector(x, curv, lam, v_w, v_b)
+        _, up_w, up_b = loss_and_gradient(w + eps * v_w, b + eps * v_b, x, y, lam)
+        _, dn_w, dn_b = loss_and_gradient(w - eps * v_w, b - eps * v_b, x, y, lam)
+        fd = np.append((up_w - dn_w) / (2 * eps), (up_b - dn_b) / (2 * eps))
+        hv = np.append(h_w, h_b)
+        assert np.abs(hv - fd).max() <= 1e-6 * max(1.0, np.abs(fd).max())
+
+
+def test_frames_features_converge_to_tol():
+    fm, labels = _frames_features()
+    model = train(fm, labels)
+    fit = model.fit
+    assert fit.converged is True
+    assert fit.stop_reason == "tol"
+    assert fit.iterations <= 30
+    assert fit.iterations == len(model.loss_history) - 1
+    assert fit.grad_inf <= 1e-8
+    assert fit.hessian_vector_products >= fit.iterations
+
+
+def test_max_iter_stop_is_reported():
+    fm, labels = _frames_features()
+    model = train(fm, labels, max_iter=1)
+    assert model.fit.converged is False
+    assert model.fit.stop_reason == "max_iter"
+    assert model.fit.iterations == 1
+    assert model.fit.grad_inf > 1e-8
+
+
+def test_separable_at_lambda_zero_stops_with_finite_weights():
+    x, y = toy_data(n=100, seed=3, separable=True)
+    model = train(x, y, reg_lambda=0.0, max_iter=200)
+    assert model.fit.stop_reason in ("tol", "max_iter", "no_descent")
+    assert np.isfinite(model.weights).all()
+    assert np.isfinite(model.intercept)
+    assert np.isfinite(model.loss_history).all()
+    assert evaluate(model, x, y) == 0.0
+
+
+def test_constructed_model_has_no_fit_record():
+    model = LinearClassifier(np.zeros(2), 0.0, 1.0)
+    assert model.fit is None
+    assert model.loss_history == []
