@@ -1,0 +1,123 @@
+"""Golden fingerprints of the feature stream and of the kernel estimates.
+
+The other feature tests only check self-consistency (worker invariance,
+episode prefixes), which a change to the stream that stays consistent would
+pass. These pin the exact bits: sha256 of ``featurize(...).packed`` and of the
+sampled machine's ``omega``/``beta``, and of ``mc_kernel``'s (value, stderr).
+A refactor of the encoder, the simulator or the sampler must leave every
+digest unchanged; a change that moves one changes the features users get and
+has to be reported as such, not re-pinned silently.
+
+Run this file as a script to print the current digests.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from qks import (
+    EncodingStructure,
+    featurize,
+    get_ansatz,
+    mc_kernel,
+    sample_machine,
+)
+
+# (ansatz, structure, layers, workers, episodes, rows, sigma, seed). Row counts
+# above 64 span several featurize blocks; episode counts are not multiples of
+# 32, so the last packed word of each row is partly filled.
+FEATURE_CONFIGS = {
+    "cnot2-l1-w1": ("cnot2", EncodingStructure.split(2), 1, 1, 37, 70, 1.0, 11),
+    "cnot2-l2-w3": ("cnot2", EncodingStructure.split(2), 2, 3, 37, 150, 0.7, 12),
+    "cz2-l1-w3": ("cz2", EncodingStructure.split(2), 1, 3, 33, 130, 1.3, 13),
+    "cz2-l2-w1": ("cz2", EncodingStructure.split(2), 2, 1, 21, 20, 2.0, 14),
+    "p4-l1-w3": ("p4", EncodingStructure.tiled(8, 4), 1, 3, 37, 130, 0.9, 15),
+    "p4-l2-w1": ("p4", EncodingStructure.split(4), 2, 1, 19, 66, 1.1, 16),
+}
+
+FEATURE_DIGESTS = {
+    "cnot2-l1-w1": (
+        "526b30d02e7a55272c4f719546dedc5c478ddf3481816300159ae052ce147d43",
+        "eed2361a0e1d888a917021e9d456006c3b5fc800735632782381af289af3ce03",
+    ),
+    "cnot2-l2-w3": (
+        "8a5c4841f05ed8339c2171b2befbd22387d590766302587cb04ac40880b6ae85",
+        "f47d4dcd695264e4e7fb7c370f8212fdf9c601892fea7cb77159a2f4bc559f85",
+    ),
+    "cz2-l1-w3": (
+        "24dbf6c83627685e7b9ed31dcbcbd72bc2670b96e4f4747d7c610b5f5b307511",
+        "01a8dc5e0762e7e90a453a0d9cca697ce33e2668c5cf9fbe56bac3e134f91b06",
+    ),
+    "cz2-l2-w1": (
+        "9ad1d5c116e5f4252dfeb2cfb38b60010a6ad7640fb0e9abf48067df7c83ceca",
+        "b04c0586a331182868559324025dd4453797a9c65c2c68177830763747752ac2",
+    ),
+    "p4-l1-w3": (
+        "f8eab043b5e6282b9b91308ddebc62a404b622d9559e3f28de9c29407be748c2",
+        "186c711a833c349ec0180617f898c6b1e3cfbdbd4e6cb0d9d1a02b8b64805608",
+    ),
+    "p4-l2-w1": (
+        "864aabeecbf2276ef00c177efa760ba4931e6bd3fc2bde27da3c9d14aa2a0494",
+        "488b753ee1d4ab2c1344d65d96476fdafd2b65cc90bb677c4dc0b07f91a4c262",
+    ),
+}
+
+# (ansatz, sigma, episodes, seed); episodes span several simulator chunks.
+KERNEL_CONFIGS = {
+    "cnot2": ("cnot2", 1.0, 40_000, 21),
+    "cz2": ("cz2", 2.0, 40_000, 22),
+}
+
+KERNEL_DIGESTS = {
+    "cnot2": "7c6df484636f1b805ab0404c5cfdcdd9be6b476d93a71876d257f6ee2929c8d2",
+    "cz2": "95292f8f59badc07b0ebf2a3a81c95047674a7125b62b56110cbfa2c64a7699a",
+}
+
+KERNEL_PAIRS = np.array([[[0.3, -0.8], [0.1, 0.4]], [[1.2, 0.5], [1.2, 0.5]]])
+
+
+def _sha(*arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())  # little-endian host
+    return h.hexdigest()
+
+
+def feature_digests(key: str) -> tuple[str, str]:
+    config = FEATURE_CONFIGS[key]
+    name, structure, layers, workers, episodes, rows, sigma, seed = config
+    machine = sample_machine(
+        get_ansatz(name), structure, sigma, episodes, seed, layers
+    )
+    inputs = np.random.default_rng(seed).normal(size=(rows, structure.p))
+    fm = featurize(machine, inputs, workers=workers)
+    return _sha(machine.omega, machine.beta), _sha(fm.packed)
+
+
+def kernel_digest(key: str) -> str:
+    name, sigma, episodes, seed = KERNEL_CONFIGS[key]
+    machine = sample_machine(
+        get_ansatz(name), EncodingStructure.split(2), sigma, episodes, seed
+    )
+    pairs = [mc_kernel(machine, u, v) for u, v in KERNEL_PAIRS]
+    return _sha(np.array([(k.value, k.stderr) for k in pairs]))
+
+
+@pytest.mark.parametrize("key", sorted(FEATURE_CONFIGS))
+def test_feature_fingerprint(key):
+    machine_digest, packed_digest = feature_digests(key)
+    assert machine_digest == FEATURE_DIGESTS[key][0], "omega/beta moved"
+    assert packed_digest == FEATURE_DIGESTS[key][1], "feature bits moved"
+
+
+@pytest.mark.parametrize("key", sorted(KERNEL_CONFIGS))
+def test_kernel_fingerprint(key):
+    assert kernel_digest(key) == KERNEL_DIGESTS[key]
+
+
+if __name__ == "__main__":
+    for key in FEATURE_CONFIGS:
+        print(f"    {key!r}: {feature_digests(key)!r},")
+    for key in KERNEL_CONFIGS:
+        print(f"    {key!r}: {kernel_digest(key)!r},")
