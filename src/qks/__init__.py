@@ -43,7 +43,6 @@ from .kernels import (
     closed_form_cnot2,
     expected_inner,
     mc_kernel,
-    s_matrix,
 )
 from .logistic import (
     FitRecord,
@@ -122,7 +121,6 @@ __all__ = [
     "parse_template",
     "run_circuit",
     "run_episode",
-    "s_matrix",
     "sample_machine",
     "sample_shot",
     "save_csv",

@@ -419,7 +419,7 @@ def cmd_features_load(args) -> int:
         if isinstance(structure, dict):
             summary["structure"] = structure.get("pattern")
         print("machine: " + json.dumps(summary, sort_keys=True))
-    ones = sum(int(w).bit_count() for w in fm.packed.ravel().tolist())
+    ones = int(np.unpackbits(fm.packed.view(np.uint8)).sum())
     total = fm.rows * fm.num_columns
     if total:
         print(f"bit density: {ones / total:.4f}")

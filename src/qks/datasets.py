@@ -346,6 +346,8 @@ def load_csv(path: str | Path, name: str = "") -> LabeledDataset:
                 raise DataFormatError(
                     f"{path}: non-numeric value on line {lineno}"
                 ) from None
+            if not np.isfinite(values).all():
+                raise DataFormatError(f"{path}: non-finite value on line {lineno}")
             label = values[-1]
             if label not in (0.0, 1.0):
                 raise DataFormatError(

@@ -30,7 +30,9 @@ TWO_PI = 2.0 * np.pi
 
 def _substream(seed: int, *tags: int) -> np.random.Generator:
     """Philox generator for one named substream of a 64-bit seed."""
-    seed = int(seed) & 0xFFFFFFFFFFFFFFFF
+    seed = int(seed)
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
     return np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, *tags])))
 
 
@@ -242,7 +244,8 @@ def sample_machine(
 
     The structure's q must match the template's parameter count (per layer).
     sigma is the standard deviation of the Omega nonzeros; sigma = 0 is the
-    degenerate input-independent machine, negative sigma is an error.
+    degenerate input-independent machine, negative sigma is an error. The
+    seed must lie in [0, 2**64).
     """
     if structure.q != template.num_params:
         raise ValueError(

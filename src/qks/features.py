@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .encoding import QksMachine, shot_stream
-from .simulator import EpisodeEngine
+from .simulator import cached_engine
 
 MAGIC = b"QKSF"
 FORMAT_VERSION = 1
@@ -138,11 +138,11 @@ def featurize(
     columns = n_eps * n_q
     out = np.zeros((m, _words_for(columns)), dtype=np.uint64)
     qubit_shifts = np.arange(n_q, dtype=np.uint8)
+    engine = cached_engine(machine.template, machine.layers)
 
     def process_block(start: int) -> None:
         stop = min(start + ROW_BLOCK, m)
         block = stop - start
-        engine = EpisodeEngine(machine.template, machine.layers)
         thetas = machine.encode_batch(x[start:stop])  # (block, E, k)
         uniforms = np.empty((block, n_eps))
         for i in range(block):
@@ -221,12 +221,17 @@ def load_features(path: str | Path) -> FeatureMatrix:
         raise FeatureFileError(f"{path}: missing sidecar {sidecar_file.name}")
     try:
         sidecar = json.loads(sidecar_file.read_text())
+        sidecar_rows = int(sidecar["rows"])
         columns = int(sidecar["columns"])
         num_qubits = int(sidecar["num_qubits"])
         episodes = int(sidecar["episodes"])
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise FeatureFileError(f"{sidecar_file}: malformed sidecar: {exc}") from exc
 
+    if sidecar_rows != rows:
+        raise FeatureFileError(
+            f"{path}: header has {rows} rows, sidecar {sidecar_rows}"
+        )
     words = _words_for(columns)
     expected = _HEADER.size + rows * words * 8
     if len(raw) != expected:

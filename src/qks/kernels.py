@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoding import QksMachine
-from .simulator import EpisodeEngine
+from .simulator import cached_engine
 
 
 def bit_matrix(num_qubits: int) -> np.ndarray:
@@ -36,14 +36,8 @@ def bit_matrix(num_qubits: int) -> np.ndarray:
     return ((z >> np.arange(num_qubits)[None, :]) & 1).astype(np.float64)
 
 
-def s_matrix(num_qubits: int) -> np.ndarray:
-    """S[z, z'] = popcount(z & z'), the shot-inner-product kernel matrix."""
-    b = bit_matrix(num_qubits)
-    return (b @ b.T).astype(np.int64)
-
-
 def expected_inner(u_probs: np.ndarray, v_probs: np.ndarray) -> float:
-    """Exact E[b_u . b_v] for one episode: u_probs^T S v_probs."""
+    """Exact E[b_u . b_v] for one episode: (u_probs B) . (v_probs B)."""
     u_probs = np.asarray(u_probs, dtype=np.float64)
     v_probs = np.asarray(v_probs, dtype=np.float64)
     if u_probs.shape != v_probs.shape or u_probs.ndim != 1:
@@ -52,7 +46,8 @@ def expected_inner(u_probs: np.ndarray, v_probs: np.ndarray) -> float:
     n = dim.bit_length() - 1
     if dim != 1 << n:
         raise ValueError("probability vectors must have power-of-two length")
-    return float(u_probs @ s_matrix(n) @ v_probs)
+    b = bit_matrix(n)
+    return float((u_probs @ b) @ (v_probs @ b))
 
 
 @dataclass(frozen=True)
@@ -80,7 +75,7 @@ def mc_kernel(machine: QksMachine, u: np.ndarray, v: np.ndarray) -> KernelEstima
     n_q = machine.num_qubits
 
     theta = machine.encode_batch(np.stack([u, v]))  # (2, E, k)
-    engine = EpisodeEngine(machine.template, machine.layers)
+    engine = cached_engine(machine.template, machine.layers)
     b = bit_matrix(n_q)
     vals = np.empty(n_eps)
     step = max(1, engine.chunk_size // 2)

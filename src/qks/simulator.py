@@ -5,23 +5,21 @@ index, so for two qubits the amplitude order is |00>, |01>, |10>, |11> with
 the left bit belonging to qubit 1. RX(theta) = [[cos(t/2), -i sin(t/2)],
 [-i sin(t/2), cos(t/2)]].
 
-Two execution paths share the same gate kernels:
-
-* single-state helpers (:func:`apply_gate`, :func:`sample_shot`,
-  :func:`run_episode`) for clarity and unit testing, and
-* :class:`EpisodeEngine`, which runs one template over a batch of parameter
-  vectors at once, storing the batch as a (B, 2**n) complex array and
-  applying each gate with reshaped views. Its workspace is allocated once
-  and reused, so per-episode cost is pure vectorized arithmetic plus one
-  uniform variate's worth of inverse-CDF sampling.
+One path simulates everything: gates compile once into typed ops, and one
+dispatcher applies ops to a (B, 2**n) complex batch with reshaped views; the
+single-state helpers run a batch of one. :class:`EpisodeEngine` runs a
+template chunk by chunk (about 1 MiB of amplitudes each, allocated per
+chunk), so it is immutable and :func:`cached_engine` shares one per
+(template, layers). Every shot takes one uniform through one inverse-CDF rule.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -134,25 +132,85 @@ def _apply_cz_batch(states: np.ndarray, n: int, qa: int, qb: int):
     s6[:, :, 1, :, 1, :] *= -1.0
 
 
-def _apply_gate_batch(states: np.ndarray, n: int, gate: GateOp):
-    """Dispatch one gate with a concrete (float) angle onto a batch."""
-    if gate.kind is GateKind.RX:
-        angle = gate.angle
-        if isinstance(angle, ParamRef):
+# ---------------------------------------------------------------------------
+# Compiled ops and the one dispatcher.
+
+
+class _Op(NamedTuple):
+    """One compiled gate.
+
+    A parameterized RX reads theta column ``col``; a literal RX has ``col``
+    None and carries cos/sin of its half angle.
+    """
+
+    kind: GateKind
+    qubits: tuple[int, ...]
+    col: int | None = None
+    cos: float = 1.0
+    sin: float = 0.0
+
+
+def _compile(
+    gates: Sequence[GateOp], num_qubits: int, params: tuple = (), layers: int = 1
+) -> tuple[_Op, ...]:
+    """Gates repeated ``layers`` times as ops.
+
+    Layer l's parameters are theta columns offset by l * len(params). A
+    parameter not in ``params`` is unresolved; concrete circuits pass none.
+    """
+    ops = []
+    for layer, g in itertools.product(range(layers), gates):
+        if max(g.qubits) >= num_qubits:
             raise ValueError(
-                f"cannot simulate unresolved parameter %{angle.name}; "
-                "instantiate the template first"
+                f"gate touches qubit {max(g.qubits)} but the state has "
+                f"{num_qubits} qubit(s)"
             )
-        half = 0.5 * angle
-        _apply_rx_batch(states, n, gate.qubits[0], math.cos(half), math.sin(half))
-    elif gate.kind is GateKind.H:
-        _apply_h_batch(states, n, gate.qubits[0])
-    elif gate.kind is GateKind.CNOT:
-        _apply_cnot_batch(states, n, gate.qubits[0], gate.qubits[1])
-    elif gate.kind is GateKind.CZ:
-        _apply_cz_batch(states, n, gate.qubits[0], gate.qubits[1])
-    else:  # pragma: no cover - enum is closed
-        raise ValueError(f"unhandled gate kind {gate.kind}")
+        if g.kind is not GateKind.RX:
+            ops.append(_Op(g.kind, g.qubits))
+        elif isinstance(g.angle, ParamRef):
+            if g.angle.name not in params:
+                raise ValueError(
+                    f"cannot simulate unresolved parameter %{g.angle.name}; "
+                    "instantiate the template first"
+                )
+            col = layer * len(params) + params.index(g.angle.name)
+            ops.append(_Op(g.kind, g.qubits, col))
+        else:
+            half = 0.5 * g.angle
+            ops.append(_Op(g.kind, g.qubits, None, math.cos(half), math.sin(half)))
+    return tuple(ops)
+
+
+def _apply_ops(
+    states: np.ndarray, n: int, ops: Sequence[_Op], thetas: np.ndarray | None = None
+) -> None:
+    """Apply ops in place to a (b, 2**n) batch; ``thetas`` is (b, num_params)."""
+    for op in ops:
+        if op.kind is GateKind.RX:
+            if op.col is None:
+                cos, sin = op.cos, op.sin
+            else:
+                half = 0.5 * thetas[:, op.col]
+                cos = np.cos(half)[:, None, None]
+                sin = np.sin(half)[:, None, None]
+            _apply_rx_batch(states, n, op.qubits[0], cos, sin)
+        elif op.kind is GateKind.H:
+            _apply_h_batch(states, n, op.qubits[0])
+        elif op.kind is GateKind.CNOT:
+            _apply_cnot_batch(states, n, *op.qubits)
+        else:
+            _apply_cz_batch(states, n, *op.qubits)
+
+
+def _inverse_cdf(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """Outcome index per row of (b, dim) ``probs``, one uniform u per row.
+
+    The index counts the cumulative sums <= u (searchsorted, side='right'),
+    clamped to dim - 1 in case rounding leaves the last sum below u.
+    """
+    cdf = np.cumsum(probs, axis=1)
+    z = (cdf <= uniforms[:, None]).sum(axis=1)
+    return np.minimum(z, probs.shape[1] - 1, out=z)
 
 
 # ---------------------------------------------------------------------------
@@ -161,38 +219,23 @@ def _apply_gate_batch(states: np.ndarray, n: int, gate: GateOp):
 
 def apply_gate(state: StateVector, gate: GateOp) -> StateVector:
     """Apply one gate, returning a new StateVector (the input is untouched)."""
-    if max(gate.qubits) >= state.num_qubits:
-        raise ValueError(
-            f"gate touches qubit {max(gate.qubits)} but the state has "
-            f"{state.num_qubits} qubit(s)"
-        )
     amps = state.amplitudes[np.newaxis, :].copy()
-    _apply_gate_batch(amps, state.num_qubits, gate)
+    _apply_ops(amps, state.num_qubits, _compile([gate], state.num_qubits))
     return StateVector(amps[0], state.num_qubits)
 
 
 def sample_shot(state: StateVector, rng: np.random.Generator) -> Shot:
-    """Measure all qubits once, consuming exactly one uniform variate.
-
-    The outcome index is found by inverse-CDF lookup: searchsorted with
-    side='right' on the cumulative probabilities, clamped to the last
-    outcome in case rounding leaves the final cumulative sum below 1.
-    """
-    cdf = np.cumsum(state.probabilities())
-    u = rng.random()
-    z = int(np.searchsorted(cdf, u, side="right"))
-    z = min(z, len(cdf) - 1)
-    return Shot(z, state.num_qubits)
+    """Measure all qubits once, consuming exactly one uniform variate."""
+    u = np.array([rng.random()])
+    z = _inverse_cdf(state.probabilities()[np.newaxis, :], u)
+    return Shot(int(z[0]), state.num_qubits)
 
 
 def run_circuit(gates: Sequence[GateOp], num_qubits: int) -> StateVector:
     """Run concrete gates from |0...0>, returning the final state."""
     state = StateVector.zero(num_qubits)
-    amps = state.amplitudes[np.newaxis, :]
-    for g in gates:
-        if max(g.qubits) >= num_qubits:
-            raise ValueError(f"gate touches qubit {max(g.qubits)} out of range")
-        _apply_gate_batch(amps, num_qubits, g)
+    ops = _compile(gates, num_qubits)
+    _apply_ops(state.amplitudes[np.newaxis, :], num_qubits, ops)
     return state
 
 
@@ -201,19 +244,16 @@ def run_circuit(gates: Sequence[GateOp], num_qubits: int) -> StateVector:
 
 
 class EpisodeEngine:
-    """Executes one template across batches of parameter vectors.
+    """Executes one template, compiled once, across batches of parameter vectors.
 
-    The template's gates are compiled once into a dispatch list; RX angles
-    refer to columns of the incoming theta matrix (or are fixed literals).
-    With ``layers`` > 1 the gate list is repeated and layer l's rotations
-    read parameter columns offset by ``l * template.num_params``.
+    With ``layers`` > 1 the gate list repeats and layer l reads parameter
+    columns offset by ``l * template.num_params``. An engine holds no mutable
+    state, so threads may share one; library code gets it from
+    :func:`cached_engine`.
     """
 
     def __init__(
-        self,
-        template: CircuitTemplate,
-        layers: int = 1,
-        chunk_bytes: int = 32 << 20,
+        self, template: CircuitTemplate, layers: int = 1, chunk_bytes: int = 1 << 20
     ):
         if layers < 1:
             raise ValueError("layers must be >= 1")
@@ -227,49 +267,17 @@ class EpisodeEngine:
         self.num_qubits = template.num_qubits
         self.num_params = layers * template.num_params
         self.dim = 1 << self.num_qubits
+        self._ops = _compile(template.gates, self.num_qubits, template.params, layers)
+        self.chunk_size = max(1, min(1 << 16, chunk_bytes // (16 * self.dim)))
 
-        self._ops: list[tuple] = []
-        base = template.num_params
-        for layer in range(layers):
-            for g in template.gates:
-                if g.kind is GateKind.RX and isinstance(g.angle, ParamRef):
-                    col = layer * base + template.params.index(g.angle.name)
-                    self._ops.append(("rx_param", g.qubits[0], col))
-                elif g.kind is GateKind.RX:
-                    half = 0.5 * g.angle
-                    self._ops.append(
-                        ("rx_const", g.qubits[0], math.cos(half), math.sin(half))
-                    )
-                else:
-                    self._ops.append((g.kind, g.qubits))
-
-        row_bytes = 16 * self.dim
-        self.chunk_size = max(1, min(1 << 16, chunk_bytes // row_bytes))
-        self._state = np.empty((self.chunk_size, self.dim), dtype=np.complex128)
-
-    def _run_chunk(self, thetas: np.ndarray) -> np.ndarray:
-        """Evolve a (b, num_params) chunk; returns the (b, dim) state view."""
-        b = thetas.shape[0]
-        s = self._state[:b]
-        s[:] = 0.0
-        s[:, 0] = 1.0
-        n = self.num_qubits
-        for op in self._ops:
-            tag = op[0]
-            if tag == "rx_param":
-                half = 0.5 * thetas[:, op[2]]
-                cos = np.cos(half)[:, None, None]
-                sin = np.sin(half)[:, None, None]
-                _apply_rx_batch(s, n, op[1], cos, sin)
-            elif tag == "rx_const":
-                _apply_rx_batch(s, n, op[1], op[2], op[3])
-            elif tag is GateKind.H:
-                _apply_h_batch(s, n, op[1][0])
-            elif tag is GateKind.CNOT:
-                _apply_cnot_batch(s, n, op[1][0], op[1][1])
-            else:
-                _apply_cz_batch(s, n, op[1][0], op[1][1])
-        return s
+    def _chunks(self, thetas: np.ndarray):
+        """Yield (row slice, outcome probabilities) per chunk of thetas."""
+        for start in range(0, thetas.shape[0], self.chunk_size):
+            rows = slice(start, start + self.chunk_size)
+            s = np.zeros((len(thetas[rows]), self.dim), dtype=np.complex128)
+            s[:, 0] = 1.0
+            _apply_ops(s, self.num_qubits, self._ops, thetas[rows])
+            yield rows, s.real * s.real + s.imag * s.imag
 
     def _check_thetas(self, thetas: np.ndarray) -> np.ndarray:
         thetas = np.asarray(thetas, dtype=np.float64)
@@ -284,36 +292,25 @@ class EpisodeEngine:
         """Exact outcome distributions, one row of 2**n probabilities each."""
         thetas = self._check_thetas(thetas)
         out = np.empty((thetas.shape[0], self.dim), dtype=np.float64)
-        for start in range(0, thetas.shape[0], self.chunk_size):
-            stop = min(start + self.chunk_size, thetas.shape[0])
-            s = self._run_chunk(thetas[start:stop])
-            np.add(s.real * s.real, s.imag * s.imag, out=out[start:stop])
+        for rows, probs in self._chunks(thetas):
+            out[rows] = probs
         return out
 
     def sample(self, thetas: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-        """One shot per row: inverse-CDF with the given uniform variates.
-
-        Bitwise identical to :func:`sample_shot` applied row by row with the
-        same uniforms: counting cdf entries <= u equals searchsorted(right).
-        """
+        """One shot per row, by the inverse-CDF rule of :func:`sample_shot`."""
         thetas = self._check_thetas(thetas)
         uniforms = np.asarray(uniforms, dtype=np.float64)
         if uniforms.shape != (thetas.shape[0],):
             raise ValueError("need exactly one uniform variate per episode")
         out = np.empty(thetas.shape[0], dtype=np.int64)
-        for start in range(0, thetas.shape[0], self.chunk_size):
-            stop = min(start + self.chunk_size, thetas.shape[0])
-            s = self._run_chunk(thetas[start:stop])
-            probs = s.real * s.real + s.imag * s.imag
-            cdf = np.cumsum(probs, axis=1)
-            z = (cdf <= uniforms[start:stop, None]).sum(axis=1)
-            np.minimum(z, self.dim - 1, out=z)
-            out[start:stop] = z
+        for rows, probs in self._chunks(thetas):
+            out[rows] = _inverse_cdf(probs, uniforms[rows])
         return out
 
 
 @lru_cache(maxsize=64)
-def _cached_engine(template: CircuitTemplate, layers: int = 1) -> EpisodeEngine:
+def cached_engine(template: CircuitTemplate, layers: int = 1) -> EpisodeEngine:
+    """The shared engine for (template, layers), built on first use."""
     return EpisodeEngine(template, layers)
 
 
@@ -324,17 +321,13 @@ def exact_probabilities(
     theta = np.asarray(theta, dtype=np.float64)
     if theta.ndim != 1:
         raise ValueError("theta must be one-dimensional")
-    return _cached_engine(template).probabilities(theta[np.newaxis, :])[0]
+    return cached_engine(template).probabilities(theta[np.newaxis, :])[0]
 
 
 def run_episode(
     template: CircuitTemplate, theta: Sequence[float], rng: np.random.Generator
 ) -> Shot:
     """Instantiate, simulate, and measure once (one uniform variate)."""
-    theta = np.asarray(theta, dtype=np.float64)
-    if theta.ndim != 1:
-        raise ValueError("theta must be one-dimensional")
-    engine = _cached_engine(template)
-    u = rng.random()
-    z = engine.sample(theta[np.newaxis, :], np.array([u]))
-    return Shot(int(z[0]), engine.num_qubits)
+    probs = exact_probabilities(template, theta)[np.newaxis, :]
+    z = _inverse_cdf(probs, np.array([rng.random()]))
+    return Shot(int(z[0]), template.num_qubits)

@@ -281,6 +281,8 @@ def test_features_load_summary(tmp_path, capsys):
     assert density_line
     density = float(density_line[0].split()[-1])
     assert 0.0 <= density <= 1.0
+    dense = load_features(path).to_dense()
+    assert density_line[0] == f"bit density: {dense.mean():.4f}"
 
 
 def test_missing_file_exit_code(capsys):
@@ -294,6 +296,19 @@ def test_missing_file_exit_code(capsys):
 
     rc, _, _ = run_cli(["features", "load", "--path", "/missing.qksf"], capsys)
     assert rc == 1
+
+
+def test_non_finite_csv_exit_code(tmp_path, capsys):
+    (tmp_path / "train.csv").write_text("x,y,label\n0.1,0.2,0\nnan,0.3,1\n")
+    (tmp_path / "test.csv").write_text("x,y,label\n0.1,0.2,0\n0.4,0.3,1\n")
+    rc, _, err = run_cli(
+        ["run", "--dataset", "csv",
+         "--train-csv", str(tmp_path / "train.csv"),
+         "--test-csv", str(tmp_path / "test.csv"), "--episodes", "4"],
+        capsys,
+    )
+    assert rc == 1
+    assert "finite" in err
 
 
 def test_incompatible_encoding_exit_code(capsys):

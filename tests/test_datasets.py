@@ -300,3 +300,11 @@ def test_csv_errors(tmp_path):
     p.write_text("1.0,2.0,1\n3.0,1\n")
     with pytest.raises(DataFormatError, match="inconsistent"):
         load_csv(p)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN"])
+def test_csv_rejects_non_finite(tmp_path, value):
+    p = tmp_path / "bad.csv"
+    p.write_text(f"x,y,label\n1.0,2.0,0\n0.5,{value},1\n")
+    with pytest.raises(DataFormatError, match="line 3"):
+        load_csv(p)

@@ -99,6 +99,19 @@ def test_sample_machine_validation():
         sample_machine(t, s, 1.0, 10, 0, layers=0)
 
 
+def test_seed_must_fit_64_bits():
+    t = get_ansatz("cnot2")
+    s = EncodingStructure.split(2)
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match="seed"):
+            sample_machine(t, s, 1.0, 4, seed)
+        with pytest.raises(ValueError, match="seed"):
+            shot_stream(seed, 0)
+    top = sample_machine(t, s, 1.0, 4, 2**64 - 1)
+    assert not np.array_equal(top.omega, sample_machine(t, s, 1.0, 4, 0).omega)
+    shot_stream(2**64 - 1, 0)
+
+
 def test_machine_determinism_and_seed_sensitivity():
     t = get_ansatz("cnot2")
     s = EncodingStructure.split(2)

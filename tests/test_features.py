@@ -7,18 +7,21 @@ import pytest
 
 from qks import (
     EncodingStructure,
+    EpisodeEngine,
     FeatureFileError,
     FeatureMatrix,
     exact_probabilities,
     featurize,
     get_ansatz,
     load_features,
+    mc_kernel,
     sample_machine,
     save_features,
     shot_stream,
 )
-from qks.features import _pack_rows
+from qks.features import ROW_BLOCK, _pack_rows
 from qks.quil import CircuitTemplate
+from qks.simulator import cached_engine
 
 
 def small_machine(episodes=40, sigma=1.0, seed=5, layers=1):
@@ -247,3 +250,41 @@ def test_qksf_malformed_sidecar(tmp_path):
     (tmp_path / "m.qksf.json").write_text("{not json")
     with pytest.raises(FeatureFileError, match="sidecar"):
         load_features(path)
+
+
+def test_qksf_sidecar_row_count_must_match_header(tmp_path):
+    m = small_machine(episodes=10)
+    path = tmp_path / "r.qksf"
+    save_features(featurize(m, frame_inputs(n=5)), path)
+    sidecar_path = tmp_path / "r.qksf.json"
+    sidecar = json.loads(sidecar_path.read_text())
+    sidecar["rows"] = 6
+    sidecar_path.write_text(json.dumps(sidecar))
+    with pytest.raises(FeatureFileError, match="rows"):
+        load_features(path)
+
+
+def test_one_engine_per_template(monkeypatch):
+    built = []
+    original = EpisodeEngine.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(EpisodeEngine, "__init__", counting_init)
+    cached_engine.cache_clear()
+    m = small_machine(episodes=8)
+    x = frame_inputs(n=4 * ROW_BLOCK + 3)
+    featurize(m, x, workers=3)
+    featurize(m, x, workers=1)
+    assert len(built) == 1
+
+    built.clear()
+    cached_engine.cache_clear()
+    km = sample_machine(
+        get_ansatz("cz2"), EncodingStructure.split(2), 1.0, 50, seed=4
+    )
+    mc_kernel(km, [0.1, 0.2], [0.3, -0.4])
+    mc_kernel(km, [0.5, 0.2], [0.3, 0.4])
+    assert len(built) == 1

@@ -1,4 +1,4 @@
-"""Kernel machinery: S matrix, exact inner products, Monte Carlo vs closed form."""
+"""Kernel machinery: bit matrix, exact inner products, Monte Carlo vs closed form."""
 
 import numpy as np
 import pytest
@@ -12,30 +12,16 @@ from qks import (
     get_ansatz,
     mc_kernel,
     sample_machine,
-    s_matrix,
 )
 from qks.quil import CircuitTemplate
-
-
-def test_s_matrix_small():
-    assert s_matrix(1).tolist() == [[0, 0], [0, 1]]
-    s2 = s_matrix(2)
-    expected = [[bin(z & w).count("1") for w in range(4)] for z in range(4)]
-    assert s2.tolist() == expected
-    assert np.array_equal(s2, s2.T)
-    s3 = s_matrix(3)
-    assert s3[0b101, 0b110] == 1
-    assert s3[0b111, 0b111] == 3
-    with pytest.raises(ValueError):
-        s_matrix(0)
 
 
 def test_bit_matrix():
     b = bit_matrix(3)
     assert b.shape == (8, 3)
     assert b[0b110].tolist() == [0.0, 1.0, 1.0]
-    # S factorizes through the bit matrix
-    assert np.array_equal(s_matrix(3), (b @ b.T).astype(np.int64))
+    with pytest.raises(ValueError):
+        bit_matrix(0)
 
 
 def test_expected_inner_validation():
