@@ -205,7 +205,7 @@ def _apply_ops(
 def _inverse_cdf(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     """Outcome index per row of (b, dim) ``probs``, one uniform u per row.
 
-    The index counts the cumulative sums <= u (searchsorted, side='right'),
+    The index counts the cumulative sums <= u (u's right insertion point),
     clamped to dim - 1 in case rounding leaves the last sum below u.
     """
     cdf = np.cumsum(probs, axis=1)

@@ -288,3 +288,4 @@ def test_one_engine_per_template(monkeypatch):
     mc_kernel(km, [0.1, 0.2], [0.3, -0.4])
     mc_kernel(km, [0.5, 0.2], [0.3, 0.4])
     assert len(built) == 1
+
