@@ -343,3 +343,42 @@ def test_digits_flag_validation(capsys):
     )
     assert rc == 2
     assert "digits" in err.lower()
+
+
+DATASET_KEYS = {"train_size", "test_size", "dim", "sha256"}
+RESULT_KEYS = {"train_error", "test_error", "seconds"}
+FIT_CONFIG_KEYS = {"reg_lambda", "tol", "max_iter"}
+FRAMES_KEYS = {"dataset", "train_per_class", "test_per_class", "data_seed"}
+MACHINE_KEYS = {"ansatz", "layers", "sigma", "episodes", "seed", "encoding",
+                "workers", "structure"}
+
+
+def test_report_key_sets(tmp_path, capsys):
+    flags = ["--frames-train", "10", "--frames-test", "5", "--max-iter", "50"]
+    expected_config = {
+        "baseline": FIT_CONFIG_KEYS | FRAMES_KEYS,
+        "run": MACHINE_KEYS | FIT_CONFIG_KEYS | FRAMES_KEYS,
+    }
+    for command, config_keys in expected_config.items():
+        report = tmp_path / f"{command}.json"
+        extra = ["--episodes", "8"] if command == "run" else []
+        rc, _, _ = run_cli([command, *flags, *extra, "--out", str(report)],
+                           capsys)
+        assert rc == 0
+        data = json.loads(report.read_text())
+        assert set(data) == {"command", "config", "dataset", "results", "fit"}
+        assert set(data["config"]) == config_keys
+        assert set(data["dataset"]) == DATASET_KEYS
+        assert set(data["results"]) == RESULT_KEYS
+        assert set(data["fit"]) == FIT_KEYS
+
+    report = tmp_path / "sweep.json"
+    rc, _, _ = run_cli(["sweep", *flags, "--episodes", "8",
+                        "--out", str(tmp_path / "s.csv"),
+                        "--report", str(report)], capsys)
+    assert rc == 0
+    data = json.loads(report.read_text())
+    assert set(data) == {"command", "config", "fit"}
+    assert set(data["config"]) == (
+        {"ansatz", "layers", "structure"} | FIT_CONFIG_KEYS
+    )
