@@ -232,6 +232,11 @@ def load_features(path: str | Path) -> FeatureMatrix:
         raise FeatureFileError(
             f"{path}: header has {rows} rows, sidecar {sidecar_rows}"
         )
+    if columns != episodes * num_qubits:
+        raise FeatureFileError(
+            f"{sidecar_file}: {columns} columns != {episodes} episodes x "
+            f"{num_qubits} qubits"
+        )
     words = _words_for(columns)
     expected = _HEADER.size + rows * words * 8
     if len(raw) != expected:
@@ -245,6 +250,8 @@ def load_features(path: str | Path) -> FeatureMatrix:
         .astype(np.uint64)
     )
     meta = sidecar.get("machine")
-    if isinstance(meta, dict):
+    if meta is not None:
+        if not isinstance(meta, dict):
+            raise FeatureFileError(f"{sidecar_file}: machine must be an object")
         meta = dict(meta, episodes=episodes, num_qubits=num_qubits)
     return FeatureMatrix(packed, columns, num_qubits, episodes, meta)

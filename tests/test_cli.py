@@ -285,6 +285,26 @@ def test_features_load_summary(tmp_path, capsys):
     assert density_line[0] == f"bit density: {dense.mean():.4f}"
 
 
+@pytest.mark.parametrize("changes", [{"machine": "cnot2"},
+                                     {"machine": ["cnot2"]},
+                                     {"episodes": 3}])
+def test_features_load_bad_sidecar_exit_code(tmp_path, capsys, changes):
+    path = tmp_path / "f.qksf"
+    rc, _, _ = run_cli(
+        ["features", "dump", "--frames-train", "5", "--frames-test", "2",
+         "--episodes", "8", "--out", str(path)],
+        capsys,
+    )
+    assert rc == 0
+    sidecar_path = tmp_path / "f.qksf.json"
+    sidecar = json.loads(sidecar_path.read_text())
+    sidecar.update(changes)
+    sidecar_path.write_text(json.dumps(sidecar))
+    rc, _, err = run_cli(["features", "load", "--path", str(path)], capsys)
+    assert rc == 1
+    assert "error" in err
+
+
 def test_missing_file_exit_code(capsys):
     rc, _, err = run_cli(
         ["baseline", "--dataset", "csv", "--train-csv", "/nonexistent.csv",

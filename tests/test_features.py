@@ -264,6 +264,30 @@ def test_qksf_sidecar_row_count_must_match_header(tmp_path):
         load_features(path)
 
 
+def _edit_sidecar(tmp_path, **changes):
+    path = tmp_path / "e.qksf"
+    save_features(featurize(small_machine(episodes=10), frame_inputs(n=5)), path)
+    sidecar_path = tmp_path / "e.qksf.json"
+    sidecar = json.loads(sidecar_path.read_text())
+    sidecar.update(changes)
+    sidecar_path.write_text(json.dumps(sidecar))
+    return path
+
+
+@pytest.mark.parametrize("machine", ["cnot2", ["cnot2", 1.0], 3])
+def test_qksf_sidecar_machine_must_be_an_object(tmp_path, machine):
+    path = _edit_sidecar(tmp_path, machine=machine)
+    with pytest.raises(FeatureFileError, match="machine"):
+        load_features(path)
+
+
+def test_qksf_sidecar_geometry_must_agree(tmp_path):
+    # 20 columns stay 20, so the byte count still matches the header
+    path = _edit_sidecar(tmp_path, episodes=4, num_qubits=4)
+    with pytest.raises(FeatureFileError, match="episodes"):
+        load_features(path)
+
+
 def test_one_engine_per_template(monkeypatch):
     built = []
     original = EpisodeEngine.__init__
