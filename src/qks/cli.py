@@ -33,7 +33,7 @@ from .datasets import (
     save_csv,
     standardize,
 )
-from .encoding import EncodingStructure, sample_machine
+from .encoding import EncodingStructure, QksMachine, sample_machine
 from .features import FeatureFileError, featurize, load_features, save_features
 from .kernels import closed_form_cnot2, mc_kernel
 from .logistic import evaluate, train
@@ -98,12 +98,6 @@ def _add_qks_args(parser: argparse.ArgumentParser, grid: bool = False) -> None:
                        help="machine seed (default 0)")
     g.add_argument("--workers", type=int, default=1, metavar="N",
                    help="featurization threads (default 1)")
-    g.add_argument(
-        "--encoding",
-        choices=("auto", "dense", "split", "tiled"),
-        default="auto",
-        help="sparsity pattern of the random linear maps (default auto)",
-    )
 
 
 def _parse_digits(text: str) -> tuple[int, int]:
@@ -155,39 +149,37 @@ def _checksum(train: LabeledDataset, test: LabeledDataset) -> str:
     return h.hexdigest()
 
 
-def _resolve_structure(args, template, train: LabeledDataset) -> EncodingStructure:
-    p = train.dim
-    q = template.num_params
-    mode = args.encoding
-    if mode == "auto":
-        if q == 1:
-            mode = "dense"
-        elif q == p:
-            mode = "split"
-        else:
-            mode = "tiled"
-    if mode == "dense":
-        if q != 1:
-            raise UsageError(
-                f"dense encoding needs a 1-parameter ansatz, {args.ansatz} has {q}"
-            )
-        return EncodingStructure.dense(p)
-    if mode == "split":
-        if q != p:
-            raise UsageError(
-                f"split encoding needs q == p, but {args.ansatz} has q={q} "
-                f"and the data has p={p}"
-            )
-        return EncodingStructure.split(p)
-    # tiled
-    if args.dataset == "mnist" and p == 784:
-        return make_tilemap(28, 28, q).to_structure()
-    if q <= p and p % q == 0:
-        return EncodingStructure.tiled(p, q)
-    raise UsageError(
-        f"no tiling of p={p} inputs into q={q} parameters; "
-        "choose a compatible ansatz or encoding"
-    )
+def _machine(args, train_ds: LabeledDataset, sigma, episodes, seed) -> QksMachine:
+    """Sample the machine; the structure follows from p inputs, q parameters.
+
+    dense if q = 1, split if q = p, 28x28 image tiles for MNIST, q equal
+    blocks if q divides p, and otherwise a usage error.
+    """
+    template = get_ansatz(args.ansatz)
+    p, q = train_ds.dim, template.num_params
+    if q == 1:
+        structure = EncodingStructure.dense(p)
+    elif q == p:
+        structure = EncodingStructure.split(p)
+    elif args.dataset == "mnist" and p == 784:
+        structure = make_tilemap(28, 28, q).to_structure()
+    elif q <= p and p % q == 0:
+        structure = EncodingStructure.tiled(p, q)
+    else:
+        raise UsageError(
+            f"no tiling of p={p} inputs into q={q} parameters; "
+            "choose a compatible ansatz"
+        )
+    return sample_machine(template, structure, sigma, episodes, seed, args.layers)
+
+
+def _fit(args, x_train, x_test, train_ds: LabeledDataset,
+         test_ds: LabeledDataset):
+    """Train on ``x_train``; returns the model and its train and test errors."""
+    model = train(x_train, train_ds.labels, reg_lambda=args.reg_lambda,
+                  tol=args.tol, max_iter=args.max_iter)
+    return (model, evaluate(model, x_train, train_ds.labels),
+            evaluate(model, x_test, test_ds.labels))
 
 
 def _write_json(path: str | None, payload: dict) -> None:
@@ -195,16 +187,14 @@ def _write_json(path: str | None, payload: dict) -> None:
         Path(path).write_text(json.dumps(payload, indent=2) + "\n")
 
 
-def _machine_config(args) -> dict:
-    return {
-        "ansatz": args.ansatz,
-        "layers": args.layers,
-        "sigma": args.sigma,
-        "episodes": args.episodes,
-        "seed": args.seed,
-        "encoding": args.encoding,
-        "workers": args.workers,
-    }
+def _write_csv(path: str | None, lines: list[str], unit: str) -> None:
+    """Write header plus rows to ``path``, or to stdout without one."""
+    text = "\n".join(lines) + "\n"
+    if path:
+        Path(path).write_text(text)
+        print(f"wrote {path} ({len(lines) - 1} {unit})")
+    else:
+        sys.stdout.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -226,59 +216,29 @@ def cmd_gen_frames(args) -> int:
     return 0
 
 
-def cmd_baseline(args) -> int:
+def _fit_and_report(args) -> int:
+    """``baseline`` on raw inputs, ``run`` on kitchen-sink features."""
     start = time.perf_counter()
     train_ds, test_ds, info = _load_splits(args)
-    model = train(train_ds.inputs, train_ds.labels,
-                  reg_lambda=args.reg_lambda, tol=args.tol,
-                  max_iter=args.max_iter)
-    train_err = evaluate(model, train_ds.inputs, train_ds.labels)
-    test_err = evaluate(model, test_ds.inputs, test_ds.labels)
+    x_train, x_test = train_ds.inputs, test_ds.inputs
+    headline, config = args.command, {}
+    if args.command == "run":
+        machine = _machine(args, train_ds, args.sigma, args.episodes, args.seed)
+        x_train = featurize(machine, x_train, workers=args.workers)
+        x_test = featurize(machine, x_test, workers=args.workers)
+        headline += (f" ansatz={args.ansatz} sigma={args.sigma} "
+                     f"episodes={args.episodes}")
+        config = {"ansatz": args.ansatz, "layers": args.layers,
+                  "sigma": args.sigma, "episodes": args.episodes,
+                  "seed": args.seed, "workers": args.workers,
+                  "structure": machine.structure.pattern}
+    model, train_err, test_err = _fit(args, x_train, x_test, train_ds, test_ds)
     seconds = time.perf_counter() - start
-    print(f"baseline train_error={train_err:.4f} test_error={test_err:.4f} "
+    print(f"{headline} train_error={train_err:.4f} test_error={test_err:.4f} "
           f"({seconds:.2f}s)")
     _write_json(args.out, {
-        "command": "baseline",
-        "config": {"reg_lambda": args.reg_lambda, "tol": args.tol,
-                   "max_iter": args.max_iter, **info},
-        "dataset": {"train_size": train_ds.size, "test_size": test_ds.size,
-                    "dim": train_ds.dim, "sha256": _checksum(train_ds, test_ds)},
-        "results": {"train_error": train_err, "test_error": test_err,
-                    "seconds": seconds},
-        "fit": dataclasses.asdict(model.fit),
-    })
-    if args.save_model:
-        model.save(args.save_model)
-    return 0
-
-
-def _run_once(args, train_ds, test_ds):
-    """Featurize both splits and fit; returns errors plus the model."""
-    template = get_ansatz(args.ansatz)
-    structure = _resolve_structure(args, template, train_ds)
-    machine = sample_machine(template, structure, args.sigma,
-                             args.episodes, args.seed, args.layers)
-    train_fm = featurize(machine, train_ds.inputs, workers=args.workers)
-    test_fm = featurize(machine, test_ds.inputs, workers=args.workers)
-    model = train(train_fm, train_ds.labels, reg_lambda=args.reg_lambda,
-                  tol=args.tol, max_iter=args.max_iter)
-    train_err = evaluate(model, train_fm, train_ds.labels)
-    test_err = evaluate(model, test_fm, test_ds.labels)
-    return model, structure, train_err, test_err
-
-
-def cmd_run(args) -> int:
-    start = time.perf_counter()
-    train_ds, test_ds, info = _load_splits(args)
-    model, structure, train_err, test_err = _run_once(args, train_ds, test_ds)
-    seconds = time.perf_counter() - start
-    print(f"run ansatz={args.ansatz} sigma={args.sigma} episodes={args.episodes} "
-          f"train_error={train_err:.4f} test_error={test_err:.4f} "
-          f"({seconds:.2f}s)")
-    _write_json(args.out, {
-        "command": "run",
-        "config": {**_machine_config(args), "structure": structure.pattern,
-                   "reg_lambda": args.reg_lambda, "tol": args.tol,
+        "command": args.command,
+        "config": {**config, "reg_lambda": args.reg_lambda, "tol": args.tol,
                    "max_iter": args.max_iter, **info},
         "dataset": {"train_size": train_ds.size, "test_size": test_ds.size,
                     "dim": train_ds.dim, "sha256": _checksum(train_ds, test_ds)},
@@ -309,8 +269,6 @@ def cmd_sweep(args) -> int:
         raise UsageError("--episodes values must be >= 1")
 
     train_ds, test_ds, _ = _load_splits(args)
-    template = get_ansatz(args.ansatz)
-    structure = _resolve_structure(args, template, train_ds)
     e_max = episode_grid[-1]
 
     lines = ["sigma,episodes,train_error,test_error,seconds"]
@@ -319,23 +277,20 @@ def cmd_sweep(args) -> int:
         cells = {e: [0.0, 0.0, 0.0] for e in episode_grid}
         for seed in seeds:
             t0 = time.perf_counter()
-            machine = sample_machine(template, structure, sigma, e_max,
-                                     seed, args.layers)
+            machine = _machine(args, train_ds, sigma, e_max, seed)
             train_full = featurize(machine, train_ds.inputs, workers=args.workers)
             test_full = featurize(machine, test_ds.inputs, workers=args.workers)
             feat_seconds = time.perf_counter() - t0
             for episodes in episode_grid:
                 t1 = time.perf_counter()
-                train_fm = train_full.truncate(episodes)
-                test_fm = test_full.truncate(episodes)
-                model = train(train_fm, train_ds.labels,
-                              reg_lambda=args.reg_lambda, tol=args.tol,
-                              max_iter=args.max_iter)
+                model, train_err, test_err = _fit(
+                    args, train_full.truncate(episodes),
+                    test_full.truncate(episodes), train_ds, test_ds)
                 fits.append({"sigma": sigma, "episodes": episodes, "seed": seed,
                              **dataclasses.asdict(model.fit)})
                 cell = cells[episodes]
-                cell[0] += evaluate(model, train_fm, train_ds.labels)
-                cell[1] += evaluate(model, test_fm, test_ds.labels)
+                cell[0] += train_err
+                cell[1] += test_err
                 cell[2] += time.perf_counter() - t1
                 if episodes == e_max:
                     cell[2] += feat_seconds
@@ -346,16 +301,11 @@ def cmd_sweep(args) -> int:
                 f"{sigma:g},{episodes},{tr / k:.6f},{te / k:.6f},{sec:.3f}"
             )
 
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
-        print(f"wrote {args.out} ({len(lines) - 1} rows)")
-    else:
-        sys.stdout.write(text)
+    _write_csv(args.out, lines, "rows")
     _write_json(args.report, {
         "command": "sweep",
         "config": {"ansatz": args.ansatz, "layers": args.layers,
-                   "structure": structure.pattern,
+                   "structure": machine.structure.pattern,
                    "reg_lambda": args.reg_lambda, "tol": args.tol,
                    "max_iter": args.max_iter},
         "fit": fits,
@@ -364,8 +314,6 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_kernel(args) -> int:
-    if args.ansatz not in ("cnot2", "cz2"):
-        raise UsageError("kernel comparison supports --ansatz cnot2 or cz2")
     if args.pairs < 1:
         raise UsageError("--pairs must be >= 1")
     template = get_ansatz(args.ansatz)
@@ -386,22 +334,14 @@ def cmd_kernel(args) -> int:
             f"{u[0]:.6f},{u[1]:.6f},{v[0]:.6f},{v[1]:.6f},"
             f"{est.value:.8f},{est.stderr:.2e},{cf:.8f}"
         )
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
-        print(f"wrote {args.out} ({args.pairs} pairs)")
-    else:
-        sys.stdout.write(text)
+    _write_csv(args.out, lines, "pairs")
     return 0
 
 
 def cmd_features_dump(args) -> int:
     train_ds, test_ds, _ = _load_splits(args)
     ds = train_ds if args.split == "train" else test_ds
-    template = get_ansatz(args.ansatz)
-    structure = _resolve_structure(args, template, train_ds)
-    machine = sample_machine(template, structure, args.sigma,
-                             args.episodes, args.seed, args.layers)
+    machine = _machine(args, train_ds, args.sigma, args.episodes, args.seed)
     fm = featurize(machine, ds.inputs, workers=args.workers)
     save_features(fm, args.out)
     print(f"wrote {args.out}: {fm.rows} rows x {fm.num_columns} columns "
@@ -441,20 +381,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test-per-class", type=int, default=200, metavar="N")
     p.set_defaults(func=cmd_gen_frames)
 
-    p = sub.add_parser("baseline", help="logistic regression on raw inputs")
-    _add_dataset_args(p)
-    _add_model_args(p)
-    p.add_argument("--out", metavar="FILE", help="write a JSON report")
-    p.add_argument("--save-model", metavar="FILE", help="write model JSON")
-    p.set_defaults(func=cmd_baseline)
-
-    p = sub.add_parser("run", help="train on kitchen sink features")
-    _add_dataset_args(p)
-    _add_qks_args(p)
-    _add_model_args(p)
-    p.add_argument("--out", metavar="FILE", help="write a JSON report")
-    p.add_argument("--save-model", metavar="FILE", help="write model JSON")
-    p.set_defaults(func=cmd_run)
+    for name, text in (("baseline", "logistic regression on raw inputs"),
+                       ("run", "train on kitchen sink features")):
+        p = sub.add_parser(name, help=text)
+        _add_dataset_args(p)
+        if name == "run":
+            _add_qks_args(p)
+        _add_model_args(p)
+        p.add_argument("--out", metavar="FILE", help="write a JSON report")
+        p.add_argument("--save-model", metavar="FILE", help="write model JSON")
+        p.set_defaults(func=_fit_and_report)
 
     p = sub.add_parser("sweep", help="grid over sigma and episode counts")
     _add_dataset_args(p)
@@ -499,16 +435,10 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (DataFormatError, FeatureFileError, QuilParseError) as exc:
+    except (DataFormatError, FeatureFileError, QuilParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

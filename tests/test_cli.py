@@ -1,6 +1,7 @@
 """Command line interface: outputs, reports, determinism, exit codes."""
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,9 +14,10 @@ from qks import (
     get_ansatz,
     load_csv,
     load_features,
+    make_tilemap,
     sample_machine,
 )
-from qks.cli import main
+from qks.cli import UsageError, _machine, main
 
 
 def run_cli(argv, capsys):
@@ -104,7 +106,6 @@ def test_run_report_and_determinism(tmp_path, capsys):
     assert cfg["ansatz"] == "cnot2"
     assert cfg["episodes"] == 60
     assert cfg["structure"] == "split"
-    assert cfg["encoding"] == "auto"
 
 
 def test_run_from_csv(tmp_path, capsys):
@@ -369,8 +370,8 @@ DATASET_KEYS = {"train_size", "test_size", "dim", "sha256"}
 RESULT_KEYS = {"train_error", "test_error", "seconds"}
 FIT_CONFIG_KEYS = {"reg_lambda", "tol", "max_iter"}
 FRAMES_KEYS = {"dataset", "train_per_class", "test_per_class", "data_seed"}
-MACHINE_KEYS = {"ansatz", "layers", "sigma", "episodes", "seed", "encoding",
-                "workers", "structure"}
+MACHINE_KEYS = {"ansatz", "layers", "sigma", "episodes", "seed", "workers",
+                "structure"}
 
 
 def test_report_key_sets(tmp_path, capsys):
@@ -402,3 +403,20 @@ def test_report_key_sets(tmp_path, capsys):
     assert set(data["config"]) == (
         {"ansatz", "layers", "structure"} | FIT_CONFIG_KEYS
     )
+
+
+def test_machine_structure_follows_p_and_q():
+    def machine(ansatz, p, dataset="frames"):
+        args = SimpleNamespace(ansatz=ansatz, dataset=dataset, layers=1)
+        return _machine(args, SimpleNamespace(dim=p), 1.0, 2, 0).structure
+
+    assert machine("rx1", 5).pattern == "dense"
+    assert machine("cnot2", 2).pattern == "split"
+    tiled = machine("p4", 8)
+    assert tiled.pattern == "tiled"
+    assert tiled.rows == EncodingStructure.tiled(8, 4).rows
+    for ansatz, q in (("cnot2", 2), ("p4", 4)):
+        tiles = machine(ansatz, 784, dataset="mnist")
+        assert tiles.rows == make_tilemap(28, 28, q).to_structure().rows
+    with pytest.raises(UsageError, match="no tiling"):
+        machine("p9", 2)
