@@ -150,11 +150,7 @@ def _checksum(train: LabeledDataset, test: LabeledDataset) -> str:
 
 
 def _machine(args, train_ds: LabeledDataset, sigma, episodes, seed) -> QksMachine:
-    """Sample the machine; the structure follows from p inputs, q parameters.
-
-    dense if q = 1, split if q = p, 28x28 image tiles for MNIST, q equal
-    blocks if q divides p, and otherwise a usage error.
-    """
+    """Sample a machine whose encoding structure follows from p and q."""
     template = get_ansatz(args.ansatz)
     p, q = train_ds.dim, template.num_params
     if q == 1:

@@ -286,9 +286,7 @@ def test_features_load_summary(tmp_path, capsys):
     assert density_line[0] == f"bit density: {dense.mean():.4f}"
 
 
-@pytest.mark.parametrize("changes", [{"machine": "cnot2"},
-                                     {"machine": ["cnot2"]},
-                                     {"episodes": 3}])
+@pytest.mark.parametrize("changes", [{"machine": "cnot2"}, {"episodes": 3}])
 def test_features_load_bad_sidecar_exit_code(tmp_path, capsys, changes):
     path = tmp_path / "f.qksf"
     rc, _, _ = run_cli(
