@@ -282,7 +282,7 @@ def test_qksf_sidecar_machine_must_be_an_object(tmp_path, machine):
 
 
 def test_qksf_sidecar_geometry_must_agree(tmp_path):
-    # 20 columns stay 20, so the byte count still matches the header
+    # 4 x 4 = 16 != 20 columns; the column and byte counts stay valid
     path = _edit_sidecar(tmp_path, episodes=4, num_qubits=4)
     with pytest.raises(FeatureFileError, match="episodes"):
         load_features(path)
