@@ -34,6 +34,9 @@ FEATURE_CONFIGS = {
     "cz2-l2-w1": ("cz2", EncodingStructure.split(2), 2, 1, 21, 20, 2.0, 14),
     "p4-l1-w3": ("p4", EncodingStructure.tiled(8, 4), 1, 3, 37, 130, 0.9, 15),
     "p4-l2-w1": ("p4", EncodingStructure.split(4), 2, 1, 19, 66, 1.1, 16),
+    "p9-l1-w3": ("p9", EncodingStructure.split(9), 1, 3, 37, 130, 1.0, 17),
+    "p9-l2-w1": ("p9", EncodingStructure.split(9), 2, 1, 19, 66, 0.8, 18),
+    "p16-l1-w1": ("p16", EncodingStructure.split(16), 1, 1, 7, 5, 1.0, 19),
 }
 
 FEATURE_DIGESTS = {
@@ -60,6 +63,18 @@ FEATURE_DIGESTS = {
     "p4-l2-w1": (
         "864aabeecbf2276ef00c177efa760ba4931e6bd3fc2bde27da3c9d14aa2a0494",
         "488b753ee1d4ab2c1344d65d96476fdafd2b65cc90bb677c4dc0b07f91a4c262",
+    ),
+    "p9-l1-w3": (
+        "4f7f4c8a8c095e5b45588244cfb2bd46f06bb444620110008e27b0be09f839d9",
+        "b67103966c67dc5339d0b9642e8d22622aaf12d8169a63a232517c93f952c6d6",
+    ),
+    "p9-l2-w1": (
+        "a5cd8547e9fd0e57fddd0a84daa4dc9ebba7f9329cd34421fc82d6a020c67ff1",
+        "be34077c06d50a0d69b6eb65ed438f12d4be0b39f3e0f6a547f181d48c3debce",
+    ),
+    "p16-l1-w1": (
+        "abe315f5fa8f95ea09ee5b14275e62222a29ce8b15d7c8e4f8af17ebfe4170cc",
+        "eafa5804ecde66107ffb6a9f598fbc9e3068dfd4bc6ca9fa1132f3146408e131",
     ),
 }
 
