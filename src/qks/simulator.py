@@ -202,6 +202,70 @@ def _apply_ops(
             _apply_cz_batch(states, n, *op.qubits)
 
 
+class _Product(NamedTuple):
+    """An RX-then-CNOT op list as a product state read through a permutation.
+
+    ``rx`` are the leading RX ops, each on its own qubit, and ``axes[k]`` is
+    the (-1, 2 or 1 per qubit) shape that lays op k's (cos, sin) along its
+    qubit's axis. ``start`` holds the amplitudes before them as a
+    (1, 2 or 1 per qubit) tensor, axis n - q for qubit q: length 1 where q
+    gets an RX, and otherwise length 2 with that qubit's |1> slab zero. The
+    CNOTs that follow permute basis indices; ``source[z]`` is the index
+    they send to z.
+    """
+
+    rx: tuple[_Op, ...]
+    axes: tuple[tuple[int, ...], ...]
+    start: np.ndarray
+    source: np.ndarray
+
+
+def _product_form(ops: Sequence[_Op], n: int) -> _Product | None:
+    """Split ops into distinct-qubit RX then CNOTs only, or None if they don't."""
+    rx: list[_Op] = []
+    for op in ops:
+        if op.kind is not GateKind.RX or any(op.qubits == r.qubits for r in rx):
+            break
+        rx.append(op)
+    cnots = ops[len(rx):]
+    if any(op.kind is not GateKind.CNOT for op in cnots):
+        return None
+    z = np.arange(1 << n)
+    for op in cnots:
+        control, target = op.qubits
+        z ^= ((z >> control) & 1) << target
+    source = np.empty_like(z)
+    source[z] = np.arange(1 << n)
+    rx_qubits = {op.qubits[0] for op in rx}
+    order = range(n - 1, -1, -1)  # axis 1 is qubit n - 1, axis n is qubit 0
+    start = np.zeros((1,) + tuple(1 if q in rx_qubits else 2 for q in order))
+    start.flat[0] = 1.0
+    axes = tuple(
+        (-1,) + tuple(2 if q == op.qubits[0] else 1 for q in order) for op in rx
+    )
+    return _Product(tuple(rx), axes, start, source)
+
+
+def _product_probabilities(form: _Product, thetas: np.ndarray) -> np.ndarray:
+    """Outcome probabilities, (b, 2**n), of a product form at (b, p) thetas.
+
+    Amplitudes are multiplied in op order and squared at the end, the same
+    rounded products the dense kernels form for these gates, so the
+    probabilities match the dense engine's bit for bit.
+    """
+    b = thetas.shape[0]
+    amps = np.broadcast_to(form.start, (b,) + form.start.shape[1:])
+    for op, axes in zip(form.rx, form.axes):
+        if op.col is None:
+            factor = np.array([op.cos, op.sin])
+        else:
+            half = 0.5 * thetas[:, op.col]
+            factor = np.stack([np.cos(half), np.sin(half)], axis=1)
+        amps = amps * factor.reshape(axes)
+    probs = (amps * amps).reshape(b, -1)
+    return np.take(probs, form.source, axis=1)
+
+
 def _inverse_cdf(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     """Outcome index per row of (b, dim) ``probs``, one uniform u per row.
 
@@ -268,12 +332,16 @@ class EpisodeEngine:
         self.num_params = layers * template.num_params
         self.dim = 1 << self.num_qubits
         self._ops = _compile(template.gates, self.num_qubits, template.params, layers)
+        self._product = _product_form(self._ops, self.num_qubits)
         self.chunk_size = max(1, min(1 << 16, chunk_bytes // (16 * self.dim)))
 
     def _chunks(self, thetas: np.ndarray):
         """Yield (row slice, outcome probabilities) per chunk of thetas."""
         for start in range(0, thetas.shape[0], self.chunk_size):
             rows = slice(start, start + self.chunk_size)
+            if self._product is not None:
+                yield rows, _product_probabilities(self._product, thetas[rows])
+                continue
             s = np.zeros((len(thetas[rows]), self.dim), dtype=np.complex128)
             s[:, 0] = 1.0
             _apply_ops(s, self.num_qubits, self._ops, thetas[rows])

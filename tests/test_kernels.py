@@ -14,6 +14,7 @@ from qks import (
     sample_machine,
 )
 from qks.quil import CircuitTemplate
+from conftest import oracle_probabilities, template_to_oracle_gates
 
 
 def test_bit_matrix():
@@ -75,6 +76,23 @@ def test_mc_kernel_matches_direct_average():
     assert est.value == pytest.approx(vals.mean(), abs=1e-12)
     assert est.stderr == pytest.approx(vals.std(ddof=1) / np.sqrt(50), abs=1e-12)
     assert est.episodes_used == 50
+
+
+def test_p4_mc_kernel_matches_oracle_average():
+    # The kernel fingerprints cover cnot2 and cz2 only; this checks a wider
+    # template's kernel against probabilities from the independent oracle.
+    t = get_ansatz("p4")
+    m = sample_machine(t, EncodingStructure.split(4), 0.9, 40, seed=7)
+    u = np.array([0.3, -0.2, 1.1, 0.5])
+    v = np.array([-0.6, 0.4, 0.9, -1.2])
+
+    def probs(x, e):
+        return oracle_probabilities(template_to_oracle_gates(t, m.encode(x, e)), 4)
+
+    vals = np.array([expected_inner(probs(u, e), probs(v, e)) for e in range(40)])
+    est = mc_kernel(m, u, v)
+    assert est.value == pytest.approx(vals.mean(), abs=1e-12)
+    assert est.stderr == pytest.approx(vals.std(ddof=1) / np.sqrt(40), abs=1e-12)
 
 
 def test_mc_kernel_exact_symmetry():

@@ -19,6 +19,7 @@ from qks import (
     run_episode,
     sample_shot,
 )
+from qks.simulator import _apply_ops, cached_engine
 from conftest import oracle_probabilities, template_to_oracle_gates
 
 
@@ -249,3 +250,73 @@ def test_probabilities_sum_to_one():
     thetas = rng.uniform(-np.pi, np.pi, (20, 9))
     sums = engine.probabilities(thetas).sum(axis=1)
     assert np.abs(sums - 1.0).max() < 1e-10
+
+
+# Templates by simulation path: RX on distinct fresh qubits followed only by
+# CNOTs run as a product state read through a basis permutation; anything
+# else runs the dense gate kernels. (source, layers)
+PRODUCT_TEMPLATES = {
+    "literal-rx": ("DEFCIRCUIT L(%a):\n    RX(0.7) 0\n    RX(%a) 1\n    CNOT 0 1\n", 1),
+    "idle-qubit": (
+        "DEFCIRCUIT I(%a, %b):\n    RX(%a) 0\n    RX(%b) 2\n    CNOT 0 1\n"
+        "    CNOT 2 1\n",
+        1,
+    ),
+    "target-twice": (
+        "DEFCIRCUIT T(%a, %b, %c):\n    RX(%c) 2\n    RX(%a) 0\n    RX(%b) 1\n"
+        "    CNOT 0 2\n    CNOT 1 2\n    CNOT 2 0\n",
+        1,
+    ),
+    "rx1": ("rx1", 1),
+}
+DENSE_TEMPLATES = {
+    "cz2": ("cz2", 1),
+    "cnot2-layers-2": ("cnot2", 2),
+    "rx-after-cnot": (
+        "DEFCIRCUIT A(%a, %b):\n    RX(%a) 0\n    CNOT 0 1\n    RX(%b) 1\n",
+        1,
+    ),
+    "rx-twice": ("DEFCIRCUIT W(%a, %b):\n    RX(%a) 0\n    RX(%b) 0\n", 1),
+    "hadamard": ("DEFCIRCUIT H1(%a):\n    RX(%a) 0\n    H 1\n    CNOT 0 1\n", 1),
+}
+
+
+def _template(source):
+    """A built-in ansatz by name, or a template parsed from Quil source."""
+    return parse_template(source) if "DEFCIRCUIT" in source else get_ansatz(source)
+
+
+@pytest.mark.parametrize(
+    "key, product",
+    [(k, True) for k in PRODUCT_TEMPLATES] + [(k, False) for k in DENSE_TEMPLATES],
+)
+def test_simulation_path_against_kron_oracle(key, product):
+    source, layers = {**PRODUCT_TEMPLATES, **DENSE_TEMPLATES}[key]
+    t = _template(source)
+    engine = cached_engine(t, layers)
+    assert (engine._product is not None) == product
+    rng = np.random.default_rng(31)
+    thetas = rng.uniform(-np.pi, 3 * np.pi, (5, engine.num_params))
+    mine = engine.probabilities(thetas)
+    p = t.num_params
+    for theta, row in zip(thetas, mine):
+        gates = []
+        for layer in range(layers):
+            gates += template_to_oracle_gates(t, theta[layer * p : (layer + 1) * p])
+        ref = oracle_probabilities(gates, t.num_qubits)
+        assert np.abs(row - ref).max() <= 1e-14
+
+
+@pytest.mark.parametrize("name", ["rx1", "cnot2", "p4", "p9", "p16"])
+def test_product_path_matches_dense_kernels_bit_for_bit(name):
+    # Built-in RX layers run in ascending qubit order, so the product path
+    # forms the dense kernels' rounded products: equal floats, equal bits.
+    engine = cached_engine(get_ansatz(name))
+    assert engine._product is not None
+    rows = 3 if name == "p16" else 200
+    thetas = np.random.default_rng(32).uniform(-7, 7, (rows, engine.num_params))
+    dense = np.zeros((rows, engine.dim), dtype=np.complex128)
+    dense[:, 0] = 1.0
+    _apply_ops(dense, engine.num_qubits, engine._ops, thetas)
+    probs = dense.real * dense.real + dense.imag * dense.imag
+    assert np.array_equal(engine.probabilities(thetas), probs)
