@@ -360,4 +360,6 @@ def load_csv(path: str | Path, name: str = "") -> LabeledDataset:
     widths = {len(r) for r in rows}
     if len(widths) != 1:
         raise DataFormatError(f"{path}: inconsistent column counts {sorted(widths)}")
+    if widths == {0}:
+        raise DataFormatError(f"{path}: no input column before the label")
     return LabeledDataset(np.array(rows), np.array(labels), name or path.stem)

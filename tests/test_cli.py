@@ -330,6 +330,21 @@ def test_non_finite_csv_exit_code(tmp_path, capsys):
     assert "finite" in err
 
 
+@pytest.mark.parametrize(
+    "command", [["baseline"], ["run", "--ansatz", "rx1", "--episodes", "4"]]
+)
+def test_label_only_csv_exit_code(tmp_path, capsys, command):
+    for name in ("train.csv", "test.csv"):
+        (tmp_path / name).write_text("label\n0\n1\n")
+    rc, _, err = run_cli(
+        command + ["--dataset", "csv", "--train-csv", str(tmp_path / "train.csv"),
+                   "--test-csv", str(tmp_path / "test.csv")],
+        capsys,
+    )
+    assert rc == 1
+    assert "input column" in err
+
+
 def test_incompatible_encoding_exit_code(capsys):
     rc, _, err = run_cli(
         ["run", "--ansatz", "p9", "--frames-train", "5", "--frames-test", "5",

@@ -302,6 +302,13 @@ def test_csv_errors(tmp_path):
         load_csv(p)
 
 
+def test_csv_needs_an_input_column(tmp_path):
+    p = tmp_path / "labels.csv"
+    p.write_text("label\n0\n1\n")
+    with pytest.raises(DataFormatError, match="input column"):
+        load_csv(p)
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN"])
 def test_csv_rejects_non_finite(tmp_path, value):
     p = tmp_path / "bad.csv"
