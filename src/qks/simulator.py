@@ -1,16 +1,31 @@
-"""Dense statevector simulation, tuned for single-shot episode throughput.
+"""Statevector simulation, tuned for single-shot episode throughput.
 
 Conventions: qubit 0 is the least-significant bit of a computational-basis
 index, so for two qubits the amplitude order is |00>, |01>, |10>, |11> with
 the left bit belonging to qubit 1. RX(theta) = [[cos(t/2), -i sin(t/2)],
 [-i sin(t/2), cos(t/2)]].
 
-One path simulates everything: gates compile once into typed ops, and one
-dispatcher applies ops to a (B, 2**n) complex batch with reshaped views; the
-single-state helpers run a batch of one. :class:`EpisodeEngine` runs a
-template chunk by chunk (about 1 MiB of amplitudes each, allocated per
-chunk), so it is immutable and :func:`cached_engine` shares one per
-(template, layers). Every shot takes one uniform through one inverse-CDF rule.
+Gates compile once into typed ops, and one dispatcher applies ops to a
+(B, 2**n) complex batch with reshaped views; the single-state helpers run a
+batch of one. :class:`EpisodeEngine` runs a template chunk by chunk (sized
+for about 1 MiB of amplitudes, allocated per chunk), so it is immutable and
+:func:`cached_engine` shares one per (template, layers).
+
+An engine whose ops are RX gates, each on a qubit nothing touched before,
+followed only by CNOTs (rx1, cnot2, p4, p9 and p16 at one layer, and any
+user template of that shape) skips the dense kernels. Before the CNOTs the
+state is a product, each amplitude the product of one cos or sin factor per
+RX, and CNOTs only permute basis states, so the engine multiplies the
+factors out over a real (B, 2**n) array, squares them and gathers the result
+through the inverse of the CNOT network's basis permutation, computed once.
+The dense kernels form each amplitude by the same rounded real products in
+gate order (the other part of each complex amplitude stays exactly zero),
+so the probabilities, and with them the sampled bits, equal the dense
+engine's bit for bit whenever the RX gates run in ascending qubit order, as
+in every built-in ansatz; otherwise they agree to rounding. Every other
+template (cz2, H, CZ, more than one layer, an RX after a CNOT) runs the
+dense kernels. Either way every shot takes one uniform through one
+inverse-CDF rule over the outcome probabilities in basis-index order.
 """
 
 from __future__ import annotations
@@ -249,9 +264,9 @@ def _product_form(ops: Sequence[_Op], n: int) -> _Product | None:
 def _product_probabilities(form: _Product, thetas: np.ndarray) -> np.ndarray:
     """Outcome probabilities, (b, 2**n), of a product form at (b, p) thetas.
 
-    Amplitudes are multiplied in op order and squared at the end, the same
-    rounded products the dense kernels form for these gates, so the
-    probabilities match the dense engine's bit for bit.
+    Amplitudes are multiplied in op order and squared at the end. The dense
+    kernels multiply them in gate order, so when the RX ops run in ascending
+    qubit order the two paths give equal floats (see the module docstring).
     """
     b = thetas.shape[0]
     amps = np.broadcast_to(form.start, (b,) + form.start.shape[1:])
@@ -311,9 +326,11 @@ class EpisodeEngine:
     """Executes one template, compiled once, across batches of parameter vectors.
 
     With ``layers`` > 1 the gate list repeats and layer l reads parameter
-    columns offset by ``l * template.num_params``. An engine holds no mutable
-    state, so threads may share one; library code gets it from
-    :func:`cached_engine`.
+    columns offset by ``l * template.num_params``. A template of RX gates
+    then CNOTs runs as a product state read through a basis permutation (see
+    the module docstring), any other through the dense kernels. An engine
+    holds no mutable state, so threads may share one; library code gets it
+    from :func:`cached_engine`.
     """
 
     def __init__(
@@ -340,12 +357,13 @@ class EpisodeEngine:
         for start in range(0, thetas.shape[0], self.chunk_size):
             rows = slice(start, start + self.chunk_size)
             if self._product is not None:
-                yield rows, _product_probabilities(self._product, thetas[rows])
-                continue
-            s = np.zeros((len(thetas[rows]), self.dim), dtype=np.complex128)
-            s[:, 0] = 1.0
-            _apply_ops(s, self.num_qubits, self._ops, thetas[rows])
-            yield rows, s.real * s.real + s.imag * s.imag
+                probs = _product_probabilities(self._product, thetas[rows])
+            else:
+                s = np.zeros((len(thetas[rows]), self.dim), dtype=np.complex128)
+                s[:, 0] = 1.0
+                _apply_ops(s, self.num_qubits, self._ops, thetas[rows])
+                probs = s.real * s.real + s.imag * s.imag
+            yield rows, probs
 
     def _check_thetas(self, thetas: np.ndarray) -> np.ndarray:
         thetas = np.asarray(thetas, dtype=np.float64)
