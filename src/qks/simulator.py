@@ -220,18 +220,15 @@ def _apply_ops(
 class _Product(NamedTuple):
     """An RX-then-CNOT op list as a product state read through a permutation.
 
-    ``rx`` are the leading RX ops, each on its own qubit, and ``axes[k]`` is
-    the (-1, 2 or 1 per qubit) shape that lays op k's (cos, sin) along its
-    qubit's axis. ``start`` holds the amplitudes before them as a
-    (1, 2 or 1 per qubit) tensor, axis n - q for qubit q: length 1 where q
-    gets an RX, and otherwise length 2 with that qubit's |1> slab zero. The
-    CNOTs that follow permute basis indices; ``source[z]`` is the index
-    they send to z.
+    ``rx`` holds one RX op per qubit, an RX(0) for a qubit the template
+    leaves idle, and ``axes[k]`` is the shape (-1, then 2 on qubit q's axis
+    n - q and 1 on the others) that lays op k's (cos, sin) along its qubit's
+    axis. The CNOTs that follow permute basis indices; ``source[z]`` is the
+    index they send to z.
     """
 
     rx: tuple[_Op, ...]
     axes: tuple[tuple[int, ...], ...]
-    start: np.ndarray
     source: np.ndarray
 
 
@@ -245,20 +242,19 @@ def _product_form(ops: Sequence[_Op], n: int) -> _Product | None:
     cnots = ops[len(rx):]
     if any(op.kind is not GateKind.CNOT for op in cnots):
         return None
+    idle = set(range(n)) - {op.qubits[0] for op in rx}
+    rx += [_Op(GateKind.RX, (q,)) for q in sorted(idle)]
+    order = range(n - 1, -1, -1)  # axis 1 is qubit n - 1, axis n is qubit 0
+    axes = tuple(
+        (-1,) + tuple(2 if q == op.qubits[0] else 1 for q in order) for op in rx
+    )
     z = np.arange(1 << n)
     for op in cnots:
         control, target = op.qubits
         z ^= ((z >> control) & 1) << target
     source = np.empty_like(z)
     source[z] = np.arange(1 << n)
-    rx_qubits = {op.qubits[0] for op in rx}
-    order = range(n - 1, -1, -1)  # axis 1 is qubit n - 1, axis n is qubit 0
-    start = np.zeros((1,) + tuple(1 if q in rx_qubits else 2 for q in order))
-    start.flat[0] = 1.0
-    axes = tuple(
-        (-1,) + tuple(2 if q == op.qubits[0] else 1 for q in order) for op in rx
-    )
-    return _Product(tuple(rx), axes, start, source)
+    return _Product(tuple(rx), axes, source)
 
 
 def _product_probabilities(form: _Product, thetas: np.ndarray) -> np.ndarray:
@@ -269,7 +265,7 @@ def _product_probabilities(form: _Product, thetas: np.ndarray) -> np.ndarray:
     qubit order the two paths give equal floats (see the module docstring).
     """
     b = thetas.shape[0]
-    amps = np.broadcast_to(form.start, (b,) + form.start.shape[1:])
+    amps = np.ones((b,) + (1,) * len(form.rx))
     for op, axes in zip(form.rx, form.axes):
         if op.col is None:
             factor = np.array([op.cos, op.sin])
