@@ -21,10 +21,20 @@ from qks import (
     featurize,
     get_ansatz,
     mc_kernel,
+    parse_template,
     sample_machine,
 )
 
-# (ansatz, structure, layers, workers, episodes, rows, sigma, seed). Row counts
+# A user template whose CZ signs land after CNOTs have moved basis states, with
+# H before the entanglers and an RX after them.
+MIXED3 = (
+    "DEFCIRCUIT MIXED3(%a, %b, %c):\n"
+    "    RX(%a) 0\n    RX(%b) 1\n    H 2\n    CNOT 0 2\n    CZ 2 1\n"
+    "    CNOT 1 0\n    CZ 0 2\n    RX(%c) 1\n    H 0\n"
+)
+
+# (ansatz name or Quil source, structure, layers, workers, episodes, rows,
+# sigma, seed). Row counts
 # above 64 span several featurize blocks; episode counts are not multiples of
 # 32, so the last packed word of each row is partly filled.
 FEATURE_CONFIGS = {
@@ -37,6 +47,7 @@ FEATURE_CONFIGS = {
     "p9-l1-w3": ("p9", EncodingStructure.split(9), 1, 3, 37, 130, 1.0, 17),
     "p9-l2-w1": ("p9", EncodingStructure.split(9), 2, 1, 19, 66, 0.8, 18),
     "p16-l1-w1": ("p16", EncodingStructure.split(16), 1, 1, 7, 5, 1.0, 19),
+    "mixed3-l2-w3": (MIXED3, EncodingStructure.split(3), 2, 3, 37, 130, 1.0, 20),
 }
 
 FEATURE_DIGESTS = {
@@ -76,6 +87,10 @@ FEATURE_DIGESTS = {
         "abe315f5fa8f95ea09ee5b14275e62222a29ce8b15d7c8e4f8af17ebfe4170cc",
         "eafa5804ecde66107ffb6a9f598fbc9e3068dfd4bc6ca9fa1132f3146408e131",
     ),
+    "mixed3-l2-w3": (
+        "9ebfcbae92e19d202dbb4294dbb3080a9d926827caa77c45f1298a2c2081fe44",
+        "6e7be23a0d83a2ea87eae4e1d91674f41d4340fffeefdcbfe77fc676a3656413",
+    ),
 }
 
 # (ansatz, sigma, episodes, seed); episodes span several simulator chunks.
@@ -101,10 +116,11 @@ def _sha(*arrays) -> str:
 
 def feature_digests(key: str) -> tuple[str, str]:
     config = FEATURE_CONFIGS[key]
-    name, structure, layers, workers, episodes, rows, sigma, seed = config
-    machine = sample_machine(
-        get_ansatz(name), structure, sigma, episodes, seed, layers
+    source, structure, layers, workers, episodes, rows, sigma, seed = config
+    template = (
+        parse_template(source) if "DEFCIRCUIT" in source else get_ansatz(source)
     )
+    machine = sample_machine(template, structure, sigma, episodes, seed, layers)
     inputs = np.random.default_rng(seed).normal(size=(rows, structure.p))
     fm = featurize(machine, inputs, workers=workers)
     return _sha(machine.omega, machine.beta), _sha(fm.packed)
