@@ -71,6 +71,8 @@ def mc_kernel(machine: QksMachine, u: np.ndarray, v: np.ndarray) -> KernelEstima
     p = machine.structure.p
     u = np.asarray(u, dtype=np.float64).reshape(p)
     v = np.asarray(v, dtype=np.float64).reshape(p)
+    if not (np.isfinite(u).all() and np.isfinite(v).all()):
+        raise ValueError("u and v must be finite")
     n_eps = machine.episodes
     n_q = machine.num_qubits
 

@@ -5,27 +5,24 @@ index, so for two qubits the amplitude order is |00>, |01>, |10>, |11> with
 the left bit belonging to qubit 1. RX(theta) = [[cos(t/2), -i sin(t/2)],
 [-i sin(t/2), cos(t/2)]].
 
-Gates compile once into typed ops, and one dispatcher applies ops to a
-(B, 2**n) complex batch with reshaped views; the single-state helpers run a
-batch of one. :class:`EpisodeEngine` runs a template chunk by chunk (sized
-for about 1 MiB of amplitudes, allocated per chunk), so it is immutable and
-:func:`cached_engine` shares one per (template, layers).
+Gates compile once into typed ops, and one dispatcher applies them to a
+(B, 2**n) batch: RX and H through in-place kernels on reshaped views, and
+each run of CNOT and CZ gates folded into one signed basis permutation,
+applied as a gather and a sign. The single-state helpers run a batch of one.
 
-An engine whose ops are RX gates, each on a qubit nothing touched before,
-followed only by CNOTs (rx1, cnot2, p4, p9 and p16 at one layer, and any
-user template of that shape) skips the dense kernels. Before the CNOTs the
-state is a product, each amplitude the product of one cos or sin factor per
-RX, and CNOTs only permute basis states, so the engine multiplies the
-factors out over a real (B, 2**n) array, squares them and gathers the result
-through the inverse of the CNOT network's basis permutation, computed once.
-The dense kernels form each amplitude by the same rounded real products in
-gate order (the other part of each complex amplitude stays exactly zero),
-so the probabilities, and with them the sampled bits, equal the dense
-engine's bit for bit whenever the RX gates run in ascending qubit order, as
-in every built-in ansatz; otherwise they agree to rounding. Every other
-template (cz2, H, CZ, more than one layer, an RX after a CNOT) runs the
-dense kernels. Either way every shot takes one uniform through one
-inverse-CDF rule over the outcome probabilities in basis-index order.
+:class:`EpisodeEngine` splits a template's ops in two. Its prefix is the
+opening RX layer: RX gates on distinct fresh qubits, with an RX(0) for each
+qubit they leave idle. That state is a product, so each chunk multiplies one
+(cos, -i sin) factor per qubit out over the basis, in op order, and the
+remaining ops act on the result. When only permutations follow, the factors
+are real (cos, sin), since moving and negating amplitudes keeps their
+magnitudes. RX kernels applied one by one from |0...0> form the same
+rounded products in the same order (the other part of each complex
+amplitude stays zero), so the probabilities equal theirs bit for bit.
+Chunks are sized for about 1 MiB of amplitudes and allocated as they run, so
+an engine is immutable and :func:`cached_engine` shares one per (template,
+layers). Every shot takes one uniform through one inverse-CDF rule over the
+outcome probabilities in basis-index order.
 """
 
 from __future__ import annotations
@@ -42,7 +39,13 @@ from .quil import CircuitTemplate, GateKind, GateOp, ParamRef
 
 MAX_QUBITS = 16
 
+# Bytes of complex amplitudes per engine chunk.
+CHUNK_BYTES = 1 << 20
+
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
+
+# RX(theta)|0> = cos(theta/2)|0> - i sin(theta/2)|1>.
+_RX_PHASES = np.array([1.0, -1j])
 
 
 @dataclass(frozen=True)
@@ -117,58 +120,57 @@ def _apply_h_batch(states: np.ndarray, n: int, qubit: int):
     a1[:] = t1
 
 
-def _two_qubit_view(states: np.ndarray, n: int, qa: int, qb: int):
-    """Reshape so axis 2 indexes bit max(qa,qb) and axis 4 bit min(qa,qb)."""
-    b = states.shape[0]
-    h, l = max(qa, qb), min(qa, qb)
-    lo = 1 << l
-    mid = 1 << (h - l - 1)
-    hi = 1 << (n - h - 1)
-    return states.reshape(b, hi, 2, mid, 2, lo), h
-
-
-def _apply_cnot_batch(states: np.ndarray, n: int, control: int, target: int):
-    s6, high_bit = _two_qubit_view(states, n, control, target)
-    if control == high_bit:
-        sub = s6[:, :, 1]  # control=1 slab; target is now axis 3
-        t0 = sub[:, :, :, 0, :]
-        t1 = sub[:, :, :, 1, :]
-    else:
-        sub = s6[:, :, :, :, 1, :]  # control is the low bit
-        t0 = sub[:, :, 0]
-        t1 = sub[:, :, 1]
-    tmp = t0.copy()
-    t0[:] = t1
-    t1[:] = tmp
-
-
-def _apply_cz_batch(states: np.ndarray, n: int, qa: int, qb: int):
-    s6, _ = _two_qubit_view(states, n, qa, qb)
-    s6[:, :, 1, :, 1, :] *= -1.0
-
-
 # ---------------------------------------------------------------------------
 # Compiled ops and the one dispatcher.
 
 
 class _Op(NamedTuple):
-    """One compiled gate.
+    """One compiled gate, or one folded run of CNOT/CZ gates.
 
     A parameterized RX reads theta column ``col``; a literal RX has ``col``
-    None and carries cos/sin of its half angle.
+    None and carries cos/sin of its half angle. A folded run has ``kind``
+    None and maps amplitudes z -> sign[z] * amplitude[source[z]]; ``source``
+    or ``sign`` is None where the run leaves it unchanged.
     """
 
-    kind: GateKind
-    qubits: tuple[int, ...]
+    kind: GateKind | None
+    qubits: tuple[int, ...] = ()
     col: int | None = None
     cos: float = 1.0
     sin: float = 0.0
+    source: np.ndarray | None = None
+    sign: np.ndarray | None = None
+
+
+def _fold(run: Sequence[_Op], n: int) -> _Op:
+    """One signed basis permutation for a run of CNOT and CZ ops.
+
+    Both gates map basis states to basis states, CNOT by moving them and CZ
+    by a sign (Aaronson & Gottesman, PRA 70, 052328, 2004), so the run is
+    traced once over every index: ``z[x]`` is where basis state x has moved
+    and ``sign[x]`` the sign it has picked up.
+    """
+    index = np.arange(1 << n)
+    z, sign = index.copy(), np.ones(1 << n)
+    for op in run:
+        a, b = op.qubits
+        if op.kind is GateKind.CNOT:
+            z ^= ((z >> a) & 1) << b
+        else:
+            sign[((z >> a) & (z >> b) & 1) == 1] *= -1.0
+    source = np.empty_like(z)
+    source[z] = index
+    return _Op(
+        None,
+        source=None if np.array_equal(z, index) else source,
+        sign=None if (sign > 0).all() else sign[source],
+    )
 
 
 def _compile(
     gates: Sequence[GateOp], num_qubits: int, params: tuple = (), layers: int = 1
 ) -> tuple[_Op, ...]:
-    """Gates repeated ``layers`` times as ops.
+    """Gates repeated ``layers`` times as ops, each CNOT/CZ run folded.
 
     Layer l's parameters are theta columns offset by l * len(params). A
     parameter not in ``params`` is unresolved; concrete circuits pass none.
@@ -193,88 +195,42 @@ def _compile(
         else:
             half = 0.5 * g.angle
             ops.append(_Op(g.kind, g.qubits, None, math.cos(half), math.sin(half)))
-    return tuple(ops)
+    folded: list[_Op] = []
+    for permutes, run in itertools.groupby(
+        ops, key=lambda op: op.kind in (GateKind.CNOT, GateKind.CZ)
+    ):
+        folded += [_fold(list(run), num_qubits)] if permutes else run
+    return tuple(folded)
+
+
+def _cos_sin(op: _Op, thetas: np.ndarray | None):
+    """cos and sin of an RX op's half angle: floats, or (b,) arrays."""
+    if op.col is None:
+        return op.cos, op.sin
+    half = 0.5 * thetas[:, op.col]
+    return np.cos(half), np.sin(half)
 
 
 def _apply_ops(
     states: np.ndarray, n: int, ops: Sequence[_Op], thetas: np.ndarray | None = None
-) -> None:
-    """Apply ops in place to a (b, 2**n) batch; ``thetas`` is (b, num_params)."""
+) -> np.ndarray:
+    """Apply ops to a (b, 2**n) batch; ``thetas`` is (b, num_params).
+
+    Gate kernels work in place, but a permutation gathers into a new array,
+    so callers use the returned batch.
+    """
     for op in ops:
         if op.kind is GateKind.RX:
-            if op.col is None:
-                cos, sin = op.cos, op.sin
-            else:
-                half = 0.5 * thetas[:, op.col]
-                cos = np.cos(half)[:, None, None]
-                sin = np.sin(half)[:, None, None]
+            cos, sin = (np.reshape(x, (-1, 1, 1)) for x in _cos_sin(op, thetas))
             _apply_rx_batch(states, n, op.qubits[0], cos, sin)
         elif op.kind is GateKind.H:
             _apply_h_batch(states, n, op.qubits[0])
-        elif op.kind is GateKind.CNOT:
-            _apply_cnot_batch(states, n, *op.qubits)
         else:
-            _apply_cz_batch(states, n, *op.qubits)
-
-
-class _Product(NamedTuple):
-    """An RX-then-CNOT op list as a product state read through a permutation.
-
-    ``rx`` holds one RX op per qubit, an RX(0) for a qubit the template
-    leaves idle, and ``axes[k]`` is the shape (-1, then 2 on qubit q's axis
-    n - q and 1 on the others) that lays op k's (cos, sin) along its qubit's
-    axis. The CNOTs that follow permute basis indices; ``source[z]`` is the
-    index they send to z.
-    """
-
-    rx: tuple[_Op, ...]
-    axes: tuple[tuple[int, ...], ...]
-    source: np.ndarray
-
-
-def _product_form(ops: Sequence[_Op], n: int) -> _Product | None:
-    """Split ops into distinct-qubit RX then CNOTs only, or None if they don't."""
-    rx: list[_Op] = []
-    for op in ops:
-        if op.kind is not GateKind.RX or any(op.qubits == r.qubits for r in rx):
-            break
-        rx.append(op)
-    cnots = ops[len(rx):]
-    if any(op.kind is not GateKind.CNOT for op in cnots):
-        return None
-    idle = set(range(n)) - {op.qubits[0] for op in rx}
-    rx += [_Op(GateKind.RX, (q,)) for q in sorted(idle)]
-    order = range(n - 1, -1, -1)  # axis 1 is qubit n - 1, axis n is qubit 0
-    axes = tuple(
-        (-1,) + tuple(2 if q == op.qubits[0] else 1 for q in order) for op in rx
-    )
-    z = np.arange(1 << n)
-    for op in cnots:
-        control, target = op.qubits
-        z ^= ((z >> control) & 1) << target
-    source = np.empty_like(z)
-    source[z] = np.arange(1 << n)
-    return _Product(tuple(rx), axes, source)
-
-
-def _product_probabilities(form: _Product, thetas: np.ndarray) -> np.ndarray:
-    """Outcome probabilities, (b, 2**n), of a product form at (b, p) thetas.
-
-    Amplitudes are multiplied in op order and squared at the end. The dense
-    kernels multiply them in gate order, so when the RX ops run in ascending
-    qubit order the two paths give equal floats (see the module docstring).
-    """
-    b = thetas.shape[0]
-    amps = np.ones((b,) + (1,) * len(form.rx))
-    for op, axes in zip(form.rx, form.axes):
-        if op.col is None:
-            factor = np.array([op.cos, op.sin])
-        else:
-            half = 0.5 * thetas[:, op.col]
-            factor = np.stack([np.cos(half), np.sin(half)], axis=1)
-        amps = amps * factor.reshape(axes)
-    probs = (amps * amps).reshape(b, -1)
-    return np.take(probs, form.source, axis=1)
+            if op.source is not None:
+                states = np.take(states, op.source, axis=1)
+            if op.sign is not None:
+                states *= op.sign
+    return states
 
 
 def _inverse_cdf(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
@@ -295,7 +251,7 @@ def _inverse_cdf(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
 def apply_gate(state: StateVector, gate: GateOp) -> StateVector:
     """Apply one gate, returning a new StateVector (the input is untouched)."""
     amps = state.amplitudes[np.newaxis, :].copy()
-    _apply_ops(amps, state.num_qubits, _compile([gate], state.num_qubits))
+    amps = _apply_ops(amps, state.num_qubits, _compile([gate], state.num_qubits))
     return StateVector(amps[0], state.num_qubits)
 
 
@@ -308,10 +264,9 @@ def sample_shot(state: StateVector, rng: np.random.Generator) -> Shot:
 
 def run_circuit(gates: Sequence[GateOp], num_qubits: int) -> StateVector:
     """Run concrete gates from |0...0>, returning the final state."""
-    state = StateVector.zero(num_qubits)
-    ops = _compile(gates, num_qubits)
-    _apply_ops(state.amplitudes[np.newaxis, :], num_qubits, ops)
-    return state
+    amps = StateVector.zero(num_qubits).amplitudes[np.newaxis, :]
+    amps = _apply_ops(amps, num_qubits, _compile(gates, num_qubits))
+    return StateVector(amps[0], num_qubits)
 
 
 # ---------------------------------------------------------------------------
@@ -322,16 +277,13 @@ class EpisodeEngine:
     """Executes one template, compiled once, across batches of parameter vectors.
 
     With ``layers`` > 1 the gate list repeats and layer l reads parameter
-    columns offset by ``l * template.num_params``. A template of RX gates
-    then CNOTs runs as a product state read through a basis permutation (see
-    the module docstring), any other through the dense kernels. An engine
-    holds no mutable state, so threads may share one; library code gets it
-    from :func:`cached_engine`.
+    columns offset by ``l * template.num_params``. The opening RX layer is
+    built as a product state and the remaining ops act on it (see the module
+    docstring). An engine holds no mutable state, so threads may share one;
+    library code gets it from :func:`cached_engine`.
     """
 
-    def __init__(
-        self, template: CircuitTemplate, layers: int = 1, chunk_bytes: int = 1 << 20
-    ):
+    def __init__(self, template: CircuitTemplate, layers: int = 1):
         if layers < 1:
             raise ValueError("layers must be >= 1")
         if template.num_qubits > MAX_QUBITS:
@@ -341,25 +293,43 @@ class EpisodeEngine:
             )
         self.template = template
         self.layers = layers
-        self.num_qubits = template.num_qubits
+        self.num_qubits = n = template.num_qubits
         self.num_params = layers * template.num_params
-        self.dim = 1 << self.num_qubits
-        self._ops = _compile(template.gates, self.num_qubits, template.params, layers)
-        self._product = _product_form(self._ops, self.num_qubits)
-        self.chunk_size = max(1, min(1 << 16, chunk_bytes // (16 * self.dim)))
+        self.dim = 1 << n
+        ops = _compile(template.gates, n, template.params, layers)
+        prefix: list[_Op] = []
+        for op in ops:
+            if op.kind is not GateKind.RX or any(op.qubits == p.qubits for p in prefix):
+                break
+            prefix.append(op)
+        self._rest = ops[len(prefix):]
+        idle = set(range(n)) - {op.qubits[0] for op in prefix}
+        prefix += [_Op(GateKind.RX, (q,)) for q in sorted(idle)]
+        # The shape that lays an op's (cos, sin) along its qubit's axis of a
+        # (b, 2, ..., 2) array, whose axis 1 is qubit n - 1 and axis n qubit 0.
+        order = range(n - 1, -1, -1)
+        self._prefix = tuple(
+            (op, (-1,) + tuple(2 if q == op.qubits[0] else 1 for q in order))
+            for op in prefix
+        )
+        # Permutations only move and negate amplitudes, so without a gate
+        # kernel after the prefix the real factors give the same |amplitude|.
+        self._complex = any(op.kind is not None for op in self._rest)
+        self.chunk_size = max(1, min(1 << 16, CHUNK_BYTES // (16 * self.dim)))
 
     def _chunks(self, thetas: np.ndarray):
         """Yield (row slice, outcome probabilities) per chunk of thetas."""
         for start in range(0, thetas.shape[0], self.chunk_size):
             rows = slice(start, start + self.chunk_size)
-            if self._product is not None:
-                probs = _product_probabilities(self._product, thetas[rows])
-            else:
-                s = np.zeros((len(thetas[rows]), self.dim), dtype=np.complex128)
-                s[:, 0] = 1.0
-                _apply_ops(s, self.num_qubits, self._ops, thetas[rows])
-                probs = s.real * s.real + s.imag * s.imag
-            yield rows, probs
+            t = thetas[rows]
+            amps = np.ones((len(t),) + (1,) * self.num_qubits)
+            for op, axes in self._prefix:
+                factor = np.stack(_cos_sin(op, t), axis=-1)
+                if self._complex:
+                    factor = factor * _RX_PHASES
+                amps = amps * factor.reshape(axes)
+            s = _apply_ops(amps.reshape(len(t), -1), self.num_qubits, self._rest, t)
+            yield rows, (s.real * s.real + s.imag * s.imag if self._complex else s * s)
 
     def _check_thetas(self, thetas: np.ndarray) -> np.ndarray:
         thetas = np.asarray(thetas, dtype=np.float64)
@@ -368,6 +338,8 @@ class EpisodeEngine:
                 f"expected thetas of shape (B, {self.num_params}), "
                 f"got {thetas.shape}"
             )
+        if not np.isfinite(thetas).all():
+            raise ValueError("thetas must be finite")
         return thetas
 
     def probabilities(self, thetas: np.ndarray) -> np.ndarray:
@@ -384,6 +356,8 @@ class EpisodeEngine:
         uniforms = np.asarray(uniforms, dtype=np.float64)
         if uniforms.shape != (thetas.shape[0],):
             raise ValueError("need exactly one uniform variate per episode")
+        if not ((uniforms >= 0.0) & (uniforms < 1.0)).all():
+            raise ValueError("uniform variates must lie in [0, 1)")
         out = np.empty(thetas.shape[0], dtype=np.int64)
         for rows, probs in self._chunks(thetas):
             out[rows] = _inverse_cdf(probs, uniforms[rows])

@@ -189,6 +189,17 @@ def test_identity_machine_kernel_is_zero():
     assert est.stderr == 0.0
 
 
+def test_mc_kernel_rejects_non_finite_inputs():
+    machine = sample_machine(
+        get_ansatz("cnot2"), EncodingStructure.split(2), 1.0, 20, 3
+    )
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            mc_kernel(machine, [bad, 0.0], [0.1, 0.2])
+        with pytest.raises(ValueError, match="finite"):
+            mc_kernel(machine, [0.1, 0.2], [0.0, bad])
+
+
 def test_single_episode_stderr():
     t = get_ansatz("cnot2")
     m = sample_machine(t, EncodingStructure.split(2), 1.0, 1, seed=18)

@@ -19,7 +19,8 @@ from qks import (
     run_episode,
     sample_shot,
 )
-from qks.simulator import _apply_ops, cached_engine
+from qks import simulator
+from qks.simulator import _apply_ops, _compile, cached_engine
 from conftest import oracle_probabilities, template_to_oracle_gates
 
 
@@ -76,6 +77,29 @@ def test_cz_phase_only():
     assert after.probabilities() == pytest.approx(before, abs=1e-15)
     assert after.amplitudes[3] == pytest.approx(-state.amplitudes[3])
     assert after.amplitudes[:3] == pytest.approx(state.amplitudes[:3])
+
+
+def test_apply_gate_cnot_and_cz_on_entangled_state_against_oracle():
+    # An entangled, complex state, so both the move and the sign show: the
+    # CZ's sign reaches the probabilities through the H after it.
+    gates = [
+        GateOp(GateKind.RX, (0,), 0.9),
+        GateOp(GateKind.H, (1,)),
+        GateOp(GateKind.RX, (2,), 2.3),
+        GateOp(GateKind.CNOT, (1, 2)),
+        GateOp(GateKind.RX, (1,), 1.4),
+    ]
+    state = run_circuit(gates, 3)
+    for gate in (
+        GateOp(GateKind.CNOT, (2, 0)),
+        GateOp(GateKind.CZ, (0, 1)),
+        GateOp(GateKind.H, (0,)),
+    ):
+        state = apply_gate(state, gate)
+        gates.append(gate)
+        oracle_gates = [(g.kind.value, g.qubits, g.angle) for g in gates]
+        ref = oracle_probabilities(oracle_gates, 3)
+        assert np.abs(state.probabilities() - ref).max() <= 1e-14
 
 
 def test_cz_product_of_marginals():
@@ -209,13 +233,14 @@ def test_batched_sample_equals_scalar(tmp_path):
         assert batched[i] == z
 
 
-def test_engine_chunking_consistent():
+def test_engine_chunking_consistent(monkeypatch):
     t = get_ansatz("cnot2")
     rng = np.random.default_rng(2)
     thetas = rng.uniform(0, 2 * np.pi, (257, 2))
     uniforms = rng.random(257)
-    small = EpisodeEngine(t, chunk_bytes=1 << 10)  # forces many chunks
     big = EpisodeEngine(t)
+    monkeypatch.setattr(simulator, "CHUNK_BYTES", 1 << 10)  # forces many chunks
+    small = EpisodeEngine(t)
     assert small.chunk_size < 257 <= big.chunk_size
     assert np.array_equal(small.sample(thetas, uniforms), big.sample(thetas, uniforms))
     assert np.allclose(
@@ -244,6 +269,19 @@ def test_engine_input_validation():
         engine.sample(np.zeros((4, 2)), np.zeros(3))
 
 
+def test_engine_rejects_non_finite_thetas_and_out_of_range_uniforms():
+    engine = EpisodeEngine(get_ansatz("cnot2"))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            engine.sample([[bad, 0.0]], [0.5])
+        with pytest.raises(ValueError, match="finite"):
+            engine.probabilities([[0.0, bad]])
+    for u in (np.nan, 1.0, 1.5, -0.25, np.inf):
+        with pytest.raises(ValueError, match=r"\[0, 1\)"):
+            engine.sample([[0.3, 0.4]], [u])
+    assert engine.sample([[0.3, 0.4]], [0.0]).tolist() == [0]
+
+
 def test_probabilities_sum_to_one():
     rng = np.random.default_rng(8)
     engine = EpisodeEngine(get_ansatz("p9"))
@@ -252,10 +290,10 @@ def test_probabilities_sum_to_one():
     assert np.abs(sums - 1.0).max() < 1e-10
 
 
-# Templates by simulation path: RX on distinct fresh qubits followed only by
-# CNOTs run as a product state read through a basis permutation; anything
-# else runs the dense gate kernels. (source, layers)
-PRODUCT_TEMPLATES = {
+# Templates checked against the oracle, (source, layers). The engine builds
+# each from its opening RX layer as a product state; later gates run as
+# RX/H kernels, and each run of CNOT/CZ gates as one signed permutation.
+TEMPLATES = {
     "literal-rx": ("DEFCIRCUIT L(%a):\n    RX(0.7) 0\n    RX(%a) 1\n    CNOT 0 1\n", 1),
     "idle-qubit": (
         "DEFCIRCUIT I(%a, %b):\n    RX(%a) 0\n    RX(%b) 2\n    CNOT 0 1\n"
@@ -268,8 +306,6 @@ PRODUCT_TEMPLATES = {
         1,
     ),
     "rx1": ("rx1", 1),
-}
-DENSE_TEMPLATES = {
     "cz2": ("cz2", 1),
     "cnot2-layers-2": ("cnot2", 2),
     "rx-after-cnot": (
@@ -278,6 +314,25 @@ DENSE_TEMPLATES = {
     ),
     "rx-twice": ("DEFCIRCUIT W(%a, %b):\n    RX(%a) 0\n    RX(%b) 0\n", 1),
     "hadamard": ("DEFCIRCUIT H1(%a):\n    RX(%a) 0\n    H 1\n    CNOT 0 1\n", 1),
+    "cz-sign-after-move": (
+        "DEFCIRCUIT S(%a, %b, %c):\n    RX(%a) 0\n    RX(%b) 1\n    RX(%c) 2\n"
+        "    CNOT 0 1\n    CZ 1 2\n    CNOT 2 0\n    CZ 0 1\n    H 0\n    H 1\n"
+        "    H 2\n",
+        1,
+    ),
+    "cz-only": (
+        "DEFCIRCUIT Z(%a, %b):\n    RX(%a) 0\n    H 1\n    CZ 0 1\n    CZ 1 2\n"
+        "    RX(%b) 2\n    H 1\n",
+        2,
+    ),
+    "cnot-cancels": (
+        "DEFCIRCUIT C(%a, %b):\n    RX(%a) 0\n    RX(%b) 1\n    CNOT 0 1\n"
+        "    CNOT 0 1\n",
+        1,
+    ),
+    "opens-with-cnot": (
+        "DEFCIRCUIT O(%a):\n    CNOT 0 1\n    RX(%a) 1\n    CNOT 1 0\n", 1
+    ),
 }
 
 
@@ -286,12 +341,11 @@ def _template(source):
     return parse_template(source) if "DEFCIRCUIT" in source else get_ansatz(source)
 
 
-@pytest.mark.parametrize("key", [*PRODUCT_TEMPLATES, *DENSE_TEMPLATES])
+@pytest.mark.parametrize("key", TEMPLATES)
 def test_simulation_path_against_kron_oracle(key):
-    source, layers = {**PRODUCT_TEMPLATES, **DENSE_TEMPLATES}[key]
+    source, layers = TEMPLATES[key]
     t = _template(source)
     engine = cached_engine(t, layers)
-    assert (engine._product is not None) == (key in PRODUCT_TEMPLATES)
     rng = np.random.default_rng(31)
     thetas = rng.uniform(-np.pi, 3 * np.pi, (5, engine.num_params))
     mine = engine.probabilities(thetas)
@@ -304,16 +358,22 @@ def test_simulation_path_against_kron_oracle(key):
         assert np.abs(row - ref).max() <= 1e-14
 
 
-@pytest.mark.parametrize("name", ["rx1", "cnot2", "p4", "p9", "p16"])
-def test_product_path_matches_dense_kernels_bit_for_bit(name):
-    # Built-in RX layers run in ascending qubit order, so the product path
-    # forms the dense kernels' rounded products: equal floats, equal bits.
-    engine = cached_engine(get_ansatz(name))
-    assert engine._product is not None
-    rows = 3 if name == "p16" else 200
+@pytest.mark.parametrize(
+    "key",
+    ["rx1", "cnot2", "p4", "p9", "p16", "cz2", "cnot2-layers-2", "target-twice"],
+)
+def test_product_path_matches_dense_kernels_bit_for_bit(key):
+    # The engine builds the opening RX layer as a product state, multiplying
+    # the factors in op order as RX kernels applied gate by gate from |0...0>
+    # do: equal floats, equal bits, whatever the qubit order of the layer.
+    source, layers = TEMPLATES.get(key, (key, 1))
+    t = _template(source)
+    engine = cached_engine(t, layers)
+    rows = 3 if key == "p16" else 200
     thetas = np.random.default_rng(32).uniform(-7, 7, (rows, engine.num_params))
     dense = np.zeros((rows, engine.dim), dtype=np.complex128)
     dense[:, 0] = 1.0
-    _apply_ops(dense, engine.num_qubits, engine._ops, thetas)
+    ops = _compile(t.gates, t.num_qubits, t.params, layers)
+    dense = _apply_ops(dense, engine.num_qubits, ops, thetas)
     probs = dense.real * dense.real + dense.imag * dense.imag
     assert np.array_equal(engine.probabilities(thetas), probs)
