@@ -317,19 +317,23 @@ class EpisodeEngine:
         self._complex = any(op.kind is not None for op in self._rest)
         self.chunk_size = max(1, min(1 << 16, CHUNK_BYTES // (16 * self.dim)))
 
+    def _outcome_probabilities(self, thetas: np.ndarray) -> np.ndarray:
+        """Outcome probabilities, (b, 2**n), of one chunk of (b, p) thetas."""
+        b = thetas.shape[0]
+        amps = np.ones((b,) + (1,) * self.num_qubits)
+        for op, axes in self._prefix:
+            factor = np.stack(_cos_sin(op, thetas), axis=-1)
+            if self._complex:
+                factor = factor * _RX_PHASES
+            amps = amps * factor.reshape(axes)
+        s = _apply_ops(amps.reshape(b, -1), self.num_qubits, self._rest, thetas)
+        return s.real * s.real + s.imag * s.imag if self._complex else s * s
+
     def _chunks(self, thetas: np.ndarray):
         """Yield (row slice, outcome probabilities) per chunk of thetas."""
         for start in range(0, thetas.shape[0], self.chunk_size):
             rows = slice(start, start + self.chunk_size)
-            t = thetas[rows]
-            amps = np.ones((len(t),) + (1,) * self.num_qubits)
-            for op, axes in self._prefix:
-                factor = np.stack(_cos_sin(op, t), axis=-1)
-                if self._complex:
-                    factor = factor * _RX_PHASES
-                amps = amps * factor.reshape(axes)
-            s = _apply_ops(amps.reshape(len(t), -1), self.num_qubits, self._rest, t)
-            yield rows, (s.real * s.real + s.imag * s.imag if self._complex else s * s)
+            yield rows, self._outcome_probabilities(thetas[rows])
 
     def _check_thetas(self, thetas: np.ndarray) -> np.ndarray:
         thetas = np.asarray(thetas, dtype=np.float64)

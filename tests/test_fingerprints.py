@@ -34,9 +34,9 @@ MIXED3 = (
 )
 
 # (ansatz name or Quil source, structure, layers, workers, episodes, rows,
-# sigma, seed). Row counts
-# above 64 span several featurize blocks; episode counts are not multiples of
-# 32, so the last packed word of each row is partly filled.
+# sigma, seed). Row counts above 64 span several featurize blocks; episode
+# counts are not multiples of 32, so the last packed word of each row is
+# partly filled.
 FEATURE_CONFIGS = {
     "cnot2-l1-w1": ("cnot2", EncodingStructure.split(2), 1, 1, 37, 70, 1.0, 11),
     "cnot2-l2-w3": ("cnot2", EncodingStructure.split(2), 2, 3, 37, 150, 0.7, 12),
