@@ -91,7 +91,7 @@ class StateVector:
 
 
 def _apply_rx_batch(states: np.ndarray, n: int, qubit: int, cos_half, sin_half):
-    """cos_half/sin_half are scalars or (B, 1, 1) arrays."""
+    """cos_half/sin_half are (B, 1, 1) or (1, 1, 1) arrays."""
     b = states.shape[0]
     lo = 1 << qubit
     hi = 1 << (n - qubit - 1)
