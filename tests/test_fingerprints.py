@@ -93,18 +93,30 @@ FEATURE_DIGESTS = {
     ),
 }
 
-# (ansatz, sigma, episodes, seed); episodes span several simulator chunks.
+# (ansatz, layers, sigma, episodes, seed), split encoding of the template's
+# width; episodes span several simulator chunks. On p4 and p9 each marginal
+# sums 8 and 256 probabilities, so a change in their order would show.
 KERNEL_CONFIGS = {
-    "cnot2": ("cnot2", 1.0, 40_000, 21),
-    "cz2": ("cz2", 2.0, 40_000, 22),
+    "cnot2": ("cnot2", 1, 1.0, 40_000, 21),
+    "cz2": ("cz2", 1, 2.0, 40_000, 22),
+    "p4-l2": ("p4", 2, 0.8, 20_000, 23),
+    "p9": ("p9", 1, 1.0, 1_000, 24),
 }
 
 KERNEL_DIGESTS = {
     "cnot2": "7c6df484636f1b805ab0404c5cfdcdd9be6b476d93a71876d257f6ee2929c8d2",
     "cz2": "95292f8f59badc07b0ebf2a3a81c95047674a7125b62b56110cbfa2c64a7699a",
+    "p4-l2": "5bbc1cb0715d750b85265da6d47cb778337f2b287393db35035d73b747d5a56a",
+    "p9": "da9c6ecfde8de39913abe0de00e98c1de98b9f5213683391373cb7ecd877ce03",
 }
 
-KERNEL_PAIRS = np.array([[[0.3, -0.8], [0.1, 0.4]], [[1.2, 0.5], [1.2, 0.5]]])
+# (u, v) pairs by input width: a distinct pair and a pair with u == v.
+_WIDE = np.random.default_rng(25).normal(size=(3, 9))
+KERNEL_PAIRS = {
+    2: np.array([[[0.3, -0.8], [0.1, 0.4]], [[1.2, 0.5], [1.2, 0.5]]]),
+    4: np.array([[_WIDE[0, :4], _WIDE[1, :4]], [_WIDE[2, :4], _WIDE[2, :4]]]),
+    9: np.array([[_WIDE[0], _WIDE[1]], [_WIDE[2], _WIDE[2]]]),
+}
 
 
 def _sha(*arrays) -> str:
@@ -127,11 +139,13 @@ def feature_digests(key: str) -> tuple[str, str]:
 
 
 def kernel_digest(key: str) -> str:
-    name, sigma, episodes, seed = KERNEL_CONFIGS[key]
+    name, layers, sigma, episodes, seed = KERNEL_CONFIGS[key]
+    template = get_ansatz(name)
+    width = template.num_params
     machine = sample_machine(
-        get_ansatz(name), EncodingStructure.split(2), sigma, episodes, seed
+        template, EncodingStructure.split(width), sigma, episodes, seed, layers
     )
-    pairs = [mc_kernel(machine, u, v) for u, v in KERNEL_PAIRS]
+    pairs = [mc_kernel(machine, u, v) for u, v in KERNEL_PAIRS[width]]
     return _sha(np.array([(k.value, k.stderr) for k in pairs]))
 
 
