@@ -206,6 +206,84 @@ def test_sample_shot_skips_zero_probability():
         assert sample_shot(state, rng).bits == 1
 
 
+def _sequential_outcome(probs, u):
+    """The inverse-CDF rule in plain Python: count the running sums <= u,
+    clamped to the last outcome."""
+    total, count = 0.0, 0
+    for p in probs:
+        total += float(p)
+        count += total <= u
+    return min(count, len(probs) - 1)
+
+
+def _adversarial_uniforms(probs):
+    """0, and every running sum below 1 with its neighbours; the one above
+    the last sum clamps when rounding leaves that sum below 1."""
+    us, total = {0.0}, 0.0
+    for p in probs:
+        total += float(p)
+        for u in (total, np.nextafter(total, 0.0), np.nextafter(total, 1.0)):
+            if 0.0 <= u < 1.0:
+                us.add(float(u))
+    return sorted(us)
+
+
+class _FixedUniform:
+    """Stands in for a Generator whose next uniform is ``u``."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+@pytest.mark.parametrize(
+    "amplitudes",
+    [
+        [0.0, 0.0, 0.5, 0.0, 0.5, np.sqrt(0.5), 0.0, 0.0],  # leading/interior zeros
+        [0.0, 0.0, 0.0, 1.0],  # one-hot, last outcome
+        [1.0, 0.0, 0.0, 0.0],  # one-hot, first outcome
+        [0.0, 1.0j, 0.0, 0.0],  # one-hot, interior
+        [0.5, 0.5, 0.5, 0.5 - 1e-9],  # last sum below 1: clamps
+    ],
+)
+def test_sample_shot_follows_sequential_rule(amplitudes):
+    n = len(amplitudes).bit_length() - 1
+    state = StateVector(np.array(amplitudes, dtype=np.complex128), n)
+    probs = state.probabilities()
+    for u in _adversarial_uniforms(probs):
+        expected = _sequential_outcome(probs, u)
+        assert sample_shot(state, _FixedUniform(u)).bits == expected, u
+
+
+def test_engine_sample_follows_sequential_rule(monkeypatch):
+    # cnot2 at theta (x, 0) gives [c^2, 0, 0, s^2] and at (0, x) gives
+    # [c^2, 0, s^2, 0]; theta 0 is one-hot. Rows span many small chunks.
+    rng = np.random.default_rng(41)
+    x = rng.uniform(-7, 7, 60)
+    zero = np.zeros(60)
+    thetas = np.concatenate(
+        [np.stack([x, zero], 1), np.stack([zero, x], 1), np.zeros((3, 2))]
+    )
+    thetas = np.concatenate([thetas, rng.uniform(-7, 7, (60, 2))])
+    monkeypatch.setattr(simulator, "CHUNK_BYTES", 1 << 9)
+    engine = EpisodeEngine(get_ansatz("cnot2"))
+    assert engine.chunk_size < 20
+    probs = engine.probabilities(thetas)
+    rows, uniforms = [], []
+    for i, row in enumerate(probs):
+        for u in _adversarial_uniforms(row):
+            rows.append(i)
+            uniforms.append(u)
+    got = engine.sample(thetas[rows], np.array(uniforms))
+    expected = [_sequential_outcome(probs[i], u) for i, u in zip(rows, uniforms)]
+    assert got.tolist() == expected
+    # Some rows sum to below 1 and are sampled above that sum.
+    clamped = [u > np.cumsum(probs[i])[-1] for i, u in zip(rows, uniforms)]
+    assert any(clamped)
+
+
 def test_born_rule_chisquare():
     t = get_ansatz("cnot2")
     theta = [np.pi / 3, 4 * np.pi / 5]
