@@ -23,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .datasets import DataFormatError
 from .encoding import QksMachine, shot_stream
 from .simulator import cached_engine
 
@@ -121,6 +122,9 @@ def featurize(
     for example i, episode e consumes the e-th variate of a stream keyed by
     (seed, i), so worker count, row order within a call, and the machine's
     total episode count never change a bit that both runs produce.
+
+    Raises :class:`DataFormatError` naming the first input row whose encoding
+    is not finite, as when ``sigma * x`` overflows for a large finite x.
     """
     x = np.ascontiguousarray(np.asarray(inputs, dtype=np.float64))
     if x.ndim != 2 or x.shape[1] != machine.structure.p:
@@ -143,7 +147,15 @@ def featurize(
     def process_block(start: int) -> None:
         stop = min(start + ROW_BLOCK, m)
         block = stop - start
-        thetas = machine.encode_batch(x[start:stop])  # (block, E, k)
+        with np.errstate(over="ignore", invalid="ignore"):
+            thetas = machine.encode_batch(x[start:stop])  # (block, E, k)
+        finite = np.isfinite(thetas).all(axis=(1, 2))
+        if not finite.all():
+            row = start + int(np.argmin(finite))
+            raise DataFormatError(
+                f"input row {row}: encoding is not finite at sigma "
+                f"{machine.sigma:g}; the inputs are too large for this machine"
+            )
         uniforms = np.empty((block, n_eps))
         for i in range(block):
             uniforms[i] = shot_stream(machine.seed, start + i).random(n_eps)

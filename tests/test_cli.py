@@ -330,6 +330,21 @@ def test_non_finite_csv_exit_code(tmp_path, capsys):
     assert "finite" in err
 
 
+def test_overflowing_encoding_exit_code(tmp_path, capsys):
+    # 1e308 is finite, but sigma * 1e308 overflows the encoding to inf.
+    (tmp_path / "train.csv").write_text("x,y,label\n0.1,0.2,0\n1e308,1e308,0\n")
+    (tmp_path / "test.csv").write_text("x,y,label\n0.1,0.2,0\n0.4,0.3,1\n")
+    rc, _, err = run_cli(
+        ["run", "--dataset", "csv", "--sigma", "100", "--ansatz", "cnot2",
+         "--train-csv", str(tmp_path / "train.csv"),
+         "--test-csv", str(tmp_path / "test.csv"), "--episodes", "8"],
+        capsys,
+    )
+    assert rc == 1
+    assert "input row 1" in err and "not finite" in err
+    assert "overflow encountered" not in err
+
+
 @pytest.mark.parametrize(
     "command", [["baseline"], ["run", "--ansatz", "rx1", "--episodes", "4"]]
 )

@@ -1,11 +1,13 @@
 """Featurization: bit layout, determinism, packing, and the QKSF format."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from qks import (
+    DataFormatError,
     EncodingStructure,
     EpisodeEngine,
     FeatureFileError,
@@ -154,6 +156,20 @@ def test_featurize_validation():
         featurize(m, np.array([[np.nan, 0.0]]))
     with pytest.raises(ValueError, match="workers"):
         featurize(m, frame_inputs(4), workers=0)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_featurize_names_first_row_whose_encoding_overflows(workers):
+    # Finite inputs whose affine encoding overflows to inf are a data fault:
+    # reported by row, with no numpy warning, whichever worker meets it.
+    m = small_machine(sigma=100.0)
+    x = frame_inputs(200)
+    x[150] = 1e308
+    x[70] = [1e308, 1e308]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataFormatError, match=r"input row 70\b"):
+            featurize(m, x, workers=workers)
 
 
 def test_pack_rows_layout():
