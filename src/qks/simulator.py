@@ -6,14 +6,20 @@ the left bit belonging to qubit 1. RX(theta) = [[cos(t/2), -i sin(t/2)],
 [-i sin(t/2), cos(t/2)]].
 
 Gates compile once into typed ops, and one dispatcher applies them to a
-(B, 2**n) batch: RX and H through in-place kernels on reshaped views, and
-each run of CNOT and CZ gates folded into one signed basis permutation,
-applied as a gather and a sign. The single-state helpers run a batch of one.
+batch of B states held episode-minor, as (2**n, B): the basis index on
+axis 0 and the episodes along the last, contiguous axis. The paper's
+circuits are small (cnot2 and cz2 have 4 amplitudes) and run once per
+episode, so every kernel's inner loop runs over the episodes rather than
+over the few amplitudes of one state. RX and H act through in-place kernels
+on (hi, 2, lo, B) views, and each run of CNOT and CZ gates is folded into
+one signed basis permutation, applied as a gather along axis 0 and a sign
+per row. The single-state helpers run a (2**n, 1) batch of one.
 
 :class:`EpisodeEngine` splits a template's ops in two. Its prefix is the
 opening RX layer: RX gates on distinct fresh qubits, with an RX(0) for each
 qubit they leave idle. That state is a product, so each chunk multiplies one
-(cos, -i sin) factor per qubit out over the basis, in op order, and the
+(cos, -i sin) factor per qubit, a (2, B) array laid along that qubit's axis
+of a (2, ..., 2, B) array, out over the basis in op order, and the
 remaining ops act on the result. When only permutations follow, the factors
 are real (cos, sin), since moving and negating amplitudes keeps their
 magnitudes. RX kernels applied one by one from |0...0> form the same
@@ -22,7 +28,9 @@ amplitude stays zero), so the probabilities equal theirs bit for bit.
 Chunks are sized for about 1 MiB of amplitudes and allocated as they run, so
 an engine is immutable and :func:`cached_engine` shares one per (template,
 layers). Every shot takes one uniform through one inverse-CDF rule over the
-outcome probabilities in basis-index order.
+outcome probabilities in basis-index order: a cumulative sum down axis 0,
+which adds in the same sequence per episode as one along a row would.
+:meth:`EpisodeEngine.probabilities` returns one row per episode, (B, 2**n).
 """
 
 from __future__ import annotations
@@ -44,8 +52,8 @@ CHUNK_BYTES = 1 << 20
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
-# RX(theta)|0> = cos(theta/2)|0> - i sin(theta/2)|1>.
-_RX_PHASES = np.array([1.0, -1j])
+# RX(theta)|0> = cos(theta/2)|0> - i sin(theta/2)|1>, as a (2, 1) column.
+_RX_PHASES = np.array([[1.0], [-1j]])
 
 
 @dataclass(frozen=True)
@@ -87,17 +95,16 @@ class StateVector:
 
 
 # ---------------------------------------------------------------------------
-# Gate kernels on (B, 2**n) batches. All operate in place via reshaped views.
+# Gate kernels on (2**n, B) batches. All operate in place via reshaped views.
 
 
 def _apply_rx_batch(states: np.ndarray, n: int, qubit: int, cos_half, sin_half):
-    """cos_half/sin_half are (B, 1, 1) or (1, 1, 1) arrays."""
-    b = states.shape[0]
+    """cos_half/sin_half are floats or (B,) arrays along the episode axis."""
     lo = 1 << qubit
     hi = 1 << (n - qubit - 1)
-    s3 = states.reshape(b, hi, 2, lo)
-    a0 = s3[:, :, 0, :]
-    a1 = s3[:, :, 1, :]
+    s4 = states.reshape(hi, 2, lo, -1)
+    a0 = s4[:, 0]
+    a1 = s4[:, 1]
     isin = 1j * sin_half
     t1 = a1 * cos_half
     t1 -= isin * a0
@@ -107,12 +114,12 @@ def _apply_rx_batch(states: np.ndarray, n: int, qubit: int, cos_half, sin_half):
 
 
 def _apply_h_batch(states: np.ndarray, n: int, qubit: int):
-    b = states.shape[0]
+    """H on ``qubit`` of a (2**n, B) batch, in place."""
     lo = 1 << qubit
     hi = 1 << (n - qubit - 1)
-    s3 = states.reshape(b, hi, 2, lo)
-    a0 = s3[:, :, 0, :]
-    a1 = s3[:, :, 1, :]
+    s4 = states.reshape(hi, 2, lo, -1)
+    a0 = s4[:, 0]
+    a1 = s4[:, 1]
     t1 = a0 - a1
     a0 += a1
     a0 *= _SQRT_HALF
@@ -129,8 +136,9 @@ class _Op(NamedTuple):
 
     A parameterized RX reads theta column ``col``; a literal RX has ``col``
     None and carries cos/sin of its half angle. A folded run has ``kind``
-    None and maps amplitudes z -> sign[z] * amplitude[source[z]]; ``source``
-    or ``sign`` is None where the run leaves it unchanged.
+    None and maps amplitudes z -> sign[z] * amplitude[source[z]]; ``sign``
+    is a (2**n, 1) column, and ``source`` or ``sign`` is None where the run
+    leaves it unchanged.
     """
 
     kind: GateKind | None
@@ -163,7 +171,7 @@ def _fold(run: Sequence[_Op], n: int) -> _Op:
     return _Op(
         None,
         source=None if np.array_equal(z, index) else source,
-        sign=None if (sign > 0).all() else sign[source],
+        sign=None if (sign > 0).all() else sign[source, np.newaxis],
     )
 
 
@@ -214,34 +222,33 @@ def _cos_sin(op: _Op, thetas: np.ndarray | None):
 def _apply_ops(
     states: np.ndarray, n: int, ops: Sequence[_Op], thetas: np.ndarray | None = None
 ) -> np.ndarray:
-    """Apply ops to a (b, 2**n) batch; ``thetas`` is (b, num_params).
+    """Apply ops to a (2**n, b) batch; ``thetas`` is (b, num_params).
 
     Gate kernels work in place, but a permutation gathers into a new array,
     so callers use the returned batch.
     """
     for op in ops:
         if op.kind is GateKind.RX:
-            cos, sin = (np.reshape(x, (-1, 1, 1)) for x in _cos_sin(op, thetas))
-            _apply_rx_batch(states, n, op.qubits[0], cos, sin)
+            _apply_rx_batch(states, n, op.qubits[0], *_cos_sin(op, thetas))
         elif op.kind is GateKind.H:
             _apply_h_batch(states, n, op.qubits[0])
         else:
             if op.source is not None:
-                states = np.take(states, op.source, axis=1)
+                states = np.take(states, op.source, axis=0)
             if op.sign is not None:
                 states *= op.sign
     return states
 
 
 def _inverse_cdf(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    """Outcome index per row of (b, dim) ``probs``, one uniform u per row.
+    """Outcome index per column of (dim, b) ``probs``, one uniform u each.
 
     The index counts the cumulative sums <= u (u's right insertion point),
     clamped to dim - 1 in case rounding leaves the last sum below u.
     """
-    cdf = np.cumsum(probs, axis=1)
-    z = (cdf <= uniforms[:, None]).sum(axis=1)
-    return np.minimum(z, probs.shape[1] - 1, out=z)
+    cdf = np.cumsum(probs, axis=0)
+    z = (cdf <= uniforms).sum(axis=0)
+    return np.minimum(z, probs.shape[0] - 1, out=z)
 
 
 # ---------------------------------------------------------------------------
@@ -250,23 +257,23 @@ def _inverse_cdf(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
 
 def apply_gate(state: StateVector, gate: GateOp) -> StateVector:
     """Apply one gate, returning a new StateVector (the input is untouched)."""
-    amps = state.amplitudes[np.newaxis, :].copy()
+    amps = state.amplitudes[:, np.newaxis].copy()
     amps = _apply_ops(amps, state.num_qubits, _compile([gate], state.num_qubits))
-    return StateVector(amps[0], state.num_qubits)
+    return StateVector(amps[:, 0], state.num_qubits)
 
 
 def sample_shot(state: StateVector, rng: np.random.Generator) -> Shot:
     """Measure all qubits once, consuming exactly one uniform variate."""
     u = np.array([rng.random()])
-    z = _inverse_cdf(state.probabilities()[np.newaxis, :], u)
+    z = _inverse_cdf(state.probabilities()[:, np.newaxis], u)
     return Shot(int(z[0]), state.num_qubits)
 
 
 def run_circuit(gates: Sequence[GateOp], num_qubits: int) -> StateVector:
     """Run concrete gates from |0...0>, returning the final state."""
-    amps = StateVector.zero(num_qubits).amplitudes[np.newaxis, :]
+    amps = StateVector.zero(num_qubits).amplitudes[:, np.newaxis]
     amps = _apply_ops(amps, num_qubits, _compile(gates, num_qubits))
-    return StateVector(amps[0], num_qubits)
+    return StateVector(amps[:, 0], num_qubits)
 
 
 # ---------------------------------------------------------------------------
@@ -305,11 +312,12 @@ class EpisodeEngine:
         self._rest = ops[len(prefix):]
         idle = set(range(n)) - {op.qubits[0] for op in prefix}
         prefix += [_Op(GateKind.RX, (q,)) for q in sorted(idle)]
-        # The shape that lays an op's (cos, sin) along its qubit's axis of a
-        # (b, 2, ..., 2) array, whose axis 1 is qubit n - 1 and axis n qubit 0.
+        # The shape that lays an op's (2, b) (cos, sin) along its qubit's
+        # axis of a (2, ..., 2, b) array, whose axis 0 is qubit n - 1 and
+        # axis n - 1 qubit 0.
         order = range(n - 1, -1, -1)
         self._prefix = tuple(
-            (op, (-1,) + tuple(2 if q == op.qubits[0] else 1 for q in order))
+            (op, tuple(2 if q == op.qubits[0] else 1 for q in order) + (-1,))
             for op in prefix
         )
         # Permutations only move and negate amplitudes, so without a gate
@@ -318,19 +326,21 @@ class EpisodeEngine:
         self.chunk_size = max(1, min(1 << 16, CHUNK_BYTES // (16 * self.dim)))
 
     def _outcome_probabilities(self, thetas: np.ndarray) -> np.ndarray:
-        """Outcome probabilities, (b, 2**n), of one chunk of (b, p) thetas."""
+        """Outcome probabilities, (2**n, b), of one chunk of (b, p) thetas."""
         b = thetas.shape[0]
-        amps = np.ones((b,) + (1,) * self.num_qubits)
+        amps = np.ones((1,) * self.num_qubits + (b,))
         for op, axes in self._prefix:
-            factor = np.stack(_cos_sin(op, thetas), axis=-1)
+            # (2, b), or (2, 1) for a literal RX's floats.
+            factor = np.stack(_cos_sin(op, thetas)).reshape(2, -1)
             if self._complex:
                 factor = factor * _RX_PHASES
             amps = amps * factor.reshape(axes)
-        s = _apply_ops(amps.reshape(b, -1), self.num_qubits, self._rest, thetas)
+        amps = amps.reshape(self.dim, b)
+        s = _apply_ops(amps, self.num_qubits, self._rest, thetas)
         return s.real * s.real + s.imag * s.imag if self._complex else s * s
 
     def _chunks(self, thetas: np.ndarray):
-        """Yield (row slice, outcome probabilities) per chunk of thetas."""
+        """Yield (row slice, (2**n, rows) probabilities) per chunk of thetas."""
         for start in range(0, thetas.shape[0], self.chunk_size):
             rows = slice(start, start + self.chunk_size)
             yield rows, self._outcome_probabilities(thetas[rows])
@@ -351,7 +361,7 @@ class EpisodeEngine:
         thetas = self._check_thetas(thetas)
         out = np.empty((thetas.shape[0], self.dim), dtype=np.float64)
         for rows, probs in self._chunks(thetas):
-            out[rows] = probs
+            out[rows] = probs.T
         return out
 
     def sample(self, thetas: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
@@ -388,6 +398,6 @@ def run_episode(
     template: CircuitTemplate, theta: Sequence[float], rng: np.random.Generator
 ) -> Shot:
     """Instantiate, simulate, and measure once (one uniform variate)."""
-    probs = exact_probabilities(template, theta)[np.newaxis, :]
+    probs = exact_probabilities(template, theta)[:, np.newaxis]
     z = _inverse_cdf(probs, np.array([rng.random()]))
     return Shot(int(z[0]), template.num_qubits)

@@ -452,6 +452,6 @@ def test_product_path_matches_dense_kernels_bit_for_bit(key):
     dense = np.zeros((rows, engine.dim), dtype=np.complex128)
     dense[:, 0] = 1.0
     ops = _compile(t.gates, t.num_qubits, t.params, layers)
-    dense = _apply_ops(dense, engine.num_qubits, ops, thetas)
+    dense = _apply_ops(dense.T, engine.num_qubits, ops, thetas).T
     probs = dense.real * dense.real + dense.imag * dense.imag
     assert np.array_equal(engine.probabilities(thetas), probs)
