@@ -141,7 +141,6 @@ def featurize(
     n_q = machine.num_qubits
     columns = n_eps * n_q
     out = np.zeros((m, _words_for(columns)), dtype=np.uint64)
-    qubit_shifts = np.arange(n_q, dtype=np.uint8)
     engine = cached_engine(machine.template, machine.layers)
 
     def process_block(start: int) -> None:
@@ -163,7 +162,9 @@ def featurize(
             thetas.reshape(block * n_eps, machine.num_params),
             uniforms.reshape(-1),
         )
-        bits = ((z[:, None] >> qubit_shifts) & 1).astype(np.uint8)
+        # Outcome z's bits, qubit 0 first: z < 2**16 as two little-endian bytes.
+        by = z.astype("<u2").view(np.uint8).reshape(-1, 2)
+        bits = np.unpackbits(by, axis=1, count=n_q, bitorder="little")
         out[start:stop] = _pack_rows(bits.reshape(block, columns))
 
     starts = range(0, m, ROW_BLOCK)
