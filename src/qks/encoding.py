@@ -244,16 +244,17 @@ def sample_machine(
 
     The structure's q must match the template's parameter count (per layer).
     sigma is the standard deviation of the Omega nonzeros; sigma = 0 is the
-    degenerate input-independent machine, negative sigma is an error. The
-    seed must lie in [0, 2**64).
+    degenerate input-independent machine; a negative or non-finite sigma,
+    or one so large that an Omega entry overflows, is an error. The seed must
+    lie in [0, 2**64).
     """
     if structure.q != template.num_params:
         raise ValueError(
             f"structure has q={structure.q} parameters per layer but template "
             f"{template.name!r} declares {template.num_params}"
         )
-    if sigma < 0:
-        raise ValueError("sigma must be >= 0")
+    if not 0 <= sigma < np.inf:
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
     if layers < 1:
@@ -262,7 +263,10 @@ def sample_machine(
     omega_rng = _substream(seed, TAG_OMEGA)
     beta_rng = _substream(seed, TAG_BETA)
     omega = omega_rng.normal(0.0, 1.0, size=(episodes, layers, structure.nnz))
-    omega *= sigma
+    with np.errstate(over="ignore"):
+        omega *= sigma
+    if not np.isfinite(omega).all():
+        raise ValueError(f"sigma {sigma:g} overflows the encoding weights")
     beta = beta_rng.uniform(0.0, TWO_PI, size=(episodes, layers * structure.q))
     return QksMachine(
         template=template,

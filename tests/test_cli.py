@@ -373,9 +373,10 @@ def test_incompatible_encoding_exit_code(capsys):
 def test_bad_numeric_flags(capsys):
     rc, _, _ = run_cli(["run", "--episodes", "0"], capsys)
     assert rc == 2
-    rc, _, _ = run_cli(["run", "--sigma", "-1.0", "--frames-train", "4",
-                        "--frames-test", "4", "--episodes", "4"], capsys)
-    assert rc == 2
+    for sigma in ("-1.0", "inf", "nan"):
+        rc, _, _ = run_cli(["run", "--sigma", sigma, "--frames-train", "4",
+                            "--frames-test", "4", "--episodes", "4"], capsys)
+        assert rc == 2
 
 
 def test_mnist_requires_dir(capsys):

@@ -91,8 +91,10 @@ def test_sample_machine_distributions():
 def test_sample_machine_validation():
     t = get_ansatz("cnot2")
     s = EncodingStructure.split(2)
-    with pytest.raises(ValueError, match="sigma"):
-        sample_machine(t, s, -0.1, 10, 0)
+    # 1e308 is finite, but sigma * N(0, 1) overflows the weights.
+    for sigma in (-0.1, np.inf, np.nan, 1e308):
+        with pytest.raises(ValueError, match="sigma"):
+            sample_machine(t, s, sigma, 10, 0)
     with pytest.raises(ValueError, match="episodes"):
         sample_machine(t, s, 1.0, 0, 0)
     with pytest.raises(ValueError, match="layers"):
