@@ -83,11 +83,9 @@ def mc_kernel(machine: QksMachine, u: np.ndarray, v: np.ndarray) -> KernelEstima
     step = max(1, engine.chunk_size // 2)
     for start in range(0, n_eps, step):
         stop = min(start + step, n_eps)
-        rows = stop - start
-        # u's and v's episodes in one call: rows [0, rows) are u's.
-        p = engine.probabilities(theta[:, start:stop].reshape(2 * rows, -1))
-        pu, pv = p[:rows], p[rows:]
-        mu = pu @ b  # per-qubit P(bit = 1), shape (rows, n_q)
+        pu = engine.probabilities(theta[0, start:stop])
+        pv = engine.probabilities(theta[1, start:stop])
+        mu = pu @ b  # per-qubit P(bit = 1), shape (chunk, n_q)
         mv = pv @ b
         vals[start:stop] = np.einsum("ej,ej->e", mu, mv)
 
