@@ -6,16 +6,18 @@ lifting, the classifier only draws a hyperplane. Training minimizes
     (1/M) sum_i log(1 + exp(-y_i (w . x_i + b))) + (lambda/2) ||w||^2
 
 with labels y in {-1, +1} internally ({0, 1} at the boundary) and the
-intercept unpenalized. The optimizer is a truncated Newton method on the
-primal, after Lin, Weng & Keerthi, "Trust region Newton method for logistic
-regression" (JMLR 2008). Each outer step solves the Newton system
-H s = -g approximately by conjugate gradients. CG needs only Hessian-vector
-products
+intercept unpenalized. The fit works on one parameter vector
+theta = (w, b), the intercept last. The optimizer is a truncated Newton
+method on the primal, after Lin, Weng & Keerthi, "Trust region Newton method
+for logistic regression" (JMLR 2008). Each outer step solves the Newton
+system H s = -g in theta approximately by conjugate gradients. CG needs only
+Hessian-vector products
 
-    H v = X^T (D * (X v_w + v_b)) + lambda v_w,    (H v)_b = sum(D * (X v_w + v_b))
+    H v = X1^T (D * (X1 v)) + lambda P v,    X1 = [X, 1],  P = diag(1, ..., 1, 0)
 
 with curvature weights D_i = sigma(m_i) (1 - sigma(m_i)) / M taken once per
-outer step from the margins m, so the (d+1) x (d+1) Hessian is never formed.
+accepted step from the margins m, so neither X1 nor the (d+1) x (d+1)
+Hessian is ever formed.
 A backtracking (Armijo) line search from the unit step keeps the loss
 sequence non-increasing. The whole procedure is deterministic, and the
 returned model records how it stopped.
@@ -36,11 +38,18 @@ _MAX_BACKTRACKS = 60
 
 
 def _as_matrix(x) -> np.ndarray:
+    """The float64 design matrix: 2-D and finite.
+
+    A FeatureMatrix holds 0/1 bits by construction, so only an array is
+    scanned for non-finite values.
+    """
     if isinstance(x, FeatureMatrix):
         return x.to_dense().astype(np.float64)
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError("design matrix must be 2-D")
+    if not np.isfinite(x).all():
+        raise ValueError("design matrix must be finite")
     return x
 
 
@@ -90,8 +99,7 @@ class LinearClassifier:
     fit: FitRecord | None = None
 
     def decision_function(self, x) -> np.ndarray:
-        x = _as_matrix(x)
-        return x @ self.weights + self.intercept
+        return _as_matrix(x) @ self.weights + self.intercept
 
     def predict(self, x) -> np.ndarray:
         """Predicted {0, 1} labels; a score of exactly 0 goes to class 0."""
@@ -115,72 +123,66 @@ class LinearClassifier:
         )
 
 
-def _margins(weights, intercept, x, y_pm) -> np.ndarray:
-    return y_pm * (x @ weights + intercept)
+def _margins(params, x, y_pm) -> np.ndarray:
+    return y_pm * (x @ params[:-1] + params[-1])
 
 
-def _loss_from_margins(margins, weights, reg_lambda) -> float:
+def _loss_from_margins(margins, params, reg_lambda) -> float:
     # log(1 + exp(-m)) via logaddexp stays finite for any margin
     loss = float(np.logaddexp(0.0, -margins).mean())
-    return loss + 0.5 * reg_lambda * float(weights @ weights)
+    w = params[:-1]
+    return loss + 0.5 * reg_lambda * float(w @ w)
 
 
-def _grad_from_margins(margins, weights, x, y_pm, reg_lambda):
-    # d/dm log(1+e^-m) = -sigmoid(-m); evaluate sigmoid(-m) without overflow
-    sig = np.empty_like(margins)
-    pos = margins >= 0
-    em = np.exp(-margins[pos])
-    sig[pos] = em / (1.0 + em)
-    sig[~pos] = 1.0 / (1.0 + np.exp(margins[~pos]))
-    coef = (-y_pm / x.shape[0]) * sig
-    grad_w = x.T @ coef + reg_lambda * weights
-    grad_b = float(coef.sum())
-    return grad_w, grad_b
+def _grad_and_curvature(margins, params, x, y_pm, reg_lambda):
+    """The gradient at ``params`` and the curvature weights D.
 
-
-def _curvature(margins) -> np.ndarray:
-    """D_i = sigmoid(m_i)(1 - sigmoid(m_i)) / M, in a form that cannot overflow."""
+    Both come from one e = exp(-|m|), which cannot overflow: the loss
+    derivative needs sigmoid(-m), which is e / (1 + e) for m >= 0 and
+    1 / (1 + e) below, and D_i = sigmoid(m_i)(1 - sigmoid(m_i)) / M is
+    e / ((1 + e)^2 M) for either sign.
+    """
     e = np.exp(-np.abs(margins))
-    return e / ((1.0 + e) ** 2 * margins.shape[0])
+    rows = margins.shape[0]
+    coef = (-y_pm / rows) * (np.where(margins >= 0, e, 1.0) / (1.0 + e))
+    grad = np.append(x.T @ coef + reg_lambda * params[:-1], coef.sum())
+    return grad, e / ((1.0 + e) ** 2 * rows)
 
 
-def _hessian_vector(x, curv, reg_lambda, v_w, v_b):
+def _hessian_vector(x, curv, reg_lambda, v):
     """H v for the curvature weights ``curv``, without forming H."""
-    u = curv * (x @ v_w + v_b)
-    return x.T @ u + reg_lambda * v_w, float(u.sum())
+    u = curv * (x @ v[:-1] + v[-1])
+    return np.append(x.T @ u + reg_lambda * v[:-1], u.sum())
 
 
-def _newton_direction(x, curv, reg_lambda, g_w, g_b):
-    """Truncated CG on H s = -g; returns (s_w, s_b, Hessian-vector products).
+def _newton_direction(x, curv, reg_lambda, g):
+    """Truncated CG on H s = -g; returns (s, Hessian-vector products).
 
     CG stops once the residual is below min(0.5, sqrt(|g|)) |g|, at
     non-positive curvature, or after d + 1 steps.
     """
-    r_w, r_b = -g_w, -g_b
-    p_w, p_b = r_w.copy(), r_b
-    s_w, s_b = np.zeros_like(g_w), 0.0
-    rr = float(r_w @ r_w) + r_b * r_b
+    r = -g
+    p = r.copy()
+    s = np.zeros_like(g)
+    rr = float(r @ r)
     gnorm = np.sqrt(rr)
     cg_tol = min(0.5, np.sqrt(gnorm)) * gnorm
     products = 0
-    for _ in range(g_w.size + 1):
+    for _ in range(g.size):
         if np.sqrt(rr) <= cg_tol:
             break
-        h_w, h_b = _hessian_vector(x, curv, reg_lambda, p_w, p_b)
+        h = _hessian_vector(x, curv, reg_lambda, p)
         products += 1
-        php = float(p_w @ h_w) + p_b * h_b
+        php = float(p @ h)
         if not php > 0:
             break
         alpha = rr / php
-        s_w += alpha * p_w
-        s_b += alpha * p_b
-        r_w -= alpha * h_w
-        r_b -= alpha * h_b
-        rr_new = float(r_w @ r_w) + r_b * r_b
-        p_w = r_w + (rr_new / rr) * p_w
-        p_b = r_b + (rr_new / rr) * p_b
+        s += alpha * p
+        r -= alpha * h
+        rr_new = float(r @ r)
+        p = r + (rr_new / rr) * p
         rr = rr_new
-    return s_w, s_b, products
+    return s, products
 
 
 def loss_and_gradient(
@@ -196,12 +198,12 @@ def loss_and_gradient(
     regularized.
     """
     x = _as_matrix(x)
-    weights = np.asarray(weights, dtype=np.float64)
+    params = np.append(np.asarray(weights, dtype=np.float64), intercept)
     y_pm = 2.0 * np.asarray(y01, dtype=np.float64) - 1.0
-    margins = _margins(weights, intercept, x, y_pm)
-    loss = _loss_from_margins(margins, weights, reg_lambda)
-    grad_w, grad_b = _grad_from_margins(margins, weights, x, y_pm, reg_lambda)
-    return loss, grad_w, grad_b
+    margins = _margins(params, x, y_pm)
+    loss = _loss_from_margins(margins, params, reg_lambda)
+    grad, _ = _grad_and_curvature(margins, params, x, y_pm, reg_lambda)
+    return loss, grad[:-1], float(grad[-1])
 
 
 def train(
@@ -221,27 +223,23 @@ def train(
     and after each accepted step.
     """
     xm = _as_matrix(x)
-    if xm.size and not np.isfinite(xm).all():
-        raise ValueError("design matrix must be finite")
-    y01 = _as_labels(y, xm.shape[0])
     m, d = xm.shape
+    y_pm = 2.0 * _as_labels(y, m) - 1.0
     lam = 1.0 / m if reg_lambda is None else float(reg_lambda)
-    if lam < 0:
-        raise ValueError("reg_lambda must be >= 0")
-    if tol <= 0 or max_iter < 1:
-        raise ValueError("tol must be > 0 and max_iter >= 1")
+    if not 0 <= lam < np.inf:
+        raise ValueError(f"reg_lambda must be finite and >= 0, got {lam}")
+    if not (0 < tol < np.inf and max_iter >= 1):
+        raise ValueError("tol must be finite and > 0, and max_iter >= 1")
 
-    y_pm = 2.0 * y01 - 1.0
-    w = np.zeros(d)
-    b = 0.0
-    margins = _margins(w, b, xm, y_pm)
-    loss = _loss_from_margins(margins, w, lam)
-    gw, gb = _grad_from_margins(margins, w, xm, y_pm, lam)
+    params = np.zeros(d + 1)  # (w, b): the intercept last, unpenalized
+    margins = _margins(params, xm, y_pm)
+    loss = _loss_from_margins(margins, params, lam)
+    grad, curv = _grad_and_curvature(margins, params, xm, y_pm, lam)
     history = [loss]
     iterations = products = 0
 
     while True:
-        grad_inf = max(np.abs(gw).max() if d else 0.0, abs(gb))
+        grad_inf = float(np.abs(grad).max())
         if grad_inf <= tol:
             stop = "tol"
             break
@@ -249,22 +247,19 @@ def train(
             stop = "max_iter"
             break
 
-        curv = _curvature(margins)
-        s_w, s_b, n = _newton_direction(xm, curv, lam, gw, gb)
+        step, n = _newton_direction(xm, curv, lam, grad)
         products += n
-        slope = float(gw @ s_w) + gb * s_b
-        if not slope < 0:
+        if not grad @ step < 0:
             # CG made no usable step (curvature underflowed, as on separable
             # data at lambda = 0): fall back to steepest descent.
-            s_w, s_b = -gw, -gb
-            slope = -(float(gw @ gw) + gb * gb)
+            step = -grad
+        slope = float(grad @ step)
 
         alpha = 1.0
         for _bt in range(_MAX_BACKTRACKS):
-            w_new = w + alpha * s_w
-            b_new = b + alpha * s_b
-            margins_new = _margins(w_new, b_new, xm, y_pm)
-            loss_new = _loss_from_margins(margins_new, w_new, lam)
+            trial = params + alpha * step
+            margins = _margins(trial, xm, y_pm)
+            loss_new = _loss_from_margins(margins, trial, lam)
             if loss_new <= loss + _ARMIJO_C * alpha * slope:
                 break
             alpha *= 0.5
@@ -272,26 +267,25 @@ def train(
             stop = "no_descent"
             break
 
-        w, b, loss, margins = w_new, b_new, loss_new, margins_new
-        gw, gb = _grad_from_margins(margins, w, xm, y_pm, lam)
+        params, loss = trial, loss_new
+        grad, curv = _grad_and_curvature(margins, params, xm, y_pm, lam)
         history.append(loss)
         iterations += 1
 
     record = FitRecord(
         iterations=iterations,
         stop_reason=stop,
-        grad_inf=float(grad_inf),
+        grad_inf=grad_inf,
         converged=stop == "tol",
         hessian_vector_products=products,
     )
-    return LinearClassifier(weights=w, intercept=float(b), reg_lambda=lam,
-                            loss_history=history, fit=record)
+    return LinearClassifier(weights=params[:-1], intercept=float(params[-1]),
+                            reg_lambda=lam, loss_history=history, fit=record)
 
 
 def evaluate(model: LinearClassifier, x, y) -> float:
     """Misclassification rate of the model on (x, y)."""
-    xm = _as_matrix(x)
-    y = np.asarray(y)
-    if y.shape != (xm.shape[0],):
+    pred = model.predict(x)
+    if np.shape(y) != pred.shape:
         raise ValueError("label count must match the number of rows")
-    return float((model.predict(xm) != y).mean())
+    return float((pred != y).mean())

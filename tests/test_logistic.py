@@ -14,7 +14,7 @@ from qks import (
     sample_machine,
     train,
 )
-from qks.logistic import _curvature, _hessian_vector
+from qks.logistic import _grad_and_curvature, _hessian_vector
 
 
 def toy_data(n=60, seed=0, separable=False):
@@ -133,10 +133,12 @@ def test_input_validation():
         train(x, y[:-1])
     with pytest.raises(ValueError, match="finite"):
         train(x * np.inf, y)
-    with pytest.raises(ValueError, match="reg_lambda"):
-        train(x, y, reg_lambda=-1.0)
-    with pytest.raises(ValueError, match="tol"):
-        train(x, y, tol=0.0)
+    for lam in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="reg_lambda"):
+            train(x, y, reg_lambda=lam)
+    for tol in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="tol"):
+            train(x, y, tol=tol)
     with pytest.raises(ValueError, match="2-D"):
         train(x[:, 0], y)
 
@@ -149,6 +151,11 @@ def test_evaluate():
     assert evaluate(model, x, y) == 0.25
     with pytest.raises(ValueError, match="label count"):
         evaluate(model, x, y[:-1])
+    nan_row = [[np.nan, 0.0]]
+    with pytest.raises(ValueError, match="finite"):
+        model.predict(nan_row)
+    with pytest.raises(ValueError, match="finite"):
+        evaluate(model, nan_row, [0])
 
 
 def test_save_load_roundtrip(tmp_path):
@@ -177,16 +184,15 @@ def test_hessian_vector_matches_finite_differences(lam):
     rng = np.random.default_rng(13)
     eps = 1e-5
     for _ in range(5):
-        w = rng.normal(size=3)
-        b = float(rng.normal())
-        v_w = rng.normal(size=3)
-        v_b = float(rng.normal())
-        curv = _curvature(y_pm * (x @ w + b))
-        h_w, h_b = _hessian_vector(x, curv, lam, v_w, v_b)
-        _, up_w, up_b = loss_and_gradient(w + eps * v_w, b + eps * v_b, x, y, lam)
-        _, dn_w, dn_b = loss_and_gradient(w - eps * v_w, b - eps * v_b, x, y, lam)
+        theta = rng.normal(size=4)  # (w, b)
+        v = rng.normal(size=4)
+        margins = y_pm * (x @ theta[:-1] + theta[-1])
+        _, curv = _grad_and_curvature(margins, theta, x, y_pm, lam)
+        hv = _hessian_vector(x, curv, lam, v)
+        up, dn = theta + eps * v, theta - eps * v
+        _, up_w, up_b = loss_and_gradient(up[:-1], up[-1], x, y, lam)
+        _, dn_w, dn_b = loss_and_gradient(dn[:-1], dn[-1], x, y, lam)
         fd = np.append((up_w - dn_w) / (2 * eps), (up_b - dn_b) / (2 * eps))
-        hv = np.append(h_w, h_b)
         assert np.abs(hv - fd).max() <= 1e-6 * max(1.0, np.abs(fd).max())
 
 
