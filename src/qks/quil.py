@@ -74,6 +74,10 @@ class GateOp:
         if self.kind.takes_angle:
             if self.angle is None:
                 raise ValueError(f"{self.kind.value} requires an angle")
+            if isinstance(self.angle, float) and not math.isfinite(self.angle):
+                raise ValueError(
+                    f"{self.kind.value} angle must be finite, got {self.angle}"
+                )
         elif self.angle is not None:
             raise ValueError(f"{self.kind.value} takes no angle")
 
@@ -119,13 +123,16 @@ _PI_RE = re.compile(
 
 
 def _parse_angle_literal(text: str) -> float | None:
-    """Parse a decimal or pi-multiple literal; None if it is neither."""
+    """Parse a decimal or pi-multiple literal; None if it is neither.
+
+    The value may be non-finite (``nan``, ``inf``, ``1e309``, ``pi/0``).
+    """
     m = _PI_RE.match(text)
     if m:
         sign = -1.0 if m.group("sign") else 1.0
         num = float(m.group("num")) if m.group("num") else 1.0
         den = float(m.group("den")) if m.group("den") else 1.0
-        return sign * num * math.pi / den
+        return sign * num * math.pi / den if den else math.inf
     try:
         return float(text)
     except ValueError:
@@ -175,9 +182,10 @@ def _parse_gate_line(
             angle = ParamRef(pm.group(1))
         else:
             value = _parse_angle_literal(angle_text)
-            if value is None:
+            if value is None or not math.isfinite(value):
+                problem = "malformed" if value is None else "non-finite"
                 raise QuilParseError(
-                    f"malformed angle literal {angle_text!r}",
+                    f"{problem} angle literal {angle_text!r}",
                     lineno,
                     stripped.find(angle_text) + 1,
                 )

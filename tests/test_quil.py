@@ -6,6 +6,7 @@ import pytest
 
 from qks import (
     GateKind,
+    GateOp,
     ParamRef,
     QuilParseError,
     ansatz_names,
@@ -141,6 +142,10 @@ def test_comments_and_blank_lines():
         ("DEFCIRCUIT X(%a, %a):\n    RX(%a) 0\n", "duplicate parameter", 1),
         ("DEFCIRCUIT X(a):\n    RX(%a) 0\n", "malformed parameter", 1),
         ("DEFCIRCUIT X:\n    RX(oops) 0\n", "malformed angle", 2),
+        ("DEFCIRCUIT X:\n    RX(nan) 0\n", "non-finite angle", 2),
+        ("DEFCIRCUIT X:\n    RX(inf) 0\n", "non-finite angle", 2),
+        ("DEFCIRCUIT X:\n    RX(1e309) 0\n", "non-finite angle", 2),
+        ("DEFCIRCUIT X:\n    RX(-pi/0) 0\n", "non-finite angle", 2),
         ("DEFCIRCUIT X:\n    RX(1.0 0\n", "malformed RX", 2),
         ("DEFCIRCUIT X:\n    H -1\n", "qubit index", 2),
     ],
@@ -150,6 +155,18 @@ def test_parse_errors(src, fragment, line):
         parse_template(src)
     assert fragment in str(exc_info.value)
     assert exc_info.value.line == line
+
+
+def test_non_finite_angles_are_rejected():
+    with pytest.raises(QuilParseError) as exc_info:
+        parse_template("DEFCIRCUIT A:\n    RX(nan) 0\n")
+    assert (exc_info.value.line, exc_info.value.column) == (2, 4)
+    with pytest.raises(ValueError, match="finite"):
+        GateOp(GateKind.RX, (0,), math.inf)
+    t = parse_template("DEFCIRCUIT A(%a):\n    RX(%a) 0\n")
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            instantiate(t, [bad])
 
 
 def test_error_carries_position():
