@@ -67,6 +67,9 @@ def mc_kernel(machine: QksMachine, u: np.ndarray, v: np.ndarray) -> KernelEstima
     docstring). The factorized form makes the estimate exactly symmetric in
     (u, v): elementwise products of marginals commute, so both argument
     orders sum the same floats.
+
+    Raises ValueError naming ``u`` or ``v`` when its encoding is not finite,
+    as when ``sigma * x`` overflows for a large finite x.
     """
     p = machine.structure.p
     u = np.asarray(u, dtype=np.float64).reshape(p)
@@ -76,7 +79,14 @@ def mc_kernel(machine: QksMachine, u: np.ndarray, v: np.ndarray) -> KernelEstima
     n_eps = machine.episodes
     n_q = machine.num_qubits
 
-    theta = machine.encode_batch(np.stack([u, v]))  # (2, E, k)
+    with np.errstate(over="ignore", invalid="ignore"):
+        theta = machine.encode_batch(np.stack([u, v]))  # (2, E, k)
+    for name, t in zip("uv", theta):
+        if not np.isfinite(t).all():
+            raise ValueError(
+                f"{name}: encoding is not finite at sigma {machine.sigma:g}; "
+                "the input is too large for this machine"
+            )
     engine = cached_engine(machine.template, machine.layers)
     b = bit_matrix(n_q)
     vals = np.empty(n_eps)

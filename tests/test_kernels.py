@@ -1,5 +1,7 @@
 """Kernel machinery: bit matrix, exact inner products, Monte Carlo vs closed form."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -198,6 +200,19 @@ def test_mc_kernel_rejects_non_finite_inputs():
             mc_kernel(machine, [bad, 0.0], [0.1, 0.2])
         with pytest.raises(ValueError, match="finite"):
             mc_kernel(machine, [0.1, 0.2], [0.0, bad])
+
+
+def test_mc_kernel_names_the_input_whose_encoding_overflows():
+    machine = sample_machine(
+        get_ansatz("cnot2"), EncodingStructure.split(2), 100.0, 20, 3
+    )
+    huge = [1e308, 1e308]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="^u: .*sigma 100"):
+            mc_kernel(machine, huge, [0.0, 0.0])
+        with pytest.raises(ValueError, match="^v: .*sigma 100"):
+            mc_kernel(machine, [0.0, 0.0], huge)
 
 
 def test_single_episode_stderr():
