@@ -245,6 +245,11 @@ def load_features(path: str | Path) -> FeatureMatrix:
         raise FeatureFileError(
             f"{path}: header has {rows} rows, sidecar {sidecar_rows}"
         )
+    if episodes < 1 or num_qubits < 1:
+        raise FeatureFileError(
+            f"{sidecar_file}: episodes and num_qubits must be >= 1, got "
+            f"{episodes} and {num_qubits}"
+        )
     if columns != episodes * num_qubits:
         raise FeatureFileError(
             f"{sidecar_file}: {columns} columns != {episodes} episodes x "

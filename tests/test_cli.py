@@ -286,7 +286,9 @@ def test_features_load_summary(tmp_path, capsys):
     assert density_line[0] == f"bit density: {dense.mean():.4f}"
 
 
-@pytest.mark.parametrize("changes", [{"machine": "cnot2"}, {"episodes": 3}])
+@pytest.mark.parametrize("changes", [
+    {"machine": "cnot2"}, {"episodes": 3}, {"episodes": -8, "num_qubits": -2},
+])
 def test_features_load_bad_sidecar_exit_code(tmp_path, capsys, changes):
     path = tmp_path / "f.qksf"
     rc, _, _ = run_cli(
@@ -377,6 +379,12 @@ def test_bad_numeric_flags(capsys):
         rc, _, _ = run_cli(["run", "--sigma", sigma, "--frames-train", "4",
                             "--frames-test", "4", "--episodes", "4"], capsys)
         assert rc == 2
+    for flag, name in (("--lambda", "reg_lambda"), ("--tol", "tol")):
+        for value in ("nan", "inf"):
+            rc, _, err = run_cli(["baseline", "--frames-train", "20",
+                                  "--frames-test", "10", flag, value], capsys)
+            assert rc == 2
+            assert name in err
 
 
 def test_mnist_requires_dir(capsys):

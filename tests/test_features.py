@@ -304,6 +304,14 @@ def test_qksf_sidecar_geometry_must_agree(tmp_path):
         load_features(path)
 
 
+@pytest.mark.parametrize("episodes,num_qubits", [(-10, -2), (-1, -20)])
+def test_qksf_sidecar_geometry_must_be_positive(tmp_path, episodes, num_qubits):
+    # the product still equals the 20 columns, so only the sign check catches it
+    path = _edit_sidecar(tmp_path, episodes=episodes, num_qubits=num_qubits)
+    with pytest.raises(FeatureFileError, match=">= 1"):
+        load_features(path)
+
+
 def test_one_engine_per_template(monkeypatch):
     built = []
     original = EpisodeEngine.__init__
