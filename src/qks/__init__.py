@@ -39,7 +39,6 @@ from .features import (
 )
 from .kernels import (
     KernelEstimate,
-    bit_matrix,
     closed_form_cnot2,
     expected_inner,
     mc_kernel,
@@ -53,7 +52,6 @@ from .logistic import (
 )
 from .quil import (
     CircuitTemplate,
-    ConcreteCircuit,
     GateKind,
     GateOp,
     ParamRef,
@@ -67,6 +65,7 @@ from .simulator import (
     Shot,
     StateVector,
     apply_gate,
+    bit_matrix,
     exact_probabilities,
     run_circuit,
     run_episode,
@@ -77,7 +76,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CircuitTemplate",
-    "ConcreteCircuit",
     "DataFormatError",
     "EncodingStructure",
     "EpisodeEncoding",

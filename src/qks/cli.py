@@ -355,10 +355,8 @@ def cmd_features_load(args) -> int:
         if isinstance(structure, dict):
             summary["structure"] = structure.get("pattern")
         print("machine: " + json.dumps(summary, sort_keys=True))
-    ones = int(np.unpackbits(fm.packed.view(np.uint8)).sum())
-    total = fm.rows * fm.num_columns
-    if total:
-        print(f"bit density: {ones / total:.4f}")
+    if fm.rows:
+        print(f"bit density: {fm.to_dense().mean():.4f}")
     return 0
 
 

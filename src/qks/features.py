@@ -7,9 +7,12 @@ Rows are stored packed, 64 columns per little-endian uint64 word.
 
 On-disk format (``.qksf``): a 16-byte header (magic ``QKSF``, little-endian
 u32 version, u64 row count) followed by the packed words row-major in
-little-endian byte order, plus a ``<path>.json`` sidecar describing the
-machine that produced the bits (template, sigma, episodes, seed, structure,
-layers) and the matrix geometry.
+little-endian byte order, plus a ``<path>.json`` sidecar. The sidecar
+records the matrix geometry (rows, columns, episodes, num_qubits) at its top
+level, and its ``machine`` object, the matrix's ``meta``, describes the
+machine that produced the bits: template, sigma, seed, layers and structure.
+The geometry lives only in the :class:`FeatureMatrix` fields, never in
+``meta``.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import numpy as np
 
 from .datasets import DataFormatError
 from .encoding import QksMachine, shot_stream
-from .simulator import cached_engine
+from .simulator import cached_engine, outcome_bits
 
 MAGIC = b"QKSF"
 FORMAT_VERSION = 1
@@ -46,7 +49,10 @@ class FeatureFileError(ValueError):
 
 @dataclass
 class FeatureMatrix:
-    """Bit-packed binary features: rows = examples, columns = episode bits."""
+    """Bit-packed binary features: rows = examples, columns = episode bits.
+
+    ``meta``, when present, describes the machine, not the geometry.
+    """
 
     packed: np.ndarray  # (rows, words) uint64
     num_columns: int
@@ -87,8 +93,7 @@ class FeatureMatrix:
             return self
         cols = episodes * self.num_qubits
         packed = _pack_rows(self.to_dense()[:, :cols])
-        meta = dict(self.meta, episodes=episodes) if self.meta else None
-        return FeatureMatrix(packed, cols, self.num_qubits, episodes, meta)
+        return FeatureMatrix(packed, cols, self.num_qubits, episodes, self.meta)
 
     def equals(self, other: "FeatureMatrix") -> bool:
         return (
@@ -162,10 +167,7 @@ def featurize(
             thetas.reshape(block * n_eps, machine.num_params),
             uniforms.reshape(-1),
         )
-        # Outcome z's bits, qubit 0 first: z < 2**16 as two little-endian bytes.
-        by = z.astype("<u2").view(np.uint8).reshape(-1, 2)
-        bits = np.unpackbits(by, axis=1, count=n_q, bitorder="little")
-        out[start:stop] = _pack_rows(bits.reshape(block, columns))
+        out[start:stop] = _pack_rows(outcome_bits(z, n_q).reshape(block, columns))
 
     starts = range(0, m, ROW_BLOCK)
     if workers == 1 or m <= ROW_BLOCK:
@@ -178,7 +180,6 @@ def featurize(
     meta = {
         "template": machine.template.name,
         "sigma": machine.sigma,
-        "episodes": n_eps,
         "seed": machine.seed,
         "layers": machine.layers,
         "structure": {
@@ -187,7 +188,6 @@ def featurize(
             "q": machine.structure.q,
             "rows": [list(r) for r in machine.structure.rows],
         },
-        "num_qubits": n_q,
     }
     return FeatureMatrix(out, columns, n_q, n_eps, meta)
 
@@ -211,9 +211,7 @@ def save_features(fm: FeatureMatrix, path: str | Path) -> None:
         "episodes": fm.episodes,
     }
     if fm.meta:
-        sidecar["machine"] = {
-            k: v for k, v in fm.meta.items() if k not in sidecar
-        }
+        sidecar["machine"] = fm.meta
     _sidecar_path(path).write_text(json.dumps(sidecar, indent=2) + "\n")
 
 
@@ -268,8 +266,6 @@ def load_features(path: str | Path) -> FeatureMatrix:
         .astype(np.uint64)
     )
     meta = sidecar.get("machine")
-    if meta is not None:
-        if not isinstance(meta, dict):
-            raise FeatureFileError(f"{sidecar_file}: machine must be an object")
-        meta = dict(meta, episodes=episodes, num_qubits=num_qubits)
+    if meta is not None and not isinstance(meta, dict):
+        raise FeatureFileError(f"{sidecar_file}: machine must be an object")
     return FeatureMatrix(packed, columns, num_qubits, episodes, meta)

@@ -25,15 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoding import QksMachine
-from .simulator import cached_engine
-
-
-def bit_matrix(num_qubits: int) -> np.ndarray:
-    """B[z, j] = bit j of z, shape (2**num_qubits, num_qubits), float64."""
-    if num_qubits < 1:
-        raise ValueError("num_qubits must be >= 1")
-    z = np.arange(1 << num_qubits)[:, None]
-    return ((z >> np.arange(num_qubits)[None, :]) & 1).astype(np.float64)
+from .simulator import bit_matrix, cached_engine
 
 
 def expected_inner(u_probs: np.ndarray, v_probs: np.ndarray) -> float:

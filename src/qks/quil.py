@@ -100,15 +100,6 @@ class CircuitTemplate:
         return len(self.params)
 
 
-@dataclass(frozen=True)
-class ConcreteCircuit:
-    """A template with every parameter bound to a float angle."""
-
-    name: str
-    gates: tuple[GateOp, ...]
-    num_qubits: int
-
-
 _HEADER_RE = re.compile(
     r"^DEFCIRCUIT\s+(?P<name>[A-Za-z_][A-Za-z0-9_-]*)\s*"
     r"(?:\((?P<params>[^)]*)\))?\s*:\s*$"
@@ -301,11 +292,13 @@ def to_quil(template: CircuitTemplate) -> str:
 
 def instantiate(
     template: CircuitTemplate, theta: Sequence[float]
-) -> ConcreteCircuit:
-    """Bind parameter values to a template, returning a concrete circuit.
+) -> CircuitTemplate:
+    """Bind parameter values to a template, returning one with no parameters.
 
     ``theta`` is matched positionally against ``template.params``; a length
-    mismatch raises ValueError. The template itself is never mutated.
+    mismatch raises ValueError. The template itself is never mutated. The
+    bound circuit prints, parses and simulates like any other template, at
+    an empty parameter vector.
     """
     values = [float(t) for t in theta]
     if len(values) != template.num_params:
@@ -320,4 +313,4 @@ def instantiate(
         else g
         for g in template.gates
     )
-    return ConcreteCircuit(template.name, bound, template.num_qubits)
+    return CircuitTemplate(template.name, (), bound, template.num_qubits)

@@ -31,6 +31,11 @@ layers). Every shot takes one uniform through one inverse-CDF rule over the
 outcome probabilities in basis-index order: a cumulative sum down axis 0,
 which adds in the same sequence per episode as one along a row would.
 :meth:`EpisodeEngine.probabilities` returns one row per episode, (B, 2**n).
+
+The readout rule lives here too: qubit j's reading is bit j of the outcome
+index, and an index fits in MAX_QUBITS = 16 bits. :func:`outcome_bits`
+applies it to the sampled indices that features pack, and
+:func:`bit_matrix` to every basis index, for the kernels' marginals.
 """
 
 from __future__ import annotations
@@ -73,6 +78,27 @@ class Shot:
         return ((self.bits >> np.arange(self.num_qubits)) & 1).astype(np.uint8)
 
 
+def _check_width(num_qubits: int) -> None:
+    if not 1 <= num_qubits <= MAX_QUBITS:
+        raise ValueError(f"num_qubits must be in [1, {MAX_QUBITS}]")
+
+
+def outcome_bits(z: np.ndarray, num_qubits: int) -> np.ndarray:
+    """Qubit readings of integer outcome indices, (len(z), num_qubits) uint8.
+
+    Column j is bit j of z, read from z's two little-endian low bytes.
+    """
+    _check_width(num_qubits)
+    by = np.asarray(z).astype("<u2").view(np.uint8).reshape(-1, 2)
+    return np.unpackbits(by, axis=1, count=num_qubits, bitorder="little")
+
+
+def bit_matrix(num_qubits: int) -> np.ndarray:
+    """B[z, j] = bit j of z, shape (2**num_qubits, num_qubits), float64."""
+    _check_width(num_qubits)
+    return outcome_bits(np.arange(1 << num_qubits), num_qubits).astype(np.float64)
+
+
 @dataclass
 class StateVector:
     """Dense complex amplitudes over the computational basis."""
@@ -83,8 +109,7 @@ class StateVector:
     @classmethod
     def zero(cls, num_qubits: int) -> "StateVector":
         """The all-zeros basis state |0...0>."""
-        if not 1 <= num_qubits <= MAX_QUBITS:
-            raise ValueError(f"num_qubits must be in [1, {MAX_QUBITS}]")
+        _check_width(num_qubits)
         amps = np.zeros(1 << num_qubits, dtype=np.complex128)
         amps[0] = 1.0
         return cls(amps, num_qubits)

@@ -286,6 +286,18 @@ def test_features_load_summary(tmp_path, capsys):
     assert density_line[0] == f"bit density: {dense.mean():.4f}"
 
 
+def test_features_load_machine_line_omits_geometry(tmp_path, capsys):
+    path = tmp_path / "f.qksf"
+    run_cli(["features", "dump", "--frames-train", "3", "--frames-test", "2",
+             "--episodes", "5", "--out", str(path)], capsys)
+    rc, out, _ = run_cli(["features", "load", "--path", str(path)], capsys)
+    assert rc == 0
+    lines = out.splitlines()
+    assert "(5 episodes x 2 qubits)" in lines[0]
+    machine = json.loads(lines[1].removeprefix("machine: "))
+    assert set(machine) == {"layers", "seed", "sigma", "structure", "template"}
+
+
 @pytest.mark.parametrize("changes", [
     {"machine": "cnot2"}, {"episodes": 3}, {"episodes": -8, "num_qubits": -2},
 ])

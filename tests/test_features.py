@@ -102,7 +102,7 @@ def test_truncate():
     cut = fm.truncate(33)
     assert cut.episodes == 33 and cut.num_columns == 66
     assert np.array_equal(cut.to_dense(), fm.to_dense()[:, :66])
-    assert cut.meta["episodes"] == 33
+    assert cut.meta == fm.meta and "episodes" not in cut.meta
     assert fm.truncate(96) is fm
     with pytest.raises(ValueError):
         fm.truncate(0)
@@ -210,6 +210,8 @@ def test_qksf_roundtrip(tmp_path):
     assert back.meta["sigma"] == 1.0
     assert back.meta["seed"] == 31
     assert back.meta["structure"]["pattern"] == "split"
+    machine_keys = {"template", "sigma", "seed", "layers", "structure"}
+    assert set(fm.meta) == set(back.meta) == machine_keys
     sidecar = json.loads((tmp_path / "feat.qksf.json").read_text())
     assert sidecar["rows"] == 13
     assert sidecar["columns"] == 154

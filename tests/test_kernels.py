@@ -25,6 +25,11 @@ def test_bit_matrix():
     assert b[0b110].tolist() == [0.0, 1.0, 1.0]
     with pytest.raises(ValueError):
         bit_matrix(0)
+    with pytest.raises(ValueError, match="num_qubits"):
+        bit_matrix(17)
+    from qks import kernels, simulator
+
+    assert kernels.bit_matrix is simulator.bit_matrix is bit_matrix
 
 
 def test_expected_inner_validation():

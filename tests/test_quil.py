@@ -2,19 +2,23 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from qks import (
+    CircuitTemplate,
     GateKind,
     GateOp,
     ParamRef,
     QuilParseError,
     ansatz_names,
+    exact_probabilities,
     get_ansatz,
     instantiate,
     parse_template,
     to_quil,
 )
+from qks.simulator import cached_engine
 
 CNOT2_SRC = """\
 DEFCIRCUIT CNOT2(%theta0, %theta1):
@@ -203,6 +207,25 @@ def test_instantiate_literal_template():
     t = parse_template("DEFCIRCUIT L:\n    RX(pi) 0\n")
     c = instantiate(t, [])
     assert c.gates[0].angle == pytest.approx(math.pi)
+
+
+@pytest.mark.parametrize("name", ansatz_names())
+def test_bound_circuit_is_a_template(name):
+    t = get_ansatz(name)
+    rng = np.random.default_rng(7)
+    thetas = rng.uniform(-2 * np.pi, 2 * np.pi, (5, t.num_params))
+    uniforms = rng.random(5)
+    for theta in thetas:
+        c = instantiate(t, theta)
+        assert isinstance(c, CircuitTemplate) and c.params == ()
+        assert parse_template(to_quil(c)) == c
+        assert np.array_equal(
+            exact_probabilities(c, []), exact_probabilities(t, theta)
+        )
+    bound = [cached_engine(instantiate(t, theta)) for theta in thetas]
+    shots = [e.sample(np.empty((1, 0)), uniforms[i : i + 1])[0]
+             for i, e in enumerate(bound)]
+    assert shots == cached_engine(t).sample(thetas, uniforms).tolist()
 
 
 def test_out_of_order_qubits_set_width():

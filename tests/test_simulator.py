@@ -20,7 +20,7 @@ from qks import (
     sample_shot,
 )
 from qks import simulator
-from qks.simulator import _apply_ops, _compile, cached_engine
+from qks.simulator import _apply_ops, _compile, cached_engine, outcome_bits
 from conftest import oracle_probabilities, template_to_oracle_gates
 
 
@@ -183,6 +183,19 @@ def test_shot_accessors():
     assert shot.to_array().tolist() == [1, 0, 1]
     with pytest.raises(IndexError):
         shot.bit(3)
+
+
+def test_outcome_bits_match_shift_rule():
+    rng = np.random.default_rng(3)
+    for n in range(1, 17):
+        z = rng.integers(0, 1 << n, 500)
+        bits = outcome_bits(z, n)
+        assert bits.dtype == np.uint8 and bits.shape == (500, n)
+        assert np.array_equal(bits, (z[:, None] >> np.arange(n)) & 1)
+        assert bits[7].tolist() == Shot(int(z[7]), n).to_array().tolist()
+    for n in (0, 17):
+        with pytest.raises(ValueError, match="num_qubits"):
+            outcome_bits(np.zeros(3, dtype=np.int64), n)
 
 
 def test_sample_shot_consumes_one_uniform():
