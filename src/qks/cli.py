@@ -36,7 +36,7 @@ from .datasets import (
 from .encoding import EncodingStructure, QksMachine, sample_machine
 from .features import FeatureFileError, featurize, load_features, save_features
 from .kernels import closed_form_cnot2, mc_kernel
-from .logistic import evaluate, train
+from .logistic import check_fit_options, evaluate, train
 from .quil import QuilParseError
 
 
@@ -215,6 +215,7 @@ def cmd_gen_frames(args) -> int:
 def _fit_and_report(args) -> int:
     """``baseline`` on raw inputs, ``run`` on kitchen-sink features."""
     start = time.perf_counter()
+    check_fit_options(args.reg_lambda, args.tol, args.max_iter)
     train_ds, test_ds, info = _load_splits(args)
     x_train, x_test = train_ds.inputs, test_ds.inputs
     headline, config = args.command, {}
@@ -263,6 +264,7 @@ def cmd_sweep(args) -> int:
     seeds = _parse_list(args.seeds, int, "--seeds")
     if any(e < 1 for e in episode_grid):
         raise UsageError("--episodes values must be >= 1")
+    check_fit_options(args.reg_lambda, args.tol, args.max_iter)
 
     train_ds, test_ds, _ = _load_splits(args)
     e_max = episode_grid[-1]

@@ -54,15 +54,25 @@ def _as_matrix(x) -> np.ndarray:
 
 
 def _as_labels(y, rows: int) -> np.ndarray:
+    """One 0/1 label per row, as float64."""
     y = np.asarray(y)
     if y.shape != (rows,):
         raise ValueError(f"expected {rows} labels, got shape {y.shape}")
-    vals = np.unique(y)
-    if not np.isin(vals, (0, 1)).all():
+    if not np.isin(y, (0, 1)).all():
         raise ValueError("labels must be 0 or 1")
-    if vals.size < 2:
-        raise ValueError("training data must contain both classes")
     return y.astype(np.float64)
+
+
+def check_fit_options(reg_lambda: float | None, tol: float, max_iter: int) -> None:
+    """Raise ValueError unless :func:`train` accepts these options.
+
+    ``reg_lambda`` is None (for 1/M) or finite and >= 0, ``tol`` is finite
+    and > 0, and ``max_iter`` is >= 1.
+    """
+    if reg_lambda is not None and not 0 <= float(reg_lambda) < np.inf:
+        raise ValueError(f"reg_lambda must be finite and >= 0, got {reg_lambda}")
+    if not (0 < tol < np.inf and max_iter >= 1):
+        raise ValueError("tol must be finite and > 0, and max_iter >= 1")
 
 
 @dataclass(frozen=True)
@@ -195,11 +205,11 @@ def loss_and_gradient(
     """Regularized mean logistic loss and its gradient.
 
     Returns (loss, grad_weights, grad_intercept); the intercept is not
-    regularized.
+    regularized. ``y01`` holds one 0/1 label per row of ``x``.
     """
     x = _as_matrix(x)
     params = np.append(np.asarray(weights, dtype=np.float64), intercept)
-    y_pm = 2.0 * np.asarray(y01, dtype=np.float64) - 1.0
+    y_pm = 2.0 * _as_labels(y01, x.shape[0]) - 1.0
     margins = _margins(params, x, y_pm)
     loss = _loss_from_margins(margins, params, reg_lambda)
     grad, _ = _grad_and_curvature(margins, params, x, y_pm, reg_lambda)
@@ -224,12 +234,12 @@ def train(
     """
     xm = _as_matrix(x)
     m, d = xm.shape
-    y_pm = 2.0 * _as_labels(y, m) - 1.0
+    y01 = _as_labels(y, m)
+    if np.unique(y01).size < 2:
+        raise ValueError("training data must contain both classes")
+    check_fit_options(reg_lambda, tol, max_iter)
+    y_pm = 2.0 * y01 - 1.0
     lam = 1.0 / m if reg_lambda is None else float(reg_lambda)
-    if not 0 <= lam < np.inf:
-        raise ValueError(f"reg_lambda must be finite and >= 0, got {lam}")
-    if not (0 < tol < np.inf and max_iter >= 1):
-        raise ValueError("tol must be finite and > 0, and max_iter >= 1")
 
     params = np.zeros(d + 1)  # (w, b): the intercept last, unpenalized
     margins = _margins(params, xm, y_pm)

@@ -399,6 +399,24 @@ def test_bad_numeric_flags(capsys):
             assert name in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--lambda", "nan"],
+    ["sweep", "--tol", "inf"],
+    ["run", "--max-iter", "0"],
+    ["baseline", "--lambda", "-1"],
+])
+def test_classifier_flags_checked_before_featurize(monkeypatch, capsys, argv):
+    def no_featurize(*args, **kwargs):
+        raise AssertionError("featurize ran before the flags were checked")
+
+    monkeypatch.setattr("qks.cli.featurize", no_featurize)
+    monkeypatch.setattr("qks.cli._load_splits", no_featurize)
+    rc, _, err = run_cli(argv + ["--frames-train", "20", "--frames-test", "10"],
+                         capsys)
+    assert rc == 2
+    assert "reg_lambda" in err or "tol" in err
+
+
 def test_mnist_requires_dir(capsys):
     rc, _, err = run_cli(["baseline", "--dataset", "mnist"], capsys)
     assert rc == 2

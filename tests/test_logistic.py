@@ -141,6 +141,14 @@ def test_input_validation():
             train(x, y, tol=tol)
     with pytest.raises(ValueError, match="2-D"):
         train(x[:, 0], y)
+    x3 = np.eye(3)
+    for labels, match in (([2, 5, -1], "0 or 1"), ([0, 1], "labels"),
+                          ([0.5, 1, 0], "0 or 1"), ([np.nan, 1, 0], "0 or 1")):
+        with pytest.raises(ValueError, match=match):
+            loss_and_gradient(np.zeros(3), 0.0, x3, labels, 0.1)
+    # The loss is defined on one class; only train needs both.
+    loss, _, _ = loss_and_gradient(np.zeros(3), 0.0, x3, [1, 1, 1], 0.1)
+    assert loss == pytest.approx(np.log(2.0))
 
 
 def test_evaluate():
