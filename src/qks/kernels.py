@@ -105,16 +105,22 @@ def closed_form_cnot2(
     """Closed-form kernel of the 2-qubit CNOT ansatz under a split encoding.
 
     ``first_tile`` lists the input coordinates feeding the first parameter
-    (the rotation on the CNOT's control qubit). For 2-dimensional inputs it
-    defaults to the first coordinate; higher-dimensional tilings must pass
-    it explicitly.
+    (the rotation on the CNOT's control qubit), in increasing order and
+    without repeats. For 2-dimensional inputs it defaults to the first
+    coordinate; higher-dimensional tilings must pass it explicitly.
+
+    Raises ValueError naming ``sigma`` unless it is finite and >= 0, ``u``
+    and ``v`` unless they are finite, and ``first_tile`` for a coordinate
+    out of range, out of order or repeated.
     """
     u = np.asarray(u, dtype=np.float64).ravel()
     v = np.asarray(v, dtype=np.float64).ravel()
     if u.shape != v.shape:
         raise ValueError("u and v must have the same dimension")
-    if sigma < 0:
-        raise ValueError("sigma must be >= 0")
+    if not (np.isfinite(u).all() and np.isfinite(v).all()):
+        raise ValueError("u and v must be finite")
+    if not 0 <= sigma < np.inf:
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
     if first_tile is None:
         if u.shape[0] != 2:
             raise ValueError(
@@ -122,6 +128,12 @@ def closed_form_cnot2(
             )
         first_tile = np.array([0])
     idx = np.asarray(first_tile, dtype=np.intp)
+    in_range = ((0 <= idx) & (idx < u.size)).all()
+    if idx.ndim != 1 or not in_range or (np.diff(idx) <= 0).any():
+        raise ValueError(
+            f"first_tile must list coordinates of [0, {u.size}) in increasing "
+            f"order without repeats, got {idx.tolist()}"
+        )
     d = u - v
     d1_sq = float(np.dot(d[idx], d[idx]))
     d_sq = float(np.dot(d, d))

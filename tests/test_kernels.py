@@ -185,6 +185,21 @@ def test_closed_form_limits_and_tiles():
         closed_form_cnot2(u, v4, 1.0)
     with pytest.raises(ValueError, match="sigma"):
         closed_form_cnot2(u, v, -1.0)
+    for sigma in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="sigma"):
+            closed_form_cnot2(u, u, sigma)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="u and v"):
+            closed_form_cnot2(np.array([bad, 0.0]), v, 1.0)
+        with pytest.raises(ValueError, match="u and v"):
+            closed_form_cnot2(u, np.array([0.0, bad]), 1.0)
+    u2, v2 = np.array([0.1, 0.2]), np.array([0.3, 0.2])
+    for tile in ([5], [-1], [2], [0, 0], [1, 0], [[0]]):
+        with pytest.raises(ValueError, match="first_tile"):
+            closed_form_cnot2(u2, v2, 1.0, first_tile=tile)
+    assert closed_form_cnot2(u2, v2, 1.0, first_tile=[0]) == closed_form_cnot2(
+        u2, v2, 1.0
+    )
 
 
 def test_identity_machine_kernel_is_zero():
