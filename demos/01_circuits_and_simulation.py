@@ -47,6 +47,8 @@ theta = [np.pi / 2, np.pi / 4]
 circuit = instantiate(template, theta)
 state = run_circuit(circuit.gates, circuit.num_qubits)
 print(f"theta = {theta}")
+print("bound circuit, a template with no parameters:")
+print(to_quil(circuit))
 print("amplitudes (basis order |q1 q0>):")
 for idx, amp in enumerate(state.amplitudes):
     print(f"  |{idx:02b}>  {amp.real:+.4f} {amp.imag:+.4f}i")
