@@ -406,11 +406,11 @@ def test_bad_numeric_flags(capsys):
     ["baseline", "--lambda", "-1"],
 ])
 def test_classifier_flags_checked_before_featurize(monkeypatch, capsys, argv):
-    def no_featurize(*args, **kwargs):
-        raise AssertionError("featurize ran before the flags were checked")
+    def too_early(*args, **kwargs):
+        raise AssertionError("data loaded before the flags were checked")
 
-    monkeypatch.setattr("qks.cli.featurize", no_featurize)
-    monkeypatch.setattr("qks.cli._load_splits", no_featurize)
+    monkeypatch.setattr("qks.cli.featurize", too_early)
+    monkeypatch.setattr("qks.cli._load_splits", too_early)
     rc, _, err = run_cli(argv + ["--frames-train", "20", "--frames-test", "10"],
                          capsys)
     assert rc == 2
