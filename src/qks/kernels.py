@@ -27,6 +27,9 @@ import numpy as np
 from .encoding import QksMachine
 from .simulator import bit_matrix, cached_engine
 
+# Episodes per block of mc_kernel's marginals.
+KERNEL_BLOCK = 16_384
+
 
 def expected_inner(u_probs: np.ndarray, v_probs: np.ndarray) -> float:
     """Exact E[b_u . b_v] for one episode: (u_probs B) . (v_probs B)."""
@@ -69,7 +72,6 @@ def mc_kernel(machine: QksMachine, u: np.ndarray, v: np.ndarray) -> KernelEstima
     if not (np.isfinite(u).all() and np.isfinite(v).all()):
         raise ValueError("u and v must be finite")
     n_eps = machine.episodes
-    n_q = machine.num_qubits
 
     with np.errstate(over="ignore", invalid="ignore"):
         theta = machine.encode_batch(np.stack([u, v]))  # (2, E, k)
@@ -80,16 +82,12 @@ def mc_kernel(machine: QksMachine, u: np.ndarray, v: np.ndarray) -> KernelEstima
                 "the input is too large for this machine"
             )
     engine = cached_engine(machine.template, machine.layers)
-    b = bit_matrix(n_q)
     vals = np.empty(n_eps)
-    step = max(1, engine.chunk_size // 2)
-    for start in range(0, n_eps, step):
-        stop = min(start + step, n_eps)
-        pu = engine.probabilities(theta[0, start:stop])
-        pv = engine.probabilities(theta[1, start:stop])
-        mu = pu @ b  # per-qubit P(bit = 1), shape (chunk, n_q)
-        mv = pv @ b
-        vals[start:stop] = np.einsum("ej,ej->e", mu, mv)
+    for start in range(0, n_eps, KERNEL_BLOCK):
+        block = slice(start, start + KERNEL_BLOCK)
+        mu = engine.marginals(theta[0, block])
+        mv = engine.marginals(theta[1, block])
+        vals[block] = np.einsum("ej,ej->e", mu, mv)
 
     value = float(vals.mean())
     stderr = float(vals.std(ddof=1) / np.sqrt(n_eps)) if n_eps > 1 else 0.0

@@ -236,6 +236,79 @@ def _compile(
     return tuple(folded)
 
 
+def _heisenberg_z(gates: Sequence[GateOp], n: int):
+    """Signed Pauli strings C^dagger Z_j C for a circuit C of H, CNOT and CZ.
+
+    Returns (r, x, z): row j is (-1)**r[j] times the product over qubits q
+    of X (x only), Z (z only) or Y (both) on q. Z_j is conjugated by the
+    gates from last to first with Aaronson & Gottesman's tableau rules (PRA
+    70, 052328, 2004); CZ a b is H b, CNOT a b, H b.
+    """
+    r = np.zeros(n, dtype=bool)
+    x = np.zeros((n, n), dtype=bool)
+    z = np.eye(n, dtype=bool)
+
+    def h(q):
+        r[:] ^= x[:, q] & z[:, q]
+        x[:, q], z[:, q] = z[:, q].copy(), x[:, q].copy()
+
+    def cnot(c, t):
+        r[:] ^= x[:, c] & z[:, t] & ~(x[:, t] ^ z[:, c])
+        x[:, t] ^= x[:, c]
+        z[:, c] ^= z[:, t]
+
+    for g in reversed(gates):
+        if g.kind is GateKind.H:
+            h(g.qubits[0])
+        elif g.kind is GateKind.CNOT:
+            cnot(*g.qubits)
+        else:
+            a, b = g.qubits
+            h(b)
+            cnot(a, b)
+            h(b)
+    return r, x, z
+
+
+def _marginal_rows(gates: Sequence[GateOp], prefix: Sequence[_Op], n: int):
+    """Each qubit's <Z_j> after ``gates`` as a constant times trig factors.
+
+    ``prefix`` has one RX op per qubit and ``gates`` only H, CNOT and CZ.
+    A prefix RX(theta) puts its qubit's Bloch vector at (0, -sin theta,
+    cos theta), so a Z factor contributes cos theta, a Y factor -sin theta
+    and an X factor 0; a literal angle's factor goes into the constant, from
+    its half angle's cos and sin. Returns one (constant, trig row indices)
+    pair per qubit, and the theta columns whose cos and whose sin give the
+    trig rows, in that order.
+    """
+    r, x, z = _heisenberg_z(gates, n)
+    used: set[tuple[bool, int]] = set()
+    terms = []
+    for j in range(n):
+        constant, factors = -1.0 if r[j] else 1.0, []
+        for op in prefix:
+            q = op.qubits[0]
+            if not z[j, q]:  # identity, or X
+                constant *= 0.0 if x[j, q] else 1.0
+                continue
+            is_y = bool(x[j, q])
+            if op.col is None:
+                c, s = op.cos, op.sin
+                constant *= -2.0 * s * c if is_y else c * c - s * s
+            else:
+                constant *= -1.0 if is_y else 1.0
+                factors.append((is_y, op.col))
+        factors = factors if constant else []
+        used.update(factors)
+        terms.append((constant, factors))
+    keys = sorted(used)
+    rows = tuple(
+        (constant, tuple(keys.index(f) for f in factors)) for constant, factors in terms
+    )
+    cols = tuple([col for is_y, col in keys if is_y == y] for y in (False, True))
+    return rows, cols
+
+
 def _cos_sin(op: _Op, thetas: np.ndarray | None):
     """cos and sin of an RX op's half angle: floats, or (b,) arrays."""
     if op.col is None:
@@ -335,8 +408,16 @@ class EpisodeEngine:
                 break
             prefix.append(op)
         self._rest = ops[len(prefix):]
+        # RX ops are never folded, so the prefix is also the first
+        # len(prefix) gates.
+        rest = (template.gates * layers)[len(prefix):]
         idle = set(range(n)) - {op.qubits[0] for op in prefix}
         prefix += [_Op(GateKind.RX, (q,)) for q in sorted(idle)]
+        # Per-qubit <Z_j> as signed trig products when only H, CNOT and CZ
+        # follow the prefix; None sends marginals through the outcome vector.
+        self._rows = self._trig_cols = None
+        if all(g.kind is not GateKind.RX for g in rest):
+            self._rows, self._trig_cols = _marginal_rows(rest, prefix, n)
         # The shape that lays an op's (2, b) (cos, sin) along its qubit's
         # axis of a (2, ..., 2, b) array, whose axis 0 is qubit n - 1 and
         # axis n - 1 qubit 0.
@@ -387,6 +468,30 @@ class EpisodeEngine:
         out = np.empty((thetas.shape[0], self.dim), dtype=np.float64)
         for rows, probs in self._chunks(thetas):
             out[rows] = probs.T
+        return out
+
+    def marginals(self, thetas: np.ndarray) -> np.ndarray:
+        """P(bit j = 1) per episode and qubit, (B, n): probabilities @ bit_matrix.
+
+        When only H, CNOT and CZ follow the RX prefix, each column is
+        1/2 - <Z_j>/2 with <Z_j> a signed product of cos and sin of thetas
+        (see :func:`_marginal_rows`); no outcome vector is built. Any other
+        template sums each chunk's outcome probabilities.
+        """
+        thetas = self._check_thetas(thetas)
+        out = np.empty((thetas.shape[0], self.num_qubits), dtype=np.float64)
+        if self._rows is None:
+            bits = bit_matrix(self.num_qubits)
+            for rows, probs in self._chunks(thetas):
+                out[rows] = probs.T @ bits
+            return out
+        cos_cols, sin_cols = self._trig_cols
+        trig = np.concatenate([np.cos(thetas.T[cos_cols]), np.sin(thetas.T[sin_cols])])
+        for j, (constant, factors) in enumerate(self._rows):
+            expectation = constant
+            for i in factors:
+                expectation = expectation * trig[i]
+            out[:, j] = 0.5 - 0.5 * expectation
         return out
 
     def sample(self, thetas: np.ndarray, uniforms: np.ndarray) -> np.ndarray:

@@ -102,6 +102,20 @@ def test_p4_mc_kernel_matches_oracle_average():
     assert est.stderr == pytest.approx(vals.std(ddof=1) / np.sqrt(40), abs=1e-12)
 
 
+def test_p16_mc_kernel_matches_oracle_average():
+    t = get_ansatz("p16")
+    m = sample_machine(t, EncodingStructure.split(16), 1.0, 3, seed=9)
+    u, v = np.random.default_rng(10).normal(size=(2, 16))
+
+    def probs(x, e):
+        return oracle_probabilities(template_to_oracle_gates(t, m.encode(x, e)), 16)
+
+    vals = np.array([expected_inner(probs(u, e), probs(v, e)) for e in range(3)])
+    est = mc_kernel(m, u, v)
+    assert est.value == pytest.approx(vals.mean(), abs=1e-12)
+    assert est.stderr == pytest.approx(vals.std(ddof=1) / np.sqrt(3), abs=1e-12)
+
+
 def test_mc_kernel_exact_symmetry():
     t = get_ansatz("cnot2")
     m = sample_machine(t, EncodingStructure.split(2), 2.0, 300, seed=7)
@@ -144,6 +158,15 @@ def test_cz2_constant_kernel():
         est = mc_kernel(m, u, v)
         assert abs(est.value - 0.5) < 1e-12
         assert est.stderr < 1e-14  # every episode contributes exactly 1/2
+
+
+def test_cz2_kernel_is_exactly_one_half():
+    # Each qubit's Z, pulled back through H, H and CZ, carries an X factor,
+    # so both marginals are exactly 1/2 in every episode.
+    m = sample_machine(get_ansatz("cz2"), EncodingStructure.split(2), 2.0, 40_000, 22)
+    for u, v in np.random.default_rng(23).normal(size=(3, 2, 2)):
+        est = mc_kernel(m, u, v)
+        assert (est.value, est.stderr) == (0.5, 0.0)
 
 
 def test_cz2_marginals_are_unbiased():

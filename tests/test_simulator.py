@@ -5,12 +5,15 @@ import pytest
 from scipy import stats
 
 from qks import (
+    CircuitTemplate,
     EpisodeEngine,
     GateKind,
     GateOp,
+    ParamRef,
     Shot,
     StateVector,
     apply_gate,
+    bit_matrix,
     exact_probabilities,
     get_ansatz,
     instantiate,
@@ -468,3 +471,88 @@ def test_product_path_matches_dense_kernels_bit_for_bit(key):
     dense = _apply_ops(dense.T, engine.num_qubits, ops, thetas).T
     probs = dense.real * dense.real + dense.imag * dense.imag
     assert np.array_equal(engine.probabilities(thetas), probs)
+
+
+def _oracle_marginals(t, layers, theta):
+    """P(bit j = 1) from the kron oracle's probabilities, one episode."""
+    p = t.num_params
+    gates = []
+    for layer in range(layers):
+        gates += template_to_oracle_gates(t, theta[layer * p : (layer + 1) * p])
+    return oracle_probabilities(gates, t.num_qubits) @ bit_matrix(t.num_qubits)
+
+
+def _assert_marginals_match_oracle(t, layers, rows, seed):
+    engine = cached_engine(t, layers)
+    thetas = np.random.default_rng(seed).uniform(-7, 7, (rows, engine.num_params))
+    mine = engine.marginals(thetas)
+    assert mine.shape == (rows, t.num_qubits)
+    for theta, row in zip(thetas, mine):
+        assert np.abs(row - _oracle_marginals(t, layers, theta)).max() <= 1e-14
+    return engine
+
+
+MIXED3 = (
+    "DEFCIRCUIT MIXED3(%a, %b, %c):\n"
+    "    RX(%a) 0\n    RX(%b) 1\n    H 2\n    CNOT 0 2\n    CZ 2 1\n"
+    "    CNOT 1 0\n    CZ 0 2\n    RX(%c) 1\n    H 0\n"
+)
+
+
+@pytest.mark.parametrize("layers", [1, 2])
+@pytest.mark.parametrize("name", ["rx1", "cnot2", "cz2", "p4", "p9", "p16", "mixed3"])
+def test_marginals_against_kron_oracle(name, layers):
+    # One layer of a built-in is an RX product state under H, CNOT and CZ
+    # only, so its marginals come from one Pauli string per qubit; a second
+    # layer, or mixed3's RX after the entanglers, sums outcome probabilities.
+    t = parse_template(MIXED3) if name == "mixed3" else get_ansatz(name)
+    rows = 2 if name == "p16" else 10
+    engine = _assert_marginals_match_oracle(t, layers, rows, seed=41)
+    assert (engine._rows is not None) == (layers == 1 and name != "mixed3")
+
+
+def _random_clifford_template(rng):
+    """RX on some of 2-5 qubits in random order, then up to 12 H/CNOT/CZ gates.
+
+    About a third of the RX angles are literal; qubits without an RX idle.
+    """
+    n = int(rng.integers(2, 6))
+    params, gates = [], []
+    for q in rng.permutation(n)[: rng.integers(1, n + 1)]:
+        if rng.random() < 0.3:
+            angle = float(rng.uniform(-7, 7))
+        else:
+            params.append(f"t{len(params)}")
+            angle = ParamRef(params[-1])
+        gates.append(GateOp(GateKind.RX, (int(q),), angle))
+    kinds = (GateKind.H, GateKind.CNOT, GateKind.CZ)
+    for _ in range(rng.integers(0, 13)):
+        kind = kinds[rng.integers(3)]
+        qubits = rng.choice(n, size=kind.num_qubits, replace=False)
+        gates.append(GateOp(kind, tuple(int(q) for q in qubits)))
+    return CircuitTemplate("R", tuple(params), tuple(gates), n)
+
+
+def test_marginals_of_random_clifford_templates_against_kron_oracle():
+    # H, CNOT and CZ are real, so C^dagger Z_j C holds an even number of Y
+    # factors, and any X factor zeroes it: about one template in twenty has
+    # a Y on a parameterized RX.
+    rng = np.random.default_rng(42)
+    idle = literal = y_factor = 0
+    for _ in range(400):
+        t = _random_clifford_template(rng)
+        engine = _assert_marginals_match_oracle(t, 1, 3, int(rng.integers(2**32)))
+        assert engine._rows is not None
+        rx = [g for g in t.gates if g.kind is GateKind.RX]
+        idle += len(rx) < t.num_qubits
+        literal += any(not isinstance(g.angle, ParamRef) for g in rx)
+        y_factor += bool(engine._trig_cols[1])
+    assert min(idle, literal, y_factor) >= 10, (idle, literal, y_factor)
+
+
+def test_marginals_validate_thetas():
+    engine = EpisodeEngine(get_ansatz("cnot2"))
+    with pytest.raises(ValueError, match="shape"):
+        engine.marginals(np.zeros((4, 3)))
+    with pytest.raises(ValueError, match="finite"):
+        engine.marginals([[0.0, np.nan]])
