@@ -8,7 +8,9 @@ A refactor of the encoder, the simulator or the sampler must leave every
 digest unchanged; a change that moves one changes the features users get and
 has to be reported as such, not re-pinned silently.
 
-Run this file as a script to print the current digests.
+Run this file as a script to print the current digests; each kernel digest
+is followed by the (value, stderr) reprs it hashes, for quoting when one
+moves.
 """
 
 import hashlib
@@ -138,7 +140,8 @@ def feature_digests(key: str) -> tuple[str, str]:
     return _sha(machine.omega, machine.beta), _sha(fm.packed)
 
 
-def kernel_digest(key: str) -> str:
+def kernel_estimates(key: str) -> list[tuple[float, float]]:
+    """``mc_kernel``'s (value, stderr) for each pair of a kernel config."""
     name, layers, sigma, episodes, seed = KERNEL_CONFIGS[key]
     template = get_ansatz(name)
     width = template.num_params
@@ -146,7 +149,11 @@ def kernel_digest(key: str) -> str:
         template, EncodingStructure.split(width), sigma, episodes, seed, layers
     )
     pairs = [mc_kernel(machine, u, v) for u, v in KERNEL_PAIRS[width]]
-    return _sha(np.array([(k.value, k.stderr) for k in pairs]))
+    return [(k.value, k.stderr) for k in pairs]
+
+
+def kernel_digest(key: str) -> str:
+    return _sha(np.array(kernel_estimates(key)))
 
 
 @pytest.mark.parametrize("key", sorted(FEATURE_CONFIGS))
@@ -165,4 +172,5 @@ if __name__ == "__main__":
     for key in FEATURE_CONFIGS:
         print(f"    {key!r}: {feature_digests(key)!r},")
     for key in KERNEL_CONFIGS:
-        print(f"    {key!r}: {kernel_digest(key)!r},")
+        estimates = kernel_estimates(key)
+        print(f"    {key!r}: {_sha(np.array(estimates))!r},  # {estimates!r}")
