@@ -96,8 +96,9 @@ FEATURE_DIGESTS = {
 }
 
 # (ansatz, layers, sigma, episodes, seed), split encoding of the template's
-# width; episodes span several simulator chunks. On p4 and p9 each marginal
-# sums 8 and 256 probabilities, so a change in their order would show.
+# width. At two layers p4's marginals each sum 8 outcome probabilities over
+# several simulator chunks, so a change in their order would show; the
+# one-layer configs read them from one Pauli string per qubit.
 KERNEL_CONFIGS = {
     "cnot2": ("cnot2", 1, 1.0, 40_000, 21),
     "cz2": ("cz2", 1, 2.0, 40_000, 22),
@@ -107,9 +108,9 @@ KERNEL_CONFIGS = {
 
 KERNEL_DIGESTS = {
     "cnot2": "7c6df484636f1b805ab0404c5cfdcdd9be6b476d93a71876d257f6ee2929c8d2",
-    "cz2": "95292f8f59badc07b0ebf2a3a81c95047674a7125b62b56110cbfa2c64a7699a",
+    "cz2": "fcb1c05c13217367c002412ab22c281f7a4921fa7d419735a0e819ec76333d52",
     "p4-l2": "5bbc1cb0715d750b85265da6d47cb778337f2b287393db35035d73b747d5a56a",
-    "p9": "da9c6ecfde8de39913abe0de00e98c1de98b9f5213683391373cb7ecd877ce03",
+    "p9": "e0d9d6ae0e764356e675719cd17377166817af11dbcefe0deba94bebd12dc11d",
 }
 
 # (u, v) pairs by input width: a distinct pair and a pair with u == v.
