@@ -63,12 +63,19 @@ def mc_kernel(machine: QksMachine, u: np.ndarray, v: np.ndarray) -> KernelEstima
     (u, v): elementwise products of marginals commute, so both argument
     orders sum the same floats.
 
-    Raises ValueError naming ``u`` or ``v`` when its encoding is not finite,
-    as when ``sigma * x`` overflows for a large finite x.
+    Raises ValueError naming ``u`` or ``v`` when it does not hold
+    ``structure.p`` coordinates, or when its encoding is not finite, as when
+    ``sigma * x`` overflows for a large finite x.
     """
     p = machine.structure.p
-    u = np.asarray(u, dtype=np.float64).reshape(p)
-    v = np.asarray(v, dtype=np.float64).reshape(p)
+    u = np.asarray(u, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
+    for name, x in zip("uv", (u, v)):
+        if x.size != p:
+            raise ValueError(
+                f"{name}: the machine takes p = {p} input coordinates, got {x.size}"
+            )
+    u, v = u.reshape(p), v.reshape(p)
     if not (np.isfinite(u).all() and np.isfinite(v).all()):
         raise ValueError("u and v must be finite")
     n_eps = machine.episodes
@@ -108,8 +115,9 @@ def closed_form_cnot2(
     coordinate; higher-dimensional tilings must pass it explicitly.
 
     Raises ValueError naming ``sigma`` unless it is finite and >= 0, ``u``
-    and ``v`` unless they are finite, and ``first_tile`` for a coordinate
-    out of range, out of order or repeated.
+    and ``v`` unless they are finite, and ``first_tile`` unless it is a
+    non-empty 1-D integer array of coordinates in range, in order and
+    without repeats.
     """
     u = np.asarray(u, dtype=np.float64).ravel()
     v = np.asarray(v, dtype=np.float64).ravel()
@@ -125,12 +133,16 @@ def closed_form_cnot2(
                 "first_tile is required for inputs of dimension != 2"
             )
         first_tile = np.array([0])
-    idx = np.asarray(first_tile, dtype=np.intp)
-    in_range = ((0 <= idx) & (idx < u.size)).all()
-    if idx.ndim != 1 or not in_range or (np.diff(idx) <= 0).any():
+    idx = np.asarray(first_tile)
+    valid = idx.dtype.kind in "iu" and idx.ndim == 1 and idx.size > 0
+    if not (
+        valid
+        and ((0 <= idx) & (idx < u.size)).all()
+        and (np.diff(idx) > 0).all()
+    ):
         raise ValueError(
-            f"first_tile must list coordinates of [0, {u.size}) in increasing "
-            f"order without repeats, got {idx.tolist()}"
+            f"first_tile must list integer coordinates of [0, {u.size}) in "
+            f"increasing order without repeats, got {idx.tolist()}"
         )
     d = u - v
     d1_sq = float(np.dot(d[idx], d[idx]))

@@ -225,6 +225,17 @@ def test_closed_form_limits_and_tiles():
     )
 
 
+def test_closed_form_rejects_a_first_tile_that_is_not_integers():
+    u, v = np.array([0.1, 0.2]), np.array([0.3, 0.2])
+    for tile in ([0.7], [1.9], [True], np.array([0.0]), []):
+        with pytest.raises(ValueError, match="first_tile"):
+            closed_form_cnot2(u, v, 1.0, first_tile=tile)
+    for tile in ((1,), np.array([1], dtype=np.uint8), np.array([1], dtype=np.int32)):
+        assert closed_form_cnot2(u, v, 1.0, first_tile=tile) == closed_form_cnot2(
+            u, v, 1.0, first_tile=[1]
+        )
+
+
 def test_identity_machine_kernel_is_zero():
     ident = CircuitTemplate("ID", (), (), 1)
     structure = EncodingStructure(2, 0, "custom", ())
@@ -243,6 +254,19 @@ def test_mc_kernel_rejects_non_finite_inputs():
             mc_kernel(machine, [bad, 0.0], [0.1, 0.2])
         with pytest.raises(ValueError, match="finite"):
             mc_kernel(machine, [0.1, 0.2], [0.0, bad])
+
+
+def test_mc_kernel_rejects_inputs_of_the_wrong_size():
+    machine = sample_machine(
+        get_ansatz("cnot2"), EncodingStructure.split(2), 1.0, 20, 3
+    )
+    with pytest.raises(ValueError, match="^u: .*p = 2.* 3"):
+        mc_kernel(machine, [0.1, 0.2, 0.3], [0.1, 0.2])
+    with pytest.raises(ValueError, match="^v: .*p = 2.* 1"):
+        mc_kernel(machine, [0.1, 0.2], [0.1])
+    assert mc_kernel(machine, [[0.1, 0.2]], [[0.3], [0.4]]) == mc_kernel(
+        machine, [0.1, 0.2], [0.3, 0.4]
+    )
 
 
 def test_mc_kernel_names_the_input_whose_encoding_overflows():
