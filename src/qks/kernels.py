@@ -8,6 +8,16 @@ for the (2^n, n) bit matrix B, so the bilinear form equals the dot product
 of the per-qubit one-marginals. Averaging the exact per-episode value over
 episodes gives a Monte Carlo estimate of the kernel with no shot noise.
 
+The marginals come from :meth:`EpisodeEngine.marginals`. For a template
+whose RX layer is followed only by H, CNOT and CZ (every built-in at one
+layer) it works in the Heisenberg picture: qubit j's Z pulled back through
+those Clifford gates is one signed Pauli string, so
+P(b_j = 1) = 1/2 - 1/2 * (+-prod_i f_i) with f_i = cos theta_i for a Z
+factor and -sin theta_i for a Y factor, and 1/2 exactly when any factor is
+X (cz2). This is the random-features form of Rahimi & Recht (NIPS 2007).
+Other templates (an RX after the entanglers, two or more layers) sum their
+outcome probabilities against the bit matrix.
+
 For the 2-qubit CNOT ansatz with a split/tiled encoding the episode average
 has a closed form:
 
@@ -57,11 +67,11 @@ class KernelEstimate:
 def mc_kernel(machine: QksMachine, u: np.ndarray, v: np.ndarray) -> KernelEstimate:
     """Estimate k(u, v) by averaging exact per-episode inner products.
 
-    Per episode the expected shot inner product is computed from the two
-    outcome distributions via the marginal factorization of S (see module
-    docstring). The factorized form makes the estimate exactly symmetric in
-    (u, v): elementwise products of marginals commute, so both argument
-    orders sum the same floats.
+    Per episode the expected shot inner product is the dot product of the
+    two per-qubit marginals (see module docstring), taken over blocks of
+    ``KERNEL_BLOCK`` episodes. The factorized form makes the estimate
+    exactly symmetric in (u, v): elementwise products of marginals commute,
+    so both argument orders sum the same floats.
 
     Raises ValueError naming ``u`` or ``v`` when it does not hold
     ``structure.p`` coordinates, or when its encoding is not finite, as when

@@ -32,10 +32,21 @@ outcome probabilities in basis-index order: a cumulative sum down axis 0,
 which adds in the same sequence per episode as one along a row would.
 :meth:`EpisodeEngine.probabilities` returns one row per episode, (B, 2**n).
 
+:meth:`EpisodeEngine.marginals` returns P(bit j = 1), (B, n), in the
+Heisenberg picture where it can. When only H, CNOT and CZ follow the RX
+prefix (every built-in at one layer), those gates are Clifford, so each
+qubit's C^dagger Z_j C is one signed Pauli string, found once per engine
+with Aaronson & Gottesman's tableau rules. Against the product state its
+expectation is a product of cos theta (Z) and -sin theta (Y) factors, or 0
+if any factor is X, and the marginal is 1/2 - <Z_j>/2 with no 2**n vector.
+Any other template (an RX after the entanglers, two or more layers) sums
+each chunk's outcome probabilities against :func:`bit_matrix`.
+
 The readout rule lives here too: qubit j's reading is bit j of the outcome
 index, and an index fits in MAX_QUBITS = 16 bits. :func:`outcome_bits`
 applies it to the sampled indices that features pack, and
-:func:`bit_matrix` to every basis index, for the kernels' marginals.
+:func:`bit_matrix` to every basis index, for marginals summed from outcome
+probabilities.
 """
 
 from __future__ import annotations
