@@ -43,6 +43,15 @@ def mnist_dir() -> Path:
     return base
 
 
+# A user template whose CZ signs land after CNOTs have moved basis states, with
+# H before the entanglers and an RX after them.
+MIXED3 = (
+    "DEFCIRCUIT MIXED3(%a, %b, %c):\n"
+    "    RX(%a) 0\n    RX(%b) 1\n    H 2\n    CNOT 0 2\n    CZ 2 1\n"
+    "    CNOT 1 0\n    CZ 0 2\n    RX(%c) 1\n    H 0\n"
+)
+
+
 # ---------------------------------------------------------------------------
 # Independent brute-force simulator: applies 2x2 / 4x4 unitaries through
 # explicit basis-index masks, sharing no code with the package's engine.

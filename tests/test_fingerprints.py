@@ -26,14 +26,7 @@ from qks import (
     parse_template,
     sample_machine,
 )
-
-# A user template whose CZ signs land after CNOTs have moved basis states, with
-# H before the entanglers and an RX after them.
-MIXED3 = (
-    "DEFCIRCUIT MIXED3(%a, %b, %c):\n"
-    "    RX(%a) 0\n    RX(%b) 1\n    H 2\n    CNOT 0 2\n    CZ 2 1\n"
-    "    CNOT 1 0\n    CZ 0 2\n    RX(%c) 1\n    H 0\n"
-)
+from conftest import MIXED3
 
 # (ansatz name or Quil source, structure, layers, workers, episodes, rows,
 # sigma, seed). Row counts above 64 span several featurize blocks; episode

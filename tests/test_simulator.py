@@ -24,7 +24,7 @@ from qks import (
 )
 from qks import simulator
 from qks.simulator import _apply_ops, _compile, cached_engine, outcome_bits
-from conftest import oracle_probabilities, template_to_oracle_gates
+from conftest import MIXED3, oracle_probabilities, template_to_oracle_gates
 
 
 def test_zero_state():
@@ -359,6 +359,8 @@ def test_engine_input_validation():
     engine = EpisodeEngine(get_ansatz("cnot2"))
     with pytest.raises(ValueError, match="shape"):
         engine.probabilities(np.zeros((4, 3)))
+    with pytest.raises(ValueError, match="shape"):
+        engine.marginals(np.zeros((4, 3)))
     with pytest.raises(ValueError, match="uniform"):
         engine.sample(np.zeros((4, 2)), np.zeros(3))
 
@@ -370,6 +372,8 @@ def test_engine_rejects_non_finite_thetas_and_out_of_range_uniforms():
             engine.sample([[bad, 0.0]], [0.5])
         with pytest.raises(ValueError, match="finite"):
             engine.probabilities([[0.0, bad]])
+        with pytest.raises(ValueError, match="finite"):
+            engine.marginals([[bad, 0.0]])
     for u in (np.nan, 1.0, 1.5, -0.25, np.inf):
         with pytest.raises(ValueError, match=r"\[0, 1\)"):
             engine.sample([[0.3, 0.4]], [u])
@@ -492,13 +496,6 @@ def _assert_marginals_match_oracle(t, layers, rows, seed):
     return engine
 
 
-MIXED3 = (
-    "DEFCIRCUIT MIXED3(%a, %b, %c):\n"
-    "    RX(%a) 0\n    RX(%b) 1\n    H 2\n    CNOT 0 2\n    CZ 2 1\n"
-    "    CNOT 1 0\n    CZ 0 2\n    RX(%c) 1\n    H 0\n"
-)
-
-
 @pytest.mark.parametrize("layers", [1, 2])
 @pytest.mark.parametrize("name", ["rx1", "cnot2", "cz2", "p4", "p9", "p16", "mixed3"])
 def test_marginals_against_kron_oracle(name, layers):
@@ -548,11 +545,3 @@ def test_marginals_of_random_clifford_templates_against_kron_oracle():
         literal += any(not isinstance(g.angle, ParamRef) for g in rx)
         y_factor += bool(engine._trig_cols[1])
     assert min(idle, literal, y_factor) >= 10, (idle, literal, y_factor)
-
-
-def test_marginals_validate_thetas():
-    engine = EpisodeEngine(get_ansatz("cnot2"))
-    with pytest.raises(ValueError, match="shape"):
-        engine.marginals(np.zeros((4, 3)))
-    with pytest.raises(ValueError, match="finite"):
-        engine.marginals([[0.0, np.nan]])
