@@ -8,8 +8,10 @@ episode. This script computes the cnot2 kernel by
   2. Monte Carlo over episodes with the exact per-episode distribution,
   3. a closed-form expression in |u - v|,
 
-and shows all three agree. It finishes with the cz2 control, whose kernel
-is the constant 1/2: a kernel that cannot rank any pair of inputs.
+and shows all three agree. The closed form is one formula for every
+template whose qubits read out as Pauli strings of its RX angles; a p9 row
+checks it on nine qubits. The script finishes with the cz2 control, whose
+kernel is the constant 1/2: a kernel that cannot rank any pair of inputs.
 """
 
 import numpy as np
@@ -17,6 +19,7 @@ import numpy as np
 from qks import (
     EncodingStructure,
     closed_form_cnot2,
+    closed_form_kernel,
     expected_inner,
     featurize,
     get_ansatz,
@@ -62,6 +65,16 @@ for sigma in sigmas:
     print(f"  sigma={sigma:<5} mc={est.value:.4f}  closed={cf:.4f}")
 print("small sigma -> everything looks similar (kernel near its maximum);")
 print("large sigma -> only near-identical inputs correlate.")
+
+p9 = get_ansatz("p9")
+split9 = EncodingStructure.split(9)
+wide = sample_machine(p9, split9, SIGMA, EPISODES, seed=3)
+u, v = rng.normal(size=(2, 9))
+est = mc_kernel(wide, u, v)
+cf = closed_form_kernel(p9, split9, u, v, SIGMA)
+print(f"\np9, the same closed form over nine qubits' Pauli strings "
+      f"(|u-v| = {np.linalg.norm(u - v):.3f}):")
+print(f"  mc={est.value:.4f} +/- {est.stderr:.4f}  closed={cf:.4f}")
 
 print("\ncz2 control (every marginal is exactly 1/2):")
 control = sample_machine(get_ansatz("cz2"), structure, SIGMA, EPISODES, seed=2)

@@ -40,6 +40,7 @@ from .features import (
 from .kernels import (
     KernelEstimate,
     closed_form_cnot2,
+    closed_form_kernel,
     expected_inner,
     mc_kernel,
 )
@@ -100,6 +101,7 @@ __all__ = [
     "apply_gate",
     "bit_matrix",
     "closed_form_cnot2",
+    "closed_form_kernel",
     "evaluate",
     "exact_probabilities",
     "expected_inner",

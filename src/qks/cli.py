@@ -35,7 +35,7 @@ from .datasets import (
 )
 from .encoding import EncodingStructure, QksMachine, sample_machine
 from .features import FeatureFileError, featurize, load_features, save_features
-from .kernels import closed_form_cnot2, mc_kernel
+from .kernels import closed_form_kernel, mc_kernel
 from .logistic import check_fit_options, evaluate, train
 from .quil import QuilParseError
 
@@ -315,23 +315,20 @@ def cmd_kernel(args) -> int:
     if args.pairs < 1:
         raise UsageError("--pairs must be >= 1")
     template = get_ansatz(args.ansatz)
-    structure = EncodingStructure.split(2)
+    q = template.num_params
+    structure = EncodingStructure.split(q)
     machine = sample_machine(template, structure, args.sigma,
                              args.episodes, args.seed)
     rng = np.random.default_rng(args.seed)
-    lines = ["u0,u1,v0,v1,mc,stderr,closed_form"]
+    names = [f"{x}{i}" for x in "uv" for i in range(q)]
+    lines = [",".join(names + ["mc", "stderr", "closed_form"])]
     for _ in range(args.pairs):
-        u = rng.normal(size=2)
-        v = rng.normal(size=2)
+        u = rng.normal(size=q)
+        v = rng.normal(size=q)
         est = mc_kernel(machine, u, v)
-        if args.ansatz == "cnot2":
-            cf = closed_form_cnot2(u, v, args.sigma)
-        else:
-            cf = 0.5
-        lines.append(
-            f"{u[0]:.6f},{u[1]:.6f},{v[0]:.6f},{v[1]:.6f},"
-            f"{est.value:.8f},{est.stderr:.2e},{cf:.8f}"
-        )
+        cf = closed_form_kernel(template, structure, u, v, args.sigma)
+        coords = ",".join(f"{x:.6f}" for x in np.concatenate([u, v]))
+        lines.append(f"{coords},{est.value:.8f},{est.stderr:.2e},{cf:.8f}")
     _write_csv(args.out, lines, "pairs")
     return 0
 
@@ -398,7 +395,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("kernel", help="Monte Carlo vs closed-form kernels")
-    p.add_argument("--ansatz", choices=("cnot2", "cz2"), default="cnot2")
+    p.add_argument("--ansatz", choices=ansatz_names(), default="cnot2",
+                   help="circuit template, one input coordinate per "
+                        "parameter (default cnot2)")
     p.add_argument("--sigma", type=float, default=1.0, metavar="F")
     p.add_argument("--pairs", type=int, default=20, metavar="N")
     p.add_argument("--episodes", type=int, default=100_000, metavar="E")

@@ -8,9 +8,10 @@ Rows are stored packed, 64 columns per little-endian uint64 word.
 On-disk format (``.qksf``): a 16-byte header (magic ``QKSF``, little-endian
 u32 version, u64 row count) followed by the packed words row-major in
 little-endian byte order, plus a ``<path>.json`` sidecar. The sidecar
-records the matrix geometry (rows, columns, episodes, num_qubits) at its top
-level, and its ``machine`` object, the matrix's ``meta``, describes the
-machine that produced the bits: template, sigma, seed, layers and structure.
+records its format (``"QKSF"``) and version and, as JSON integers, the
+matrix geometry (rows, columns, episodes, num_qubits) at its top level. Its
+``machine`` object, the matrix's ``meta``, describes the machine that
+produced the bits: template, sigma, seed, layers and structure.
 The geometry lives only in the :class:`FeatureMatrix` fields, never in
 ``meta``.
 """
@@ -215,6 +216,10 @@ def save_features(fm: FeatureMatrix, path: str | Path) -> None:
     _sidecar_path(path).write_text(json.dumps(sidecar, indent=2) + "\n")
 
 
+# Sidecar fields that give the matrix geometry, each a JSON integer.
+_GEOMETRY = ("rows", "columns", "num_qubits", "episodes")
+
+
 def load_features(path: str | Path) -> FeatureMatrix:
     """Read a packed matrix written by :func:`save_features`."""
     path = Path(path)
@@ -232,12 +237,23 @@ def load_features(path: str | Path) -> FeatureMatrix:
         raise FeatureFileError(f"{path}: missing sidecar {sidecar_file.name}")
     try:
         sidecar = json.loads(sidecar_file.read_text())
-        sidecar_rows = int(sidecar["rows"])
-        columns = int(sidecar["columns"])
-        num_qubits = int(sidecar["num_qubits"])
-        episodes = int(sidecar["episodes"])
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        fields = [sidecar[key] for key in _GEOMETRY]
+    except (json.JSONDecodeError, KeyError, TypeError) as exc:
         raise FeatureFileError(f"{sidecar_file}: malformed sidecar: {exc}") from exc
+    # bool is a subclass of int, and json.loads reads 3.0 as a float.
+    fmt, fmt_version = sidecar.get("format"), sidecar.get("version")
+    if (fmt != "QKSF" or type(fmt_version) is not int
+            or fmt_version != FORMAT_VERSION):
+        raise FeatureFileError(
+            f"{sidecar_file}: expected format 'QKSF' version {FORMAT_VERSION}, "
+            f"got {fmt!r} version {fmt_version!r}"
+        )
+    for key, value in zip(_GEOMETRY, fields):
+        if type(value) is not int:
+            raise FeatureFileError(
+                f"{sidecar_file}: {key} must be a JSON integer, got {value!r}"
+            )
+    sidecar_rows, columns, num_qubits, episodes = fields
 
     if sidecar_rows != rows:
         raise FeatureFileError(

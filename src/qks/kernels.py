@@ -18,14 +18,29 @@ X (cz2). This is the random-features form of Rahimi & Recht (NIPS 2007).
 Other templates (an RX after the entanglers, two or more layers) sum their
 outcome probabilities against the bit matrix.
 
-For the 2-qubit CNOT ansatz with a split/tiled encoding the episode average
-has a closed form:
+When every qubit has a Pauli string (:attr:`EpisodeEngine.pauli_rows`),
+the average over a one-layer machine's episodes has a closed form. Write
+qubit j's string as <Z_j> = c_j prod_{i in S_j} f_i(theta_i), where each
+f_i is cos or sin (a Y factor's sign is in c_j), theta_i = omega_i .
+u_{T_i} + beta_i, and T_i lists the input coordinates feeding parameter i.
+Each parameter draws its own omega_i ~ N(0, sigma^2 I) and beta_i ~
+Uniform[0, 2 pi), so f_i averages to 0, and with d = u - v,
+E[f_i(theta_i(u)) f_i(theta_i(v))] = (1/2) e_i with
+e_i = exp(-sigma^2 ||d_{T_i}||^2 / 2). Summing the marginal products:
+
+    k(u, v) = sum_j (1/4) (1 + c_j^2 prod_{i in S_j} (1/2) e_i)
+
+over qubits whose S_j is not empty, plus (1/2 - c_j/2)^2 for each qubit
+whose string holds no parameter (cz2's X factors make c_j = 0, so its
+kernel is exactly 1/2). A string that reads one parameter twice averages
+no such product, and has no closed form here. For the 2-qubit CNOT
+ansatz, Z_0 stays Z_0 and Z_1 becomes Z_0 Z_1, so with d1 the part of d
+feeding the control's parameter
 
     k(u, v) = 1/2 + (1/8) exp(-sigma^2 ||d1||^2 / 2)
                   + (1/16) exp(-sigma^2 ||d||^2 / 2)
 
-where d = u - v and d1 is its restriction to the coordinates feeding the
-first parameter (the CNOT control). In particular k(u, u) = 11/16.
+and k(u, u) = 11/16.
 """
 
 from __future__ import annotations
@@ -34,7 +49,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import QksMachine
+from .ansatze import get_ansatz
+from .encoding import EncodingStructure, QksMachine
+from .quil import CircuitTemplate
 from .simulator import bit_matrix, cached_engine
 
 # Episodes per block of mc_kernel's marginals.
@@ -53,6 +70,22 @@ def expected_inner(u_probs: np.ndarray, v_probs: np.ndarray) -> float:
         raise ValueError("probability vectors must have power-of-two length")
     b = bit_matrix(n)
     return float((u_probs @ b) @ (v_probs @ b))
+
+
+def _check_pair(u, v, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """``u`` and ``v`` as finite float vectors of ``p`` coordinates each."""
+    u = np.asarray(u, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
+    for name, x in zip("uv", (u, v)):
+        if x.size != p:
+            raise ValueError(
+                f"{name}: the encoding takes inputs of dimension p = {p}, "
+                f"got {x.size}"
+            )
+    u, v = u.reshape(p), v.reshape(p)
+    if not (np.isfinite(u).all() and np.isfinite(v).all()):
+        raise ValueError("u and v must be finite")
+    return u, v
 
 
 @dataclass(frozen=True)
@@ -77,17 +110,7 @@ def mc_kernel(machine: QksMachine, u: np.ndarray, v: np.ndarray) -> KernelEstima
     ``structure.p`` coordinates, or when its encoding is not finite, as when
     ``sigma * x`` overflows for a large finite x.
     """
-    p = machine.structure.p
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    for name, x in zip("uv", (u, v)):
-        if x.size != p:
-            raise ValueError(
-                f"{name}: the machine takes p = {p} input coordinates, got {x.size}"
-            )
-    u, v = u.reshape(p), v.reshape(p)
-    if not (np.isfinite(u).all() and np.isfinite(v).all()):
-        raise ValueError("u and v must be finite")
+    u, v = _check_pair(u, v, machine.structure.p)
     n_eps = machine.episodes
 
     with np.errstate(over="ignore", invalid="ignore"):
@@ -111,6 +134,68 @@ def mc_kernel(machine: QksMachine, u: np.ndarray, v: np.ndarray) -> KernelEstima
     return KernelEstimate(value, stderr, n_eps)
 
 
+def _closed_form(template: CircuitTemplate, tiles, u, v, sigma: float) -> float:
+    """The module docstring's k(u, v) for checked ``u`` and ``v``.
+
+    ``tiles[i]`` lists the coordinates feeding the template's parameter i,
+    and may be empty.
+    """
+    if not 0 <= sigma < np.inf:
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
+    rows = cached_engine(template).pauli_rows
+    if rows is None:
+        raise ValueError(
+            f"template {template.name!r} has no closed-form kernel: an RX "
+            "follows its entanglers, so its qubits have no Pauli strings"
+        )
+    # u - v and sigma^2 may overflow to inf, which only pushes e_i to 0. A
+    # Python float product overflows without a warning, and a zero factor
+    # skips the exponent, where 0 * inf would be nan.
+    with np.errstate(over="ignore"):
+        d = u - v
+    s2 = float(sigma) * float(sigma)
+    k = sum(0.25 if factors else (0.5 - 0.5 * c) ** 2 for c, factors in rows)
+    for constant, factors in rows:
+        cols = [col for _, col in factors]
+        if len(set(cols)) < len(cols):
+            raise ValueError(
+                f"template {template.name!r} has no closed-form kernel: a "
+                "qubit's Pauli string reads one parameter twice"
+            )
+        if cols:
+            dc = d[sorted(i for col in cols for i in tiles[col])]
+            dist = float(np.dot(dc, dc))
+            coef = 0.25 * constant * constant * 0.5 ** len(cols)
+            k += coef * (np.exp(-0.5 * s2 * dist) if dist and s2 else 1.0)
+    return float(k)
+
+
+def closed_form_kernel(
+    template: CircuitTemplate,
+    structure: EncodingStructure,
+    u: np.ndarray,
+    v: np.ndarray,
+    sigma: float,
+) -> float:
+    """Closed-form kernel of ``template`` under ``structure``'s encoding.
+
+    This is the limit of :func:`mc_kernel` as the episodes grow, for a
+    one-layer machine (see the module docstring). Raises ValueError when
+    the structure's q is not the template's parameter count, when ``u`` or
+    ``v`` does not hold ``structure.p`` finite coordinates, when ``sigma``
+    is not finite and >= 0, and naming the template when it has no Pauli
+    strings (an RX after the entanglers) or a qubit's string reads one
+    parameter twice.
+    """
+    if structure.q != template.num_params:
+        raise ValueError(
+            f"structure has q={structure.q} parameters but template "
+            f"{template.name!r} declares {template.num_params}"
+        )
+    u, v = _check_pair(u, v, structure.p)
+    return _closed_form(template, structure.rows, u, v, sigma)
+
+
 def closed_form_cnot2(
     u: np.ndarray,
     v: np.ndarray,
@@ -121,22 +206,17 @@ def closed_form_cnot2(
 
     ``first_tile`` lists the input coordinates feeding the first parameter
     (the rotation on the CNOT's control qubit), in increasing order and
-    without repeats. For 2-dimensional inputs it defaults to the first
-    coordinate; higher-dimensional tilings must pass it explicitly.
+    without repeats; the rest feed the second. For 2-dimensional inputs it
+    defaults to the first coordinate; higher-dimensional tilings must pass
+    it explicitly.
 
     Raises ValueError naming ``sigma`` unless it is finite and >= 0, ``u``
-    and ``v`` unless they are finite, and ``first_tile`` unless it is a
-    non-empty 1-D integer array of coordinates in range, in order and
-    without repeats.
+    and ``v`` unless they are finite and of one dimension, and
+    ``first_tile`` unless it is a non-empty 1-D integer array of
+    coordinates in range, in order and without repeats.
     """
     u = np.asarray(u, dtype=np.float64).ravel()
-    v = np.asarray(v, dtype=np.float64).ravel()
-    if u.shape != v.shape:
-        raise ValueError("u and v must have the same dimension")
-    if not (np.isfinite(u).all() and np.isfinite(v).all()):
-        raise ValueError("u and v must be finite")
-    if not 0 <= sigma < np.inf:
-        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
+    u, v = _check_pair(u, v, u.size)
     if first_tile is None:
         if u.shape[0] != 2:
             raise ValueError(
@@ -154,8 +234,6 @@ def closed_form_cnot2(
             f"first_tile must list integer coordinates of [0, {u.size}) in "
             f"increasing order without repeats, got {idx.tolist()}"
         )
-    d = u - v
-    d1_sq = float(np.dot(d[idx], d[idx]))
-    d_sq = float(np.dot(d, d))
-    s2 = sigma * sigma
-    return 0.5 + 0.125 * np.exp(-0.5 * s2 * d1_sq) + 0.0625 * np.exp(-0.5 * s2 * d_sq)
+    first = idx.tolist()
+    rest = sorted(set(range(u.size)).difference(first))
+    return _closed_form(get_ansatz("cnot2"), (first, rest), u, v, sigma)

@@ -36,9 +36,11 @@ which adds in the same sequence per episode as one along a row would.
 Heisenberg picture where it can. When only H, CNOT and CZ follow the RX
 prefix (every built-in at one layer), those gates are Clifford, so each
 qubit's C^dagger Z_j C is one signed Pauli string, found once per engine
-with Aaronson & Gottesman's tableau rules. Against the product state its
+with Aaronson & Gottesman's tableau rules and kept as
+:attr:`EpisodeEngine.pauli_rows`. Against the product state its
 expectation is a product of cos theta (Z) and -sin theta (Y) factors, or 0
 if any factor is X, and the marginal is 1/2 - <Z_j>/2 with no 2**n vector.
+The same rows give the closed-form kernel in :mod:`qks.kernels`.
 Any other template (an RX after the entanglers, two or more layers) sums
 each chunk's outcome probabilities against :func:`bit_matrix`.
 
@@ -281,20 +283,20 @@ def _heisenberg_z(gates: Sequence[GateOp], n: int):
     return r, x, z
 
 
-def _marginal_rows(gates: Sequence[GateOp], prefix: Sequence[_Op], n: int):
+def _pauli_rows(gates: Sequence[GateOp], prefix: Sequence[_Op], n: int):
     """Each qubit's <Z_j> after ``gates`` as a constant times trig factors.
 
     ``prefix`` has one RX op per qubit and ``gates`` only H, CNOT and CZ.
     A prefix RX(theta) puts its qubit's Bloch vector at (0, -sin theta,
     cos theta), so a Z factor contributes cos theta, a Y factor -sin theta
     and an X factor 0; a literal angle's factor goes into the constant, from
-    its half angle's cos and sin. Returns one (constant, trig row indices)
-    pair per qubit, and the theta columns whose cos and whose sin give the
-    trig rows, in that order.
+    its half angle's cos and sin. Returns one (constant, factors) pair per
+    qubit: <Z_j> is the constant times, for each (is_y, col) in factors in
+    prefix order, sin (is_y) or cos of theta column col. The minus sign of
+    each Y factor is in the constant, and a zero constant has no factors.
     """
     r, x, z = _heisenberg_z(gates, n)
-    used: set[tuple[bool, int]] = set()
-    terms = []
+    rows = []
     for j in range(n):
         constant, factors = -1.0 if r[j] else 1.0, []
         for op in prefix:
@@ -309,15 +311,8 @@ def _marginal_rows(gates: Sequence[GateOp], prefix: Sequence[_Op], n: int):
             else:
                 constant *= -1.0 if is_y else 1.0
                 factors.append((is_y, op.col))
-        factors = factors if constant else []
-        used.update(factors)
-        terms.append((constant, factors))
-    keys = sorted(used)
-    rows = tuple(
-        (constant, tuple(keys.index(f) for f in factors)) for constant, factors in terms
-    )
-    cols = tuple([col for is_y, col in keys if is_y == y] for y in (False, True))
-    return rows, cols
+        rows.append((constant, tuple(factors) if constant else ()))
+    return tuple(rows)
 
 
 def _cos_sin(op: _Op, thetas: np.ndarray | None):
@@ -424,11 +419,14 @@ class EpisodeEngine:
         rest = (template.gates * layers)[len(prefix):]
         idle = set(range(n)) - {op.qubits[0] for op in prefix}
         prefix += [_Op(GateKind.RX, (q,)) for q in sorted(idle)]
-        # Per-qubit <Z_j> as signed trig products when only H, CNOT and CZ
-        # follow the prefix; None sends marginals through the outcome vector.
-        self._rows = self._trig_cols = None
+        self._pauli_rows = None
         if all(g.kind is not GateKind.RX for g in rest):
-            self._rows, self._trig_cols = _marginal_rows(rest, prefix, n)
+            self._pauli_rows = _pauli_rows(rest, prefix, n)
+            # The theta columns whose cos and whose sin the rows read.
+            used = sorted({f for _, factors in self._pauli_rows for f in factors})
+            self._trig_cols = tuple(
+                [col for is_y, col in used if is_y == y] for y in (False, True)
+            )
         # The shape that lays an op's (2, b) (cos, sin) along its qubit's
         # axis of a (2, ..., 2, b) array, whose axis 0 is qubit n - 1 and
         # axis n - 1 qubit 0.
@@ -481,27 +479,42 @@ class EpisodeEngine:
             out[rows] = probs.T
         return out
 
+    @property
+    def pauli_rows(self) -> tuple | None:
+        """Each qubit's <Z_j> as a signed product of trig factors, or None.
+
+        When only H, CNOT and CZ follow the RX prefix, row j is a (constant,
+        factors) pair with <Z_j> = constant * prod(sin theta[col] if is_y
+        else cos theta[col] for is_y, col in factors); a Y factor's minus
+        sign and every literal RX angle are folded into the constant (see
+        :func:`_pauli_rows`). Any other template (an RX after the
+        entanglers, two or more layers) has no rows and gets None.
+        """
+        return self._pauli_rows
+
     def marginals(self, thetas: np.ndarray) -> np.ndarray:
         """P(bit j = 1) per episode and qubit, (B, n): probabilities @ bit_matrix.
 
-        When only H, CNOT and CZ follow the RX prefix, each column is
-        1/2 - <Z_j>/2 with <Z_j> a signed product of cos and sin of thetas
-        (see :func:`_marginal_rows`); no outcome vector is built. Any other
-        template sums each chunk's outcome probabilities.
+        With :attr:`pauli_rows`, each column is 1/2 - <Z_j>/2 from its row,
+        and no outcome vector is built. Any other template sums each chunk's
+        outcome probabilities.
         """
         thetas = self._check_thetas(thetas)
         out = np.empty((thetas.shape[0], self.num_qubits), dtype=np.float64)
-        if self._rows is None:
+        if self.pauli_rows is None:
             bits = bit_matrix(self.num_qubits)
             for rows, probs in self._chunks(thetas):
                 out[rows] = probs.T @ bits
             return out
         cos_cols, sin_cols = self._trig_cols
-        trig = np.concatenate([np.cos(thetas.T[cos_cols]), np.sin(thetas.T[sin_cols])])
-        for j, (constant, factors) in enumerate(self._rows):
+        trig = dict(zip(
+            [(False, col) for col in cos_cols] + [(True, col) for col in sin_cols],
+            np.concatenate([np.cos(thetas.T[cos_cols]), np.sin(thetas.T[sin_cols])]),
+        ))
+        for j, (constant, factors) in enumerate(self.pauli_rows):
             expectation = constant
-            for i in factors:
-                expectation = expectation * trig[i]
+            for f in factors:
+                expectation = expectation * trig[f]
             out[:, j] = 0.5 - 0.5 * expectation
         return out
 

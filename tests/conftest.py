@@ -1,4 +1,4 @@
-"""Shared fixtures: MNIST data discovery and a kron-based simulator oracle."""
+"""Shared fixtures: MNIST data discovery, test templates and a kron-based oracle."""
 
 from __future__ import annotations
 
@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+
+from qks.quil import CircuitTemplate, GateKind, GateOp, ParamRef
 
 MNIST_ENV = "QKS_MNIST_DIR"
 _MNIST_FILES = (
@@ -50,6 +52,28 @@ MIXED3 = (
     "    RX(%a) 0\n    RX(%b) 1\n    H 2\n    CNOT 0 2\n    CZ 2 1\n"
     "    CNOT 1 0\n    CZ 0 2\n    RX(%c) 1\n    H 0\n"
 )
+
+
+def random_clifford_template(rng):
+    """RX on some of 2-5 qubits in random order, then up to 12 H/CNOT/CZ gates.
+
+    About a third of the RX angles are literal; qubits without an RX idle.
+    """
+    n = int(rng.integers(2, 6))
+    params, gates = [], []
+    for q in rng.permutation(n)[: rng.integers(1, n + 1)]:
+        if rng.random() < 0.3:
+            angle = float(rng.uniform(-7, 7))
+        else:
+            params.append(f"t{len(params)}")
+            angle = ParamRef(params[-1])
+        gates.append(GateOp(GateKind.RX, (int(q),), angle))
+    kinds = (GateKind.H, GateKind.CNOT, GateKind.CZ)
+    for _ in range(rng.integers(0, 13)):
+        kind = kinds[rng.integers(3)]
+        qubits = rng.choice(n, size=kind.num_qubits, replace=False)
+        gates.append(GateOp(kind, tuple(int(q) for q in qubits)))
+    return CircuitTemplate("R", tuple(params), tuple(gates), n)
 
 
 # ---------------------------------------------------------------------------

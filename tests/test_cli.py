@@ -229,8 +229,22 @@ def test_kernel_csv_cz2_constant(capsys):
         assert abs(float(fields[4]) - 0.5) < 1e-9
 
 
-def test_kernel_rejects_wide_ansatz(capsys):
-    rc, _, err = run_cli(["kernel", "--ansatz", "p4"], capsys)
+def test_kernel_csv_p9(capsys):
+    rc, out, _ = run_cli(
+        ["kernel", "--ansatz", "p9", "--pairs", "3", "--episodes", "20000",
+         "--seed", "3"],
+        capsys,
+    )
+    assert rc == 0
+    lines = out.strip().splitlines()
+    names = [f"u{i}" for i in range(9)] + [f"v{i}" for i in range(9)]
+    assert lines[0] == ",".join(names + ["mc", "stderr", "closed_form"])
+    assert len(lines) == 4
+    for line in lines[1:]:
+        *coords, mc, stderr, cf = map(float, line.split(","))
+        assert len(coords) == 18
+        assert abs(mc - cf) <= 4.0 * stderr
+    rc, _, _ = run_cli(["kernel", "--ansatz", "p5"], capsys)
     assert rc == 2
 
 
@@ -300,6 +314,9 @@ def test_features_load_machine_line_omits_geometry(tmp_path, capsys):
 
 @pytest.mark.parametrize("changes", [
     {"machine": "cnot2"}, {"episodes": 3}, {"episodes": -8, "num_qubits": -2},
+    {"num_qubits": 2.7}, {"episodes": "8"}, {"episodes": 8.9},
+    {"num_qubits": True, "columns": 8}, {"format": 17}, {"format": None},
+    {"format": []}, {"version": 99},
 ])
 def test_features_load_bad_sidecar_exit_code(tmp_path, capsys, changes):
     path = tmp_path / "f.qksf"

@@ -299,6 +299,26 @@ def test_qksf_sidecar_machine_must_be_an_object(tmp_path, machine):
         load_features(path)
 
 
+@pytest.mark.parametrize("changes,message", [
+    ({"num_qubits": 2.7}, "num_qubits must be a JSON integer"),
+    ({"episodes": "10"}, "episodes must be a JSON integer"),
+    ({"episodes": 10.0}, "episodes must be a JSON integer"),
+    ({"rows": 5.0}, "rows must be a JSON integer"),
+    # 1 x 10 columns fit the same one word per row as the real 2 x 10
+    ({"num_qubits": True, "columns": 10}, "num_qubits must be a JSON integer"),
+    ({"format": 17}, "format 'QKSF'"),
+    ({"format": None}, "format 'QKSF'"),
+    ({"format": []}, "format 'QKSF'"),
+    ({"version": 99}, "version 1"),
+    ({"version": True}, "version 1"),
+    ({"version": 1.0}, "version 1"),
+])
+def test_qksf_sidecar_fields_must_have_their_json_types(tmp_path, changes, message):
+    path = _edit_sidecar(tmp_path, **changes)
+    with pytest.raises(FeatureFileError, match=message):
+        load_features(path)
+
+
 def test_qksf_sidecar_geometry_must_agree(tmp_path):
     # 4 x 4 = 16 != 20 columns; the column and byte counts stay valid
     path = _edit_sidecar(tmp_path, episodes=4, num_qubits=4)

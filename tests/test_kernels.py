@@ -9,14 +9,22 @@ from qks import (
     EncodingStructure,
     bit_matrix,
     closed_form_cnot2,
+    closed_form_kernel,
     exact_probabilities,
     expected_inner,
     get_ansatz,
+    ansatz_source,
     mc_kernel,
+    parse_template,
     sample_machine,
 )
 from qks.quil import CircuitTemplate
-from conftest import oracle_probabilities, template_to_oracle_gates
+from conftest import (
+    MIXED3,
+    oracle_probabilities,
+    random_clifford_template,
+    template_to_oracle_gates,
+)
 
 
 def test_bit_matrix():
@@ -147,6 +155,13 @@ def test_self_kernel_value():
     est = mc_kernel(m, u, u)
     assert abs(est.value - 11 / 16) <= 4 * est.stderr
     assert closed_form_cnot2(u, u, 1.0) == pytest.approx(11 / 16, abs=1e-15)
+    # sigma^2 overflows, but the self-kernel does not depend on sigma
+    for sigma in (1e200, np.float64(1e200)):
+        assert closed_form_cnot2(u, u, sigma) == 11 / 16
+    # u - v overflows: the Gaussian terms vanish unless sigma is 0
+    far, near = np.array([1e308, 0.3]), np.array([-1e308, 0.3])
+    assert closed_form_cnot2(far, near, 1.0) == 0.5
+    assert closed_form_cnot2(far, near, 0.0) == 11 / 16
 
 
 def test_cz2_constant_kernel():
@@ -159,6 +174,7 @@ def test_cz2_constant_kernel():
         # Each qubit's Z, pulled back through H, H and CZ, carries an X
         # factor, so both marginals are exactly 1/2 in every episode.
         assert (est.value, est.stderr) == (0.5, 0.0)
+        assert closed_form_kernel(t, m.structure, u, v, 1.0) == 0.5
 
 
 def test_cz2_marginals_are_unbiased():
@@ -226,6 +242,115 @@ def test_closed_form_rejects_a_first_tile_that_is_not_integers():
         assert closed_form_cnot2(u, v, 1.0, first_tile=tile) == closed_form_cnot2(
             u, v, 1.0, first_tile=[1]
         )
+
+
+@pytest.mark.parametrize("name,structure,seed", [
+    ("rx1", EncodingStructure.dense(3), 21),
+    ("p4", EncodingStructure.tiled(8, 4), 22),
+    ("p9", EncodingStructure.split(9), 23),
+    ("p16", EncodingStructure.split(16), 24),
+    # Rows that share coordinates still draw their own weights.
+    ("p4", EncodingStructure.from_mask(
+        [[1, 1, 0], [0, 1, 1], [1, 0, 1], [1, 1, 1]]), 29),
+])
+def test_closed_form_kernel_matches_mc_kernel(name, structure, seed):
+    t = get_ansatz(name)
+    m = sample_machine(t, structure, 0.8, 20_000, seed)
+    rng = np.random.default_rng(seed)
+    for _ in range(3):
+        u, v = rng.normal(size=(2, structure.p))
+        est = mc_kernel(m, u, v)
+        assert abs(est.value - closed_form_kernel(t, structure, u, v, 0.8)) <= (
+            4 * est.stderr
+        )
+
+
+def test_closed_form_kernel_against_marginals_from_outcome_probabilities():
+    # A trailing RX(0) leaves p4's circuit as it was but takes away its
+    # Pauli strings, so mc_kernel sums outcome probabilities instead.
+    source = ansatz_source("p4").rstrip("\n") + "\n    RX(0) 3\n"
+    padded = parse_template(source)
+    structure = EncodingStructure.split(4)
+    m = sample_machine(padded, structure, 1.2, 20_000, seed=25)
+    rng = np.random.default_rng(26)
+    for _ in range(3):
+        u, v = rng.normal(size=(2, 4))
+        est = mc_kernel(m, u, v)
+        cf = closed_form_kernel(get_ansatz("p4"), structure, u, v, 1.2)
+        assert abs(est.value - cf) <= 4 * est.stderr
+
+
+def test_closed_form_kernel_of_random_clifford_templates():
+    # Literal angles fold into c_j, qubits left idle or reading only literal
+    # angles have strings without parameters, and Y factors read sin. The
+    # structure leaves the last input coordinate unused.
+    rng = np.random.default_rng(28)
+    for _ in range(60):
+        t = random_clifford_template(rng)
+        q = t.num_params
+        structure = EncodingStructure.from_mask(np.eye(q, q + 1, dtype=bool))
+        m = sample_machine(t, structure, 1.0, 4_000, int(rng.integers(2**32)))
+        u, v = rng.normal(size=(2, q + 1))
+        est = mc_kernel(m, u, v)
+        cf = closed_form_kernel(t, structure, u, v, 1.0)
+        assert abs(est.value - cf) <= 4 * est.stderr + 1e-12
+
+
+def _cnot2_formula(u, v, sigma, first_tile):
+    """The cnot2 closed form as written out in the kernels module docstring."""
+    d = np.asarray(u, dtype=np.float64) - np.asarray(v, dtype=np.float64)
+    d1 = d[first_tile]
+    return (
+        0.5
+        + 0.125 * np.exp(-0.5 * sigma**2 * (d1 @ d1))
+        + 0.0625 * np.exp(-0.5 * sigma**2 * (d @ d))
+    )
+
+
+def test_cnot2_closed_form_is_the_general_one():
+    rng = np.random.default_rng(27)
+    t = get_ansatz("cnot2")
+    for trial in range(300):
+        p = (2, 4, 8)[trial % 3]
+        u, v = rng.normal(size=(2, p))
+        sigma = float(rng.uniform(0.0, 3.0))
+        tile = np.sort(rng.choice(p, size=rng.integers(1, p + 1), replace=False))
+        k = closed_form_cnot2(u, v, sigma, first_tile=tile)
+        assert abs(k - _cnot2_formula(u, v, sigma, tile)) <= 2 * np.spacing(k)
+        if p == 2 and tile.size == 1:
+            structure = EncodingStructure.split(2)
+            if tile[0] == 1:
+                structure = EncodingStructure.from_tiles([[1], [0]], 2)
+            assert closed_form_kernel(t, structure, u, v, sigma) == k
+
+
+def test_closed_form_kernel_needs_a_product_of_pauli_strings():
+    u, v = np.array([0.3]), np.array([-0.8])
+    shared = parse_template(
+        "DEFCIRCUIT SHARED(%a):\n    RX(%a) 0\n    RX(%a) 1\n    CNOT 0 1\n"
+    )
+    # Qubit 1 reads cos(a)^2, whose average is no product of averages.
+    with pytest.raises(ValueError, match="'SHARED'.*one parameter twice"):
+        closed_form_kernel(shared, EncodingStructure.split(1), u, v, 1.0)
+    cnot2 = get_ansatz("cnot2")
+    two_layers = CircuitTemplate(
+        "CNOT2X2", cnot2.params, cnot2.gates * 2, cnot2.num_qubits
+    )
+    split2 = EncodingStructure.split(2)
+    with pytest.raises(ValueError, match="'CNOT2X2'.*Pauli strings"):
+        closed_form_kernel(two_layers, split2, [0.1, 0.2], [0.3, 0.4], 1.0)
+    mixed = parse_template(MIXED3)
+    with pytest.raises(ValueError, match="'MIXED3'.*Pauli strings"):
+        closed_form_kernel(mixed, EncodingStructure.split(3), np.zeros(3),
+                           np.ones(3), 1.0)
+    with pytest.raises(ValueError, match="q=2 parameters"):
+        closed_form_kernel(get_ansatz("p4"), split2, u, v, 1.0)
+    with pytest.raises(ValueError, match="^v: .*p = 2.* 1"):
+        closed_form_kernel(cnot2, split2, [0.1, 0.2], v, 1.0)
+    with pytest.raises(ValueError, match="u and v"):
+        closed_form_kernel(cnot2, split2, [np.nan, 0.2], [0.1, 0.2], 1.0)
+    with pytest.raises(ValueError, match="sigma"):
+        closed_form_kernel(cnot2, split2, [0.1, 0.2], [0.1, 0.2], -1.0)
 
 
 def test_identity_machine_kernel_is_zero():
