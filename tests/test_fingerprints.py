@@ -22,6 +22,7 @@ from qks import (
     EncodingStructure,
     featurize,
     get_ansatz,
+    make_tilemap,
     mc_kernel,
     parse_template,
     sample_machine,
@@ -31,7 +32,8 @@ from conftest import MIXED3
 # (ansatz name or Quil source, structure, layers, workers, episodes, rows,
 # sigma, seed). Row counts above 64 span several featurize blocks; episode
 # counts are not multiples of 32, so the last packed word of each row is
-# partly filled.
+# partly filled. cnot2-tiles784 is the MNIST machine's shape: two 392-pixel
+# tiles of a 28 x 28 image at sigma 0.05, on synthetic rows.
 FEATURE_CONFIGS = {
     "cnot2-l1-w1": ("cnot2", EncodingStructure.split(2), 1, 1, 37, 70, 1.0, 11),
     "cnot2-l2-w3": ("cnot2", EncodingStructure.split(2), 2, 3, 37, 150, 0.7, 12),
@@ -43,6 +45,9 @@ FEATURE_CONFIGS = {
     "p9-l2-w1": ("p9", EncodingStructure.split(9), 2, 1, 19, 66, 0.8, 18),
     "p16-l1-w1": ("p16", EncodingStructure.split(16), 1, 1, 7, 5, 1.0, 19),
     "mixed3-l2-w3": (MIXED3, EncodingStructure.split(3), 2, 3, 37, 130, 1.0, 20),
+    "cnot2-tiles784-w3": (
+        "cnot2", make_tilemap(28, 28, 2).to_structure(), 1, 3, 45, 70, 0.05, 26
+    ),
 }
 
 FEATURE_DIGESTS = {
@@ -85,6 +90,10 @@ FEATURE_DIGESTS = {
     "mixed3-l2-w3": (
         "9ebfcbae92e19d202dbb4294dbb3080a9d926827caa77c45f1298a2c2081fe44",
         "6e7be23a0d83a2ea87eae4e1d91674f41d4340fffeefdcbfe77fc676a3656413",
+    ),
+    "cnot2-tiles784-w3": (
+        "dfc67a2038f8be89acf77a8d063a5e32529e773ccdac79fa8d41c7600a4cdcfb",
+        "341c66abdd6b4cb7d411f64ea33e88a50e182b1d7fb5c6ee6e3417dba8fb40c4",
     ),
 }
 

@@ -461,14 +461,12 @@ def test_simulation_path_against_kron_oracle(key):
         assert np.abs(row - ref).max() <= 1e-14
 
 
-@pytest.mark.parametrize(
-    "key",
-    ["rx1", "cnot2", "p4", "p9", "p16", "cz2", "cnot2-layers-2", "target-twice"],
-)
+@pytest.mark.parametrize("key", ["cnot2", "p4", "p9", "p16", *TEMPLATES])
 def test_product_path_matches_dense_kernels_bit_for_bit(key):
     # The engine builds the opening RX layer as a product state, multiplying
     # the factors in op order as RX kernels applied gate by gate from |0...0>
-    # do: equal floats, equal bits, whatever the qubit order of the layer.
+    # do: equal floats, equal bits, whatever the qubit order of the layer,
+    # with literal angles and with qubits the layer leaves idle.
     source, layers = TEMPLATES.get(key, (key, 1))
     t = _template(source)
     engine = cached_engine(t, layers)
