@@ -28,9 +28,18 @@ TAG_SHOTS = 3
 TWO_PI = 2.0 * np.pi
 
 
+def _as_int(name: str, value) -> int:
+    """``value`` as an int; a float or bool raises, where int() would truncate."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(
+        value, (int, np.integer)
+    ):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _substream(seed: int, *tags: int) -> np.random.Generator:
     """Philox generator for one named substream of a 64-bit seed."""
-    seed = int(seed)
+    seed = _as_int("seed", seed)
     if not 0 <= seed < 1 << 64:
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")
     return np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, *tags])))
@@ -246,7 +255,7 @@ def sample_machine(
     sigma is the standard deviation of the Omega nonzeros; sigma = 0 is the
     degenerate input-independent machine; a negative or non-finite sigma,
     or one so large that an Omega entry overflows, is an error. The seed must
-    lie in [0, 2**64).
+    be an integer (not a float or bool) in [0, 2**64).
     """
     if structure.q != template.num_params:
         raise ValueError(
@@ -285,8 +294,10 @@ def shot_stream(seed: int, example_index: int) -> np.random.Generator:
 
     Keyed by (seed, example), with episode e consuming the e-th draw, so
     features are deterministic in (seed, example, episode) and truncating or
-    extending the episode count never disturbs earlier episodes.
+    extending the episode count never disturbs earlier episodes. Both keys
+    are integers; a float or bool raises rather than truncating.
     """
+    example_index = _as_int("example_index", example_index)
     if example_index < 0:
         raise ValueError("example_index must be >= 0")
-    return _substream(seed, TAG_SHOTS, int(example_index))
+    return _substream(seed, TAG_SHOTS, example_index)

@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .datasets import DataFormatError
-from .encoding import QksMachine, shot_stream
+from .encoding import QksMachine, _as_int, shot_stream
 from .simulator import cached_engine, outcome_bits
 
 MAGIC = b"QKSF"
@@ -128,6 +128,7 @@ def featurize(
     for example i, episode e consumes the e-th variate of a stream keyed by
     (seed, i), so worker count, row order within a call, and the machine's
     total episode count never change a bit that both runs produce.
+    ``workers``, the number of threads, is an integer >= 1 (not a bool).
 
     Raises :class:`DataFormatError` naming the first input row whose encoding
     is not finite, as when ``sigma * x`` overflows for a large finite x.
@@ -139,7 +140,7 @@ def featurize(
         )
     if x.size and not np.isfinite(x).all():
         raise ValueError("inputs must be finite")
-    if workers < 1:
+    if _as_int("workers", workers) < 1:
         raise ValueError("workers must be >= 1")
 
     m = x.shape[0]

@@ -114,6 +114,26 @@ def test_seed_must_fit_64_bits():
     shot_stream(2**64 - 1, 0)
 
 
+def test_seed_and_example_index_must_be_integers():
+    # int() would truncate: seed 1.5 would build seed 1's machine, and
+    # example 2.7 would read example 2's shots.
+    t = get_ansatz("cnot2")
+    s = EncodingStructure.split(2)
+    for bad in (1.5, 2.0, np.float64(1.0), True, np.bool_(False)):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            sample_machine(t, s, 1.0, 4, bad)
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            shot_stream(bad, 0)
+        with pytest.raises(ValueError, match="example_index must be an integer"):
+            shot_stream(0, bad)
+    m = sample_machine(t, s, 1.0, 4, np.int64(3))
+    assert type(m.seed) is int
+    assert np.array_equal(m.omega, sample_machine(t, s, 1.0, 4, 3).omega)
+    assert np.array_equal(
+        shot_stream(np.uint64(3), np.int32(2)).random(4), shot_stream(3, 2).random(4)
+    )
+
+
 def test_machine_determinism_and_seed_sensitivity():
     t = get_ansatz("cnot2")
     s = EncodingStructure.split(2)

@@ -154,8 +154,11 @@ def test_featurize_validation():
         featurize(m, np.zeros((4, 3)))
     with pytest.raises(ValueError, match="finite"):
         featurize(m, np.array([[np.nan, 0.0]]))
-    with pytest.raises(ValueError, match="workers"):
-        featurize(m, frame_inputs(4), workers=0)
+    for workers in (0, -1, 2.5, 1.0, True, np.float64(2.0)):
+        with pytest.raises(ValueError, match="workers"):
+            featurize(m, frame_inputs(4), workers=workers)
+    x = frame_inputs(4)
+    assert featurize(m, x, workers=np.int64(2)).equals(featurize(m, x))
 
 
 @pytest.mark.parametrize("workers", [1, 3])
