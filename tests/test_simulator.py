@@ -303,6 +303,37 @@ def test_engine_sample_follows_sequential_rule(monkeypatch):
     assert any(clamped)
 
 
+def _cumsum_outcome(probs, uniforms):
+    """The inverse-CDF rule through np.cumsum down axis 0 of (dim, b) probs."""
+    cdf = np.cumsum(probs, axis=0)
+    return np.minimum((cdf <= uniforms).sum(axis=0), probs.shape[0] - 1)
+
+
+@pytest.mark.parametrize("dim", [*range(2, 18), 64])
+def test_inverse_cdf_matches_cumsum_rule_at_every_dim(dim):
+    # Small outcome spaces are sampled with running sums and wide ones with
+    # np.cumsum; both must give the sequential rule's index. Columns have
+    # runs of zero probability, and every other one sums to below 1; each
+    # is sampled at u equal to every cumulative sum and its neighbours.
+    rng = np.random.default_rng(dim)
+    columns, uniforms = [], []
+    for k in range(12):
+        p = rng.random(dim) ** 4
+        start = rng.integers(dim)
+        p[start : start + rng.integers(1, dim + 1)] = 0.0
+        p[rng.integers(dim)] += 0.1
+        p /= p.sum()
+        if k % 2:
+            p *= 1.0 - 1e-9
+        for u in _adversarial_uniforms(p):
+            columns.append(p)
+            uniforms.append(u)
+    probs, uniforms = np.array(columns).T, np.array(uniforms)
+    got = simulator._inverse_cdf(probs, uniforms)
+    assert got.tolist() == _cumsum_outcome(probs, uniforms).tolist()
+    assert (uniforms >= np.cumsum(probs, axis=0)[-1]).any()  # clamped
+
+
 def test_born_rule_chisquare():
     t = get_ansatz("cnot2")
     theta = [np.pi / 3, 4 * np.pi / 5]
