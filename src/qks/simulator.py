@@ -17,19 +17,28 @@ per row. The single-state helpers run a (2**n, 1) batch of one.
 
 :class:`EpisodeEngine` splits a template's ops in two. Its prefix is the
 opening RX layer: RX gates on distinct fresh qubits, with an RX(0) for each
-qubit they leave idle. That state is a product, so each chunk multiplies one
-(cos, -i sin) factor per qubit, a (2, B) array laid along that qubit's axis
-of a (2, ..., 2, B) array, out over the basis in op order, and the
-remaining ops act on the result. When only permutations follow, the factors
-are real (cos, sin), since moving and negating amplitudes keeps their
-magnitudes. RX kernels applied one by one from |0...0> form the same
-rounded products in the same order (the other part of each complex
-amplitude stays zero), so the probabilities equal theirs bit for bit.
-Chunks are sized for about 1 MiB of amplitudes and allocated as they run, so
-an engine is immutable and :func:`cached_engine` shares one per (template,
-layers). Every shot takes one uniform through one inverse-CDF rule over the
-outcome probabilities in basis-index order: a cumulative sum down axis 0,
-which adds in the same sequence per episode as one along a row would.
+qubit they leave idle. That state is a product, so each chunk takes cos and
+sin of every prefix half angle in one call each and builds the products by
+doubling, into one (2**n, B) array: prefix op k's qubit is bit k of a row
+index, and op k multiplies rows [0, 2**k) by its sin into rows [2**k,
+2**(k+1)), then by its cos in place. At build time the map from basis index
+to row index is composed with the permutation of a CNOT/CZ run that follows
+the prefix, so one gather puts the rows in basis order, and the remaining
+ops act on the result. When only permutations follow, the products stay
+real, since moving and negating amplitudes keeps their magnitudes;
+otherwise each is multiplied by its phase, (-i) to the number of sin
+factors, times the run's sign. RX kernels applied one by one from |0...0>
+form the same rounded products in the same order (the other part of each
+complex amplitude stays zero), so the probabilities equal theirs bit for
+bit. Chunks are sized for about 1 MiB of amplitudes and allocated as they
+run, so an engine is immutable and :func:`cached_engine` shares one per
+(template, layers). Every shot takes one uniform through one inverse-CDF
+rule over the outcome probabilities in basis-index order: the count of
+cumulative sums down axis 0 that are <= u, clamped to the last outcome. Up
+to 16 outcomes the sums are kept as one running sum per episode and
+counted as they are added, which adds the same numbers in the same order
+as np.cumsum; wider outcome spaces take np.cumsum, which adds in the same
+sequence per episode as one along a row would.
 :meth:`EpisodeEngine.probabilities` returns one row per episode, (B, 2**n).
 
 :meth:`EpisodeEngine.marginals` returns P(bit j = 1), (B, n), in the
@@ -70,8 +79,13 @@ CHUNK_BYTES = 1 << 20
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
-# RX(theta)|0> = cos(theta/2)|0> - i sin(theta/2)|1>, as a (2, 1) column.
-_RX_PHASES = np.array([[1.0], [-1j]])
+# (-i)**k for k = 0..3: the phase of an RX product amplitude with k sin
+# factors, since RX(theta)|0> = cos(theta/2)|0> - i sin(theta/2)|1>.
+_POWERS_OF_MINUS_I = np.array([1.0, -1j, -1.0, 1j])
+
+# The widest outcome space sampled with running sums; wider ones use
+# np.cumsum (see _inverse_cdf). Its uint8 counts need this to be <= 256.
+_RUNNING_SUM_MAX_DIM = 16
 
 
 @dataclass(frozen=True)
@@ -348,11 +362,23 @@ def _inverse_cdf(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     """Outcome index per column of (dim, b) ``probs``, one uniform u each.
 
     The index counts the cumulative sums <= u (u's right insertion point),
-    clamped to dim - 1 in case rounding leaves the last sum below u.
+    clamped to dim - 1 in case rounding leaves the last sum below u. Up to
+    _RUNNING_SUM_MAX_DIM outcomes, one running sum per column replaces the
+    cumulative-sum array: it adds the same numbers in the same order as
+    np.cumsum down axis 0, and it stops after dim - 1 sums, which is the
+    clamp, since the sums never decrease. Its counts are uint8.
     """
-    cdf = np.cumsum(probs, axis=0)
-    z = (cdf <= uniforms).sum(axis=0)
-    return np.minimum(z, probs.shape[0] - 1, out=z)
+    dim = probs.shape[0]
+    if dim > _RUNNING_SUM_MAX_DIM:
+        cdf = np.cumsum(probs, axis=0)
+        z = (cdf <= uniforms).sum(axis=0)
+        return np.minimum(z, dim - 1, out=z)
+    total = probs[0].copy()
+    z = (total <= uniforms).view(np.uint8)
+    for p in probs[1:-1]:
+        total += p
+        z += total <= uniforms
+    return z
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +439,7 @@ class EpisodeEngine:
             if op.kind is not GateKind.RX or any(op.qubits == p.qubits for p in prefix):
                 break
             prefix.append(op)
-        self._rest = ops[len(prefix):]
+        rest_ops = list(ops[len(prefix):])
         # RX ops are never folded, so the prefix is also the first
         # len(prefix) gates.
         rest = (template.gates * layers)[len(prefix):]
@@ -427,32 +453,58 @@ class EpisodeEngine:
             self._trig_cols = tuple(
                 [col for is_y, col in used if is_y == y] for y in (False, True)
             )
-        # The shape that lays an op's (2, b) (cos, sin) along its qubit's
-        # axis of a (2, ..., 2, b) array, whose axis 0 is qubit n - 1 and
-        # axis n - 1 qubit 0.
-        order = range(n - 1, -1, -1)
-        self._prefix = tuple(
-            (op, tuple(2 if q == op.qubits[0] else 1 for q in order) + (-1,))
-            for op in prefix
+        self._prefix = tuple(prefix)
+        self._prefix_cols = np.array(
+            [op.col for op in prefix if op.col is not None], dtype=np.intp
         )
+        # The product is built with prefix op k's qubit as bit k of a row
+        # index, so basis state z's amplitude is in row[z]. A permutation
+        # right after the prefix joins the same gather: row[source].
+        index = np.arange(self.dim)
+        row = sum(((index >> op.qubits[0]) & 1) << k for k, op in enumerate(prefix))
+        sign = None
+        if rest_ops and rest_ops[0].kind is None:
+            first = rest_ops.pop(0)
+            if first.source is not None:
+                row = row[first.source]
+            sign = first.sign
+        self._rest = tuple(rest_ops)
+        self._gather = None if np.array_equal(row, index) else row
         # Permutations only move and negate amplitudes, so without a gate
-        # kernel after the prefix the real factors give the same |amplitude|.
-        self._complex = any(op.kind is not None for op in self._rest)
+        # kernel after them the real factors give the same |amplitude|.
+        # Otherwise each amplitude takes the phase of its sin factors,
+        # times the permutation's sign.
+        self._complex = bool(self._rest)
+        if self._complex:
+            sin_factors = outcome_bits(row, n).sum(axis=1)
+            phase = _POWERS_OF_MINUS_I[sin_factors % 4, np.newaxis]
+            self._phase = phase if sign is None else phase * sign
         self.chunk_size = max(1, min(1 << 16, CHUNK_BYTES // (16 * self.dim)))
 
     def _outcome_probabilities(self, thetas: np.ndarray) -> np.ndarray:
         """Outcome probabilities, (2**n, b), of one chunk of (b, p) thetas."""
-        b = thetas.shape[0]
-        amps = np.ones((1,) * self.num_qubits + (b,))
-        for op, axes in self._prefix:
-            # (2, b), or (2, 1) for a literal RX's floats.
-            factor = np.stack(_cos_sin(op, thetas)).reshape(2, -1)
-            if self._complex:
-                factor = factor * _RX_PHASES
-            amps = amps * factor.reshape(axes)
-        amps = amps.reshape(self.dim, b)
-        s = _apply_ops(amps, self.num_qubits, self._rest, thetas)
-        return s.real * s.real + s.imag * s.imag if self._complex else s * s
+        half = thetas.T[self._prefix_cols]
+        half *= 0.5
+        trig = zip(np.cos(half), np.sin(half, out=half))
+        # Doubling: rows [0, 2**k) hold the products of the first k factors,
+        # and op k extends them by its sin into [2**k, 2**(k+1)), then by
+        # its cos in place, so every product is formed in op order.
+        amps = np.empty((self.dim, thetas.shape[0]))
+        amps[0] = 1.0
+        for k, op in enumerate(self._prefix):
+            c, s = next(trig) if op.col is not None else (op.cos, op.sin)
+            size = 1 << k
+            np.multiply(amps[:size], s, out=amps[size : 2 * size])
+            amps[:size] *= c
+        if not self._complex:
+            amps *= amps  # squares drop the permutation's signs
+            if self._gather is None:
+                return amps
+            return np.take(amps, self._gather, axis=0)
+        if self._gather is not None:
+            amps = np.take(amps, self._gather, axis=0)
+        s = _apply_ops(amps * self._phase, self.num_qubits, self._rest, thetas)
+        return s.real * s.real + s.imag * s.imag
 
     def _chunks(self, thetas: np.ndarray):
         """Yield (row slice, (2**n, rows) probabilities) per chunk of thetas."""
