@@ -30,9 +30,7 @@ TWO_PI = 2.0 * np.pi
 
 def _as_int(name: str, value) -> int:
     """``value`` as an int; a float or bool raises, where int() would truncate."""
-    if isinstance(value, (bool, np.bool_)) or not isinstance(
-        value, (int, np.integer)
-    ):
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
 
