@@ -3,14 +3,14 @@
 The other feature tests only check self-consistency (worker invariance,
 episode prefixes), which a change to the stream that stays consistent would
 pass. These pin the exact bits: sha256 of ``featurize(...).packed`` and of the
-sampled machine's ``omega``/``beta``, and of ``mc_kernel``'s (value, stderr).
-A refactor of the encoder, the simulator or the sampler must leave every
-digest unchanged; a change that moves one changes the features users get and
-has to be reported as such, not re-pinned silently.
+sampled machine's ``omega``/``beta``, of ``mc_kernel``'s (value, stderr), and
+of the closed-form kernel values' reprs. A refactor of the encoder, the
+simulator, the sampler or the kernels must leave every digest unchanged; a
+change that moves one changes the features users get and has to be reported
+as such, not re-pinned silently.
 
 Run this file as a script to print the current digests; each kernel digest
-is followed by the (value, stderr) reprs it hashes, for quoting when one
-moves.
+is followed by the reprs it hashes, for quoting when one moves.
 """
 
 import hashlib
@@ -20,6 +20,8 @@ import pytest
 
 from qks import (
     EncodingStructure,
+    closed_form_cnot2,
+    closed_form_kernel,
     featurize,
     get_ansatz,
     make_tilemap,
@@ -123,6 +125,26 @@ KERNEL_PAIRS = {
     9: np.array([[_WIDE[0], _WIDE[1]], [_WIDE[2], _WIDE[2]]]),
 }
 
+# (ansatz, structure, sigma) for closed_form_kernel, each on a seeded
+# distinct pair and a pair with u == v of the structure's width. The 4- and
+# 8-wide cnot2 tilings are a first tile and the rest, as a user passes them.
+CLOSED_FORM_SIGMAS = (0.0, 0.3, 1.0, 2.5)  # closed_form_cnot2 on KERNEL_PAIRS[2]
+CLOSED_FORM_CONFIGS = {
+    "cnot2-tiles4": (
+        "cnot2", EncodingStructure.from_tiles([[0, 2], [1, 3]], 4), 0.7
+    ),
+    "cnot2-tiles8": (
+        "cnot2", EncodingStructure.from_tiles([[1, 4, 6], [0, 2, 3, 5, 7]], 8), 0.4
+    ),
+    "cnot2-tiles784": ("cnot2", make_tilemap(28, 28, 2).to_structure(), 0.05),
+    "p4-tiled8": ("p4", EncodingStructure.tiled(8, 4), 0.9),
+    "p9": ("p9", EncodingStructure.split(9), 1.0),
+    "p16": ("p16", EncodingStructure.split(16), 0.6),
+    "cz2": ("cz2", EncodingStructure.split(2), 2.0),
+}
+
+CLOSED_FORM_DIGEST = "2f7d40afd5c66491e16c0d73983ba3a9fcd860e6fd09f590611dc558865effab"
+
 
 def _sha(*arrays) -> str:
     h = hashlib.sha256()
@@ -159,6 +181,29 @@ def kernel_digest(key: str) -> str:
     return _sha(np.array(kernel_estimates(key)))
 
 
+def closed_form_values() -> dict[str, list[float]]:
+    """Closed-form kernel values by config, ``cnot2-split`` first."""
+    values = {
+        "cnot2-split": [
+            closed_form_cnot2(u, v, sigma)
+            for sigma in CLOSED_FORM_SIGMAS
+            for u, v in KERNEL_PAIRS[2]
+        ]
+    }
+    for key, (name, structure, sigma) in CLOSED_FORM_CONFIGS.items():
+        u, v = np.random.default_rng(structure.p).normal(size=(2, structure.p))
+        template = get_ansatz(name)
+        values[key] = [
+            closed_form_kernel(template, structure, u, w, sigma) for w in (v, u)
+        ]
+    return values
+
+
+def closed_form_digest(values: dict[str, list[float]]) -> str:
+    text = "\n".join(repr(k) for ks in values.values() for k in ks)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 @pytest.mark.parametrize("key", sorted(FEATURE_CONFIGS))
 def test_feature_fingerprint(key):
     machine_digest, packed_digest = feature_digests(key)
@@ -171,9 +216,20 @@ def test_kernel_fingerprint(key):
     assert kernel_digest(key) == KERNEL_DIGESTS[key]
 
 
+def test_closed_form_fingerprint():
+    values = closed_form_values()
+    assert values["cz2"] == [0.5, 0.5]
+    assert values["cnot2-split"][:2] == [11 / 16, 11 / 16]  # sigma 0
+    assert closed_form_digest(values) == CLOSED_FORM_DIGEST
+
+
 if __name__ == "__main__":
     for key in FEATURE_CONFIGS:
         print(f"    {key!r}: {feature_digests(key)!r},")
     for key in KERNEL_CONFIGS:
         estimates = kernel_estimates(key)
         print(f"    {key!r}: {_sha(np.array(estimates))!r},  # {estimates!r}")
+    values = closed_form_values()
+    print(f"CLOSED_FORM_DIGEST = {closed_form_digest(values)!r}")
+    for key, ks in values.items():
+        print(f"    {key!r}: {ks!r}")
