@@ -60,6 +60,13 @@ class EncodingStructure:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        # Coordinates are stored as Python ints: a float or bool raises
+        # here, where int() would truncate it or indexing would fail late.
+        object.__setattr__(self, "p", _as_int("p", self.p))
+        object.__setattr__(self, "rows", tuple(
+            tuple(_as_int(f"mask row {k} coordinate", i) for i in row)
+            for k, row in enumerate(self.rows)
+        ))
         if self.p < 1:
             raise ValueError("input dimension p must be >= 1")
         if self.q != len(self.rows):
@@ -97,25 +104,22 @@ class EncodingStructure:
     ) -> "EncodingStructure":
         """Structure from an explicit disjoint cover of range(p).
 
-        Reports pattern ``tiled`` when the tiles are equal-sized contiguous
-        blocks and ``custom`` otherwise.
+        Reports pattern ``tiled`` when the tiles are those of
+        :meth:`tiled` and ``custom`` otherwise.
         """
-        rows = tuple(tuple(sorted(int(i) for i in tile)) for tile in tiles)
+        rows = tuple(tuple(sorted(tile)) for tile in tiles)
+        structure = cls(p, len(rows), "custom", rows)
         seen: set[int] = set()
-        for row in rows:
+        for row in structure.rows:
             if seen.intersection(row):
                 raise ValueError("tiles must be disjoint")
             seen.update(row)
+        p, q = structure.p, structure.q
         if seen != set(range(p)):
             raise ValueError("tiles must cover every input coordinate exactly once")
-        q = len(rows)
-        uniform = len({len(r) for r in rows}) == 1
-        contiguous = all(
-            row == tuple(range(row[0], row[0] + len(row))) for row in rows
-        )
-        ordered = all(rows[k][-1] < rows[k + 1][0] for k in range(q - 1))
-        pattern = "tiled" if (uniform and contiguous and ordered) else "custom"
-        return cls(p, q, pattern, rows)
+        if p % q == 0 and structure.rows == cls.tiled(p, q).rows:
+            return cls.tiled(p, q)
+        return structure
 
     @classmethod
     def from_mask(cls, mask: np.ndarray) -> "EncodingStructure":
@@ -253,7 +257,8 @@ def sample_machine(
     sigma is the standard deviation of the Omega nonzeros; sigma = 0 is the
     degenerate input-independent machine; a negative or non-finite sigma,
     or one so large that an Omega entry overflows, is an error. The seed must
-    be an integer (not a float or bool) in [0, 2**64).
+    be an integer (not a float or bool) in [0, 2**64), and ``episodes`` and
+    ``layers`` integers >= 1.
     """
     if structure.q != template.num_params:
         raise ValueError(
@@ -262,8 +267,10 @@ def sample_machine(
         )
     if not 0 <= sigma < np.inf:
         raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
+    episodes = _as_int("episodes", episodes)
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
+    layers = _as_int("layers", layers)
     if layers < 1:
         raise ValueError("layers must be >= 1")
 
@@ -279,11 +286,11 @@ def sample_machine(
         template=template,
         structure=structure,
         sigma=float(sigma),
-        episodes=int(episodes),
+        episodes=episodes,
         seed=int(seed),
         omega=omega,
         beta=beta,
-        layers=int(layers),
+        layers=layers,
     )
 
 

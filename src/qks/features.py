@@ -84,8 +84,10 @@ class FeatureMatrix:
         """Keep only the first ``episodes`` episodes' columns.
 
         Valid because the column layout is episode-major: episode e's bits
-        occupy columns [e*num_qubits, (e+1)*num_qubits).
+        occupy columns [e*num_qubits, (e+1)*num_qubits). ``episodes`` must
+        be an integer, not a float or bool.
         """
+        episodes = _as_int("episodes", episodes)
         if not 1 <= episodes <= self.episodes:
             raise ValueError(
                 f"episodes must be in [1, {self.episodes}], got {episodes}"

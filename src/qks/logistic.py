@@ -31,6 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .encoding import _as_int
 from .features import FeatureMatrix
 
 _ARMIJO_C = 1e-4
@@ -67,11 +68,11 @@ def check_fit_options(reg_lambda: float | None, tol: float, max_iter: int) -> No
     """Raise ValueError unless :func:`train` accepts these options.
 
     ``reg_lambda`` is None (for 1/M) or finite and >= 0, ``tol`` is finite
-    and > 0, and ``max_iter`` is >= 1.
+    and > 0, and ``max_iter`` is an integer (not a float or bool) >= 1.
     """
     if reg_lambda is not None and not 0 <= float(reg_lambda) < np.inf:
         raise ValueError(f"reg_lambda must be finite and >= 0, got {reg_lambda}")
-    if not (0 < tol < np.inf and max_iter >= 1):
+    if not (0 < tol < np.inf and _as_int("max_iter", max_iter) >= 1):
         raise ValueError("tol must be finite and > 0, and max_iter >= 1")
 
 

@@ -70,6 +70,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .encoding import _as_int
 from .quil import CircuitTemplate, GateKind, GateOp, ParamRef
 
 MAX_QUBITS = 16
@@ -421,6 +422,7 @@ class EpisodeEngine:
     """
 
     def __init__(self, template: CircuitTemplate, layers: int = 1):
+        layers = _as_int("layers", layers)
         if layers < 1:
             raise ValueError("layers must be >= 1")
         if template.num_qubits > MAX_QUBITS:

@@ -41,6 +41,13 @@ def test_from_tiles_classification():
         EncodingStructure.from_tiles([(0, 1), (1, 2)], 3)
     with pytest.raises(ValueError, match="cover"):
         EncodingStructure.from_tiles([(0,), (2,)], 3)
+    for tile, match in (([5], "out-of-range"), ([-1], "out-of-range"),
+                        ([2], "out-of-range"), ([0, 0], "duplicate-free"),
+                        ([[0]], "coordinate must be an integer")):
+        with pytest.raises(ValueError, match=match):
+            EncodingStructure.from_tiles([tile, [1]], 2)
+    assert tiled == EncodingStructure.tiled(4, 2)
+    assert EncodingStructure.from_tiles([(2, 3), (0, 1)], 4).pattern == "custom"
 
 
 def test_from_mask_overlapping_rows():
@@ -59,6 +66,30 @@ def test_structure_validation():
         EncodingStructure(3, 1, "custom", ((1, 0),))
     with pytest.raises(ValueError, match="number of mask rows"):
         EncodingStructure(3, 2, "custom", ((0,),))
+
+
+def test_tile_coordinates_must_be_integers():
+    # int() would truncate: [0.7] would silently mean coordinate 0. A float
+    # passed to the constructor would fail late, indexing in encode_batch.
+    for tile, rest in (([0.7], [1]), ([1.9], [0]), ([True], [0]),
+                       (np.array([0.0]), [1])):
+        with pytest.raises(ValueError, match="coordinate must be an integer"):
+            EncodingStructure.from_tiles([tile, rest], 2)
+    with pytest.raises(ValueError, match="coordinate must be an integer"):
+        EncodingStructure(2, 2, "custom", ((0.5,), (1,)))
+    for p in (2.0, True, np.float64(2)):
+        with pytest.raises(ValueError, match="p must be an integer"):
+            EncodingStructure(p, 1, "custom", ((0,),))
+    with pytest.raises(ValueError, match="empty"):
+        EncodingStructure.from_tiles([[], [0, 1]], 2)
+    swapped = EncodingStructure.from_tiles([[1], [0]], 2)
+    for tile in ((1,), np.array([1], dtype=np.uint8), np.array([1], dtype=np.int32)):
+        s = EncodingStructure.from_tiles([tile, np.array([0], dtype=np.int64)], 2)
+        assert s == swapped
+        assert {type(i) for row in s.rows for i in row} == {int}
+    s = EncodingStructure(np.int64(2), 1, "custom", ((np.int32(0), 1),))
+    assert type(s.p) is int and s.rows == ((0, 1),)
+    assert {type(i) for i in s.rows[0]} == {int}
 
 
 def test_sample_machine_shapes_and_fields():
@@ -99,6 +130,14 @@ def test_sample_machine_validation():
         sample_machine(t, s, 1.0, 0, 0)
     with pytest.raises(ValueError, match="layers"):
         sample_machine(t, s, 1.0, 10, 0, layers=0)
+    for bad in (10.0, 2.5, True, np.float64(3)):
+        with pytest.raises(ValueError, match="episodes must be an integer"):
+            sample_machine(t, s, 1.0, bad, 0)
+        with pytest.raises(ValueError, match="layers must be an integer"):
+            sample_machine(t, s, 1.0, 10, 0, layers=bad)
+    m = sample_machine(t, s, 1.0, np.int64(10), 0, layers=np.int32(2))
+    assert (m.episodes, m.layers) == (10, 2)
+    assert type(m.episodes) is int and type(m.layers) is int
 
 
 def test_seed_must_fit_64_bits():

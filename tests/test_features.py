@@ -108,6 +108,11 @@ def test_truncate():
         fm.truncate(0)
     with pytest.raises(ValueError):
         fm.truncate(97)
+    for bad in (True, 2.5, 33.0, np.float64(33)):
+        with pytest.raises(ValueError, match="episodes must be an integer"):
+            fm.truncate(bad)
+    cut = fm.truncate(np.int64(33))
+    assert type(cut.episodes) is int and cut.equals(fm.truncate(33))
 
 
 def test_identity_template_gives_zero_features():

@@ -139,6 +139,11 @@ def test_input_validation():
     for tol in (0.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="tol"):
             train(x, y, tol=tol)
+    # 2.5 would run 3 Newton steps and True would run 1.
+    for max_iter in (2.5, 1.0, True, np.float64(2)):
+        with pytest.raises(ValueError, match="max_iter must be an integer"):
+            train(x, y, max_iter=max_iter)
+    assert train(x, y, max_iter=np.int64(1)).fit.iterations == 1
     with pytest.raises(ValueError, match="2-D"):
         train(x[:, 0], y)
     x3 = np.eye(3)

@@ -399,6 +399,10 @@ def test_engine_input_validation():
         engine.marginals(np.zeros((4, 3)))
     with pytest.raises(ValueError, match="uniform"):
         engine.sample(np.zeros((4, 2)), np.zeros(3))
+    for layers in (2.0, True, np.float64(2)):
+        with pytest.raises(ValueError, match="layers must be an integer"):
+            EpisodeEngine(get_ansatz("cnot2"), layers=layers)
+    assert EpisodeEngine(get_ansatz("cnot2"), layers=np.int64(2)).num_params == 4
 
 
 def test_engine_rejects_non_finite_thetas_and_out_of_range_uniforms():
