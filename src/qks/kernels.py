@@ -40,7 +40,10 @@ feeding the control's parameter
     k(u, v) = 1/2 + (1/8) exp(-sigma^2 ||d1||^2 / 2)
                   + (1/16) exp(-sigma^2 ||d||^2 / 2)
 
-and k(u, u) = 11/16.
+and k(u, u) = 11/16. :func:`closed_form_cnot2` is its 2-D split case
+(d1 = d_0). The kernel of any tiling, such as a first tile and the rest of
+an image, is :func:`closed_form_kernel` with the tiling's
+``EncodingStructure.from_tiles([tile, rest], p)``.
 """
 
 from __future__ import annotations
@@ -134,42 +137,6 @@ def mc_kernel(machine: QksMachine, u: np.ndarray, v: np.ndarray) -> KernelEstima
     return KernelEstimate(value, stderr, n_eps)
 
 
-def _closed_form(template: CircuitTemplate, tiles, u, v, sigma: float) -> float:
-    """The module docstring's k(u, v) for checked ``u`` and ``v``.
-
-    ``tiles[i]`` lists the coordinates feeding the template's parameter i,
-    and may be empty.
-    """
-    if not 0 <= sigma < np.inf:
-        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
-    rows = cached_engine(template).pauli_rows
-    if rows is None:
-        raise ValueError(
-            f"template {template.name!r} has no closed-form kernel: an RX "
-            "follows its entanglers, so its qubits have no Pauli strings"
-        )
-    # u - v and sigma^2 may overflow to inf, which only pushes e_i to 0. A
-    # Python float product overflows without a warning, and a zero factor
-    # skips the exponent, where 0 * inf would be nan.
-    with np.errstate(over="ignore"):
-        d = u - v
-    s2 = float(sigma) * float(sigma)
-    k = sum(0.25 if factors else (0.5 - 0.5 * c) ** 2 for c, factors in rows)
-    for constant, factors in rows:
-        cols = [col for _, col in factors]
-        if len(set(cols)) < len(cols):
-            raise ValueError(
-                f"template {template.name!r} has no closed-form kernel: a "
-                "qubit's Pauli string reads one parameter twice"
-            )
-        if cols:
-            dc = d[sorted(i for col in cols for i in tiles[col])]
-            dist = float(np.dot(dc, dc))
-            coef = 0.25 * constant * constant * 0.5 ** len(cols)
-            k += coef * (np.exp(-0.5 * s2 * dist) if dist and s2 else 1.0)
-    return float(k)
-
-
 def closed_form_kernel(
     template: CircuitTemplate,
     structure: EncodingStructure,
@@ -193,47 +160,44 @@ def closed_form_kernel(
             f"{template.name!r} declares {template.num_params}"
         )
     u, v = _check_pair(u, v, structure.p)
-    return _closed_form(template, structure.rows, u, v, sigma)
-
-
-def closed_form_cnot2(
-    u: np.ndarray,
-    v: np.ndarray,
-    sigma: float,
-    first_tile: np.ndarray | None = None,
-) -> float:
-    """Closed-form kernel of the 2-qubit CNOT ansatz under a split encoding.
-
-    ``first_tile`` lists the input coordinates feeding the first parameter
-    (the rotation on the CNOT's control qubit), in increasing order and
-    without repeats; the rest feed the second. For 2-dimensional inputs it
-    defaults to the first coordinate; higher-dimensional tilings must pass
-    it explicitly.
-
-    Raises ValueError naming ``sigma`` unless it is finite and >= 0, ``u``
-    and ``v`` unless they are finite and of one dimension, and
-    ``first_tile`` unless it is a non-empty 1-D integer array of
-    coordinates in range, in order and without repeats.
-    """
-    u = np.asarray(u, dtype=np.float64).ravel()
-    u, v = _check_pair(u, v, u.size)
-    if first_tile is None:
-        if u.shape[0] != 2:
-            raise ValueError(
-                "first_tile is required for inputs of dimension != 2"
-            )
-        first_tile = np.array([0])
-    idx = np.asarray(first_tile)
-    valid = idx.dtype.kind in "iu" and idx.ndim == 1 and idx.size > 0
-    if not (
-        valid
-        and ((0 <= idx) & (idx < u.size)).all()
-        and (np.diff(idx) > 0).all()
-    ):
+    if not 0 <= sigma < np.inf:
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
+    rows = cached_engine(template).pauli_rows
+    if rows is None:
         raise ValueError(
-            f"first_tile must list integer coordinates of [0, {u.size}) in "
-            f"increasing order without repeats, got {idx.tolist()}"
+            f"template {template.name!r} has no closed-form kernel: an RX "
+            "follows its entanglers, so its qubits have no Pauli strings"
         )
-    first = idx.tolist()
-    rest = sorted(set(range(u.size)).difference(first))
-    return _closed_form(get_ansatz("cnot2"), (first, rest), u, v, sigma)
+    # u - v and sigma^2 may overflow to inf, which only pushes e_i to 0. A
+    # Python float product overflows without a warning, and a zero factor
+    # skips the exponent, where 0 * inf would be nan.
+    with np.errstate(over="ignore"):
+        d = u - v
+    s2 = float(sigma) * float(sigma)
+    k = sum(0.25 if factors else (0.5 - 0.5 * c) ** 2 for c, factors in rows)
+    for constant, factors in rows:
+        cols = [col for _, col in factors]
+        if len(set(cols)) < len(cols):
+            raise ValueError(
+                f"template {template.name!r} has no closed-form kernel: a "
+                "qubit's Pauli string reads one parameter twice"
+            )
+        if cols:
+            dc = d[sorted(i for col in cols for i in structure.rows[col])]
+            dist = float(np.dot(dc, dc))
+            coef = 0.25 * constant * constant * 0.5 ** len(cols)
+            k += coef * (np.exp(-0.5 * s2 * dist) if dist and s2 else 1.0)
+    return float(k)
+
+
+def closed_form_cnot2(u: np.ndarray, v: np.ndarray, sigma: float) -> float:
+    """Closed-form kernel of the 2-qubit CNOT ansatz on 2-D inputs, split.
+
+    Coordinate 0 feeds the control qubit's rotation and coordinate 1 the
+    target's. A tiled cnot2 kernel is ``closed_form_kernel(get_ansatz(
+    "cnot2"), EncodingStructure.from_tiles([tile, rest], p), u, v, sigma)``.
+    Raises ValueError as :func:`closed_form_kernel` does.
+    """
+    return closed_form_kernel(
+        get_ansatz("cnot2"), EncodingStructure.split(2), u, v, sigma
+    )

@@ -187,6 +187,12 @@ def test_cz2_marginals_are_unbiased():
         assert np.abs(marg - 0.5).max() < 1e-12
 
 
+def _first_tile_and_rest(tile, p: int) -> EncodingStructure:
+    """cnot2's structure with ``tile`` feeding the control's rotation."""
+    rest = sorted(set(range(p)).difference(np.asarray(tile).tolist()))
+    return EncodingStructure.from_tiles([tile, rest], p)
+
+
 def test_closed_form_limits_and_tiles():
     u = np.array([0.5, -0.2])
     v = np.array([-0.1, 0.9])
@@ -198,10 +204,11 @@ def test_closed_form_limits_and_tiles():
     k_near = closed_form_cnot2(u, u + 0.01, 1.0)
     k_far = closed_form_cnot2(u, u + 1.0, 1.0)
     assert k_near > k_far
-    # explicit tile for higher-dimensional inputs
+    # a tiling of higher-dimensional inputs
+    cnot2 = get_ansatz("cnot2")
     u4 = np.array([0.1, 0.2, 0.3, 0.4])
     v4 = np.array([0.0, 0.1, -0.2, 0.6])
-    k = closed_form_cnot2(u4, v4, 1.5, first_tile=[0, 1])
+    k = closed_form_kernel(cnot2, _first_tile_and_rest([0, 1], 4), u4, v4, 1.5)
     d1 = u4[:2] - v4[:2]
     d = u4 - v4
     manual = (
@@ -210,10 +217,10 @@ def test_closed_form_limits_and_tiles():
         + 0.0625 * np.exp(-0.5 * 1.5**2 * d @ d)
     )
     assert k == pytest.approx(manual, abs=1e-15)
-    with pytest.raises(ValueError, match="first_tile"):
-        closed_form_cnot2(u4, v4, 1.0)
-    with pytest.raises(ValueError, match="dimension"):
-        closed_form_cnot2(u, v4, 1.0)
+    # closed_form_cnot2 is the 2-D split case only
+    for a, b in ((u4, v4), (u, v4)):
+        with pytest.raises(ValueError, match="dimension"):
+            closed_form_cnot2(a, b, 1.0)
     with pytest.raises(ValueError, match="sigma"):
         closed_form_cnot2(u, v, -1.0)
     for sigma in (np.nan, np.inf):
@@ -225,23 +232,9 @@ def test_closed_form_limits_and_tiles():
         with pytest.raises(ValueError, match="u and v"):
             closed_form_cnot2(u, np.array([0.0, bad]), 1.0)
     u2, v2 = np.array([0.1, 0.2]), np.array([0.3, 0.2])
-    for tile in ([5], [-1], [2], [0, 0], [1, 0], [[0]]):
-        with pytest.raises(ValueError, match="first_tile"):
-            closed_form_cnot2(u2, v2, 1.0, first_tile=tile)
-    assert closed_form_cnot2(u2, v2, 1.0, first_tile=[0]) == closed_form_cnot2(
-        u2, v2, 1.0
-    )
-
-
-def test_closed_form_rejects_a_first_tile_that_is_not_integers():
-    u, v = np.array([0.1, 0.2]), np.array([0.3, 0.2])
-    for tile in ([0.7], [1.9], [True], np.array([0.0]), []):
-        with pytest.raises(ValueError, match="first_tile"):
-            closed_form_cnot2(u, v, 1.0, first_tile=tile)
-    for tile in ((1,), np.array([1], dtype=np.uint8), np.array([1], dtype=np.int32)):
-        assert closed_form_cnot2(u, v, 1.0, first_tile=tile) == closed_form_cnot2(
-            u, v, 1.0, first_tile=[1]
-        )
+    assert closed_form_kernel(
+        cnot2, _first_tile_and_rest([0], 2), u2, v2, 1.0
+    ) == closed_form_cnot2(u2, v2, 1.0)
 
 
 @pytest.mark.parametrize("name,structure,seed", [
@@ -314,14 +307,13 @@ def test_cnot2_closed_form_is_the_general_one():
         p = (2, 4, 8)[trial % 3]
         u, v = rng.normal(size=(2, p))
         sigma = float(rng.uniform(0.0, 3.0))
-        tile = np.sort(rng.choice(p, size=rng.integers(1, p + 1), replace=False))
-        k = closed_form_cnot2(u, v, sigma, first_tile=tile)
+        tile = np.sort(rng.choice(p, size=rng.integers(1, p), replace=False))
+        k = closed_form_kernel(t, _first_tile_and_rest(tile, p), u, v, sigma)
         assert abs(k - _cnot2_formula(u, v, sigma, tile)) <= 2 * np.spacing(k)
-        if p == 2 and tile.size == 1:
-            structure = EncodingStructure.split(2)
-            if tile[0] == 1:
-                structure = EncodingStructure.from_tiles([[1], [0]], 2)
-            assert closed_form_kernel(t, structure, u, v, sigma) == k
+        if p == 2:
+            # Swapping the coordinates moves the control's input to 0.
+            order = [tile[0], 1 - tile[0]]
+            assert closed_form_cnot2(u[order], v[order], sigma) == k
 
 
 def test_closed_form_kernel_needs_a_product_of_pauli_strings():
