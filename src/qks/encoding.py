@@ -51,7 +51,9 @@ class EncodingStructure:
     parameter k. Patterns: ``dense`` (q=1 row covering all p coordinates),
     ``split`` (q=p, one coordinate each), ``tiled`` (q equal contiguous
     blocks, requires q | p), and ``custom`` (anything else, e.g. image tiles
-    of unequal size).
+    of unequal size). ``p``, ``q`` and every coordinate must be integers and
+    are stored as Python ints; a float or bool raises ValueError, where
+    int() would truncate it or indexing would fail late.
     """
 
     p: int
@@ -60,9 +62,8 @@ class EncodingStructure:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        # Coordinates are stored as Python ints: a float or bool raises
-        # here, where int() would truncate it or indexing would fail late.
         object.__setattr__(self, "p", _as_int("p", self.p))
+        object.__setattr__(self, "q", _as_int("q", self.q))
         object.__setattr__(self, "rows", tuple(
             tuple(_as_int(f"mask row {k} coordinate", i) for i in row)
             for k, row in enumerate(self.rows)

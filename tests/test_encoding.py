@@ -77,9 +77,11 @@ def test_tile_coordinates_must_be_integers():
             EncodingStructure.from_tiles([tile, rest], 2)
     with pytest.raises(ValueError, match="coordinate must be an integer"):
         EncodingStructure(2, 2, "custom", ((0.5,), (1,)))
-    for p in (2.0, True, np.float64(2)):
+    for bad in (2.0, True, np.float64(2)):
         with pytest.raises(ValueError, match="p must be an integer"):
-            EncodingStructure(p, 1, "custom", ((0,),))
+            EncodingStructure(bad, 1, "custom", ((0,),))
+        with pytest.raises(ValueError, match="q must be an integer"):
+            EncodingStructure(2, bad, "split", ((0,), (1,)))
     with pytest.raises(ValueError, match="empty"):
         EncodingStructure.from_tiles([[], [0, 1]], 2)
     swapped = EncodingStructure.from_tiles([[1], [0]], 2)
