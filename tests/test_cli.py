@@ -499,8 +499,10 @@ def test_machine_structure_follows_p_and_q():
     tiled = machine("p4", 8)
     assert tiled.pattern == "tiled"
     assert tiled.rows == EncodingStructure.tiled(8, 4).rows
-    for ansatz, q in (("cnot2", 2), ("p4", 4)):
+    for ansatz, q, pattern in (("cnot2", 2, "tiled"), ("p4", 4, "custom"),
+                               ("p9", 9, "custom"), ("p16", 16, "custom")):
         tiles = machine(ansatz, 784, dataset="mnist")
         assert tiles.rows == make_tilemap(28, 28, q).to_structure().rows
+        assert tiles.pattern == pattern
     with pytest.raises(UsageError, match="no tiling"):
         machine("p9", 2)

@@ -4,16 +4,22 @@ The other feature tests only check self-consistency (worker invariance,
 episode prefixes), which a change to the stream that stays consistent would
 pass. These pin the exact bits: sha256 of ``featurize(...).packed`` and of the
 sampled machine's ``omega``/``beta``, of ``mc_kernel``'s (value, stderr), and
-of the closed-form kernel values' reprs. A refactor of the encoder, the
+of the closed-form kernel values' reprs, and of the ``.qksf`` and sidecar
+files that ``qks features dump`` writes. A refactor of the encoder, the
 simulator, the sampler or the kernels must leave every digest unchanged; a
 change that moves one changes the features users get and has to be reported
 as such, not re-pinned silently.
 
 Run this file as a script to print the current digests; each kernel digest
-is followed by the reprs it hashes, for quoting when one moves.
+is followed by the reprs it hashes, and the dump digest by the sidecars it
+hashes, for quoting when one moves.
 """
 
+import contextlib
 import hashlib
+import io
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +35,7 @@ from qks import (
     parse_template,
     sample_machine,
 )
+from qks.cli import main
 from conftest import MIXED3
 
 # (ansatz name or Quil source, structure, layers, workers, episodes, rows,
@@ -145,6 +152,16 @@ CLOSED_FORM_CONFIGS = {
 
 CLOSED_FORM_DIGEST = "2f7d40afd5c66491e16c0d73983ba3a9fcd860e6fd09f590611dc558865effab"
 
+# (ansatz, CSV columns, sigma, seed) for ``qks features dump --dataset csv``
+# at E = 20: a split, a dense and a tiled encoding, as the CLI picks them.
+DUMP_CONFIGS = {
+    "cnot2": ("cnot2", 2, 1.0, 31),
+    "rx1": ("rx1", 8, 0.6, 32),
+    "p4": ("p4", 8, 0.9, 33),
+}
+
+DUMP_DIGEST = "164e691cb16b23ac36ba517aaac0b6a32ea4a5ae2de77b88855c0072e3d6ed19"
+
 
 def _sha(*arrays) -> str:
     h = hashlib.sha256()
@@ -204,6 +221,38 @@ def closed_form_digest(values: dict[str, list[float]]) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def _write_csv(path: Path, columns: int, rows: int = 37) -> None:
+    x = np.random.default_rng(columns).normal(size=(rows, columns))
+    lines = [",".join(repr(float(v)) for v in row) + f",{i % 2}"
+             for i, row in enumerate(x)]
+    path.write_text("\n".join(lines) + "\n")
+
+
+def dump_files(directory: Path) -> dict[str, tuple[bytes, bytes]]:
+    """(``.qksf`` bytes, sidecar bytes) of each dump config, run through the CLI."""
+    files = {}
+    for key, (ansatz, columns, sigma, seed) in DUMP_CONFIGS.items():
+        csv = directory / f"x{columns}.csv"
+        _write_csv(csv, columns)
+        out = directory / f"{key}.qksf"
+        with contextlib.redirect_stdout(io.StringIO()):
+            rc = main(["features", "dump", "--dataset", "csv", "--train-csv",
+                       str(csv), "--test-csv", str(csv), "--ansatz", ansatz,
+                       "--sigma", str(sigma), "--seed", str(seed),
+                       "--episodes", "20", "--out", str(out)])
+        assert rc == 0, key
+        files[key] = (out.read_bytes(), Path(str(out) + ".json").read_bytes())
+    return files
+
+
+def dump_digest(files: dict[str, tuple[bytes, bytes]]) -> str:
+    h = hashlib.sha256()
+    for qksf, sidecar in files.values():
+        h.update(qksf)
+        h.update(sidecar)
+    return h.hexdigest()
+
+
 @pytest.mark.parametrize("key", sorted(FEATURE_CONFIGS))
 def test_feature_fingerprint(key):
     machine_digest, packed_digest = feature_digests(key)
@@ -223,6 +272,10 @@ def test_closed_form_fingerprint():
     assert closed_form_digest(values) == CLOSED_FORM_DIGEST
 
 
+def test_dump_fingerprint(tmp_path):
+    assert dump_digest(dump_files(tmp_path)) == DUMP_DIGEST
+
+
 if __name__ == "__main__":
     for key in FEATURE_CONFIGS:
         print(f"    {key!r}: {feature_digests(key)!r},")
@@ -233,3 +286,8 @@ if __name__ == "__main__":
     print(f"CLOSED_FORM_DIGEST = {closed_form_digest(values)!r}")
     for key, ks in values.items():
         print(f"    {key!r}: {ks!r}")
+    with tempfile.TemporaryDirectory() as tmp:
+        files = dump_files(Path(tmp))
+    print(f"DUMP_DIGEST = {dump_digest(files)!r}")
+    for key, (_, sidecar) in files.items():
+        print(f"# {key} sidecar:\n{sidecar.decode()}", end="")
