@@ -5,6 +5,8 @@ beta_e. Omega_e is a (q, p) matrix whose nonzero entries are i.i.d.
 N(0, sigma^2) on a fixed sparsity pattern shared by all episodes, and beta_e
 is i.i.d. Uniform[0, 2*pi). The sparsity pattern is described by an
 :class:`EncodingStructure`: which input coordinates feed which parameter.
+Its rows are the whole description; q and the pattern label (dense, split,
+tiled or custom) are read from them, so a label cannot contradict its rows.
 
 Randomness is drawn from named Philox substreams of the machine seed, one
 stream per purpose, so enlarging the episode count extends every stream
@@ -48,30 +50,28 @@ class EncodingStructure:
     """Sparsity pattern of the per-episode Omega matrices.
 
     ``rows[k]`` lists the input coordinates (ascending) that feed circuit
-    parameter k. Patterns: ``dense`` (q=1 row covering all p coordinates),
-    ``split`` (q=p, one coordinate each), ``tiled`` (q equal contiguous
-    blocks, requires q | p), and ``custom`` (anything else, e.g. image tiles
-    of unequal size). ``p``, ``q`` and every coordinate must be integers and
-    are stored as Python ints; a float or bool raises ValueError, where
-    int() would truncate it or indexing would fail late.
+    parameter k, so q = len(rows). ``p`` and every coordinate must be
+    integers and are stored as Python ints; a float or bool raises
+    ValueError, where int() would truncate it or indexing would fail late.
+    Structures with equal p and rows are equal.
+
+    ``pattern`` names the rows: ``dense`` (q=1 row covering all p
+    coordinates), ``split`` (q=p, one coordinate each) and ``tiled`` (q>1
+    equal contiguous blocks in order) are the rows of :meth:`tiled`; any
+    other rows, e.g. image tiles of unequal size, are ``custom``.
     """
 
     p: int
-    q: int
-    pattern: str
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
         object.__setattr__(self, "p", _as_int("p", self.p))
-        object.__setattr__(self, "q", _as_int("q", self.q))
         object.__setattr__(self, "rows", tuple(
             tuple(_as_int(f"mask row {k} coordinate", i) for i in row)
             for k, row in enumerate(self.rows)
         ))
         if self.p < 1:
             raise ValueError("input dimension p must be >= 1")
-        if self.q != len(self.rows):
-            raise ValueError("q must equal the number of mask rows")
         for k, row in enumerate(self.rows):
             if len(row) == 0:
                 raise ValueError(f"mask row {k} is empty")
@@ -80,46 +80,51 @@ class EncodingStructure:
             if tuple(sorted(set(row))) != row:
                 raise ValueError(f"mask row {k} must be sorted and duplicate-free")
 
+    @property
+    def q(self) -> int:
+        return len(self.rows)
+
+    @property
+    def pattern(self) -> str:
+        q = self.q
+        if q < 1 or self.p % q != 0 or self.rows != self.tiled(self.p, q).rows:
+            return "custom"
+        return "dense" if q == 1 else "split" if q == self.p else "tiled"
+
     @classmethod
     def dense(cls, p: int) -> "EncodingStructure":
         """One parameter fed by every coordinate (q=1, r=p)."""
-        return cls(p, 1, "dense", (tuple(range(p)),))
+        return cls.tiled(p, 1)
 
     @classmethod
     def split(cls, p: int) -> "EncodingStructure":
         """One parameter per coordinate (q=p, r=1)."""
-        return cls(p, p, "split", tuple((i,) for i in range(p)))
+        return cls.tiled(p, p)
 
     @classmethod
     def tiled(cls, p: int, q: int) -> "EncodingStructure":
         """q equal contiguous blocks of r = p // q coordinates each."""
+        p, q = _as_int("p", p), _as_int("q", q)
         if q < 1 or p % q != 0:
             raise ValueError(f"tiled structure requires q | p, got p={p}, q={q}")
         r = p // q
         rows = tuple(tuple(range(k * r, (k + 1) * r)) for k in range(q))
-        return cls(p, q, "tiled", rows)
+        return cls(p, rows)
 
     @classmethod
     def from_tiles(
         cls, tiles: Iterable[Iterable[int]], p: int
     ) -> "EncodingStructure":
-        """Structure from an explicit disjoint cover of range(p).
-
-        Reports pattern ``tiled`` when the tiles are those of
-        :meth:`tiled` and ``custom`` otherwise.
-        """
+        """Structure from an explicit disjoint cover of range(p)."""
         rows = tuple(tuple(sorted(tile)) for tile in tiles)
-        structure = cls(p, len(rows), "custom", rows)
+        structure = cls(p, rows)
         seen: set[int] = set()
         for row in structure.rows:
             if seen.intersection(row):
                 raise ValueError("tiles must be disjoint")
             seen.update(row)
-        p, q = structure.p, structure.q
-        if seen != set(range(p)):
+        if seen != set(range(structure.p)):
             raise ValueError("tiles must cover every input coordinate exactly once")
-        if p % q == 0 and structure.rows == cls.tiled(p, q).rows:
-            return cls.tiled(p, q)
         return structure
 
     @classmethod
@@ -129,7 +134,7 @@ class EncodingStructure:
         if mask.ndim != 2:
             raise ValueError("mask must be two-dimensional")
         rows = tuple(tuple(np.flatnonzero(r).tolist()) for r in mask)
-        return cls(mask.shape[1], mask.shape[0], "custom", rows)
+        return cls(mask.shape[1], rows)
 
     @property
     def r(self) -> int | None:
@@ -166,18 +171,25 @@ class QksMachine:
     """A sampled bank of E random episode encodings for one template.
 
     ``omega`` stores only the nonzero entries, shape (E, layers, nnz), laid
-    out row by row per the structure's offsets; ``beta`` has shape
-    (E, layers*q). Machines are built by :func:`sample_machine`.
+    out row by row per the structure's offsets, so it fixes ``episodes``
+    and ``layers``; ``beta`` has shape (E, layers*q). Machines are built by
+    :func:`sample_machine`.
     """
 
     template: CircuitTemplate
     structure: EncodingStructure
     sigma: float
-    episodes: int
     seed: int
     omega: np.ndarray = field(repr=False)
     beta: np.ndarray = field(repr=False)
-    layers: int = 1
+
+    @property
+    def episodes(self) -> int:
+        return self.omega.shape[0]
+
+    @property
+    def layers(self) -> int:
+        return self.omega.shape[1]
 
     @property
     def num_qubits(self) -> int:
@@ -192,15 +204,11 @@ class QksMachine:
         """Materialize episode e's (Omega_e, beta_e) as dense arrays."""
         if not 0 <= episode < self.episodes:
             raise IndexError(f"episode {episode} out of range")
-        q = self.structure.q
-        off = self.structure.offsets()
-        dense = np.zeros((self.num_params, self.structure.p))
-        for layer in range(self.layers):
-            for k, row in enumerate(self.structure.rows):
-                dense[layer * q + k, list(row)] = self.omega[
-                    episode, layer, off[k] : off[k + 1]
-                ]
-        return EpisodeEncoding(dense, self.beta[episode].copy())
+        # The mask's True cells, row-major, are the flat nonzero layout.
+        dense = np.zeros((self.layers, self.structure.q, self.structure.p))
+        dense[:, self.structure.mask()] = self.omega[episode]
+        omega = dense.reshape(self.num_params, self.structure.p)
+        return EpisodeEncoding(omega, self.beta[episode].copy())
 
     def encode(self, u: np.ndarray, episode: int) -> np.ndarray:
         """theta = Omega_e u + beta_e for one input vector."""
@@ -287,11 +295,9 @@ def sample_machine(
         template=template,
         structure=structure,
         sigma=float(sigma),
-        episodes=episodes,
         seed=int(seed),
         omega=omega,
         beta=beta,
-        layers=layers,
     )
 
 

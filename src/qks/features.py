@@ -3,7 +3,8 @@
 Row i of a feature matrix stacks one measured bit pattern per episode:
 column e * num_qubits + j holds qubit j's outcome from episode e, so a
 machine with E episodes on an n-qubit template yields E * n binary columns.
-Rows are stored packed, 64 columns per little-endian uint64 word.
+Rows are stored packed, 64 columns per little-endian uint64 word; the bits
+past the last column of each row's last word are zero.
 
 On-disk format (``.qksf``): a 16-byte header (magic ``QKSF``, little-endian
 u32 version, u64 row count) followed by the packed words row-major in
@@ -12,8 +13,10 @@ records its format (``"QKSF"``) and version and, as JSON integers, the
 matrix geometry (rows, columns, episodes, num_qubits) at its top level. Its
 ``machine`` object, the matrix's ``meta``, describes the machine that
 produced the bits: template, sigma, seed, layers and structure.
-The geometry lives only in the :class:`FeatureMatrix` fields, never in
-``meta``.
+A :class:`FeatureMatrix` holds its geometry once: rows from ``packed``,
+``num_qubits`` and ``episodes`` as fields, and ``num_columns`` derived from
+them, never in ``meta``. Loading checks the sidecar's columns against
+episodes x num_qubits and rejects a file whose padding bits are set.
 """
 
 from __future__ import annotations
@@ -52,11 +55,12 @@ class FeatureFileError(ValueError):
 class FeatureMatrix:
     """Bit-packed binary features: rows = examples, columns = episode bits.
 
-    ``meta``, when present, describes the machine, not the geometry.
+    The geometry is ``packed``'s row count, ``num_qubits`` and ``episodes``;
+    ``num_columns`` is episodes * num_qubits. ``meta``, when present,
+    describes the machine, not the geometry.
     """
 
     packed: np.ndarray  # (rows, words) uint64
-    num_columns: int
     num_qubits: int
     episodes: int
     meta: dict | None = None
@@ -64,14 +68,16 @@ class FeatureMatrix:
     def __post_init__(self):
         if self.packed.dtype != np.uint64 or self.packed.ndim != 2:
             raise ValueError("packed storage must be a 2-D uint64 array")
-        if self.num_columns != self.episodes * self.num_qubits:
-            raise ValueError("column count must equal episodes * num_qubits")
         if self.packed.shape[1] != _words_for(self.num_columns):
             raise ValueError("packed width does not match the column count")
 
     @property
     def rows(self) -> int:
         return self.packed.shape[0]
+
+    @property
+    def num_columns(self) -> int:
+        return self.episodes * self.num_qubits
 
     def to_dense(self) -> np.ndarray:
         """Unpack to a (rows, num_columns) uint8 array of 0/1 values."""
@@ -96,12 +102,11 @@ class FeatureMatrix:
             return self
         cols = episodes * self.num_qubits
         packed = _pack_rows(self.to_dense()[:, :cols])
-        return FeatureMatrix(packed, cols, self.num_qubits, episodes, self.meta)
+        return FeatureMatrix(packed, self.num_qubits, episodes, self.meta)
 
     def equals(self, other: "FeatureMatrix") -> bool:
         return (
-            self.num_columns == other.num_columns
-            and self.num_qubits == other.num_qubits
+            self.num_qubits == other.num_qubits
             and self.episodes == other.episodes
             and np.array_equal(self.packed, other.packed)
         )
@@ -193,7 +198,7 @@ def featurize(
             "rows": [list(r) for r in machine.structure.rows],
         },
     }
-    return FeatureMatrix(out, columns, n_q, n_eps, meta)
+    return FeatureMatrix(out, n_q, n_eps, meta)
 
 
 def _sidecar_path(path: str | Path) -> Path:
@@ -284,7 +289,14 @@ def load_features(path: str | Path) -> FeatureMatrix:
         .reshape(rows, words)
         .astype(np.uint64)
     )
+    # Bits past the last column must be zero: equals() compares whole words.
+    tail = columns % 64
+    dirty = np.flatnonzero(packed[:, -1] >> np.uint64(tail)) if tail else []
+    if len(dirty):
+        raise FeatureFileError(
+            f"{path}: row {dirty[0]} sets padding bits past column {columns}"
+        )
     meta = sidecar.get("machine")
     if meta is not None and not isinstance(meta, dict):
         raise FeatureFileError(f"{sidecar_file}: machine must be an object")
-    return FeatureMatrix(packed, columns, num_qubits, episodes, meta)
+    return FeatureMatrix(packed, num_qubits, episodes, meta)

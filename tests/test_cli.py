@@ -335,6 +335,18 @@ def test_features_load_bad_sidecar_exit_code(tmp_path, capsys, changes):
     assert "error" in err
 
 
+def test_features_load_padding_bits_exit_code(tmp_path, capsys):
+    path = tmp_path / "f.qksf"
+    run_cli(["features", "dump", "--frames-train", "3", "--frames-test", "2",
+             "--episodes", "77", "--out", str(path)], capsys)
+    raw = bytearray(path.read_bytes())
+    raw[-1] |= 0x80  # top bit of the last row's last word, past column 154
+    path.write_bytes(raw)
+    rc, _, err = run_cli(["features", "load", "--path", str(path)], capsys)
+    assert rc == 1
+    assert "padding" in err
+
+
 def test_missing_file_exit_code(capsys):
     rc, _, err = run_cli(
         ["baseline", "--dataset", "csv", "--train-csv", "/nonexistent.csv",

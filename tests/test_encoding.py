@@ -50,6 +50,23 @@ def test_from_tiles_classification():
     assert EncodingStructure.from_tiles([(2, 3), (0, 1)], 4).pattern == "custom"
 
 
+def test_pattern_names_the_rows():
+    # Equal rows are equal structures with one label, whichever builder made them.
+    split2 = EncodingStructure.from_tiles([[0], [1]], 2)
+    assert split2 == EncodingStructure.split(2) == EncodingStructure(2, ((0,), (1,)))
+    assert split2.pattern == "split"
+    assert EncodingStructure.tiled(4, 1) == EncodingStructure.dense(4)
+    assert EncodingStructure.tiled(4, 1).pattern == "dense"
+    assert EncodingStructure.split(1).pattern == "dense"
+    assert EncodingStructure.tiled(4, 4).pattern == "split"
+    eye = EncodingStructure.from_mask(np.eye(3, dtype=bool))
+    assert eye == EncodingStructure.split(3) and eye.pattern == "split"
+    assert EncodingStructure.from_mask(np.eye(2, 3, dtype=bool)).pattern == "custom"
+    assert EncodingStructure(4, ((0, 1, 2, 3), (1,))).pattern == "custom"
+    empty = EncodingStructure(3, ())
+    assert (empty.q, empty.pattern) == (0, "custom")
+
+
 def test_from_mask_overlapping_rows():
     mask = np.array([[True, True, False], [True, False, True]])
     s = EncodingStructure.from_mask(mask)
@@ -59,13 +76,11 @@ def test_from_mask_overlapping_rows():
 
 def test_structure_validation():
     with pytest.raises(ValueError, match="empty"):
-        EncodingStructure(3, 1, "custom", ((),))
+        EncodingStructure(3, ((),))
     with pytest.raises(ValueError, match="out-of-range"):
-        EncodingStructure(3, 1, "custom", ((0, 3),))
+        EncodingStructure(3, ((0, 3),))
     with pytest.raises(ValueError, match="sorted"):
-        EncodingStructure(3, 1, "custom", ((1, 0),))
-    with pytest.raises(ValueError, match="number of mask rows"):
-        EncodingStructure(3, 2, "custom", ((0,),))
+        EncodingStructure(3, ((1, 0),))
 
 
 def test_tile_coordinates_must_be_integers():
@@ -76,12 +91,10 @@ def test_tile_coordinates_must_be_integers():
         with pytest.raises(ValueError, match="coordinate must be an integer"):
             EncodingStructure.from_tiles([tile, rest], 2)
     with pytest.raises(ValueError, match="coordinate must be an integer"):
-        EncodingStructure(2, 2, "custom", ((0.5,), (1,)))
+        EncodingStructure(2, ((0.5,), (1,)))
     for bad in (2.0, True, np.float64(2)):
         with pytest.raises(ValueError, match="p must be an integer"):
-            EncodingStructure(bad, 1, "custom", ((0,),))
-        with pytest.raises(ValueError, match="q must be an integer"):
-            EncodingStructure(2, bad, "split", ((0,), (1,)))
+            EncodingStructure(bad, ((0,),))
     with pytest.raises(ValueError, match="empty"):
         EncodingStructure.from_tiles([[], [0, 1]], 2)
     swapped = EncodingStructure.from_tiles([[1], [0]], 2)
@@ -89,9 +102,22 @@ def test_tile_coordinates_must_be_integers():
         s = EncodingStructure.from_tiles([tile, np.array([0], dtype=np.int64)], 2)
         assert s == swapped
         assert {type(i) for row in s.rows for i in row} == {int}
-    s = EncodingStructure(np.int64(2), 1, "custom", ((np.int32(0), 1),))
+    s = EncodingStructure(np.int64(2), ((np.int32(0), 1),))
     assert type(s.p) is int and s.rows == ((0, 1),)
     assert {type(i) for i in s.rows[0]} == {int}
+
+
+def test_builders_name_a_non_integer_size():
+    # range() and % would raise a bare TypeError or build float blocks.
+    for build, name in ((lambda: EncodingStructure.split(2.0), "p"),
+                        (lambda: EncodingStructure.dense(True), "p"),
+                        (lambda: EncodingStructure.tiled(8.0, 4), "p"),
+                        (lambda: EncodingStructure.tiled(8, 4.0), "q"),
+                        (lambda: EncodingStructure.tiled(8, True), "q")):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            build()
+    assert EncodingStructure.tiled(np.int64(8), np.int32(4)) == (
+        EncodingStructure.tiled(8, 4))
 
 
 def test_sample_machine_shapes_and_fields():
@@ -103,6 +129,8 @@ def test_sample_machine_shapes_and_fields():
     assert (m.sigma, m.episodes, m.seed, m.layers) == (0.5, 100, 42, 1)
     assert m.num_params == 2
     assert m.num_qubits == 2
+    m3 = sample_machine(t, s, 0.5, 7, 42, layers=3)
+    assert (m3.episodes, m3.layers, m3.num_params) == (7, 3, 6)
 
 
 def test_sample_machine_distributions():

@@ -117,7 +117,7 @@ def test_truncate():
 
 def test_identity_template_gives_zero_features():
     ident = CircuitTemplate("ID", (), (), 1)
-    structure = EncodingStructure(3, 0, "custom", ())
+    structure = EncodingStructure(3, ())
     m = sample_machine(ident, structure, 1.0, 25, seed=4)
     fm = featurize(m, frame_inputs(n=8, seed=3) @ np.ones((2, 3)))
     assert fm.num_columns == 25
@@ -199,11 +199,10 @@ def test_pack_rows_layout():
 
 def test_feature_matrix_validation():
     with pytest.raises(ValueError, match="uint64"):
-        FeatureMatrix(np.zeros((2, 1), dtype=np.uint32), 10, 1, 10)
-    with pytest.raises(ValueError, match="episodes"):
-        FeatureMatrix(np.zeros((2, 1), dtype=np.uint64), 10, 2, 10)
+        FeatureMatrix(np.zeros((2, 1), dtype=np.uint32), 1, 10)
     with pytest.raises(ValueError, match="width"):
-        FeatureMatrix(np.zeros((2, 3), dtype=np.uint64), 10, 1, 10)
+        FeatureMatrix(np.zeros((2, 3), dtype=np.uint64), 1, 10)
+    assert FeatureMatrix(np.zeros((2, 1), dtype=np.uint64), 2, 10).num_columns == 20
 
 
 def test_qksf_roundtrip(tmp_path):
@@ -243,6 +242,19 @@ def test_qksf_truncated(tmp_path):
         load_features(path)
     path.write_bytes(raw[:8])
     with pytest.raises(FeatureFileError, match="truncated"):
+        load_features(path)
+
+
+def test_qksf_padding_bits(tmp_path):
+    # 77 episodes x 2 qubits = 154 columns in 3 words: bits 26-63 of each
+    # row's last word are padding, which equals() compares and to_dense drops.
+    fm = featurize(small_machine(episodes=77, seed=31), frame_inputs(n=13))
+    path = tmp_path / "pad.qksf"
+    save_features(fm, path)
+    raw = bytearray(path.read_bytes())
+    raw[16 + 5 * 24 + 23] |= 0x80  # top bit of row 5's last word
+    path.write_bytes(raw)
+    with pytest.raises(FeatureFileError, match="row 5 sets padding bits"):
         load_features(path)
 
 

@@ -347,7 +347,7 @@ def test_closed_form_kernel_needs_a_product_of_pauli_strings():
 
 def test_identity_machine_kernel_is_zero():
     ident = CircuitTemplate("ID", (), (), 1)
-    structure = EncodingStructure(2, 0, "custom", ())
+    structure = EncodingStructure(2, ())
     m = sample_machine(ident, structure, 1.0, 50, seed=17)
     est = mc_kernel(m, np.zeros(2), np.ones(2))
     assert est.value == 0.0
