@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import gzip
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -102,7 +103,12 @@ def gen_picture_frames(
 # IDX / MNIST
 
 
-def _read_idx_bytes(path: str | Path) -> bytes:
+def _read_idx(path: str | Path, magic: int, kind: str, ndim: int) -> np.ndarray:
+    """u8 payload of an IDX file: magic, then ndim u32 dimensions, then data.
+
+    ``kind`` ("image" or "label") names the file in error messages. The size
+    check multiplies Python ints, which cannot overflow as np.prod can.
+    """
     path = Path(path)
     raw = path.read_bytes()
     if raw[:2] == b"\x1f\x8b":
@@ -110,42 +116,30 @@ def _read_idx_bytes(path: str | Path) -> bytes:
             raw = gzip.decompress(raw)
         except (OSError, EOFError) as exc:
             raise DataFormatError(f"{path}: corrupt gzip stream: {exc}") from exc
-    return raw
+    header = 4 * (1 + ndim)
+    if len(raw) < header:
+        raise DataFormatError(f"{path}: truncated IDX {kind} header")
+    found, *dims = struct.unpack(f">{1 + ndim}I", raw[:header])
+    if found != magic:
+        raise DataFormatError(
+            f"{path}: bad {kind} magic 0x{found:08x}, expected 0x{magic:08x}"
+        )
+    expected = header + math.prod(dims)
+    if len(raw) != expected:
+        raise DataFormatError(
+            f"{path}: expected {expected} bytes for {dims[0]} {kind}s, got {len(raw)}"
+        )
+    return np.frombuffer(raw, dtype=np.uint8, offset=header).reshape(dims)
 
 
 def load_idx_images(path: str | Path) -> np.ndarray:
     """Read an IDX image file into a (count, rows, cols) uint8 array."""
-    raw = _read_idx_bytes(path)
-    if len(raw) < 16:
-        raise DataFormatError(f"{path}: truncated IDX image header")
-    magic, count, rows, cols = struct.unpack(">IIII", raw[:16])
-    if magic != IMAGE_MAGIC:
-        raise DataFormatError(
-            f"{path}: bad image magic 0x{magic:08x}, expected 0x{IMAGE_MAGIC:08x}"
-        )
-    expected = 16 + count * rows * cols
-    if len(raw) != expected:
-        raise DataFormatError(
-            f"{path}: expected {expected} bytes for {count} images, got {len(raw)}"
-        )
-    return np.frombuffer(raw, dtype=np.uint8, offset=16).reshape(count, rows, cols)
+    return _read_idx(path, IMAGE_MAGIC, "image", 3)
 
 
 def load_idx_labels(path: str | Path) -> np.ndarray:
     """Read an IDX label file into a (count,) uint8 array."""
-    raw = _read_idx_bytes(path)
-    if len(raw) < 8:
-        raise DataFormatError(f"{path}: truncated IDX label header")
-    magic, count = struct.unpack(">II", raw[:8])
-    if magic != LABEL_MAGIC:
-        raise DataFormatError(
-            f"{path}: bad label magic 0x{magic:08x}, expected 0x{LABEL_MAGIC:08x}"
-        )
-    if len(raw) != 8 + count:
-        raise DataFormatError(
-            f"{path}: expected {8 + count} bytes for {count} labels, got {len(raw)}"
-        )
-    return np.frombuffer(raw, dtype=np.uint8, offset=8)
+    return _read_idx(path, LABEL_MAGIC, "label", 1)
 
 
 def load_mnist_pair(
