@@ -290,12 +290,8 @@ def load_features(path: str | Path) -> FeatureMatrix:
         .astype(np.uint64)
     )
     # Bits past the last column must be zero: equals() compares whole words.
-    tail = columns % 64
-    dirty = np.flatnonzero(packed[:, -1] >> np.uint64(tail)) if tail else []
-    if len(dirty):
-        raise FeatureFileError(
-            f"{path}: row {dirty[0]} sets padding bits past column {columns}"
-        )
+    if columns % 64 and (packed[:, -1] >> np.uint64(columns % 64)).any():
+        raise FeatureFileError(f"{path}: padding bits past column {columns} are set")
     meta = sidecar.get("machine")
     if meta is not None and not isinstance(meta, dict):
         raise FeatureFileError(f"{sidecar_file}: machine must be an object")

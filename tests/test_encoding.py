@@ -95,6 +95,16 @@ def test_tile_coordinates_must_be_integers():
     for bad in (2.0, True, np.float64(2)):
         with pytest.raises(ValueError, match="p must be an integer"):
             EncodingStructure(bad, ((0,),))
+        # The builders would raise a bare TypeError from range() or build
+        # float blocks.
+        for build in (EncodingStructure.split, EncodingStructure.dense,
+                      lambda p: EncodingStructure.tiled(p, 2)):
+            with pytest.raises(ValueError, match="^p must be an integer"):
+                build(bad)
+        with pytest.raises(ValueError, match="^q must be an integer"):
+            EncodingStructure.tiled(8, bad)
+    assert EncodingStructure.tiled(np.int64(8), np.int32(4)) == (
+        EncodingStructure.tiled(8, 4))
     with pytest.raises(ValueError, match="empty"):
         EncodingStructure.from_tiles([[], [0, 1]], 2)
     swapped = EncodingStructure.from_tiles([[1], [0]], 2)
@@ -105,19 +115,6 @@ def test_tile_coordinates_must_be_integers():
     s = EncodingStructure(np.int64(2), ((np.int32(0), 1),))
     assert type(s.p) is int and s.rows == ((0, 1),)
     assert {type(i) for i in s.rows[0]} == {int}
-
-
-def test_builders_name_a_non_integer_size():
-    # range() and % would raise a bare TypeError or build float blocks.
-    for build, name in ((lambda: EncodingStructure.split(2.0), "p"),
-                        (lambda: EncodingStructure.dense(True), "p"),
-                        (lambda: EncodingStructure.tiled(8.0, 4), "p"),
-                        (lambda: EncodingStructure.tiled(8, 4.0), "q"),
-                        (lambda: EncodingStructure.tiled(8, True), "q")):
-        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
-            build()
-    assert EncodingStructure.tiled(np.int64(8), np.int32(4)) == (
-        EncodingStructure.tiled(8, 4))
 
 
 def test_sample_machine_shapes_and_fields():

@@ -254,7 +254,7 @@ def test_qksf_padding_bits(tmp_path):
     raw = bytearray(path.read_bytes())
     raw[16 + 5 * 24 + 23] |= 0x80  # top bit of row 5's last word
     path.write_bytes(raw)
-    with pytest.raises(FeatureFileError, match="row 5 sets padding bits"):
+    with pytest.raises(FeatureFileError, match="padding bits past column 154"):
         load_features(path)
 
 
