@@ -172,8 +172,8 @@ class QksMachine:
 
     ``omega`` stores only the nonzero entries, shape (E, layers, nnz), laid
     out row by row per the structure's offsets, so it fixes ``episodes``
-    and ``layers``; ``beta`` has shape (E, layers*q). Machines are built by
-    :func:`sample_machine`.
+    and ``layers``; ``beta`` must have shape (E, layers*q). Machines are
+    built by :func:`sample_machine`.
     """
 
     template: CircuitTemplate
@@ -182,6 +182,19 @@ class QksMachine:
     seed: int
     omega: np.ndarray = field(repr=False)
     beta: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        nnz = self.structure.nnz
+        if self.omega.ndim != 3 or self.omega.shape[2] != nnz:
+            raise ValueError(
+                f"omega must have shape (E, layers, {nnz}), got {self.omega.shape}"
+            )
+        beta_shape = (self.episodes, self.num_params)
+        if self.beta.shape != beta_shape:
+            raise ValueError(
+                f"omega of shape {self.omega.shape} needs beta of shape "
+                f"{beta_shape}, got {self.beta.shape}"
+            )
 
     @property
     def episodes(self) -> int:

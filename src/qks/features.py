@@ -55,9 +55,10 @@ class FeatureFileError(ValueError):
 class FeatureMatrix:
     """Bit-packed binary features: rows = examples, columns = episode bits.
 
-    The geometry is ``packed``'s row count, ``num_qubits`` and ``episodes``;
-    ``num_columns`` is episodes * num_qubits. ``meta``, when present,
-    describes the machine, not the geometry.
+    The geometry is ``packed``'s row count, ``num_qubits`` and ``episodes``,
+    both integers >= 1 (a float or bool raises); ``num_columns`` is
+    episodes * num_qubits. ``meta``, when present, describes the machine,
+    not the geometry.
     """
 
     packed: np.ndarray  # (rows, words) uint64
@@ -66,6 +67,10 @@ class FeatureMatrix:
     meta: dict | None = None
 
     def __post_init__(self):
+        self.num_qubits = _as_int("num_qubits", self.num_qubits)
+        self.episodes = _as_int("episodes", self.episodes)
+        if self.num_qubits < 1 or self.episodes < 1:
+            raise ValueError("num_qubits and episodes must be >= 1")
         if self.packed.dtype != np.uint64 or self.packed.ndim != 2:
             raise ValueError("packed storage must be a 2-D uint64 array")
         if self.packed.shape[1] != _words_for(self.num_columns):

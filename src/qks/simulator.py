@@ -362,23 +362,56 @@ def _apply_ops(
 def _inverse_cdf(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     """Outcome index per column of (dim, b) ``probs``, one uniform u each.
 
-    The index counts the cumulative sums <= u (u's right insertion point),
-    clamped to dim - 1 in case rounding leaves the last sum below u. Up to
-    _RUNNING_SUM_MAX_DIM outcomes, one running sum per column replaces the
-    cumulative-sum array: it adds the same numbers in the same order as
-    np.cumsum down axis 0, and it stops after dim - 1 sums, which is the
-    clamp, since the sums never decrease. Its counts are uint8.
+    The index counts the sequential cumulative sums <= u (u's right
+    insertion point), clamped to dim - 1 in case rounding leaves the last
+    sum below u. Up to _RUNNING_SUM_MAX_DIM outcomes, one running sum per
+    column replaces the cumulative-sum array: it adds the same numbers in
+    the same order as np.cumsum down axis 0, and it stops after dim - 1
+    sums, which is the clamp, since the sums never decrease. Its counts are
+    uint8.
+
+    Wider columns are searched in two levels, in blocks of about sqrt(dim)
+    rows (Devroye's indexed search, Non-Uniform Random Variate Generation,
+    1986, III.3). The cumulative block totals pick each column's block, and
+    the cumulative sums of its rows, started from the block's approximate
+    start, pick the row. Both levels leave out their last sum, which is the
+    clamp. These sums add the same numbers in another order, so for columns
+    that sum to about 1 each lies within dim * eps of the sequential sum it
+    stands for. A column with any of them within 4 * dim * eps of u is
+    recomputed by the sequential rule through np.cumsum; every other one
+    gets the sequential rule's index.
     """
-    dim = probs.shape[0]
-    if dim > _RUNNING_SUM_MAX_DIM:
-        cdf = np.cumsum(probs, axis=0)
-        z = (cdf <= uniforms).sum(axis=0)
-        return np.minimum(z, dim - 1, out=z)
-    total = probs[0].copy()
-    z = (total <= uniforms).view(np.uint8)
-    for p in probs[1:-1]:
-        total += p
-        z += total <= uniforms
+    dim, b = probs.shape
+    if dim <= _RUNNING_SUM_MAX_DIM:
+        total = probs[0].copy()
+        z = (total <= uniforms).view(np.uint8)
+        for p in probs[1:-1]:
+            total += p
+            z += total <= uniforms
+        return z
+    size = 1 << ((dim - 1).bit_length() // 2)
+    blocks = -(-dim // size)
+    pad = blocks * size - dim
+    # Zero rows in front leave every sequential sum as it is.
+    padded = np.concatenate((np.zeros((pad, b)), probs)) if pad else probs
+    rows = padded.reshape(blocks, size, b)
+    starts = np.zeros((blocks, b))
+    # einsum sums down the middle axis faster than .sum(axis=1) for small b.
+    np.cumsum(np.einsum("ijk->ik", rows[:-1]), axis=0, out=starts[1:])
+    block = (starts[1:] <= uniforms).sum(axis=0)
+    cols = np.arange(b)
+    sums = np.empty((size, b))
+    sums[0] = starts[block, cols]
+    sums[1:] = rows[block, :-1, cols].T
+    np.cumsum(sums, axis=0, out=sums)
+    z = block * size - pad + (sums[1:] <= uniforms).sum(axis=0)
+    tol = 4 * dim * np.finfo(np.float64).eps
+    near = (np.abs(starts[1:] - uniforms) <= tol).any(axis=0)
+    near |= (np.abs(sums[1:] - uniforms) <= tol).any(axis=0)
+    if near.any():
+        tied = np.flatnonzero(near)
+        cdf = np.cumsum(probs[:, tied], axis=0)
+        z[tied] = np.minimum((cdf <= uniforms[tied]).sum(axis=0), dim - 1)
     return z
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qks import EncodingStructure, get_ansatz, sample_machine, shot_stream
+from qks import EncodingStructure, QksMachine, get_ansatz, sample_machine, shot_stream
 
 
 def test_dense_structure():
@@ -165,6 +165,22 @@ def test_sample_machine_validation():
     m = sample_machine(t, s, 1.0, np.int64(10), 0, layers=np.int32(2))
     assert (m.episodes, m.layers) == (10, 2)
     assert type(m.episodes) is int and type(m.layers) is int
+
+
+def test_machine_checks_omega_against_beta():
+    # Built by hand, a machine whose arrays disagree would fail in featurize
+    # with a numpy broadcast error.
+    m = sample_machine(get_ansatz("cnot2"), EncodingStructure.split(2), 1.0, 8, 0)
+    args = m.template, m.structure, m.sigma, m.seed
+    with pytest.raises(ValueError, match=r"beta of shape \(8, 2\)"):
+        QksMachine(*args, m.omega, m.beta[:5])
+    with pytest.raises(ValueError, match=r"beta of shape \(8, 4\)"):
+        QksMachine(*args, np.concatenate([m.omega, m.omega], axis=1), m.beta)
+    with pytest.raises(ValueError, match="omega"):
+        QksMachine(*args, m.omega[:, :, :1], m.beta)
+    with pytest.raises(ValueError, match="omega"):
+        QksMachine(*args, m.omega[:, 0], m.beta)
+    assert QksMachine(*args, m.omega, m.beta).episodes == 8
 
 
 def test_seed_must_fit_64_bits():

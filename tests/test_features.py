@@ -203,6 +203,12 @@ def test_feature_matrix_validation():
     with pytest.raises(ValueError, match="width"):
         FeatureMatrix(np.zeros((2, 3), dtype=np.uint64), 1, 10)
     assert FeatureMatrix(np.zeros((2, 1), dtype=np.uint64), 2, 10).num_columns == 20
+    # A float or bool would slice late in to_dense, and 0 would fit an empty
+    # packed array.
+    for num_qubits, episodes, width in [(2, 10.0, 1), (True, 10, 1), (0, 10, 0), (2, 0, 0)]:
+        packed = np.zeros((2, width), dtype=np.uint64)
+        with pytest.raises(ValueError, match="num_qubits|episodes"):
+            FeatureMatrix(packed, num_qubits, episodes)
 
 
 def test_qksf_roundtrip(tmp_path):

@@ -309,29 +309,93 @@ def _cumsum_outcome(probs, uniforms):
     return np.minimum((cdf <= uniforms).sum(axis=0), probs.shape[0] - 1)
 
 
-@pytest.mark.parametrize("dim", [*range(2, 18), 64])
+def _adversarial_column(rng, dim, below_one):
+    """Probabilities with a run of zeros and one spike, summing to 1 or,
+    with ``below_one``, to just below it."""
+    p = rng.random(dim) ** 4
+    start = rng.integers(dim)
+    p[start : start + rng.integers(1, dim + 1)] = 0.0
+    p[rng.integers(dim)] += 0.1
+    p /= p.sum()
+    if below_one:
+        p *= 1.0 - 1e-9
+    return p
+
+
+def _guard_band_uniforms(probs, rows=slice(None)):
+    """u at 5 * dim * eps either side of the running sums at ``rows``: just
+    outside the band of 4 * dim * eps in which the blocked search hands a
+    column to the sequential rule, so it decides these alone."""
+    band = 5 * len(probs) * np.finfo(np.float64).eps
+    sums = np.cumsum(probs)[rows]
+    us = np.concatenate([sums - band, sums + band])
+    return us[(us >= 0.0) & (us < 1.0)].tolist()
+
+
+@pytest.mark.parametrize("dim", [*range(2, 18), 32, 64])
 def test_inverse_cdf_matches_cumsum_rule_at_every_dim(dim):
-    # Small outcome spaces are sampled with running sums and wide ones with
-    # np.cumsum; both must give the sequential rule's index. Columns have
-    # runs of zero probability, and every other one sums to below 1; each
-    # is sampled at u equal to every cumulative sum and its neighbours.
+    # Small outcome spaces are sampled with running sums and wide ones by a
+    # blocked search; both must give the sequential rule's index. Columns
+    # have runs of zero probability, and every other one sums to below 1;
+    # each is sampled at u equal to every cumulative sum, its neighbours
+    # and the guard band's edges, with the columns mixed in one call.
     rng = np.random.default_rng(dim)
     columns, uniforms = [], []
     for k in range(12):
-        p = rng.random(dim) ** 4
-        start = rng.integers(dim)
-        p[start : start + rng.integers(1, dim + 1)] = 0.0
-        p[rng.integers(dim)] += 0.1
-        p /= p.sum()
-        if k % 2:
-            p *= 1.0 - 1e-9
-        for u in _adversarial_uniforms(p):
+        p = _adversarial_column(rng, dim, k % 2)
+        for u in _adversarial_uniforms(p) + _guard_band_uniforms(p):
             columns.append(p)
             uniforms.append(u)
     probs, uniforms = np.array(columns).T, np.array(uniforms)
     got = simulator._inverse_cdf(probs, uniforms)
     assert got.tolist() == _cumsum_outcome(probs, uniforms).tolist()
     assert (uniforms >= np.cumsum(probs, axis=0)[-1]).any()  # clamped
+
+
+@pytest.mark.parametrize("dim, below_one", [(512, False), (512, True), (4096, True), (65536, False)])
+def test_inverse_cdf_matches_cumsum_rule_on_wide_columns(dim, below_one):
+    # One column per call, read through a broadcast view, at many u. Up to
+    # 4096 outcomes u takes every cumulative sum, its neighbours and the
+    # guard band's edges. At p16's 65,536, where each u sent to the
+    # sequential rule costs a full cumsum, it takes every 256th sum (the
+    # ends of blocks of sqrt(dim) rows) with its neighbours, and the band's
+    # edges around those and every sum of the first and last blocks.
+    p = _adversarial_column(np.random.default_rng(dim), dim, below_one)
+    if dim <= 4096:
+        uniforms = _adversarial_uniforms(p) + _guard_band_uniforms(p)
+    else:
+        rows = np.arange(dim)
+        ends = rows % 256 == 255
+        uniforms = [
+            float(u) for s in np.cumsum(p)[ends]
+            for u in (s, np.nextafter(s, 0.0), np.nextafter(s, 1.0))
+        ]
+        uniforms += _guard_band_uniforms(p, ends | (rows < 256) | (rows >= dim - 256))
+    uniforms = np.array(uniforms)
+    uniforms = uniforms[uniforms < 1.0]
+    # _cumsum_outcome for one column: its sums never decrease, so the count
+    # of those <= u is u's right insertion point.
+    expected = np.minimum(np.searchsorted(np.cumsum(p), uniforms, "right"), dim - 1)
+    got = [
+        simulator._inverse_cdf(np.broadcast_to(p[:, np.newaxis], (dim, len(us))), us)
+        for us in np.array_split(uniforms, -(-len(uniforms) * dim // (1 << 21)))
+    ]
+    assert np.concatenate(got).tolist() == expected.tolist()
+
+
+def test_inverse_cdf_ties_on_block_ends():
+    # Multiples of 1/512 add exactly, in any order, so u = k/512 sits on a
+    # cumulative sum, and on every block end, where the blocked search must
+    # hand the column to the sequential rule. Columns of 512 and 256
+    # nonzero outcomes alternate, so a fallback that mixed up columns
+    # would show.
+    wide = np.full(512, 1 / 512)
+    half = np.where(np.arange(512) % 2 == 0, 1 / 256, 0.0)
+    uniforms = np.arange(512) / 512
+    probs = np.where(np.arange(512) % 2 == 0, wide[:, np.newaxis], half[:, np.newaxis])
+    got = simulator._inverse_cdf(probs, uniforms)
+    assert got.tolist() == _cumsum_outcome(probs, uniforms).tolist()
+    assert got[::2].tolist() == list(range(0, 512, 2))
 
 
 def test_born_rule_chisquare():
