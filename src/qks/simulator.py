@@ -37,8 +37,12 @@ rule over the outcome probabilities in basis-index order: the count of
 cumulative sums down axis 0 that are <= u, clamped to the last outcome. Up
 to 16 outcomes the sums are kept as one running sum per episode and
 counted as they are added, which adds the same numbers in the same order
-as np.cumsum; wider outcome spaces take np.cumsum, which adds in the same
-sequence per episode as one along a row would.
+as np.cumsum. Wider outcome spaces are searched in blocks of about
+sqrt(2**n) rows: the cumulative block totals pick each episode's block,
+and the cumulative sums inside it pick the row, so no episode needs all
+2**n sums. These sums are added in another order, so an episode with any
+of them within 4 * 2**n * eps of u is recomputed with np.cumsum down its
+column; rounding cannot move the others' index.
 :meth:`EpisodeEngine.probabilities` returns one row per episode, (B, 2**n).
 
 :meth:`EpisodeEngine.marginals` returns P(bit j = 1), (B, n), in the
@@ -84,8 +88,8 @@ _SQRT_HALF = 1.0 / math.sqrt(2.0)
 # factors, since RX(theta)|0> = cos(theta/2)|0> - i sin(theta/2)|1>.
 _POWERS_OF_MINUS_I = np.array([1.0, -1j, -1.0, 1j])
 
-# The widest outcome space sampled with running sums; wider ones use
-# np.cumsum (see _inverse_cdf). Its uint8 counts need this to be <= 256.
+# The widest outcome space sampled with running sums; wider ones use a
+# blocked search (see _inverse_cdf). Its uint8 counts need this to be <= 256.
 _RUNNING_SUM_MAX_DIM = 16
 
 
@@ -375,11 +379,11 @@ def _inverse_cdf(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     1986, III.3). The cumulative block totals pick each column's block, and
     the cumulative sums of its rows, started from the block's approximate
     start, pick the row. Both levels leave out their last sum, which is the
-    clamp. These sums add the same numbers in another order, so for columns
-    that sum to about 1 each lies within dim * eps of the sequential sum it
-    stands for. A column with any of them within 4 * dim * eps of u is
-    recomputed by the sequential rule through np.cumsum; every other one
-    gets the sequential rule's index.
+    clamp. These sums add the same numbers in another order. For columns
+    that sum to about 1, each of them and each sequential sum carries at
+    most about dim * eps / 2 of rounding, so a column whose sums all lie
+    farther than tol = 4 * dim * eps from u gets the sequential rule's
+    index. Any other column is recomputed by that rule through np.cumsum.
     """
     dim, b = probs.shape
     if dim <= _RUNNING_SUM_MAX_DIM:
@@ -392,7 +396,8 @@ def _inverse_cdf(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     size = 1 << ((dim - 1).bit_length() // 2)
     blocks = -(-dim // size)
     pad = blocks * size - dim
-    # Zero rows in front leave every sequential sum as it is.
+    # Zero rows in front, when size does not divide dim, leave every
+    # sequential sum as it is, and the index drops them again.
     padded = np.concatenate((np.zeros((pad, b)), probs)) if pad else probs
     rows = padded.reshape(blocks, size, b)
     starts = np.zeros((blocks, b))
