@@ -113,8 +113,6 @@ def _parse_digits(text: str) -> tuple[int, int]:
 def _load_splits(args) -> tuple[LabeledDataset, LabeledDataset, dict]:
     """Load (train, test) per the dataset flags, plus a config fragment."""
     if args.dataset == "frames":
-        if args.frames_train < 1 or args.frames_test < 1:
-            raise UsageError("frames sizes must be >= 1")
         train, test = gen_picture_frames(
             args.frames_train, args.frames_test, args.data_seed
         )
@@ -198,13 +196,11 @@ def _write_csv(path: str | None, lines: list[str], unit: str) -> None:
 
 
 def cmd_gen_frames(args) -> int:
-    if args.train_per_class < 1 or args.test_per_class < 1:
-        raise UsageError("per-class counts must be >= 1")
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     train, test = gen_picture_frames(
         args.train_per_class, args.test_per_class, args.seed
     )
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     save_csv(train, out_dir / "train.csv")
     save_csv(test, out_dir / "test.csv")
     print(f"wrote {out_dir / 'train.csv'} ({train.size} rows)")

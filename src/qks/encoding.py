@@ -21,20 +21,13 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .quil import CircuitTemplate
+from .quil import CircuitTemplate, _as_int
 
 TAG_OMEGA = 1
 TAG_BETA = 2
 TAG_SHOTS = 3
 
 TWO_PI = 2.0 * np.pi
-
-
-def _as_int(name: str, value) -> int:
-    """``value`` as an int; a float or bool raises, where int() would truncate."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 def _substream(seed: int, *tags: int) -> np.random.Generator:

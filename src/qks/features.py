@@ -31,7 +31,8 @@ from pathlib import Path
 import numpy as np
 
 from .datasets import DataFormatError
-from .encoding import QksMachine, _as_int, shot_stream
+from .encoding import QksMachine, shot_stream
+from .quil import _as_int
 from .simulator import cached_engine, outcome_bits
 
 MAGIC = b"QKSF"

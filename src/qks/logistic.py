@@ -31,8 +31,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .encoding import _as_int
 from .features import FeatureMatrix
+from .quil import _as_int
 
 _ARMIJO_C = 1e-4
 _MAX_BACKTRACKS = 60

@@ -18,6 +18,15 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Sequence, Union
 
+import numpy as np
+
+
+def _as_int(name: str, value) -> int:
+    """``value`` as an int; a float or bool raises, where int() would truncate."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
 
 class QuilParseError(ValueError):
     """Syntax or semantic error in circuit source, with a 1-based position."""
@@ -62,6 +71,8 @@ class GateOp:
     angle: Angle | None = None
 
     def __post_init__(self):
+        qubits = tuple(_as_int("qubit index", q) for q in self.qubits)
+        object.__setattr__(self, "qubits", qubits)
         if len(self.qubits) != self.kind.num_qubits:
             raise ValueError(
                 f"{self.kind.value} acts on {self.kind.num_qubits} qubit(s), "

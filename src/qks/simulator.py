@@ -34,15 +34,18 @@ bit. Chunks are sized for about 1 MiB of amplitudes and allocated as they
 run, so an engine is immutable and :func:`cached_engine` shares one per
 (template, layers). Every shot takes one uniform through one inverse-CDF
 rule over the outcome probabilities in basis-index order: the count of
-cumulative sums down axis 0 that are <= u, clamped to the last outcome. Up
-to 16 outcomes the sums are kept as one running sum per episode and
-counted as they are added, which adds the same numbers in the same order
-as np.cumsum. Wider outcome spaces are searched in blocks of about
-sqrt(2**n) rows: the cumulative block totals pick each episode's block,
-and the cumulative sums inside it pick the row, so no episode needs all
-2**n sums. These sums are added in another order, so an episode with any
-of them within 4 * 2**n * eps of u is recomputed with np.cumsum down its
-column; rounding cannot move the others' index.
+cumulative sums down axis 0 that are <= u, clamped to the last outcome.
+Two samplers apply it: :meth:`EpisodeEngine.sample` for templates (features
+and :func:`run_episode` alike) and :func:`sample_shot` for an explicit
+:class:`StateVector`. Both hand it 2**n outcomes, since a StateVector
+rejects any other number of amplitudes. Up to 16 outcomes the sums are
+kept as one running sum per episode and counted as they are added, which
+adds the same numbers in the same order as np.cumsum. Wider outcome spaces
+are searched in blocks of 2**(n//2) rows: the cumulative block totals
+pick each episode's block, and the cumulative sums inside it pick the row,
+so no episode needs all 2**n sums. These sums are added in another order,
+so an episode with any of them within 4 * 2**n * eps of u is recomputed
+with np.cumsum down its column; rounding cannot move the others' index.
 :meth:`EpisodeEngine.probabilities` returns one row per episode, (B, 2**n).
 
 :meth:`EpisodeEngine.marginals` returns P(bit j = 1), (B, n), in the
@@ -74,8 +77,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .encoding import _as_int
-from .quil import CircuitTemplate, GateKind, GateOp, ParamRef
+from .quil import CircuitTemplate, GateKind, GateOp, ParamRef, _as_int
 
 MAX_QUBITS = 16
 
@@ -95,10 +97,20 @@ _RUNNING_SUM_MAX_DIM = 16
 
 @dataclass(frozen=True)
 class Shot:
-    """One measured bit pattern; bit j of ``bits`` is qubit j's outcome."""
+    """One measured bit pattern; bit j of ``bits`` is qubit j's outcome.
+
+    ``num_qubits`` is an integer in [1, MAX_QUBITS] and ``bits`` an integer
+    in [0, 2**num_qubits), one of the 2**n outcome indices; anything else
+    raises ValueError, where the shifts below would read a wrong pattern.
+    """
 
     bits: int
     num_qubits: int
+
+    def __post_init__(self):
+        n = _check_width(self.num_qubits)
+        if not 0 <= _as_int("bits", self.bits) < 1 << n:
+            raise ValueError(f"bits must be in [0, 2**{n}), got {self.bits}")
 
     def bit(self, qubit: int) -> int:
         if not 0 <= qubit < self.num_qubits:
@@ -110,9 +122,14 @@ class Shot:
         return ((self.bits >> np.arange(self.num_qubits)) & 1).astype(np.uint8)
 
 
-def _check_width(num_qubits: int) -> None:
+def _check_width(num_qubits: int) -> int:
+    """``num_qubits`` as an int in [1, MAX_QUBITS]; anything else raises."""
+    num_qubits = _as_int("num_qubits", num_qubits)
     if not 1 <= num_qubits <= MAX_QUBITS:
-        raise ValueError(f"num_qubits must be in [1, {MAX_QUBITS}]")
+        raise ValueError(
+            f"num_qubits must be >= 1 and at most {MAX_QUBITS}, got {num_qubits}"
+        )
+    return num_qubits
 
 
 def outcome_bits(z: np.ndarray, num_qubits: int) -> np.ndarray:
@@ -133,15 +150,27 @@ def bit_matrix(num_qubits: int) -> np.ndarray:
 
 @dataclass
 class StateVector:
-    """Dense complex amplitudes over the computational basis."""
+    """Dense complex amplitudes over the computational basis.
+
+    ``num_qubits`` is an integer in [1, MAX_QUBITS] and ``amplitudes`` a 1-D
+    array of exactly 2**num_qubits entries, one per basis index; anything
+    else raises ValueError here, so every outcome space a state hands to
+    the inverse-CDF rule has 2**n rows.
+    """
 
     amplitudes: np.ndarray
     num_qubits: int
 
+    def __post_init__(self):
+        self.num_qubits = n = _check_width(self.num_qubits)
+        self.amplitudes = a = np.asarray(self.amplitudes)
+        if a.shape != (1 << n,):
+            raise ValueError(f"amplitudes need shape ({1 << n},), got {a.shape}")
+
     @classmethod
     def zero(cls, num_qubits: int) -> "StateVector":
         """The all-zeros basis state |0...0>."""
-        _check_width(num_qubits)
+        num_qubits = _check_width(num_qubits)
         amps = np.zeros(1 << num_qubits, dtype=np.complex128)
         amps[0] = 1.0
         return cls(amps, num_qubits)
@@ -366,6 +395,9 @@ def _apply_ops(
 def _inverse_cdf(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     """Outcome index per column of (dim, b) ``probs``, one uniform u each.
 
+    ``dim`` must be 2**n for an n in [1, MAX_QUBITS]. Its two callers,
+    :func:`sample_shot` and :meth:`EpisodeEngine.sample`, pass the outcomes
+    of a :class:`StateVector` or an engine, which both check their width.
     The index counts the sequential cumulative sums <= u (u's right
     insertion point), clamped to dim - 1 in case rounding leaves the last
     sum below u. Up to _RUNNING_SUM_MAX_DIM outcomes, one running sum per
@@ -374,16 +406,17 @@ def _inverse_cdf(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     sums, which is the clamp, since the sums never decrease. Its counts are
     uint8.
 
-    Wider columns are searched in two levels, in blocks of about sqrt(dim)
-    rows (Devroye's indexed search, Non-Uniform Random Variate Generation,
-    1986, III.3). The cumulative block totals pick each column's block, and
-    the cumulative sums of its rows, started from the block's approximate
-    start, pick the row. Both levels leave out their last sum, which is the
-    clamp. These sums add the same numbers in another order. For columns
-    that sum to about 1, each of them and each sequential sum carries at
-    most about dim * eps / 2 of rounding, so a column whose sums all lie
-    farther than tol = 4 * dim * eps from u gets the sequential rule's
-    index. Any other column is recomputed by that rule through np.cumsum.
+    Wider columns are searched in two levels, in 2**(n - n//2) blocks of
+    2**(n//2) rows (Devroye's indexed search, Non-Uniform Random Variate
+    Generation, 1986, III.3). The cumulative block totals pick each
+    column's block, and the cumulative sums of its rows, started from the
+    block's approximate start, pick the row. Both levels leave out their
+    last sum, which is the clamp. These sums add the same numbers in
+    another order. For columns that sum to about 1, each of them and each
+    sequential sum carries at most about dim * eps / 2 of rounding, so a
+    column whose sums all lie farther than tol = 4 * dim * eps from u gets
+    the sequential rule's index. Any other column is recomputed by that
+    rule through np.cumsum.
     """
     dim, b = probs.shape
     if dim <= _RUNNING_SUM_MAX_DIM:
@@ -394,12 +427,8 @@ def _inverse_cdf(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
             z += total <= uniforms
         return z
     size = 1 << ((dim - 1).bit_length() // 2)
-    blocks = -(-dim // size)
-    pad = blocks * size - dim
-    # Zero rows in front, when size does not divide dim, leave every
-    # sequential sum as it is, and the index drops them again.
-    padded = np.concatenate((np.zeros((pad, b)), probs)) if pad else probs
-    rows = padded.reshape(blocks, size, b)
+    blocks = dim // size
+    rows = probs.reshape(blocks, size, b)
     starts = np.zeros((blocks, b))
     # einsum sums down the middle axis faster than .sum(axis=1) for small b.
     np.cumsum(np.einsum("ijk->ik", rows[:-1]), axis=0, out=starts[1:])
@@ -409,7 +438,7 @@ def _inverse_cdf(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     sums[0] = starts[block, cols]
     sums[1:] = rows[block, :-1, cols].T
     np.cumsum(sums, axis=0, out=sums)
-    z = block * size - pad + (sums[1:] <= uniforms).sum(axis=0)
+    z = block * size + (sums[1:] <= uniforms).sum(axis=0)
     tol = 4 * dim * np.finfo(np.float64).eps
     near = (np.abs(starts[1:] - uniforms) <= tol).any(axis=0)
     near |= (np.abs(sums[1:] - uniforms) <= tol).any(axis=0)
@@ -432,7 +461,11 @@ def apply_gate(state: StateVector, gate: GateOp) -> StateVector:
 
 
 def sample_shot(state: StateVector, rng: np.random.Generator) -> Shot:
-    """Measure all qubits once, consuming exactly one uniform variate."""
+    """Measure all qubits of an explicit state once, with one uniform variate.
+
+    Templates are sampled by :meth:`EpisodeEngine.sample` instead; both use
+    the same inverse-CDF rule.
+    """
     u = np.array([rng.random()])
     z = _inverse_cdf(state.probabilities()[:, np.newaxis], u)
     return Shot(int(z[0]), state.num_qubits)
@@ -463,14 +496,9 @@ class EpisodeEngine:
         layers = _as_int("layers", layers)
         if layers < 1:
             raise ValueError("layers must be >= 1")
-        if template.num_qubits > MAX_QUBITS:
-            raise ValueError(
-                f"template uses {template.num_qubits} qubits; the dense "
-                f"simulator supports at most {MAX_QUBITS}"
-            )
         self.template = template
         self.layers = layers
-        self.num_qubits = n = template.num_qubits
+        self.num_qubits = n = _check_width(template.num_qubits)
         self.num_params = layers * template.num_params
         self.dim = 1 << n
         ops = _compile(template.gates, n, template.params, layers)
@@ -643,7 +671,11 @@ def exact_probabilities(
 def run_episode(
     template: CircuitTemplate, theta: Sequence[float], rng: np.random.Generator
 ) -> Shot:
-    """Instantiate, simulate, and measure once (one uniform variate)."""
-    probs = exact_probabilities(template, theta)[:, np.newaxis]
-    z = _inverse_cdf(probs, np.array([rng.random()]))
+    """Simulate the template at ``theta`` and measure once (one uniform variate).
+
+    The shot comes from :meth:`EpisodeEngine.sample` on a batch of one, the
+    same sampler that features use, over the template's 2**n outcomes.
+    """
+    theta = np.asarray(theta, dtype=np.float64)[np.newaxis]
+    z = cached_engine(template).sample(theta, np.array([rng.random()]))
     return Shot(int(z[0]), template.num_qubits)

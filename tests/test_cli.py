@@ -462,6 +462,41 @@ def test_digits_flag_validation(capsys):
     assert "digits" in err.lower()
 
 
+@pytest.mark.parametrize("argv, code, message", [
+    (["baseline", "--dataset", "csv", "--train-csv", "{dir}/train.csv",
+      "--test-csv", "{dir}/test.csv"], 1, "disagree on dimension"),
+    (["baseline", "--dataset", "csv", "--train-csv", "{dir}/train.csv"], 2,
+     "requires --train-csv and --test-csv"),
+    (["baseline", "--dataset", "mnist", "--mnist-dir", "{dir}",
+      "--digits", "3,3"], 2, "--digits needs two distinct digits 0-9"),
+    (["baseline", "--dataset", "mnist", "--mnist-dir", "{dir}",
+      "--digits", "3,12"], 2, "--digits needs two distinct digits 0-9"),
+    (["sweep", "--episodes", "0"], 2, "--episodes values must be >= 1"),
+    (["sweep", "--sigma", "1,x"], 2, "--sigma: could not parse"),
+    (["kernel", "--pairs", "0"], 2, "--pairs must be >= 1"),
+    (["baseline", "--frames-train", "0"], 2, "per-class counts must be >= 1"),
+    (["features", "dump", "--frames-test", "0", "--out", "{dir}/f.qksf"], 2,
+     "per-class counts must be >= 1"),
+])
+def test_flag_and_data_errors_exit_with_message(tmp_path, capsys, argv, code,
+                                                message):
+    (tmp_path / "train.csv").write_text("x,y,label\n0.1,0.2,0\n0.3,0.4,1\n")
+    (tmp_path / "test.csv").write_text("x,label\n0.1,0\n0.3,1\n")
+    rc, out, err = run_cli([a.format(dir=tmp_path) for a in argv], capsys)
+    assert (rc, out) == (code, "")
+    assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "f.qksf").exists()
+
+
+def test_gen_frames_bad_count_creates_no_directory(tmp_path, capsys):
+    out = tmp_path / "D"
+    for flag in ("--train-per-class", "--test-per-class"):
+        rc, _, err = run_cli(["gen-frames", flag, "0", "--out", str(out)], capsys)
+        assert rc == 2
+        assert "per-class counts must be >= 1" in err
+        assert not out.exists()
+
+
 DATASET_KEYS = {"train_size", "test_size", "dim", "sha256"}
 RESULT_KEYS = {"train_error", "test_error", "seconds"}
 FIT_CONFIG_KEYS = {"reg_lambda", "tol", "max_iter"}

@@ -266,6 +266,21 @@ def test_tilemap_validation():
         make_tilemap(2, 28, 9)  # needs 3 row blocks from 2 rows
 
 
+def test_standardize_rejects_mismatched_dimensions():
+    train_ds = LabeledDataset(np.zeros((2, 3)), np.array([0, 1]))
+    test_ds = LabeledDataset(np.zeros((2, 2)), np.array([0, 1]))
+    with pytest.raises(ValueError, match="input dimension"):
+        standardize(train_ds, test_ds)
+
+
+def test_csv_skips_blank_lines(tmp_path):
+    p = tmp_path / "blank.csv"
+    p.write_text("x,y,label\n1.0,2.0,0\n\n3.0,4.0,1\n\n")
+    ds = load_csv(p)
+    assert ds.inputs.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    assert ds.labels.tolist() == [0, 1]
+
+
 def test_csv_roundtrip(tmp_path):
     train_ds, _ = gen_picture_frames(10, 5, seed=2)
     path = tmp_path / "frames.csv"

@@ -74,6 +74,11 @@ def test_from_mask_overlapping_rows():
     assert np.array_equal(s.mask(), mask)
 
 
+def test_from_mask_needs_a_matrix():
+    with pytest.raises(ValueError, match="two-dimensional"):
+        EncodingStructure.from_mask(np.ones(3, dtype=bool))
+
+
 def test_structure_validation():
     with pytest.raises(ValueError, match="empty"):
         EncodingStructure(3, ((),))

@@ -14,6 +14,7 @@ from qks import (
     sample_machine,
     train,
 )
+from qks import logistic
 from qks.logistic import _grad_and_curvature, _hessian_vector
 
 
@@ -64,6 +65,42 @@ def test_loss_history_non_increasing():
     h = model.loss_history
     assert len(h) >= 2
     assert all(a >= b for a, b in zip(h, h[1:]))
+
+
+def test_line_search_halves_an_overshooting_newton_step(monkeypatch):
+    # At this scale and lambda, a unit Newton step overshoots; the Armijo
+    # search halves it, and the fit still reaches the tolerance.
+    x, y = toy_data(n=100, seed=3, separable=True)
+    margins, calls = logistic._margins, []
+    monkeypatch.setattr(
+        logistic, "_margins", lambda *args: calls.append(1) or margins(*args)
+    )
+    model = train(1e3 * x, y, reg_lambda=1e-3, max_iter=200)
+    assert model.fit.stop_reason == "tol"
+    # One _margins call at the zero model, then one per trial step.
+    assert len(calls) - 1 > model.fit.iterations
+    h = model.loss_history
+    assert all(a >= b for a, b in zip(h, h[1:]))
+
+
+def test_steepest_descent_fallback_when_cg_makes_no_step(monkeypatch):
+    # Two separable points at lambda = 0 with the least positive tol: the
+    # weight grows by about 1 per Newton step until, near 249, p . Hp
+    # underflows to 0 in CG, which then returns no step, and train falls
+    # back to -grad.
+    x, y = np.array([[-1.0], [1.0]]), np.array([0, 1])
+    newton, unusable = logistic._newton_direction, []
+
+    def spy(xm, curv, lam, g):
+        step, products = newton(xm, curv, lam, g)
+        unusable.append(not g @ step < 0)
+        return step, products
+
+    monkeypatch.setattr(logistic, "_newton_direction", spy)
+    model = train(x, y, reg_lambda=0.0, tol=5e-324, max_iter=300)
+    assert any(unusable) and not unusable[0]
+    assert model.fit.stop_reason == "max_iter" and model.fit.iterations == 300
+    assert np.isfinite(model.weights).all() and evaluate(model, x, y) == 0.0
 
 
 def test_convergence_reaches_tolerance():

@@ -152,6 +152,8 @@ def test_comments_and_blank_lines():
         ("DEFCIRCUIT X:\n    RX(-pi/0) 0\n", "non-finite angle", 2),
         ("DEFCIRCUIT X:\n    RX(1.0 0\n", "malformed RX", 2),
         ("DEFCIRCUIT X:\n    H -1\n", "qubit index", 2),
+        (" DEFCIRCUIT X:\n    H 0\n", "must not be indented", 1),
+        ("DEFCIRCUIT X(%a):\n    RX(%1a) 0\n", "malformed parameter reference", 2),
     ],
 )
 def test_parse_errors(src, fragment, line):
@@ -171,6 +173,17 @@ def test_non_finite_angles_are_rejected():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="finite"):
             instantiate(t, [bad])
+
+
+def test_gate_qubits_must_be_integers():
+    # True would act on qubit 1; 1.5 would fail later, inside a kernel.
+    for bad in (True, 1.5, np.float64(1.0), "1"):
+        with pytest.raises(ValueError, match="qubit index must be an integer"):
+            GateOp(GateKind.H, (bad,))
+        with pytest.raises(ValueError, match="qubit index must be an integer"):
+            GateOp(GateKind.CNOT, (0, bad))
+    gate = GateOp(GateKind.CZ, [np.int64(2), 0])
+    assert gate.qubits == (2, 0) and all(type(q) is int for q in gate.qubits)
 
 
 def test_error_carries_position():

@@ -41,6 +41,34 @@ def test_zero_state():
         StateVector.zero(17)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: StateVector(np.ones(8) / 8**0.5, 2),  # 3 qubits' worth
+        lambda: StateVector(np.ones(5) / 5**0.5, 2),
+        lambda: StateVector(np.eye(2) / 2**0.5, 2),  # 4 entries, but 2-D
+        lambda: StateVector.zero(2.0),
+        lambda: StateVector(np.ones(2), 1.0),
+        lambda: StateVector(np.ones(2), True),
+        lambda: StateVector(np.ones(1), 0),
+    ],
+    ids=["8-of-4", "5-of-4", "2x2", "zero-float-width", "float-width",
+         "bool-width", "no-qubits"],
+)
+def test_state_vector_checks_its_width(make):
+    # Unchecked, a mis-sized state runs: apply_gate(H 0) on 8 amplitudes
+    # labelled as 2 qubits returns 8, and sampling them can read bits=4.
+    with pytest.raises(ValueError, match="num_qubits|amplitudes"):
+        make()
+
+
+def test_state_vector_keeps_a_valid_width():
+    state = StateVector([0.0, 1.0], np.int64(1))
+    assert state.num_qubits == 1 and type(state.num_qubits) is int
+    assert state.amplitudes.shape == (2,)
+    assert sample_shot(state, np.random.default_rng(0)) == Shot(1, 1)
+
+
 def test_rx_analytic():
     t = parse_template("DEFCIRCUIT R(%a):\n    RX(%a) 0\n")
     for theta in np.linspace(-2 * np.pi, 2 * np.pi, 17):
@@ -191,6 +219,25 @@ def test_shot_accessors():
         shot.bit(3)
 
 
+def test_shot_checks_itself():
+    # Unchecked, Shot(7, 2) and Shot(-1, 2) both read [1 1].
+    for bits, n, match in [
+        (7, 2, "bits must be in"),
+        (4, 2, "bits must be in"),
+        (-1, 2, "bits must be in"),
+        (1.0, 2, "bits must be an integer"),
+        (True, 2, "bits must be an integer"),
+        (0, 0, "num_qubits"),
+        (0, 17, "num_qubits"),
+        (0, 2.0, "num_qubits must be an integer"),
+    ]:
+        with pytest.raises(ValueError, match=match):
+            Shot(bits, n)
+    shot = Shot(np.int64(3), np.int64(2))
+    assert shot == Shot(3, 2) and shot.to_array().tolist() == [1, 1]
+    assert Shot((1 << 16) - 1, 16).to_array().tolist() == [1] * 16
+
+
 def test_outcome_bits_match_shift_rule():
     rng = np.random.default_rng(3)
     for n in range(1, 17):
@@ -332,10 +379,11 @@ def _guard_band_uniforms(probs, rows=slice(None)):
     return us[(us >= 0.0) & (us < 1.0)].tolist()
 
 
-@pytest.mark.parametrize("dim", [*range(2, 18), 32, 64])
+@pytest.mark.parametrize("dim", [*range(2, 17), 32, 64])
 def test_inverse_cdf_matches_cumsum_rule_at_every_dim(dim):
     # Small outcome spaces are sampled with running sums and wide ones by a
-    # blocked search; both must give the sequential rule's index. Columns
+    # blocked search; both must give the sequential rule's index. Past 16
+    # outcomes, only the power-of-two widths of a state are sampled. Columns
     # have runs of zero probability, and every other one sums to below 1;
     # each is sampled at u equal to every cumulative sum, its neighbours
     # and the guard band's edges, with the columns mixed in one call.
@@ -467,6 +515,19 @@ def test_engine_input_validation():
         with pytest.raises(ValueError, match="layers must be an integer"):
             EpisodeEngine(get_ansatz("cnot2"), layers=layers)
     assert EpisodeEngine(get_ansatz("cnot2"), layers=np.int64(2)).num_params == 4
+
+
+def test_engine_and_exact_probabilities_reject_bad_shapes():
+    t = get_ansatz("cnot2")
+    for layers in (0, -1):
+        with pytest.raises(ValueError, match="layers must be >= 1"):
+            EpisodeEngine(t, layers=layers)
+    with pytest.raises(ValueError, match="one-dimensional"):
+        exact_probabilities(t, [[0.1, 0.2]])
+    rng = np.random.default_rng(0)
+    for theta in ([0.1], [[0.1, 0.2]], 0.1):
+        with pytest.raises(ValueError, match="shape"):
+            run_episode(t, theta, rng)
 
 
 def test_engine_rejects_non_finite_thetas_and_out_of_range_uniforms():
