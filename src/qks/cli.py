@@ -151,13 +151,9 @@ def _machine(args, train_ds: LabeledDataset, sigma, episodes, seed) -> QksMachin
     """Sample a machine whose encoding structure follows from p and q."""
     template = get_ansatz(args.ansatz)
     p, q = train_ds.dim, template.num_params
-    if q == 1:
-        structure = EncodingStructure.dense(p)
-    elif q == p:
-        structure = EncodingStructure.split(p)
-    elif args.dataset == "mnist" and p == 784:
+    if args.dataset == "mnist" and p == 784:
         structure = make_tilemap(28, 28, q).to_structure()
-    elif q <= p and p % q == 0:
+    elif p % q == 0:
         structure = EncodingStructure.tiled(p, q)
     else:
         raise UsageError(

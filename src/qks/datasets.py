@@ -25,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .encoding import EncodingStructure, _substream
+from .quil import _as_int
 
 _TAG_TRAIN = 0
 _TAG_TEST = 1
@@ -37,7 +38,7 @@ class DataFormatError(ValueError):
     """Malformed dataset file (IDX or CSV)."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class LabeledDataset:
     """Inputs (M, p) float64 with {0, 1} labels."""
 
@@ -46,8 +47,8 @@ class LabeledDataset:
     name: str = ""
 
     def __post_init__(self):
-        self.inputs = np.asarray(self.inputs, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
+        object.__setattr__(self, "inputs", np.asarray(self.inputs, dtype=np.float64))
+        object.__setattr__(self, "labels", np.asarray(self.labels, dtype=np.int64))
         if self.inputs.ndim != 2:
             raise ValueError("inputs must be 2-D")
         if self.labels.shape != (self.inputs.shape[0],):
@@ -91,11 +92,14 @@ def gen_picture_frames(
     n_test_per_class: int = 200,
     seed: int = 0,
 ) -> tuple[LabeledDataset, LabeledDataset]:
-    """Generate train and test splits from independent substreams of seed."""
-    if n_train_per_class < 1 or n_test_per_class < 1:
-        raise ValueError("per-class counts must be >= 1")
-    train = _frame_split(n_train_per_class, _substream(seed, _TAG_TRAIN))
-    test = _frame_split(n_test_per_class, _substream(seed, _TAG_TEST))
+    """Generate train and test splits from independent substreams of seed.
+
+    Both per-class counts are integers >= 1; a float or bool raises.
+    """
+    n_train = _as_int("per-class counts", n_train_per_class, low=1)
+    n_test = _as_int("per-class counts", n_test_per_class, low=1)
+    train = _frame_split(n_train, _substream(seed, _TAG_TRAIN))
+    test = _frame_split(n_test, _substream(seed, _TAG_TEST))
     return train, test
 
 
@@ -271,10 +275,11 @@ def make_tilemap(rows: int = 28, cols: int = 28, q: int = 4) -> TileMap:
 
     The block grid uses the largest factor of q at most sqrt(q) for the row
     direction (q=2 gives two side-by-side 28x14 halves, q=4 a 2x2 grid of
-    14x14 blocks, q=9 a 3x3 grid with 10/9/9-pixel splits).
+    14x14 blocks, q=9 a 3x3 grid with 10/9/9-pixel splits). rows, cols and
+    q are integers >= 1; a float or bool raises.
     """
-    if rows < 1 or cols < 1 or q < 1:
-        raise ValueError("rows, cols, and q must be >= 1")
+    rows, cols = _as_int("rows", rows, low=1), _as_int("cols", cols, low=1)
+    q = _as_int("q", q, low=1)
     if q > rows * cols:
         raise ValueError("more tiles than pixels")
     g_rows = 1

@@ -32,9 +32,7 @@ TWO_PI = 2.0 * np.pi
 
 def _substream(seed: int, *tags: int) -> np.random.Generator:
     """Philox generator for one named substream of a 64-bit seed."""
-    seed = _as_int("seed", seed)
-    if not 0 <= seed < 1 << 64:
-        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+    seed = _as_int("seed", seed, low=0, high=(1 << 64) - 1)
     return np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, *tags])))
 
 
@@ -43,9 +41,10 @@ class EncodingStructure:
     """Sparsity pattern of the per-episode Omega matrices.
 
     ``rows[k]`` lists the input coordinates (ascending) that feed circuit
-    parameter k, so q = len(rows). ``p`` and every coordinate must be
-    integers and are stored as Python ints; a float or bool raises
-    ValueError, where int() would truncate it or indexing would fail late.
+    parameter k, so q = len(rows). ``p`` must be an integer >= 1 and every
+    coordinate an integer in [0, p); both are stored as Python ints, and a
+    float or bool raises ValueError, where int() would truncate it or
+    indexing would fail late.
     Structures with equal p and rows are equal.
 
     ``pattern`` names the rows: ``dense`` (q=1 row covering all p
@@ -58,13 +57,11 @@ class EncodingStructure:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "p", _as_int("p", self.p))
+        object.__setattr__(self, "p", _as_int("p", self.p, low=1))
         object.__setattr__(self, "rows", tuple(
             tuple(_as_int(f"mask row {k} coordinate", i) for i in row)
             for k, row in enumerate(self.rows)
         ))
-        if self.p < 1:
-            raise ValueError("input dimension p must be >= 1")
         for k, row in enumerate(self.rows):
             if len(row) == 0:
                 raise ValueError(f"mask row {k} is empty")
@@ -97,8 +94,8 @@ class EncodingStructure:
     @classmethod
     def tiled(cls, p: int, q: int) -> "EncodingStructure":
         """q equal contiguous blocks of r = p // q coordinates each."""
-        p, q = _as_int("p", p), _as_int("q", q)
-        if q < 1 or p % q != 0:
+        p, q = _as_int("p", p), _as_int("q", q, low=1)
+        if p % q != 0:
             raise ValueError(f"tiled structure requires q | p, got p={p}, q={q}")
         r = p // q
         rows = tuple(tuple(range(k * r, (k + 1) * r)) for k in range(q))
@@ -159,7 +156,7 @@ class EpisodeEncoding:
     beta: np.ndarray  # (layers*q,)
 
 
-@dataclass
+@dataclass(frozen=True)
 class QksMachine:
     """A sampled bank of E random episode encodings for one template.
 
@@ -258,6 +255,23 @@ class QksMachine:
         return theta
 
 
+def _check_spec(
+    template: CircuitTemplate, structure: EncodingStructure, sigma: float
+) -> None:
+    """Raise ValueError unless a machine can draw these encodings.
+
+    The structure needs one row per template parameter, and sigma must be
+    finite and >= 0.
+    """
+    if structure.q != template.num_params:
+        raise ValueError(
+            f"structure has q={structure.q} parameters per layer but template "
+            f"{template.name!r} declares {template.num_params}"
+        )
+    if not 0 <= sigma < np.inf:
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
+
+
 def sample_machine(
     template: CircuitTemplate,
     structure: EncodingStructure,
@@ -275,19 +289,9 @@ def sample_machine(
     be an integer (not a float or bool) in [0, 2**64), and ``episodes`` and
     ``layers`` integers >= 1.
     """
-    if structure.q != template.num_params:
-        raise ValueError(
-            f"structure has q={structure.q} parameters per layer but template "
-            f"{template.name!r} declares {template.num_params}"
-        )
-    if not 0 <= sigma < np.inf:
-        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
-    episodes = _as_int("episodes", episodes)
-    if episodes < 1:
-        raise ValueError("episodes must be >= 1")
-    layers = _as_int("layers", layers)
-    if layers < 1:
-        raise ValueError("layers must be >= 1")
+    _check_spec(template, structure, sigma)
+    episodes = _as_int("episodes", episodes, low=1)
+    layers = _as_int("layers", layers, low=1)
 
     omega_rng = _substream(seed, TAG_OMEGA)
     beta_rng = _substream(seed, TAG_BETA)
@@ -315,7 +319,5 @@ def shot_stream(seed: int, example_index: int) -> np.random.Generator:
     extending the episode count never disturbs earlier episodes. Both keys
     are integers; a float or bool raises rather than truncating.
     """
-    example_index = _as_int("example_index", example_index)
-    if example_index < 0:
-        raise ValueError("example_index must be >= 0")
+    example_index = _as_int("example_index", example_index, low=0)
     return _substream(seed, TAG_SHOTS, example_index)

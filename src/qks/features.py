@@ -52,7 +52,7 @@ class FeatureFileError(ValueError):
     """Corrupt or unreadable feature file."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class FeatureMatrix:
     """Bit-packed binary features: rows = examples, columns = episode bits.
 
@@ -68,10 +68,8 @@ class FeatureMatrix:
     meta: dict | None = None
 
     def __post_init__(self):
-        self.num_qubits = _as_int("num_qubits", self.num_qubits)
-        self.episodes = _as_int("episodes", self.episodes)
-        if self.num_qubits < 1 or self.episodes < 1:
-            raise ValueError("num_qubits and episodes must be >= 1")
+        for name in ("num_qubits", "episodes"):
+            object.__setattr__(self, name, _as_int(name, getattr(self, name), low=1))
         if self.packed.dtype != np.uint64 or self.packed.ndim != 2:
             raise ValueError("packed storage must be a 2-D uint64 array")
         if self.packed.shape[1] != _words_for(self.num_columns):
@@ -97,13 +95,9 @@ class FeatureMatrix:
 
         Valid because the column layout is episode-major: episode e's bits
         occupy columns [e*num_qubits, (e+1)*num_qubits). ``episodes`` must
-        be an integer, not a float or bool.
+        be an integer in [1, self.episodes], not a float or bool.
         """
-        episodes = _as_int("episodes", episodes)
-        if not 1 <= episodes <= self.episodes:
-            raise ValueError(
-                f"episodes must be in [1, {self.episodes}], got {episodes}"
-            )
+        episodes = _as_int("episodes", episodes, low=1, high=self.episodes)
         if episodes == self.episodes:
             return self
         cols = episodes * self.num_qubits
@@ -153,8 +147,7 @@ def featurize(
         )
     if x.size and not np.isfinite(x).all():
         raise ValueError("inputs must be finite")
-    if _as_int("workers", workers) < 1:
-        raise ValueError("workers must be >= 1")
+    workers = _as_int("workers", workers, low=1)
 
     m = x.shape[0]
     n_eps = machine.episodes

@@ -53,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ansatze import get_ansatz
-from .encoding import EncodingStructure, QksMachine
+from .encoding import EncodingStructure, QksMachine, _check_spec
 from .quil import CircuitTemplate
 from .simulator import bit_matrix, cached_engine
 
@@ -154,14 +154,8 @@ def closed_form_kernel(
     strings (an RX after the entanglers) or a qubit's string reads one
     parameter twice.
     """
-    if structure.q != template.num_params:
-        raise ValueError(
-            f"structure has q={structure.q} parameters but template "
-            f"{template.name!r} declares {template.num_params}"
-        )
+    _check_spec(template, structure, sigma)
     u, v = _check_pair(u, v, structure.p)
-    if not 0 <= sigma < np.inf:
-        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
     rows = cached_engine(template).pauli_rows
     if rows is None:
         raise ValueError(

@@ -31,6 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .datasets import DataFormatError
 from .features import FeatureMatrix
 from .quil import _as_int
 
@@ -82,9 +83,10 @@ class FitRecord:
 
     ``stop_reason`` is ``"tol"`` (the gradient's infinity norm reached the
     tolerance), ``"max_iter"`` (the Newton step cap was hit first) or
-    ``"no_descent"`` (the line search found no decrease, which happens only
-    at the limits of floating point). ``grad_inf`` is the gradient's
-    infinity norm at the returned weights.
+    ``"no_descent"`` (the line search found no decrease, or an accepted
+    step left the weights unchanged; both happen only at the limits of
+    floating point). ``grad_inf`` is the gradient's infinity norm at the
+    returned weights.
     """
 
     iterations: int
@@ -229,9 +231,12 @@ def train(
     Accepts a dense array or a FeatureMatrix (unpacked once up front, so
     packed and dense training see the identical design matrix). Stops when
     the gradient's infinity norm drops to ``tol``, after ``max_iter`` Newton
-    steps, or when the line search finds no decrease. The returned model's
-    ``fit`` says which, and its ``loss_history`` holds the loss at the start
-    and after each accepted step.
+    steps, or when a step no longer moves the loss or the weights. The
+    returned model's ``fit`` says which, and its ``loss_history`` holds the
+    loss at the start and after each accepted step.
+
+    Raises :class:`DataFormatError`, naming the largest input, when finite
+    inputs are so large that the fit's arithmetic overflows.
     """
     xm = _as_matrix(x)
     m, d = xm.shape
@@ -249,39 +254,51 @@ def train(
     history = [loss]
     iterations = products = 0
 
-    while True:
-        grad_inf = float(np.abs(grad).max())
-        if grad_inf <= tol:
-            stop = "tol"
-            break
-        if iterations >= max_iter:
-            stop = "max_iter"
-            break
+    try:
+        # An overflow here means inputs too large to fit, not a bad step.
+        with np.errstate(over="raise", invalid="raise"):
+            while True:
+                grad_inf = float(np.abs(grad).max())
+                if grad_inf <= tol:
+                    stop = "tol"
+                    break
+                if iterations >= max_iter:
+                    stop = "max_iter"
+                    break
 
-        step, n = _newton_direction(xm, curv, lam, grad)
-        products += n
-        if not grad @ step < 0:
-            # CG made no usable step (curvature underflowed, as on separable
-            # data at lambda = 0): fall back to steepest descent.
-            step = -grad
-        slope = float(grad @ step)
+                step, n = _newton_direction(xm, curv, lam, grad)
+                products += n
+                if not grad @ step < 0:
+                    # CG made no usable step (curvature underflowed, as on
+                    # separable data at lambda = 0): fall back to steepest
+                    # descent.
+                    step = -grad
+                slope = float(grad @ step)
 
-        alpha = 1.0
-        for _bt in range(_MAX_BACKTRACKS):
-            trial = params + alpha * step
-            margins = _margins(trial, xm, y_pm)
-            loss_new = _loss_from_margins(margins, trial, lam)
-            if loss_new <= loss + _ARMIJO_C * alpha * slope:
-                break
-            alpha *= 0.5
-        else:
-            stop = "no_descent"
-            break
+                alpha = 1.0
+                for _bt in range(_MAX_BACKTRACKS):
+                    trial = params + alpha * step
+                    margins = _margins(trial, xm, y_pm)
+                    loss_new = _loss_from_margins(margins, trial, lam)
+                    if loss_new <= loss + _ARMIJO_C * alpha * slope:
+                        break
+                    alpha *= 0.5
+                else:
+                    trial = params
+                # No decrease found, or a step below the weights' rounding.
+                if np.array_equal(trial, params):
+                    stop = "no_descent"
+                    break
 
-        params, loss = trial, loss_new
-        grad, curv = _grad_and_curvature(margins, params, xm, y_pm, lam)
-        history.append(loss)
-        iterations += 1
+                params, loss = trial, loss_new
+                grad, curv = _grad_and_curvature(margins, params, xm, y_pm, lam)
+                history.append(loss)
+                iterations += 1
+    except FloatingPointError as exc:
+        raise DataFormatError(
+            f"inputs up to |x| = {np.abs(xm).max():g} overflow the fit ({exc}); "
+            "rescale them"
+        ) from exc
 
     record = FitRecord(
         iterations=iterations,

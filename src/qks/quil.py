@@ -21,11 +21,22 @@ from typing import Sequence, Union
 import numpy as np
 
 
-def _as_int(name: str, value) -> int:
-    """``value`` as an int; a float or bool raises, where int() would truncate."""
+def _as_int(
+    name: str, value, low: int | None = None, high: int | None = None
+) -> int:
+    """``value`` as an int in [low, high], each bound optional.
+
+    A float or bool raises ValueError, where int() would truncate it, and so
+    does an integer outside the bounds; both messages start with ``name``.
+    """
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+    value = int(value)
+    if (low is not None and value < low) or (high is not None and value > high):
+        rule = [f">= {low}"] * (low is not None)
+        rule += [f"at most {high}"] * (high is not None)
+        raise ValueError(f"{name} must be {' and '.join(rule)}, got {value}")
+    return value
 
 
 class QuilParseError(ValueError):
@@ -64,24 +75,29 @@ Angle = Union[float, ParamRef]
 
 @dataclass(frozen=True)
 class GateOp:
-    """One gate application: kind, target qubit indices, optional angle."""
+    """One gate application: kind, target qubit indices, optional angle.
+
+    Each qubit index is an integer >= 0 (a float or bool raises), stored as a
+    Python int. The gate takes exactly ``kind.num_qubits`` of them, and a
+    two-qubit gate two distinct ones; otherwise ValueError says the gate
+    ``expects N qubit argument(s)`` or was ``applied twice to qubit Q``. RX
+    needs a finite angle or a parameter reference; other gates take none.
+    """
 
     kind: GateKind
     qubits: tuple[int, ...]
     angle: Angle | None = None
 
     def __post_init__(self):
-        qubits = tuple(_as_int("qubit index", q) for q in self.qubits)
+        qubits = tuple(_as_int("qubit index", q, low=0) for q in self.qubits)
         object.__setattr__(self, "qubits", qubits)
-        if len(self.qubits) != self.kind.num_qubits:
+        name, arity = self.kind.value, self.kind.num_qubits
+        if len(qubits) != arity:
             raise ValueError(
-                f"{self.kind.value} acts on {self.kind.num_qubits} qubit(s), "
-                f"got {len(self.qubits)}"
+                f"{name} expects {arity} qubit argument(s), got {len(qubits)}"
             )
-        if any(q < 0 for q in self.qubits):
-            raise ValueError("qubit indices must be non-negative")
-        if len(self.qubits) == 2 and self.qubits[0] == self.qubits[1]:
-            raise ValueError("two-qubit gate applied to a repeated qubit")
+        if arity == 2 and qubits[0] == qubits[1]:
+            raise ValueError(f"{name} applied twice to qubit {qubits[0]}")
         if self.kind.takes_angle:
             if self.angle is None:
                 raise ValueError(f"{self.kind.value} requires an angle")
@@ -160,12 +176,12 @@ def _parse_gate_line(
         raise QuilParseError(f"unknown gate {gate_name!r}", lineno, 1)
     kind = GateKind[gate_name]
 
+    angle: Angle | None = None
     if kind is GateKind.RX:
         m = _RX_RE.match(stripped)
         if m is None:
             raise QuilParseError("malformed RX instruction", lineno, 1)
         angle_text = m.group("angle")
-        angle: Angle
         if angle_text.startswith("%"):
             pm = _PARAM_RE.match(angle_text)
             if pm is None:
@@ -183,37 +199,31 @@ def _parse_gate_line(
             referenced.add(pm.group(1))
             angle = ParamRef(pm.group(1))
         else:
-            value = _parse_angle_literal(angle_text)
-            if value is None or not math.isfinite(value):
-                problem = "malformed" if value is None else "non-finite"
+            angle = _parse_angle_literal(angle_text)
+            if angle is None or not math.isfinite(angle):
+                problem = "malformed" if angle is None else "non-finite"
                 raise QuilParseError(
                     f"{problem} angle literal {angle_text!r}",
                     lineno,
                     stripped.find(angle_text) + 1,
                 )
-            angle = value
-        qubit = _parse_qubit(m.group("qubit"), lineno, stripped)
-        return GateOp(kind, (qubit,), angle)
-
-    tokens = stripped.split()
-    if len(tokens) != 1 + kind.num_qubits:
-        raise QuilParseError(
-            f"{kind.value} expects {kind.num_qubits} qubit argument(s)", lineno, 1
-        )
-    qubits = tuple(_parse_qubit(t, lineno, stripped) for t in tokens[1:])
-    if len(qubits) == 2 and qubits[0] == qubits[1]:
-        raise QuilParseError(
-            f"{kind.value} applied twice to qubit {qubits[0]}", lineno, 1
-        )
-    return GateOp(kind, qubits)
+        tokens = [m.group("qubit")]
+    else:
+        tokens = stripped.split()[1:]
+    qubits = tuple(_parse_qubit(t, lineno, stripped) for t in tokens)
+    try:
+        return GateOp(kind, qubits, angle)
+    except ValueError as exc:
+        raise QuilParseError(str(exc), lineno, 1) from exc
 
 
 def parse_template(source: str) -> CircuitTemplate:
     """Parse one DEFCIRCUIT definition into a :class:`CircuitTemplate`.
 
     Raises :class:`QuilParseError` on syntax errors, unknown gates, undeclared
-    parameter references, declared-but-unused parameters, repeated qubits in a
-    two-qubit gate, or a second DEFCIRCUIT in the same source.
+    parameter references, declared-but-unused parameters, a gate that
+    :class:`GateOp` rejects (a wrong qubit count or a repeated qubit, with
+    GateOp's message), or a second DEFCIRCUIT in the same source.
     """
     lines = source.replace("\r\n", "\n").split("\n")
 

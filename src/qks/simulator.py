@@ -124,12 +124,7 @@ class Shot:
 
 def _check_width(num_qubits: int) -> int:
     """``num_qubits`` as an int in [1, MAX_QUBITS]; anything else raises."""
-    num_qubits = _as_int("num_qubits", num_qubits)
-    if not 1 <= num_qubits <= MAX_QUBITS:
-        raise ValueError(
-            f"num_qubits must be >= 1 and at most {MAX_QUBITS}, got {num_qubits}"
-        )
-    return num_qubits
+    return _as_int("num_qubits", num_qubits, low=1, high=MAX_QUBITS)
 
 
 def outcome_bits(z: np.ndarray, num_qubits: int) -> np.ndarray:
@@ -148,7 +143,7 @@ def bit_matrix(num_qubits: int) -> np.ndarray:
     return outcome_bits(np.arange(1 << num_qubits), num_qubits).astype(np.float64)
 
 
-@dataclass
+@dataclass(frozen=True)
 class StateVector:
     """Dense complex amplitudes over the computational basis.
 
@@ -162,8 +157,10 @@ class StateVector:
     num_qubits: int
 
     def __post_init__(self):
-        self.num_qubits = n = _check_width(self.num_qubits)
-        self.amplitudes = a = np.asarray(self.amplitudes)
+        n = _check_width(self.num_qubits)
+        a = np.asarray(self.amplitudes)
+        object.__setattr__(self, "num_qubits", n)
+        object.__setattr__(self, "amplitudes", a)
         if a.shape != (1 << n,):
             raise ValueError(f"amplitudes need shape ({1 << n},), got {a.shape}")
 
@@ -493,9 +490,7 @@ class EpisodeEngine:
     """
 
     def __init__(self, template: CircuitTemplate, layers: int = 1):
-        layers = _as_int("layers", layers)
-        if layers < 1:
-            raise ValueError("layers must be >= 1")
+        layers = _as_int("layers", layers, low=1)
         self.template = template
         self.layers = layers
         self.num_qubits = n = _check_width(template.num_qubits)

@@ -388,6 +388,22 @@ def test_overflowing_encoding_exit_code(tmp_path, capsys):
     assert "overflow encountered" not in err
 
 
+def test_inputs_that_overflow_the_fit_exit_code(tmp_path, capsys):
+    # Finite inputs whose scale overflows the classifier's arithmetic.
+    for name in ("train.csv", "test.csv"):
+        (tmp_path / name).write_text(
+            "x,y,label\n-1e150,-2e150,0\n1e150,2e150,1\n-3e150,1e150,0\n"
+            "2e150,-1e150,1\n")
+    rc, out, err = run_cli(
+        ["baseline", "--dataset", "csv",
+         "--train-csv", str(tmp_path / "train.csv"),
+         "--test-csv", str(tmp_path / "test.csv")],
+        capsys,
+    )
+    assert (rc, out) == (1, "")
+    assert "rescale" in err and "3e+150" in err
+
+
 @pytest.mark.parametrize(
     "command", [["baseline"], ["run", "--ansatz", "rx1", "--episodes", "4"]]
 )

@@ -65,6 +65,10 @@ def test_frames_not_linearly_separable():
 def test_frames_validation():
     with pytest.raises(ValueError):
         gen_picture_frames(0, 10)
+    # 2.5 raised a bare TypeError inside numpy, and True made one point.
+    for bad in (2.5, True):
+        with pytest.raises(ValueError, match="per-class counts must be an integer"):
+            gen_picture_frames(bad, 3)
 
 
 def test_labeled_dataset_validation():
@@ -260,6 +264,11 @@ def test_tilemap_q16():
 def test_tilemap_validation():
     with pytest.raises(ValueError):
         make_tilemap(28, 28, 0)
+    # True made one tile, and 28.0 raised a bare TypeError from range().
+    with pytest.raises(ValueError, match="^q must be an integer"):
+        make_tilemap(28, 28, True)
+    with pytest.raises(ValueError, match="^rows must be an integer"):
+        make_tilemap(28.0, 28, 2)
     with pytest.raises(ValueError, match="more tiles"):
         make_tilemap(2, 2, 5)
     with pytest.raises(ValueError, match="block grid"):

@@ -1,5 +1,6 @@
 """Featurization: bit layout, determinism, packing, and the QKSF format."""
 
+import dataclasses
 import json
 import warnings
 
@@ -12,6 +13,8 @@ from qks import (
     EpisodeEngine,
     FeatureFileError,
     FeatureMatrix,
+    LabeledDataset,
+    StateVector,
     exact_probabilities,
     featurize,
     get_ansatz,
@@ -209,6 +212,21 @@ def test_feature_matrix_validation():
         packed = np.zeros((2, width), dtype=np.uint64)
         with pytest.raises(ValueError, match="num_qubits|episodes"):
             FeatureMatrix(packed, num_qubits, episodes)
+
+
+def test_value_classes_are_frozen():
+    # A field assigned after construction would skip the checks that
+    # __post_init__ made, e.g. a state's width against its amplitudes.
+    machine = small_machine()
+    values = [
+        (StateVector.zero(2), "amplitudes", np.ones(8) / 8**0.5),
+        (featurize(machine, frame_inputs(3)), "episodes", 7),
+        (machine, "omega", machine.omega[:1]),
+        (LabeledDataset(np.zeros((2, 2)), [0, 1]), "labels", np.zeros(5)),
+    ]
+    for value, name, new in values:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, name, new)
 
 
 def test_qksf_roundtrip(tmp_path):

@@ -343,6 +343,14 @@ def test_closed_form_kernel_needs_a_product_of_pauli_strings():
         closed_form_kernel(cnot2, split2, [np.nan, 0.2], [0.1, 0.2], 1.0)
     with pytest.raises(ValueError, match="sigma"):
         closed_form_kernel(cnot2, split2, [0.1, 0.2], [0.1, 0.2], -1.0)
+    # The machine spec is checked as sample_machine checks it, before u and v.
+    p4 = get_ansatz("p4")
+    for structure, sigma in ((split2, 1.0), (EncodingStructure.split(4), -1.0)):
+        with pytest.raises(ValueError) as machine_error:
+            sample_machine(p4, structure, sigma, 4, 0)
+        with pytest.raises(ValueError) as kernel_error:
+            closed_form_kernel(p4, structure, u, v, sigma)
+        assert str(kernel_error.value) == str(machine_error.value)
 
 
 def test_identity_machine_kernel_is_zero():

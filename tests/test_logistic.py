@@ -1,9 +1,12 @@
 """Logistic regression: gradients, convergence, invariances, persistence."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from qks import (
+    DataFormatError,
     EncodingStructure,
     LinearClassifier,
     evaluate,
@@ -87,7 +90,8 @@ def test_steepest_descent_fallback_when_cg_makes_no_step(monkeypatch):
     # Two separable points at lambda = 0 with the least positive tol: the
     # weight grows by about 1 per Newton step until, near 249, p . Hp
     # underflows to 0 in CG, which then returns no step, and train falls
-    # back to -grad.
+    # back to -grad. That step is below the weight's rounding, so the
+    # weights stay put and the fit stops rather than spinning to the cap.
     x, y = np.array([[-1.0], [1.0]]), np.array([0, 1])
     newton, unusable = logistic._newton_direction, []
 
@@ -99,8 +103,19 @@ def test_steepest_descent_fallback_when_cg_makes_no_step(monkeypatch):
     monkeypatch.setattr(logistic, "_newton_direction", spy)
     model = train(x, y, reg_lambda=0.0, tol=5e-324, max_iter=300)
     assert any(unusable) and not unusable[0]
-    assert model.fit.stop_reason == "max_iter" and model.fit.iterations == 300
+    assert model.fit.stop_reason == "no_descent" and model.fit.iterations == 248
     assert np.isfinite(model.weights).all() and evaluate(model, x, y) == 0.0
+
+
+def test_inputs_that_overflow_the_fit_are_a_data_error():
+    # Finite, but the Hessian-vector products overflow; before, the fit
+    # leaked RuntimeWarnings and returned the zero model as no_descent.
+    x, y = toy_data(n=100, seed=3, separable=True)
+    for scale in (1e150, 1e300):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataFormatError, match=r"\|x\| = 3\.323e\+"):
+                train(scale * x, y)
 
 
 def test_convergence_reaches_tolerance():

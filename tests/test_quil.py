@@ -18,6 +18,7 @@ from qks import (
     parse_template,
     to_quil,
 )
+from qks.quil import _as_int
 from qks.simulator import cached_engine
 
 CNOT2_SRC = """\
@@ -143,6 +144,7 @@ def test_comments_and_blank_lines():
         ("DEFCIRCUIT X:\nH 0\n", "must be indented", 2),
         ("DEFCIRCUIT X:\n    H zero\n", "qubit index", 2),
         ("DEFCIRCUIT X:\n    CNOT 0\n", "qubit argument", 2),
+        ("DEFCIRCUIT X:\n    H 0\n    H 0 1\n", "H expects 1 qubit argument", 3),
         ("DEFCIRCUIT X(%a, %a):\n    RX(%a) 0\n", "duplicate parameter", 1),
         ("DEFCIRCUIT X(a):\n    RX(%a) 0\n", "malformed parameter", 1),
         ("DEFCIRCUIT X:\n    RX(oops) 0\n", "malformed angle", 2),
@@ -184,6 +186,28 @@ def test_gate_qubits_must_be_integers():
             GateOp(GateKind.CNOT, (0, bad))
     gate = GateOp(GateKind.CZ, [np.int64(2), 0])
     assert gate.qubits == (2, 0) and all(type(q) is int for q in gate.qubits)
+    # The parser reports these same messages at the gate's line.
+    for kind, qubits, match in [
+        (GateKind.H, (-1,), "qubit index must be >= 0, got -1"),
+        (GateKind.H, (0, 1), r"H expects 1 qubit argument\(s\), got 2"),
+        (GateKind.CNOT, (0,), r"CNOT expects 2 qubit argument\(s\), got 1"),
+        (GateKind.CZ, (3, 3), "CZ applied twice to qubit 3"),
+    ]:
+        with pytest.raises(ValueError, match=match):
+            GateOp(kind, qubits)
+
+
+def test_as_int_checks_the_range():
+    assert _as_int("n", np.int64(4), low=1, high=4) == 4
+    for value, low, high, message in [
+        (0, 1, None, "n must be >= 1, got 0"),
+        (5, None, 4, "n must be at most 4, got 5"),
+        (5, 1, 4, "n must be >= 1 and at most 4, got 5"),
+        (2.0, 1, 4, "n must be an integer, got 2.0"),
+    ]:
+        with pytest.raises(ValueError) as exc_info:
+            _as_int("n", value, low, high)
+        assert str(exc_info.value) == message
 
 
 def test_error_carries_position():
