@@ -29,6 +29,14 @@ TAG_SHOTS = 3
 
 TWO_PI = 2.0 * np.pi
 
+# numpy's SeedSequence hash (O'Neill's seed_seq on a pool of four uint32
+# words), which :func:`_shot_keys` runs on many entropies at once.
+_POOL_WORDS = 4
+_HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
+_HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = (1 << 32) - 1
+
 
 def _substream(seed: int, *tags: int) -> np.random.Generator:
     """Philox generator for one named substream of a 64-bit seed."""
@@ -203,10 +211,19 @@ class QksMachine:
         """Circuit parameters per episode (template params times layers)."""
         return self.layers * self.structure.q
 
-    def encoding(self, episode: int) -> EpisodeEncoding:
-        """Materialize episode e's (Omega_e, beta_e) as dense arrays."""
+    def _check_episode(self, episode: int) -> int:
+        """``episode`` as an int in [0, episodes).
+
+        A float or bool raises ValueError, an integer out of range IndexError.
+        """
+        episode = _as_int("episode", episode)
         if not 0 <= episode < self.episodes:
             raise IndexError(f"episode {episode} out of range")
+        return episode
+
+    def encoding(self, episode: int) -> EpisodeEncoding:
+        """Materialize episode e's (Omega_e, beta_e) as dense arrays."""
+        episode = self._check_episode(episode)
         # The mask's True cells, row-major, are the flat nonzero layout.
         dense = np.zeros((self.layers, self.structure.q, self.structure.p))
         dense[:, self.structure.mask()] = self.omega[episode]
@@ -215,8 +232,7 @@ class QksMachine:
 
     def encode(self, u: np.ndarray, episode: int) -> np.ndarray:
         """theta = Omega_e u + beta_e for one input vector."""
-        if not 0 <= episode < self.episodes:
-            raise IndexError(f"episode {episode} out of range")
+        episode = self._check_episode(episode)
         u = np.asarray(u, dtype=np.float64)
         if u.shape != (self.structure.p,):
             raise ValueError(
@@ -317,7 +333,60 @@ def shot_stream(seed: int, example_index: int) -> np.random.Generator:
     Keyed by (seed, example), with episode e consuming the e-th draw, so
     features are deterministic in (seed, example, episode) and truncating or
     extending the episode count never disturbs earlier episodes. Both keys
-    are integers; a float or bool raises rather than truncating.
+    are integers; a float or bool raises rather than truncating. This is the
+    reference for one example; :func:`~qks.features.featurize` derives the
+    same streams' keys for all its rows at once with :func:`_shot_keys`.
     """
     example_index = _as_int("example_index", example_index, low=0)
     return _substream(seed, TAG_SHOTS, example_index)
+
+
+def _shot_keys(seed: int, indices: np.ndarray) -> np.ndarray:
+    """The Philox keys of :func:`shot_stream` for many examples at once.
+
+    Row k of the (len(indices), 2) uint64 result is the key that
+    ``SeedSequence([seed, TAG_SHOTS, indices[k]])`` gives Philox, so a Philox
+    with that key and a zero counter yields example ``indices[k]``'s shot
+    stream. The hash runs in wrapping uint32 arithmetic over all indices
+    together. Each index must be below 2**32: the seed's one or two words,
+    the tag and the index then fill at most the pool's four words, the only
+    case computed here.
+    """
+    seed = _as_int("seed", seed, low=0, high=(1 << 64) - 1)
+    indices = np.asarray(indices, dtype=np.uint64)
+    if indices.size and int(indices.max()) > _MASK32:
+        raise ValueError("example indices must be below 2**32")
+    n = indices.size
+    words = [seed & _MASK32, seed >> 32] if seed > _MASK32 else [seed]
+    entropy = [np.full(n, w, dtype=np.uint32) for w in (*words, TAG_SHOTS)]
+    entropy.append(indices.astype(np.uint32))
+    entropy += [np.zeros(n, dtype=np.uint32)] * (_POOL_WORDS - len(entropy))
+
+    mult = _HASH_INIT_A
+
+    def hashmix(value):
+        nonlocal mult
+        value = value ^ np.uint32(mult)
+        mult = mult * _HASH_MULT_A & _MASK32
+        value = value * np.uint32(mult)
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        value = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return value ^ (value >> 16)
+
+    pool = [hashmix(word) for word in entropy]
+    for src in range(_POOL_WORDS):
+        for dst in range(_POOL_WORDS):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+
+    # generate_state(2, np.uint64): four output words, little-endian pairs
+    mult = _HASH_INIT_B
+    out = []
+    for word in pool:
+        word = word ^ np.uint32(mult)
+        mult = mult * _HASH_MULT_B & _MASK32
+        word = word * np.uint32(mult)
+        out.append((word ^ (word >> 16)).astype(np.uint64))
+    return np.stack([out[0] | out[1] << 32, out[2] | out[3] << 32], axis=1)

@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .datasets import DataFormatError
-from .encoding import QksMachine, shot_stream
+from .encoding import QksMachine, _shot_keys
 from .quil import _as_int
 from .simulator import cached_engine, outcome_bits
 
@@ -155,6 +155,7 @@ def featurize(
     columns = n_eps * n_q
     out = np.zeros((m, _words_for(columns)), dtype=np.uint64)
     engine = cached_engine(machine.template, machine.layers)
+    keys = _shot_keys(machine.seed, np.arange(m))
 
     def process_block(start: int) -> None:
         stop = min(start + ROW_BLOCK, m)
@@ -168,9 +169,16 @@ def featurize(
                 f"input row {row}: encoding is not finite at sigma "
                 f"{machine.sigma:g}; the inputs are too large for this machine"
             )
+        # Row i's uniforms are shot_stream(seed, start + i)'s: its key and a
+        # zero counter, set on one generator per block.
+        bitgen = np.random.Philox(key=keys[start])
+        rng = np.random.Generator(bitgen)
+        state = bitgen.state
         uniforms = np.empty((block, n_eps))
         for i in range(block):
-            uniforms[i] = shot_stream(machine.seed, start + i).random(n_eps)
+            state["state"]["key"] = keys[start + i]
+            bitgen.state = state
+            rng.random(out=uniforms[i])
         z = engine.sample(
             thetas.reshape(block * n_eps, machine.num_params),
             uniforms.reshape(-1),

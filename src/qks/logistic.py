@@ -18,6 +18,17 @@ Hessian-vector products
 with curvature weights D_i = sigma(m_i) (1 - sigma(m_i)) / M taken once per
 accepted step from the margins m, so neither X1 nor the (d+1) x (d+1)
 Hessian is ever formed.
+
+A design matrix whose entries are all 0 or 1 (every FeatureMatrix, and a
+dense 0/1 array alike) is held as float32, which stores 0 and 1 exactly in
+half the memory. Only the two products of each H v, ``X @ v`` and
+``X^T @ u``, then run in float32, with v and u first scaled by a power of
+two so that neither can leave float32's range: CG needs only an approximate
+Hessian (Lin, Weng & Keerthi). The margins, loss, gradient and decision
+scores cast the matrix up one block of rows at a time and stay float64, so
+the ||g||_inf <= tol test is as exact as on a float64 matrix. Any other
+matrix is held, and every product formed, in float64.
+
 A backtracking (Armijo) line search from the unit step keeps the loss
 sequence non-increasing. The whole procedure is deterministic, and the
 returned model records how it stopped.
@@ -37,22 +48,62 @@ from .quil import _as_int
 
 _ARMIJO_C = 1e-4
 _MAX_BACKTRACKS = 60
+# Rows of a float32 matrix cast up to float64 at a time for a float64 product,
+# so no full float64 copy of the matrix is ever made.
+_ROW_BLOCK = 64
 
 
 def _as_matrix(x) -> np.ndarray:
-    """The float64 design matrix: 2-D and finite.
+    """The design matrix: 2-D and finite, float32 if every entry is 0 or 1.
 
     A FeatureMatrix holds 0/1 bits by construction, so only an array is
-    scanned for non-finite values.
+    scanned for non-finite values and for entries other than 0 and 1; any
+    other array is float64.
     """
     if isinstance(x, FeatureMatrix):
-        return x.to_dense().astype(np.float64)
+        return x.to_dense().astype(np.float32)
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError("design matrix must be 2-D")
     if not np.isfinite(x).all():
         raise ValueError("design matrix must be finite")
+    if ((x == 0) | (x == 1)).all():
+        return x.astype(np.float32)
     return x
+
+
+def _matvec(x, w) -> np.ndarray:
+    """``x @ w`` in float64, a float32 x cast up one row block at a time."""
+    if x.dtype == np.float64:
+        return x @ w
+    out = np.empty(x.shape[0])
+    for start in range(0, x.shape[0], _ROW_BLOCK):
+        rows = slice(start, start + _ROW_BLOCK)
+        out[rows] = x[rows].astype(np.float64) @ w
+    return out
+
+
+def _rmatvec(x, c) -> np.ndarray:
+    """``x.T @ c`` in float64, a float32 x cast up one row block at a time."""
+    if x.dtype == np.float64:
+        return x.T @ c
+    out = np.zeros(x.shape[1])
+    for start in range(0, x.shape[0], _ROW_BLOCK):
+        rows = slice(start, start + _ROW_BLOCK)
+        out += c[rows] @ x[rows].astype(np.float64)
+    return out
+
+
+def _float32_product(a, v) -> np.ndarray:
+    """``a @ v`` by float32 BLAS on a float32 ``a``, returned as float64.
+
+    v is scaled by an exact power of two to a largest entry in [0.5, 1)
+    before the cast, and the product scaled back after it, so neither tiny
+    nor huge entries of v leave float32's range.
+    """
+    _, exp = np.frexp(np.abs(v).max(initial=0.0))
+    scaled = np.ldexp(v, -exp).astype(np.float32)
+    return np.ldexp((a @ scaled).astype(np.float64), exp)
 
 
 def _as_labels(y, rows: int) -> np.ndarray:
@@ -112,7 +163,7 @@ class LinearClassifier:
     fit: FitRecord | None = None
 
     def decision_function(self, x) -> np.ndarray:
-        return _as_matrix(x) @ self.weights + self.intercept
+        return _matvec(_as_matrix(x), self.weights) + self.intercept
 
     def predict(self, x) -> np.ndarray:
         """Predicted {0, 1} labels; a score of exactly 0 goes to class 0."""
@@ -137,7 +188,7 @@ class LinearClassifier:
 
 
 def _margins(params, x, y_pm) -> np.ndarray:
-    return y_pm * (x @ params[:-1] + params[-1])
+    return y_pm * (_matvec(x, params[:-1]) + params[-1])
 
 
 def _loss_from_margins(margins, params, reg_lambda) -> float:
@@ -158,14 +209,23 @@ def _grad_and_curvature(margins, params, x, y_pm, reg_lambda):
     e = np.exp(-np.abs(margins))
     rows = margins.shape[0]
     coef = (-y_pm / rows) * (np.where(margins >= 0, e, 1.0) / (1.0 + e))
-    grad = np.append(x.T @ coef + reg_lambda * params[:-1], coef.sum())
+    grad = np.append(_rmatvec(x, coef) + reg_lambda * params[:-1], coef.sum())
     return grad, e / ((1.0 + e) ** 2 * rows)
 
 
 def _hessian_vector(x, curv, reg_lambda, v):
-    """H v for the curvature weights ``curv``, without forming H."""
-    u = curv * (x @ v[:-1] + v[-1])
-    return np.append(x.T @ u + reg_lambda * v[:-1], u.sum())
+    """H v for the curvature weights ``curv``, without forming H.
+
+    On a float32 x the products ``x @ v`` and ``x.T @ u`` run in float32;
+    the rest, and every product on a float64 x, is float64.
+    """
+    if x.dtype == np.float64:
+        u = curv * (x @ v[:-1] + v[-1])
+        xt_u = x.T @ u
+    else:
+        u = curv * (_float32_product(x, v[:-1]) + v[-1])
+        xt_u = _float32_product(x.T, u)
+    return np.append(xt_u + reg_lambda * v[:-1], u.sum())
 
 
 def _newton_direction(x, curv, reg_lambda, g):
@@ -228,8 +288,12 @@ def train(
 ) -> LinearClassifier:
     """Fit a classifier by truncated Newton-CG; lambda defaults to 1/M.
 
-    Accepts a dense array or a FeatureMatrix (unpacked once up front, so
-    packed and dense training see the identical design matrix). Stops when
+    Accepts a dense array or a FeatureMatrix. Either is converted once up
+    front, to float32 when every entry is 0 or 1 and to float64 otherwise,
+    so packed and dense training on the same bits see the identical design
+    matrix. On float32 bits the Hessian-vector products of the CG solves run
+    in float32; the margins, loss and gradient, and so the stopping test,
+    stay float64 on every input. Stops when
     the gradient's infinity norm drops to ``tol``, after ``max_iter`` Newton
     steps, or when a step no longer moves the loss or the weights. The
     returned model's ``fit`` says which, and its ``loss_history`` holds the

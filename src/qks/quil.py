@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Sequence, Union
 
@@ -114,13 +114,28 @@ class CircuitTemplate:
     """A parsed DEFCIRCUIT: named, with ordered parameters and gates.
 
     ``num_qubits`` is one past the highest qubit index referenced by any gate
-    (a gateless template still describes one idle qubit).
+    (a gateless template still describes one idle qubit). Templates with
+    equal fields are equal; the hash is computed once, at construction, since
+    every :func:`~qks.simulator.cached_engine` lookup hashes the template.
     """
 
     name: str
     params: tuple[str, ...]
     gates: tuple[GateOp, ...]
     num_qubits: int
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        fields = (self.name, self.params, self.gates, self.num_qubits)
+        object.__setattr__(self, "_hash", hash(fields))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # Rebuild through __init__: str hashes differ between processes, so
+        # a pickled _hash would be stale in another one.
+        return CircuitTemplate, (self.name, self.params, self.gates, self.num_qubits)
 
     @property
     def num_params(self) -> int:

@@ -113,6 +113,11 @@ class Shot:
             raise ValueError(f"bits must be in [0, 2**{n}), got {self.bits}")
 
     def bit(self, qubit: int) -> int:
+        """Qubit ``qubit``'s outcome, 0 or 1.
+
+        A float or bool raises ValueError, an integer out of range IndexError.
+        """
+        qubit = _as_int("qubit", qubit)
         if not 0 <= qubit < self.num_qubits:
             raise IndexError(f"qubit {qubit} out of range")
         return (self.bits >> qubit) & 1

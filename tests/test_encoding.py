@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qks import EncodingStructure, QksMachine, get_ansatz, sample_machine, shot_stream
+from qks.encoding import TAG_SHOTS, _shot_keys
 
 
 def test_dense_structure():
@@ -254,6 +255,13 @@ def test_encode_matches_dense_map():
         m.encode(u, 20)
     with pytest.raises(IndexError):
         m.encoding(-1)
+    # Unchecked, True read episode 1 and 1.5 failed inside numpy.
+    for bad in (True, np.bool_(False), 1.5, 2.0, np.float64(1.0)):
+        with pytest.raises(ValueError, match="episode must be an integer"):
+            m.encode(u, bad)
+        with pytest.raises(ValueError, match="episode must be an integer"):
+            m.encoding(bad)
+    assert np.array_equal(m.encode(u, np.int64(7)), m.encode(u, 7))
 
 
 def test_encode_affine_identity():
@@ -342,6 +350,22 @@ def test_shot_stream_contract():
     assert np.array_equal(shot_stream(3, 0).random(4), a[:4])
     with pytest.raises(ValueError):
         shot_stream(3, -1)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
+def test_shot_keys_are_seed_sequence_keys(seed):
+    rng = np.random.default_rng(seed % 97)
+    indices = np.concatenate([np.arange(71), rng.integers(0, 2**32, 40)])
+    keys = _shot_keys(seed, indices)
+    assert keys.shape == (indices.size, 2) and keys.dtype == np.uint64
+    for i, key in zip(indices.tolist(), keys):
+        ss = np.random.SeedSequence([seed, TAG_SHOTS, i])
+        assert np.array_equal(key, ss.generate_state(2, np.uint64))
+    assert shot_stream(seed, 5).bit_generator.state["state"]["key"].tolist() == (
+        keys[5].tolist())
+    assert _shot_keys(seed, np.arange(0)).shape == (0, 2)
+    with pytest.raises(ValueError, match="below 2"):
+        _shot_keys(seed, [2**32])
 
 
 def test_machine_streams_are_independent_of_episode_count():

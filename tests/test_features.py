@@ -70,6 +70,25 @@ def test_bit_layout_matches_scalar_semantics():
                 assert dense[i, e * 2 + j] == (z >> j) & 1
 
 
+def test_block_uniforms_are_shot_streams(monkeypatch):
+    # featurize sets each row's key on one generator per block; every row
+    # must still draw exactly shot_stream(seed, row)'s uniforms.
+    m = small_machine(episodes=7, seed=2**40 + 3)
+    x = frame_inputs(n=2 * ROW_BLOCK + 5)
+    seen, sample = [], EpisodeEngine.sample
+
+    def spy(self, thetas, uniforms):
+        seen.append(uniforms.reshape(-1, m.episodes).copy())
+        return sample(self, thetas, uniforms)
+
+    monkeypatch.setattr(EpisodeEngine, "sample", spy)
+    featurize(m, x)
+    assert [len(u) for u in seen] == [ROW_BLOCK, ROW_BLOCK, 5]
+    got = np.concatenate(seen)
+    for i in range(x.shape[0]):
+        assert np.array_equal(got[i], shot_stream(m.seed, i).random(m.episodes))
+
+
 def test_determinism_and_worker_invariance():
     m = small_machine(episodes=64)
     x = frame_inputs(n=200)

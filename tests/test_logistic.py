@@ -18,7 +18,7 @@ from qks import (
     train,
 )
 from qks import logistic
-from qks.logistic import _grad_and_curvature, _hessian_vector
+from qks.logistic import _as_matrix, _grad_and_curvature, _hessian_vector
 
 
 def toy_data(n=60, seed=0, separable=False):
@@ -105,6 +105,21 @@ def test_steepest_descent_fallback_when_cg_makes_no_step(monkeypatch):
     assert any(unusable) and not unusable[0]
     assert model.fit.stop_reason == "no_descent" and model.fit.iterations == 248
     assert np.isfinite(model.weights).all() and evaluate(model, x, y) == 0.0
+
+
+def test_fallback_on_float32_bits_stops_where_float64_did():
+    # The same fit on 0/1 inputs, so held as float32: H v is scaled into
+    # float32's range, so curvature near 1e-100 does not flush to zero and
+    # the fit runs as far as in float64 (247 steps; unscaled, it stopped at
+    # 50 with grad_inf 2.6e-23).
+    x = [[0.0], [1.0]]
+    assert _as_matrix(x).dtype == np.float32
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = train(x, [0, 1], reg_lambda=0.0, tol=5e-324)
+    assert model.fit.stop_reason == "no_descent"
+    assert abs(model.fit.iterations - 247) <= 2
+    assert model.fit.grad_inf <= 1e-100
 
 
 def test_inputs_that_overflow_the_fit_are_a_data_error():
@@ -259,6 +274,33 @@ def test_hessian_vector_matches_finite_differences(lam):
         _, dn_w, dn_b = loss_and_gradient(dn[:-1], dn[-1], x, y, lam)
         fd = np.append((up_w - dn_w) / (2 * eps), (up_b - dn_b) / (2 * eps))
         assert np.abs(hv - fd).max() <= 1e-6 * max(1.0, np.abs(fd).max())
+
+
+def test_only_zero_one_matrices_are_float32():
+    fm, _ = _frames_features()
+    bits = fm.to_dense()
+    assert _as_matrix(fm).dtype == np.float32
+    assert np.array_equal(_as_matrix(bits.astype(np.float64)), _as_matrix(fm))
+    assert _as_matrix(bits * 2.0).dtype == np.float64
+    assert _as_matrix(bits - 0.5).dtype == np.float64
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1.0, 1e200])
+def test_float32_hessian_vector_matches_float64(scale):
+    fm, labels = _frames_features()
+    x32, x64 = _as_matrix(fm), fm.to_dense().astype(np.float64)
+    y_pm = 2.0 * labels - 1.0
+    rng = np.random.default_rng(14)
+    theta = 0.3 * rng.normal(size=x64.shape[1] + 1)
+    margins = y_pm * (x64 @ theta[:-1] + theta[-1])
+    _, curv = _grad_and_curvature(margins, theta, x64, y_pm, 0.01)
+    for _ in range(3):
+        v = scale * rng.normal(size=theta.size)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            hv32 = _hessian_vector(x32, curv, 0.01, v)
+        hv64 = _hessian_vector(x64, curv, 0.01, v)
+        assert np.abs(hv32 - hv64).max() <= 1e-6 * np.abs(hv64).max()
 
 
 def test_frames_features_converge_to_tol():

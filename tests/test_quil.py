@@ -1,6 +1,7 @@
 """Parser, pretty-printer, and instantiation tests."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -263,6 +264,15 @@ def test_bound_circuit_is_a_template(name):
     shots = [e.sample(np.empty((1, 0)), uniforms[i : i + 1])[0]
              for i, e in enumerate(bound)]
     assert shots == cached_engine(t).sample(thetas, uniforms).tolist()
+
+
+def test_templates_parsed_twice_share_one_engine():
+    a, b = parse_template(CNOT2_SRC), parse_template(CNOT2_SRC)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert cached_engine(a) is cached_engine(b)
+    assert a != parse_template(CNOT2_SRC.replace("CNOT 0 1", "CZ 0 1"))
+    back = pickle.loads(pickle.dumps(a))
+    assert back == a and hash(back) == hash(a)
 
 
 def test_out_of_order_qubits_set_width():

@@ -217,6 +217,13 @@ def test_shot_accessors():
     assert shot.to_array().tolist() == [1, 0, 1]
     with pytest.raises(IndexError):
         shot.bit(3)
+    with pytest.raises(IndexError):
+        shot.bit(-1)
+    assert shot.bit(np.int64(2)) == 1
+    # Unchecked, True read qubit 1 and 1.5 failed in the shift.
+    for bad in (True, np.bool_(False), 1.5, np.float64(0.0)):
+        with pytest.raises(ValueError, match="qubit must be an integer"):
+            Shot(0b10, 2).bit(bad)
 
 
 def test_shot_checks_itself():
