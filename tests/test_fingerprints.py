@@ -42,7 +42,10 @@ from conftest import MIXED3
 # sigma, seed). Row counts above 64 span several featurize blocks; episode
 # counts are not multiples of 32, so the last packed word of each row is
 # partly filled. cnot2-tiles784 is the MNIST machine's shape: two 392-pixel
-# tiles of a 28 x 28 image at sigma 0.05, on synthetic rows.
+# tiles of a 28 x 28 image at sigma 0.05, on synthetic rows. The s1e3
+# configs run at sigma 1000, where half angles are in the hundreds and the
+# float32 screen of the sampler sends a share of episodes to its exact
+# float64 redo.
 FEATURE_CONFIGS = {
     "cnot2-l1-w1": ("cnot2", EncodingStructure.split(2), 1, 1, 37, 70, 1.0, 11),
     "cnot2-l2-w3": ("cnot2", EncodingStructure.split(2), 2, 3, 37, 150, 0.7, 12),
@@ -57,6 +60,9 @@ FEATURE_CONFIGS = {
     "cnot2-tiles784-w3": (
         "cnot2", make_tilemap(28, 28, 2).to_structure(), 1, 3, 45, 70, 0.05, 26
     ),
+    "cnot2-s1e3-w1": ("cnot2", EncodingStructure.split(2), 1, 1, 37, 70, 1e3, 27),
+    "cz2-s1e3-w3": ("cz2", EncodingStructure.split(2), 1, 3, 37, 130, 1e3, 28),
+    "p4-l2-s1e3-w1": ("p4", EncodingStructure.split(4), 2, 1, 19, 66, 1e3, 29),
 }
 
 FEATURE_DIGESTS = {
@@ -103,6 +109,18 @@ FEATURE_DIGESTS = {
     "cnot2-tiles784-w3": (
         "dfc67a2038f8be89acf77a8d063a5e32529e773ccdac79fa8d41c7600a4cdcfb",
         "341c66abdd6b4cb7d411f64ea33e88a50e182b1d7fb5c6ee6e3417dba8fb40c4",
+    ),
+    "cnot2-s1e3-w1": (
+        "6e3f35e9932ad865f7231394071e090bf97b1e5d0b9fa4101babb5cac3da5b6a",
+        "84ff0b316bf3b3fa6414e6476d141f695a57ea63a75f316dd48538c4429f2a31",
+    ),
+    "cz2-s1e3-w3": (
+        "9079182ed52c82e7cc6e992190fd1f3fc12e7b2449baf1c296226cda9a03fa80",
+        "dae5584f637bbeee3d43dabdb98b28ece4e120e636fc826d03a9a463d6f6d69f",
+    ),
+    "p4-l2-s1e3-w1": (
+        "0b9a49f8284644b637a83f1940e1fe51cc7918ee2e637d2ed5e77cae2c98e037",
+        "0ddac58983a0f4fa01805d4a7dceefdd00ecaf97a70bc63ea5f3090040b12bb8",
     ),
 }
 
