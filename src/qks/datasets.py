@@ -328,10 +328,15 @@ def save_csv(dataset: LabeledDataset, path: str | Path) -> None:
 
 
 def load_csv(path: str | Path, name: str = "") -> LabeledDataset:
-    """Read a CSV of float columns with a trailing {0,1} label column."""
+    """Read a CSV of float columns with a trailing {0,1} label column.
+
+    A non-numeric first line is a header and must name as many fields as
+    each data row has.
+    """
     path = Path(path)
     rows: list[list[float]] = []
     labels: list[int] = []
+    header = None
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
         for lineno, record in enumerate(reader, start=1):
@@ -341,7 +346,8 @@ def load_csv(path: str | Path, name: str = "") -> LabeledDataset:
                 values = [float(v) for v in record]
             except ValueError:
                 if lineno == 1:
-                    continue  # header
+                    header = len(record)
+                    continue
                 raise DataFormatError(
                     f"{path}: non-numeric value on line {lineno}"
                 ) from None
@@ -359,6 +365,11 @@ def load_csv(path: str | Path, name: str = "") -> LabeledDataset:
     widths = {len(r) for r in rows}
     if len(widths) != 1:
         raise DataFormatError(f"{path}: inconsistent column counts {sorted(widths)}")
-    if widths == {0}:
+    fields = widths.pop() + 1
+    if header is not None and header != fields:
+        raise DataFormatError(
+            f"{path}: header has {header} fields but data rows have {fields}"
+        )
+    if fields == 1:
         raise DataFormatError(f"{path}: no input column before the label")
     return LabeledDataset(np.array(rows), np.array(labels), name or path.stem)

@@ -40,12 +40,21 @@ and :func:`run_episode` alike) and :func:`sample_shot` for an explicit
 :class:`StateVector`. Both hand it 2**n outcomes, since a StateVector
 rejects any other number of amplitudes. Up to 16 outcomes the sums are
 kept as one running sum per episode and counted as they are added, which
-adds the same numbers in the same order as np.cumsum. Wider outcome spaces
-are searched in blocks of 2**(n//2) rows: the cumulative block totals
-pick each episode's block, and the cumulative sums inside it pick the row,
-so no episode needs all 2**n sums. These sums are added in another order,
-so an episode with any of them within 4 * 2**n * eps of u is recomputed
-with np.cumsum down its column; rounding cannot move the others' index.
+adds the same numbers in the same order as np.cumsum. For these engines
+:meth:`EpisodeEngine.sample` screens each chunk first: the prefix's cos
+and sin are taken in float32 (numpy's float32 trig is SIMD, its float64
+trig often scalar libm), the same doubling code builds float32 products,
+and float64 running sums count the index and track each episode's
+smallest gap |sum - u|. An episode whose gap exceeds tol = 2**-19 * (n +
+sum |theta_k / 2|) + 4 * 2**n * eps, a proven bound on the float32 error,
+keeps that index; any other, or one with a NaN gap, is recomputed by the
+float64 path, so the indices are the float64 path's bit for bit. Wider
+outcome spaces are searched in blocks of 2**(n//2) rows: the cumulative
+block totals pick each episode's block, and the cumulative sums inside it
+pick the row, so no episode needs all 2**n sums. These sums are added in
+another order, so an episode with any of them within 4 * 2**n * eps of u
+is recomputed with np.cumsum down its column; rounding cannot move the
+others' index.
 :meth:`EpisodeEngine.probabilities` returns one row per episode, (B, 2**n).
 
 :meth:`EpisodeEngine.marginals` returns P(bit j = 1), (B, n), in the
@@ -405,8 +414,8 @@ def _inverse_cdf(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     sum below u. Up to _RUNNING_SUM_MAX_DIM outcomes, one running sum per
     column replaces the cumulative-sum array: it adds the same numbers in
     the same order as np.cumsum down axis 0, and it stops after dim - 1
-    sums, which is the clamp, since the sums never decrease. Its counts are
-    uint8.
+    sums, which is the clamp, since the sums never decrease (see
+    :func:`_running_sums`).
 
     Wider columns are searched in two levels, in 2**(n - n//2) blocks of
     2**(n//2) rows (Devroye's indexed search, Non-Uniform Random Variate
@@ -422,12 +431,7 @@ def _inverse_cdf(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     """
     dim, b = probs.shape
     if dim <= _RUNNING_SUM_MAX_DIM:
-        total = probs[0].copy()
-        z = (total <= uniforms).view(np.uint8)
-        for p in probs[1:-1]:
-            total += p
-            z += total <= uniforms
-        return z
+        return _running_sums(probs, uniforms)
     size = 1 << ((dim - 1).bit_length() // 2)
     blocks = dim // size
     rows = probs.reshape(blocks, size, b)
@@ -448,6 +452,31 @@ def _inverse_cdf(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
         tied = np.flatnonzero(near)
         cdf = np.cumsum(probs[:, tied], axis=0)
         z[tied] = np.minimum((cdf <= uniforms[tied]).sum(axis=0), dim - 1)
+    return z
+
+
+def _running_sums(
+    probs: np.ndarray, uniforms: np.ndarray, gap: np.ndarray | None = None
+) -> np.ndarray:
+    """The inverse-CDF index of each column of (dim, b) ``probs``, uint8.
+
+    One float64 running sum per column adds the rows in order, whatever
+    the dtype of ``probs``, and counts the sums <= u; it stops after dim - 1
+    sums, which is the clamp. ``dim`` must be at most 256, the uint8 range.
+    With a (b,) ``gap``, each column's smallest |sum - u| over the sums it
+    counted is written there; a NaN sum makes it NaN.
+    """
+    total = probs[0].astype(np.float64)
+    z = (total <= uniforms).view(np.uint8)
+    if gap is not None:
+        np.abs(np.subtract(total, uniforms, out=gap), out=gap)
+        d = np.empty_like(gap)
+    for p in probs[1:-1]:
+        total += p
+        z += total <= uniforms
+        if gap is not None:
+            np.abs(np.subtract(total, uniforms, out=d), out=d)
+            np.minimum(gap, d, out=gap)
     return z
 
 
@@ -549,15 +578,29 @@ class EpisodeEngine:
             self._phase = phase if sign is None else phase * sign
         self.chunk_size = max(1, min(1 << 16, CHUNK_BYTES // (16 * self.dim)))
 
-    def _outcome_probabilities(self, thetas: np.ndarray) -> np.ndarray:
-        """Outcome probabilities, (2**n, b), of one chunk of (b, p) thetas."""
+    def _half_angles(self, thetas: np.ndarray) -> np.ndarray:
+        """The prefix's half angles, (prefix parameters, b), in float64."""
         half = thetas.T[self._prefix_cols]
         half *= 0.5
+        return half
+
+    def _outcome_probabilities(
+        self, thetas: np.ndarray, half: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Outcome probabilities, (2**n, b), of one chunk of (b, p) thetas.
+
+        ``half`` holds the prefix half angles, by default the float64 ones
+        of ``thetas``; they are overwritten. The products take their dtype,
+        so float32 half angles give float32 products, and a complex tail
+        promotes them to complex128.
+        """
+        if half is None:
+            half = self._half_angles(thetas)
         trig = zip(np.cos(half), np.sin(half, out=half))
         # Doubling: rows [0, 2**k) hold the products of the first k factors,
         # and op k extends them by its sin into [2**k, 2**(k+1)), then by
         # its cos in place, so every product is formed in op order.
-        amps = np.empty((self.dim, thetas.shape[0]))
+        amps = np.empty((self.dim, thetas.shape[0]), dtype=half.dtype)
         amps[0] = 1.0
         for k, op in enumerate(self._prefix):
             c, s = next(trig) if op.col is not None else (op.cos, op.sin)
@@ -575,10 +618,9 @@ class EpisodeEngine:
         return s.real * s.real + s.imag * s.imag
 
     def _chunks(self, thetas: np.ndarray):
-        """Yield (row slice, (2**n, rows) probabilities) per chunk of thetas."""
+        """Yield a row slice per chunk of thetas."""
         for start in range(0, thetas.shape[0], self.chunk_size):
-            rows = slice(start, start + self.chunk_size)
-            yield rows, self._outcome_probabilities(thetas[rows])
+            yield slice(start, start + self.chunk_size)
 
     def _check_thetas(self, thetas: np.ndarray) -> np.ndarray:
         thetas = np.asarray(thetas, dtype=np.float64)
@@ -595,8 +637,8 @@ class EpisodeEngine:
         """Exact outcome distributions, one row of 2**n probabilities each."""
         thetas = self._check_thetas(thetas)
         out = np.empty((thetas.shape[0], self.dim), dtype=np.float64)
-        for rows, probs in self._chunks(thetas):
-            out[rows] = probs.T
+        for rows in self._chunks(thetas):
+            out[rows] = self._outcome_probabilities(thetas[rows]).T
         return out
 
     @property
@@ -623,8 +665,8 @@ class EpisodeEngine:
         out = np.empty((thetas.shape[0], self.num_qubits), dtype=np.float64)
         if self.pauli_rows is None:
             bits = bit_matrix(self.num_qubits)
-            for rows, probs in self._chunks(thetas):
-                out[rows] = probs.T @ bits
+            for rows in self._chunks(thetas):
+                out[rows] = self._outcome_probabilities(thetas[rows]).T @ bits
             return out
         cos_cols, sin_cols = self._trig_cols
         trig = dict(zip(
@@ -639,7 +681,12 @@ class EpisodeEngine:
         return out
 
     def sample(self, thetas: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-        """One shot per row, by the inverse-CDF rule of :func:`sample_shot`."""
+        """One shot per row, by the inverse-CDF rule of :func:`sample_shot`.
+
+        Up to _RUNNING_SUM_MAX_DIM outcomes each chunk is screened in
+        float32 first (see :meth:`_screened_sample`); the indices are those
+        of the float64 probabilities either way.
+        """
         thetas = self._check_thetas(thetas)
         uniforms = np.asarray(uniforms, dtype=np.float64)
         if uniforms.shape != (thetas.shape[0],):
@@ -647,9 +694,78 @@ class EpisodeEngine:
         if not ((uniforms >= 0.0) & (uniforms < 1.0)).all():
             raise ValueError("uniform variates must lie in [0, 1)")
         out = np.empty(thetas.shape[0], dtype=np.int64)
-        for rows, probs in self._chunks(thetas):
-            out[rows] = _inverse_cdf(probs, uniforms[rows])
+        for rows in self._chunks(thetas):
+            if self.dim <= _RUNNING_SUM_MAX_DIM:
+                out[rows] = self._screened_sample(thetas[rows], uniforms[rows])
+            else:
+                probs = self._outcome_probabilities(thetas[rows])
+                out[rows] = _inverse_cdf(probs, uniforms[rows])
         return out
+
+    def _screen_tolerance(self, half: np.ndarray) -> np.ndarray:
+        """The screen's tol per episode from its (k, b) float64 half angles."""
+        with np.errstate(over="ignore"):
+            tol = np.abs(half).sum(axis=0)
+        tol += self.num_qubits
+        tol *= 2.0**-19
+        tol += 4 * self.dim * np.finfo(np.float64).eps
+        return tol
+
+    def _screened_sample(self, thetas: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+        """The float64 sampler's indices for one chunk, decided in float32.
+
+        The products are built from float32 cos and sin of the prefix half
+        angles h_k, and their running sums, in float64, track each
+        episode's smallest gap |sum - u|. An episode whose gap exceeds
+
+            tol = 2**-19 * (n + sum_k |h_k|) + 4 * dim * eps
+
+        (k over the prefix's parameters) gets the index those sums count.
+        Any other episode, or one with a NaN gap, is recomputed by the
+        float64 path. This is a filter with a proven error bound, in the
+        manner of Shewchuk's adaptive predicates (DCG 18, 1997).
+
+        Why tol bounds |sum32 - sum64| for every counted sum. Write c_k, s_k
+        for the exact cos and sin of h_k and c'_k, s'_k for the float32
+        values. Casting h_k to float32 moves it by at most |h_k| 2**-24, and
+        numpy's float32 cos and sin are taken to be within 4 ulp (the trig
+        premise test checks both together), so e_k = max(|c'_k - c_k|,
+        |s'_k - s_k|) <= (|h_k| + 4) 2**-24; a literal angle's float64 cos
+        and sin only round, with h_k counted as 0. The exact outcome
+        probabilities are the product distribution of the pairs (c_k**2,
+        s_k**2), each of mass c**2 + s**2 = 1, so replacing one factor at
+        a time telescopes: the L1 change of the outcome vector is at most
+        sum_k (|c'_k**2 - c_k**2| + |s'_k**2 - s_k**2|) <= sum_k 2 sqrt(2)
+        e_k, to first order. Each product of n float32 factors and its
+        square round at most 2n - 1 times, adding (2n - 1) 2**-24 in L1.
+        With a complex tail the products promote to complex128 before their
+        phases, and the tail is unitary, so the L2 error of the amplitudes,
+        at most sqrt(2) sum_k e_k + (n - 1) 2**-24, carries through to its
+        output; Cauchy-Schwarz turns an L2 error delta of unit vectors into
+        an L1 error of at most 2 delta + delta**2 in their squared
+        magnitudes. Either way the probabilities move by at most about
+        2**-24 (2.9 sum_k |h_k| + 14 n) in L1, and so does every partial
+        sum. The float64 products, the tail and the sequential sums of the
+        float64 path each carry O(dim eps), inside 4 * dim * eps as in
+        :func:`_inverse_cdf`. So tol, 32 * 2**-24 (n + sum |h_k|), exceeds
+        the bound at least twofold, and a sum farther than tol from u lies
+        on the same side of u in both paths. Underflow to float32
+        subnormals adds at most 2**-149 per product.
+
+        Half angles past float32's range cast to inf, whose cos is NaN, and
+        a huge sum of |h_k| makes tol above 1; both episodes are redone.
+        """
+        half = self._half_angles(thetas)
+        tol = self._screen_tolerance(half)
+        gap = np.empty(thetas.shape[0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            probs = self._outcome_probabilities(thetas, half.astype(np.float32))
+            z = _running_sums(probs, uniforms, gap)
+        redo = np.flatnonzero(~(gap > tol))
+        if redo.size:
+            probs = self._outcome_probabilities(thetas[redo])
+            z[redo] = _inverse_cdf(probs, uniforms[redo])
+        return z
 
 
 @lru_cache(maxsize=64)

@@ -373,6 +373,19 @@ def test_non_finite_csv_exit_code(tmp_path, capsys):
     assert "finite" in err
 
 
+def test_csv_header_mismatch_exit_code(tmp_path, capsys):
+    (tmp_path / "train.csv").write_text("a,b,c,label\n0.1,0.2,0\n0.4,0.3,1\n")
+    (tmp_path / "test.csv").write_text("x,y,label\n0.1,0.2,0\n0.4,0.3,1\n")
+    rc, out, err = run_cli(
+        ["baseline", "--dataset", "csv",
+         "--train-csv", str(tmp_path / "train.csv"),
+         "--test-csv", str(tmp_path / "test.csv")],
+        capsys,
+    )
+    assert (rc, out) == (1, "")
+    assert "header has 4 fields but data rows have 3" in err
+
+
 def test_overflowing_encoding_exit_code(tmp_path, capsys):
     # 1e308 is finite, but sigma * 1e308 overflows the encoding to inf.
     (tmp_path / "train.csv").write_text("x,y,label\n0.1,0.2,0\n1e308,1e308,0\n")

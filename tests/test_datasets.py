@@ -326,6 +326,16 @@ def test_csv_errors(tmp_path):
         load_csv(p)
 
 
+@pytest.mark.parametrize("header", ["a,b,c,label", "x,label"])
+def test_csv_header_must_match_rows(tmp_path, header):
+    # A long and a short header over 3-field rows; save_csv's own headers
+    # round-trip in the tests above.
+    p = tmp_path / "header.csv"
+    p.write_text(f"{header}\n0.1,0.2,0\n0.3,0.4,1\n")
+    with pytest.raises(DataFormatError, match="header has"):
+        load_csv(p)
+
+
 def test_csv_needs_an_input_column(tmp_path):
     p = tmp_path / "labels.csv"
     p.write_text("label\n0\n1\n")

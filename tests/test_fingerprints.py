@@ -60,7 +60,7 @@ FEATURE_CONFIGS = {
     "cnot2-tiles784-w3": (
         "cnot2", make_tilemap(28, 28, 2).to_structure(), 1, 3, 45, 70, 0.05, 26
     ),
-    "cnot2-s1e3-w1": ("cnot2", EncodingStructure.split(2), 1, 1, 37, 70, 1e3, 27),
+    "cnot2-s1e3-w1": ("cnot2", EncodingStructure.split(2), 1, 1, 201, 130, 1e3, 27),
     "cz2-s1e3-w3": ("cz2", EncodingStructure.split(2), 1, 3, 37, 130, 1e3, 28),
     "p4-l2-s1e3-w1": ("p4", EncodingStructure.split(4), 2, 1, 19, 66, 1e3, 29),
 }
@@ -111,8 +111,8 @@ FEATURE_DIGESTS = {
         "341c66abdd6b4cb7d411f64ea33e88a50e182b1d7fb5c6ee6e3417dba8fb40c4",
     ),
     "cnot2-s1e3-w1": (
-        "6e3f35e9932ad865f7231394071e090bf97b1e5d0b9fa4101babb5cac3da5b6a",
-        "84ff0b316bf3b3fa6414e6476d141f695a57ea63a75f316dd48538c4429f2a31",
+        "13897ae4bdf0eed1e15cdbfe332f7951ef313e97757dcb33a8c3784fb419add1",
+        "24909a51b1381c0f150eb4ba22367b3ebbe36352e29fbb487c8990c85e8fda74",
     ),
     "cz2-s1e3-w3": (
         "9079182ed52c82e7cc6e992190fd1f3fc12e7b2449baf1c296226cda9a03fa80",

@@ -1,5 +1,7 @@
 """Statevector engine tests against an independent kron-based oracle."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -451,6 +453,122 @@ def test_inverse_cdf_ties_on_block_ends():
     got = simulator._inverse_cdf(probs, uniforms)
     assert got.tolist() == _cumsum_outcome(probs, uniforms).tolist()
     assert got[::2].tolist() == list(range(0, 512, 2))
+
+
+def test_float32_trig_is_within_the_screen_premise():
+    # EpisodeEngine.sample screens small outcome spaces in float32 and
+    # assumes that numpy's float32 cos and sin of x, cast to float32, lie
+    # within (|x| + 4) * 2**-24 of the float64 values at x: the cast's
+    # rounding plus 4 ulp. The grid is dense over [-2**12, 2**12], holds
+    # multiples of pi/2 and their neighbours, and runs sparsely out to 2**20.
+    rng = np.random.default_rng(7)
+    k = np.arange(-2607, 2608) * (np.pi / 2)
+    near = [k, np.nextafter(k, np.inf), np.nextafter(k, -np.inf),
+            k.astype(np.float32).astype(np.float64),
+            k + rng.uniform(-1e-3, 1e-3, k.size)]
+    wide = np.geomspace(2.0**12, 2.0**20, 20_001)
+    grid = np.concatenate([np.linspace(-(2.0**12), 2.0**12, 2**21 + 1),
+                           rng.uniform(-(2.0**12), 2.0**12, 2**20),
+                           *near, wide, -wide])
+    for x in np.array_split(grid, 16):
+        bound = (np.abs(x) + 4) * 2.0**-24
+        x32 = x.astype(np.float32)
+        for f in (np.cos, np.sin):
+            excess = np.abs(f(x32).astype(np.float64) - f(x)) - bound
+            assert (excess <= 0).all(), (f.__name__, x[np.argmax(excess)])
+
+
+# Every built-in with at most 16 outcomes, at one and two layers: the
+# engines whose sample screens in float32.
+SCREENED = [("rx1", 1), ("cnot2", 1), ("cz2", 1), ("p4", 1),
+            ("cnot2", 2), ("cz2", 2), ("p4", 2)]
+
+
+@pytest.mark.parametrize("name, layers", SCREENED)
+def test_float32_screen_error_is_far_inside_its_tolerance(name, layers):
+    # The tolerance is a worst-case bound; on random episodes from sigma 0.1
+    # to 1000 the float32 path's cumulative sums stay within a quarter of it
+    # of the float64 path's.
+    engine = EpisodeEngine(get_ansatz(name), layers)
+    rng = np.random.default_rng(layers * 100 + engine.dim)
+    sigmas = np.repeat([0.1, 1.0, 10.0, 100.0, 1e3], 2000)[:, np.newaxis]
+    thetas = sigmas * rng.normal(size=(sigmas.size, engine.num_params))
+    half = engine._half_angles(thetas)
+    tol = engine._screen_tolerance(half)
+    screened = engine._outcome_probabilities(thetas, half.astype(np.float32))
+    # Real products stay float32; a complex tail squares in float64.
+    assert screened.dtype == (np.float64 if engine._complex else np.float32)
+    exact = engine._outcome_probabilities(thetas)
+    error = np.abs(
+        np.cumsum(screened, axis=0, dtype=np.float64) - np.cumsum(exact, axis=0)
+    ).max(axis=0)
+    assert (error < 0.25 * tol).all(), (error / tol).max()
+
+
+@pytest.mark.parametrize("name, layers", [*SCREENED[:4], ("cnot2", 2)])
+def test_float32_screen_gives_the_float64_index(name, layers, monkeypatch):
+    # u on each cumulative sum of the float64 probabilities and its +-1 ulp
+    # neighbours, which the screen must hand to the float64 path, and at
+    # half and twice the tolerance either side, which it mostly decides
+    # alone; at sigma 1000 the tolerance is about 1e-3.
+    engine = EpisodeEngine(get_ansatz(name), layers)
+    rng = np.random.default_rng(engine.dim + layers)
+    sigmas = np.repeat([0.3, 3.0, 1e3], 20)[:, np.newaxis]
+    thetas = sigmas * rng.normal(size=(sigmas.size, engine.num_params))
+    tol = engine._screen_tolerance(engine._half_angles(thetas))
+    sums = np.cumsum(engine.probabilities(thetas), axis=1)
+    rows, uniforms = [], []
+    for i, row in enumerate(sums):
+        for u in np.concatenate([row, np.nextafter(row, 0.0), np.nextafter(row, 1.0),
+                                 *(row + f * tol[i] for f in (-2, -0.5, 0.5, 2))]):
+            if 0.0 <= u < 1.0:
+                rows.append(i)
+                uniforms.append(u)
+    thetas, uniforms = thetas[rows], np.array(uniforms)
+    redone = []
+    inverse_cdf = simulator._inverse_cdf
+
+    def spy(probs, us):
+        redone.append(len(us))
+        return inverse_cdf(probs, us)
+
+    monkeypatch.setattr(simulator, "_inverse_cdf", spy)
+    got = engine.sample(thetas, uniforms)
+    expected = _cumsum_outcome(engine.probabilities(thetas).T, uniforms)
+    assert got.tolist() == expected.tolist()
+    assert 0 < sum(redone) < len(uniforms)
+
+
+@pytest.mark.parametrize("name, layers", [("cnot2", 1), ("cz2", 1), ("p4", 2)])
+@pytest.mark.parametrize("big", [1e300, 2 * 3.41e38, 2.0 * float(np.finfo(np.float32).max)])
+def test_float32_screen_redoes_angles_past_float32_range(name, layers, big):
+    # The first two half angles cast to inf in float32 (the last one rounds
+    # to float32's largest value), and cos(inf) is NaN: the screen must
+    # treat a NaN gap as a close call, and must not warn.
+    engine = EpisodeEngine(get_ansatz(name), layers)
+    uniforms = np.arange(64) / 64
+    thetas = np.random.default_rng(3).normal(size=(64, engine.num_params))
+    thetas[::2, 0] = big
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = engine.sample(thetas, uniforms)
+    expected = _cumsum_outcome(engine.probabilities(thetas).T, uniforms)
+    assert got.tolist() == expected.tolist()
+    assert len(set(got[::2].tolist())) > 1
+
+
+def test_wide_engines_are_not_screened(monkeypatch):
+    # Past 16 outcomes the float64 products go straight to the blocked
+    # inverse CDF.
+    def refuse(*args):
+        raise AssertionError("screened")
+
+    monkeypatch.setattr(EpisodeEngine, "_screened_sample", refuse)
+    engine = EpisodeEngine(get_ansatz("p9"))
+    thetas = np.random.default_rng(4).normal(size=(10, 9))
+    uniforms = np.linspace(0.0, 0.9, 10)
+    expected = _cumsum_outcome(engine.probabilities(thetas).T, uniforms)
+    assert engine.sample(thetas, uniforms).tolist() == expected.tolist()
 
 
 def test_born_rule_chisquare():
