@@ -16,6 +16,7 @@ E-episode machine on the first E episodes exactly.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -248,7 +249,11 @@ class QksMachine:
         Computed tile by tile: for parameter k, theta[:, :, k] =
         inputs[:, rows[k]] @ omega[:, layer, k-support].T + beta. Each
         matmul's shape depends only on (M, row size, episode count), never
-        on any worker split, which keeps results bit-reproducible.
+        on any worker split, which keeps results bit-reproducible. A row
+        that reads one coordinate c is the broadcast product
+        ``inputs[:, c, None] * w[:, 0]`` instead: one correctly rounded
+        multiply, which is the matmul's value up to the sign of a zero,
+        and adding beta (>= +0) makes them equal bit for bit.
         """
         inputs = np.asarray(inputs, dtype=np.float64)
         if inputs.ndim != 2 or inputs.shape[1] != self.structure.p:
@@ -266,26 +271,36 @@ class QksMachine:
         for layer in range(self.layers):
             for k, row in enumerate(self.structure.rows):
                 w = omega[:, layer, off[k] : off[k + 1]]  # (E, r_k)
-                theta[:, :, layer * q + k] = inputs[:, list(row)] @ w.T
+                if len(row) == 1:
+                    theta[:, :, layer * q + k] = inputs[:, row[0], None] * w[:, 0]
+                else:
+                    theta[:, :, layer * q + k] = inputs[:, list(row)] @ w.T
         theta += beta[np.newaxis, :, :]
         return theta
 
 
 def _check_spec(
     template: CircuitTemplate, structure: EncodingStructure, sigma: float
-) -> None:
-    """Raise ValueError unless a machine can draw these encodings.
+) -> float:
+    """``sigma`` as a float, or ValueError unless a machine can draw these.
 
-    The structure needs one row per template parameter, and sigma must be
-    finite and >= 0.
+    The structure needs one row per template parameter, and sigma must be a
+    real number, not a bool or a string, that is finite and >= 0.
     """
     if structure.q != template.num_params:
         raise ValueError(
             f"structure has q={structure.q} parameters per layer but template "
             f"{template.name!r} declares {template.num_params}"
         )
-    if not 0 <= sigma < np.inf:
+    if isinstance(sigma, bool) or not isinstance(sigma, numbers.Real):
+        raise ValueError(f"sigma must be a real number, got {sigma!r}")
+    try:
+        value = float(sigma)
+    except OverflowError:  # an int past float's range
+        value = np.inf
+    if not 0 <= value < np.inf:
         raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
+    return value
 
 
 def sample_machine(
@@ -300,12 +315,13 @@ def sample_machine(
 
     The structure's q must match the template's parameter count (per layer).
     sigma is the standard deviation of the Omega nonzeros; sigma = 0 is the
-    degenerate input-independent machine; a negative or non-finite sigma,
-    or one so large that an Omega entry overflows, is an error. The seed must
-    be an integer (not a float or bool) in [0, 2**64), and ``episodes`` and
-    ``layers`` integers >= 1.
+    degenerate input-independent machine; a sigma that is not a real number
+    (a bool or a string), a negative or non-finite one, or one so large that
+    an Omega entry overflows, is an error. The seed must be an integer (not
+    a float or bool) in [0, 2**64), and ``episodes`` and ``layers``
+    integers >= 1.
     """
-    _check_spec(template, structure, sigma)
+    sigma = _check_spec(template, structure, sigma)
     episodes = _as_int("episodes", episodes, low=1)
     layers = _as_int("layers", layers, low=1)
 
@@ -320,7 +336,7 @@ def sample_machine(
     return QksMachine(
         template=template,
         structure=structure,
-        sigma=float(sigma),
+        sigma=sigma,
         seed=int(seed),
         omega=omega,
         beta=beta,

@@ -16,7 +16,10 @@ P(b_j = 1) = 1/2 - 1/2 * (+-prod_i f_i) with f_i = cos theta_i for a Z
 factor and -sin theta_i for a Y factor, and 1/2 exactly when any factor is
 X (cz2). This is the random-features form of Rahimi & Recht (NIPS 2007).
 Other templates (an RX after the entanglers, two or more layers) sum their
-outcome probabilities against the bit matrix.
+outcome probabilities against the bit matrix. :func:`mc_kernel` runs its
+blocks of episodes across threads (numpy's trig releases the GIL); each
+block's values land in their own slice and are averaged once, so the
+estimate is bit-identical for any number of threads.
 
 When every qubit has a Pauli string (:attr:`EpisodeEngine.pauli_rows`),
 the average over a one-layer machine's episodes has a closed form. Write
@@ -48,6 +51,8 @@ an image, is :func:`closed_form_kernel` with the tiling's
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +64,13 @@ from .simulator import bit_matrix, cached_engine
 
 # Episodes per block of mc_kernel's marginals.
 KERNEL_BLOCK = 16_384
+
+
+def _allowed_cpus() -> int:
+    """CPUs this process may run on: its affinity mask, else the host's."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def expected_inner(u_probs: np.ndarray, v_probs: np.ndarray) -> float:
@@ -105,9 +117,13 @@ def mc_kernel(machine: QksMachine, u: np.ndarray, v: np.ndarray) -> KernelEstima
 
     Per episode the expected shot inner product is the dot product of the
     two per-qubit marginals (see module docstring), taken over blocks of
-    ``KERNEL_BLOCK`` episodes. The factorized form makes the estimate
-    exactly symmetric in (u, v): elementwise products of marginals commute,
-    so both argument orders sum the same floats.
+    ``KERNEL_BLOCK`` episodes. The blocks run on a thread pool, one thread
+    per allowed CPU up to the number of blocks; each writes its own slice
+    of the per-episode values, and the mean and standard error are taken
+    once over all of them, so the result is bit-identical for any thread
+    count. The factorized form makes the estimate exactly symmetric in
+    (u, v): elementwise products of marginals commute, so both argument
+    orders sum the same floats.
 
     Raises ValueError naming ``u`` or ``v`` when it does not hold
     ``structure.p`` coordinates, or when its encoding is not finite, as when
@@ -126,11 +142,21 @@ def mc_kernel(machine: QksMachine, u: np.ndarray, v: np.ndarray) -> KernelEstima
             )
     engine = cached_engine(machine.template, machine.layers)
     vals = np.empty(n_eps)
-    for start in range(0, n_eps, KERNEL_BLOCK):
+
+    def run_block(start: int) -> None:
         block = slice(start, start + KERNEL_BLOCK)
         mu = engine.marginals(theta[0, block])
         mv = engine.marginals(theta[1, block])
         vals[block] = np.einsum("ej,ej->e", mu, mv)
+
+    starts = range(0, n_eps, KERNEL_BLOCK)
+    workers = min(_allowed_cpus(), len(starts))
+    if workers == 1:
+        for start in starts:
+            run_block(start)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(run_block, starts))
 
     value = float(vals.mean())
     stderr = float(vals.std(ddof=1) / np.sqrt(n_eps)) if n_eps > 1 else 0.0
@@ -150,11 +176,11 @@ def closed_form_kernel(
     one-layer machine (see the module docstring). Raises ValueError when
     the structure's q is not the template's parameter count, when ``u`` or
     ``v`` does not hold ``structure.p`` finite coordinates, when ``sigma``
-    is not finite and >= 0, and naming the template when it has no Pauli
-    strings (an RX after the entanglers) or a qubit's string reads one
-    parameter twice.
+    is not a real number (a bool or a string) or not finite and >= 0, and
+    naming the template when it has no Pauli strings (an RX after the
+    entanglers) or a qubit's string reads one parameter twice.
     """
-    _check_spec(template, structure, sigma)
+    sigma = _check_spec(template, structure, sigma)
     u, v = _check_pair(u, v, structure.p)
     rows = cached_engine(template).pauli_rows
     if rows is None:
@@ -167,7 +193,7 @@ def closed_form_kernel(
     # skips the exponent, where 0 * inf would be nan.
     with np.errstate(over="ignore"):
         d = u - v
-    s2 = float(sigma) * float(sigma)
+    s2 = sigma * sigma
     k = sum(0.25 if factors else (0.5 - 0.5 * c) ** 2 for c, factors in rows)
     for constant, factors in rows:
         cols = [col for _, col in factors]

@@ -1,9 +1,18 @@
 """Encoding structures, machine sampling, and the affine parameter map."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from qks import EncodingStructure, QksMachine, get_ansatz, sample_machine, shot_stream
+from qks import (
+    EncodingStructure,
+    QksMachine,
+    closed_form_cnot2,
+    get_ansatz,
+    sample_machine,
+    shot_stream,
+)
 from qks.encoding import TAG_SHOTS, _shot_keys
 
 
@@ -171,6 +180,23 @@ def test_sample_machine_validation():
     m = sample_machine(t, s, 1.0, np.int64(10), 0, layers=np.int32(2))
     assert (m.episodes, m.layers) == (10, 2)
     assert type(m.episodes) is int and type(m.layers) is int
+    for sigma in (2, np.int64(2), np.float32(2.0)):
+        m = sample_machine(t, s, sigma, 10, 0)
+        assert m.sigma == 2.0 and type(m.sigma) is float
+
+
+@pytest.mark.parametrize(
+    "sigma",
+    ["1", True, False, np.True_, None, 1j, [1.0], np.array(1.0),
+     pytest.param(10**400, id="int-past-float-range")],
+)
+def test_sigma_must_be_a_real_number(sigma):
+    # "1" used to escape as a TypeError from the comparison, True as 1.0.
+    t, s = get_ansatz("cnot2"), EncodingStructure.split(2)
+    with pytest.raises(ValueError, match="sigma"):
+        sample_machine(t, s, sigma, 10, 0)
+    with pytest.raises(ValueError, match="sigma"):
+        closed_form_cnot2([0.1, 0.2], [0.3, 0.4], sigma)
 
 
 def test_machine_checks_omega_against_beta():
@@ -329,6 +355,43 @@ def test_encode_batch_matches_scalar():
     for i in range(5):
         for e in range(9):
             assert np.allclose(batch[i, e], m.encode(xs[i], e), atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "name, structure",
+    [("p9", EncodingStructure.split(9)),
+     ("cnot2", EncodingStructure.from_tiles([[0], [1, 2]], 3))],
+)
+def test_encode_batch_equals_the_per_row_matmul(name, structure):
+    # One-coordinate rows are products and the 2-coordinate row a matmul;
+    # every entry must be the per-row matmul plus beta, bit for bit, also
+    # for inputs of +0.0 and -0.0 against negative omega and beta = 0.
+    rng = np.random.default_rng(40)
+    m = sample_machine(get_ansatz(name), structure, 1.7, 60, seed=41, layers=2)
+    omega = -np.abs(m.omega)
+    omega[::2] = m.omega[::2]
+    beta = m.beta.copy()
+    beta[::3] = 0.0
+    m = dataclasses.replace(m, omega=omega, beta=beta)
+    x = rng.normal(scale=3.0, size=(12, structure.p))
+    x[0] = 0.0
+    x[1] = -0.0
+    x[2, ::2] = -0.0
+    x[3] = rng.normal(scale=1e150, size=structure.p)
+
+    off, q = structure.offsets(), structure.q
+    want = np.empty((12, m.episodes, m.num_params))
+    for layer in range(m.layers):
+        for k, row in enumerate(structure.rows):
+            w = omega[:, layer, off[k] : off[k + 1]]
+            want[:, :, layer * q + k] = x[:, list(row)] @ w.T
+    want += beta
+    got = m.encode_batch(x)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert np.array_equal(
+        m.encode_batch(x[4:7], slice(10, 30)).view(np.uint64),
+        want[4:7, 10:30].view(np.uint64),
+    )
 
 
 def test_encode_input_validation():

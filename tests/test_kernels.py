@@ -1,6 +1,8 @@
 """Kernel machinery: bit matrix, exact inner products, Monte Carlo vs closed form."""
 
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from qks import (
     sample_machine,
 )
 from qks.quil import CircuitTemplate
+from qks.simulator import EpisodeEngine
 from conftest import (
     MIXED3,
     oracle_probabilities,
@@ -134,6 +137,48 @@ def test_mc_kernel_exact_symmetry():
         b = mc_kernel(m, v, u)
         assert a.value == b.value
         assert a.stderr == b.stderr
+
+
+@pytest.mark.parametrize("name, layers, width", [
+    ("cnot2", 1, 2),  # Pauli strings
+    ("cz2", 1, 2),  # constant rows
+    ("p4", 2, 4),  # outcome probabilities against the bit matrix
+])
+def test_mc_kernel_is_the_same_for_any_thread_count(monkeypatch, name, layers, width):
+    from qks import kernels
+
+    episodes = 2_000
+    m = sample_machine(get_ansatz(name), EncodingStructure.split(width), 1.3,
+                       episodes, seed=31, layers=layers)
+    u, v = np.random.default_rng(32).normal(size=(2, width))
+    pools, threads = [], set()
+    marginals = EpisodeEngine.marginals
+
+    class Pool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    def spy(self, thetas):
+        threads.add(threading.get_ident())
+        return marginals(self, thetas)
+
+    monkeypatch.setattr(kernels, "ThreadPoolExecutor", Pool)
+    monkeypatch.setattr(EpisodeEngine, "marginals", spy)
+    for block in (7, 1000, episodes, 3 * episodes):
+        monkeypatch.setattr(kernels, "KERNEL_BLOCK", block)
+        blocks = -(-episodes // block)
+        results = set()
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(kernels, "_allowed_cpus", lambda: workers)
+            pools.clear()
+            threads.clear()
+            est = mc_kernel(m, u, v)
+            results.add((est.value, est.stderr))
+            used = min(workers, blocks)
+            assert pools == ([] if used == 1 else [used])
+            assert 1 <= len(threads) <= used
+        assert len(results) == 1, (block, results)
 
 
 @pytest.mark.parametrize("sigma", [0.25, 1.0, 4.0])
