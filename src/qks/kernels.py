@@ -19,7 +19,12 @@ Other templates (an RX after the entanglers, two or more layers) sum their
 outcome probabilities against the bit matrix. :func:`mc_kernel` runs its
 blocks of episodes across threads (numpy's trig releases the GIL); each
 block's values land in their own slice and are averaged once, so the
-estimate is bit-identical for any number of threads.
+estimate is bit-identical for any number of threads. When no string reads
+a parameter (cz2, or a template with no parameters), every episode has the
+same constant marginals, and :func:`mc_kernel` fills the per-episode values
+with their one dot product instead: no encode, no trig and no threads. It
+still raises for an input whose encoding would not be finite, which it
+rules out in advance by a bound on max|omega| * ||x||_1.
 
 When every qubit has a Pauli string (:attr:`EpisodeEngine.pauli_rows`),
 the average over a one-layer machine's episodes has a closed form. Write
@@ -60,7 +65,7 @@ import numpy as np
 from .ansatze import get_ansatz
 from .encoding import EncodingStructure, QksMachine, _check_spec
 from .quil import CircuitTemplate
-from .simulator import bit_matrix, cached_engine
+from .simulator import EpisodeEngine, bit_matrix, cached_engine
 
 # Episodes per block of mc_kernel's marginals.
 KERNEL_BLOCK = 16_384
@@ -80,24 +85,36 @@ def expected_inner(u_probs: np.ndarray, v_probs: np.ndarray) -> float:
     if u_probs.shape != v_probs.shape or u_probs.ndim != 1:
         raise ValueError("probability vectors must be 1-D with equal length")
     dim = u_probs.shape[0]
-    n = dim.bit_length() - 1
-    if dim != 1 << n:
-        raise ValueError("probability vectors must have power-of-two length")
-    b = bit_matrix(n)
+    if dim < 2 or dim & (dim - 1):
+        raise ValueError(
+            f"probability vectors must have power-of-two length >= 2, got {dim}"
+        )
+    if not (np.isfinite(u_probs).all() and np.isfinite(v_probs).all()):
+        raise ValueError("probability vectors must be finite")
+    b = bit_matrix(dim.bit_length() - 1)
     return float((u_probs @ b) @ (v_probs @ b))
 
 
 def _check_pair(u, v, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """``u`` and ``v`` as finite float vectors of ``p`` coordinates each."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
+    """``u`` and ``v`` as finite float vectors of ``p`` coordinates each.
+
+    Only bool, integer and float arrays are taken: strings, complex numbers
+    and objects raise ValueError naming ``u`` or ``v``.
+    """
+    pair = []
     for name, x in zip("uv", (u, v)):
+        x = np.asarray(x)
+        if x.dtype.kind not in "biuf":
+            raise ValueError(
+                f"{name}: inputs must be real numbers, got dtype {x.dtype}"
+            )
         if x.size != p:
             raise ValueError(
                 f"{name}: the encoding takes inputs of dimension p = {p}, "
                 f"got {x.size}"
             )
-    u, v = u.reshape(p), v.reshape(p)
+        pair.append(np.asarray(x, dtype=np.float64).reshape(p))
+    u, v = pair
     if not (np.isfinite(u).all() and np.isfinite(v).all()):
         raise ValueError("u and v must be finite")
     return u, v
@@ -125,13 +142,61 @@ def mc_kernel(machine: QksMachine, u: np.ndarray, v: np.ndarray) -> KernelEstima
     (u, v): elementwise products of marginals commute, so both argument
     orders sum the same floats.
 
+    When the engine's Pauli rows read no theta column (cz2's X factors, or
+    a template with no parameters), every episode's marginals are the
+    constants 1/2 - c_j/2, so every per-episode value is one row's dot
+    product: the values are filled with it, with no encode, trig or pool,
+    and the mean and standard error are taken as above, bit for bit. The
+    encode is skipped only when max|omega| * ||x||_1 < 2**1000 for both
+    inputs, which proves every theta finite: each |omega_i x_i| is at most
+    max|omega| * |x_i|, so every partial sum of a product or a matmul, in
+    any order and rounded, stays below about 2**1001, and adding beta
+    < 2 pi keeps it far below the largest float (about 2**1024). Otherwise
+    the encode runs and is checked as for any engine, so the same inputs
+    raise.
+
     Raises ValueError naming ``u`` or ``v`` when it does not hold
     ``structure.p`` coordinates, or when its encoding is not finite, as when
     ``sigma * x`` overflows for a large finite x.
     """
     u, v = _check_pair(u, v, machine.structure.p)
     n_eps = machine.episodes
+    engine = cached_engine(machine.template, machine.layers)
+    rows = engine.pauli_rows
+    if (
+        rows is not None
+        and not any(factors for _, factors in rows)
+        and _encodes_finitely(machine, u, v)
+    ):
+        # Every episode's marginals are the constants 1/2 - c_j/2.
+        m = 0.5 - 0.5 * np.array([[c for c, _ in rows]])
+        vals = np.full(n_eps, np.einsum("ej,ej->e", m, m)[0])
+    else:
+        vals = _episode_values(machine, engine, u, v)
+    value = float(vals.mean())
+    stderr = float(vals.std(ddof=1) / np.sqrt(n_eps)) if n_eps > 1 else 0.0
+    return KernelEstimate(value, stderr, n_eps)
 
+
+def _encodes_finitely(machine: QksMachine, u: np.ndarray, v: np.ndarray) -> bool:
+    """Whether max|omega| * ||x||_1 < 2**1000 for x = u and x = v.
+
+    An overflow to inf or a 0 * inf (nan) fails the test without a warning.
+    """
+    omega = machine.omega
+    w = max(omega.max(initial=0.0), -omega.min(initial=0.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return all(w * np.abs(x).sum() < 2.0**1000 for x in (u, v))
+
+
+def _episode_values(
+    machine: QksMachine, engine: EpisodeEngine, u: np.ndarray, v: np.ndarray
+) -> np.ndarray:
+    """Per-episode dot products of u's and v's marginals, (E,).
+
+    Raises ValueError naming ``u`` or ``v`` when its encoding is not finite.
+    """
+    n_eps = machine.episodes
     with np.errstate(over="ignore", invalid="ignore"):
         theta = machine.encode_batch(np.stack([u, v]))  # (2, E, k)
     for name, t in zip("uv", theta):
@@ -140,7 +205,6 @@ def mc_kernel(machine: QksMachine, u: np.ndarray, v: np.ndarray) -> KernelEstima
                 f"{name}: encoding is not finite at sigma {machine.sigma:g}; "
                 "the input is too large for this machine"
             )
-    engine = cached_engine(machine.template, machine.layers)
     vals = np.empty(n_eps)
 
     def run_block(start: int) -> None:
@@ -157,10 +221,7 @@ def mc_kernel(machine: QksMachine, u: np.ndarray, v: np.ndarray) -> KernelEstima
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(run_block, starts))
-
-    value = float(vals.mean())
-    stderr = float(vals.std(ddof=1) / np.sqrt(n_eps)) if n_eps > 1 else 0.0
-    return KernelEstimate(value, stderr, n_eps)
+    return vals
 
 
 def closed_form_kernel(

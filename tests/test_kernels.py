@@ -21,7 +21,7 @@ from qks import (
     sample_machine,
 )
 from qks.quil import CircuitTemplate
-from qks.simulator import EpisodeEngine
+from qks.simulator import EpisodeEngine, cached_engine
 from conftest import (
     MIXED3,
     oracle_probabilities,
@@ -46,8 +46,15 @@ def test_bit_matrix():
 def test_expected_inner_validation():
     with pytest.raises(ValueError):
         expected_inner(np.ones(4) / 4, np.ones(8) / 8)
-    with pytest.raises(ValueError):
-        expected_inner(np.ones(3) / 3, np.ones(3) / 3)
+    for short in ([], [1.0], np.ones(3) / 3, np.ones(6) / 6):
+        with pytest.raises(ValueError, match="power-of-two length >= 2"):
+            expected_inner(short, short)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            expected_inner([bad, 0.5], [0.5, 0.5])
+        with pytest.raises(ValueError, match="finite"):
+            expected_inner([0.5, 0.5], [0.5, bad])
+    assert expected_inner([0.0, 1.0], [0.0, 1.0]) == 1.0
 
 
 def test_expected_inner_equals_marginal_product():
@@ -175,6 +182,10 @@ def test_mc_kernel_is_the_same_for_any_thread_count(monkeypatch, name, layers, w
             threads.clear()
             est = mc_kernel(m, u, v)
             results.add((est.value, est.stderr))
+            if name == "cz2":
+                # Constant rows: no pool, and marginals are never computed.
+                assert pools == [] and threads == set()
+                continue
             used = min(workers, blocks)
             assert pools == ([] if used == 1 else [used])
             assert 1 <= len(threads) <= used
@@ -220,6 +231,72 @@ def test_cz2_constant_kernel():
         # factor, so both marginals are exactly 1/2 in every episode.
         assert (est.value, est.stderr) == (0.5, 0.0)
         assert closed_form_kernel(t, m.structure, u, v, 1.0) == 0.5
+
+
+LIT3 = """DEFCIRCUIT LIT3:
+    RX(0.3) 0
+    RX(0.7) 1
+    RX(1.1) 2
+    CNOT 0 1
+    CNOT 1 2
+"""
+
+
+def _reference_kernel(machine, u, v):
+    """mc_kernel's (value, stderr) from the marginals of the whole encode."""
+    engine = cached_engine(machine.template, machine.layers)
+    theta = machine.encode_batch(np.stack([u, v]))
+    vals = np.einsum(
+        "ej,ej->e", engine.marginals(theta[0]), engine.marginals(theta[1])
+    )
+    return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(len(vals)))
+
+
+@pytest.mark.parametrize("template, structure", [
+    (get_ansatz("cz2"), EncodingStructure.split(2)),
+    (CircuitTemplate("ID", (), (), 1), EncodingStructure(2, ())),
+    # Literal angles only: constant rows that are not dyadic, so the order
+    # of the einsum's and the mean's sums shows in the last bits.
+    (parse_template(LIT3), EncodingStructure(2, ())),
+])
+def test_constant_rows_kernel_equals_the_reference(monkeypatch, template, structure):
+    from qks import kernels
+
+    rows = cached_engine(template).pauli_rows
+    assert rows is not None and not any(factors for _, factors in rows)
+    rng = np.random.default_rng(33)
+    for episodes in (1, 2, 5_000):
+        m = sample_machine(template, structure, 1.7, episodes, seed=34)
+        u, v = rng.normal(size=(2, 2))
+        est = mc_kernel(m, u, v)
+        assert est.episodes_used == episodes
+        if episodes > 1:
+            assert (est.value, est.stderr) == _reference_kernel(m, u, v)
+        # The same values through the per-episode pipeline.
+        monkeypatch.setattr(kernels, "_encodes_finitely", lambda *args: False)
+        assert mc_kernel(m, u, v) == est
+        monkeypatch.undo()
+    if template.name == "LIT3":
+        assert est.stderr > 0.0  # the sums of a non-dyadic value round
+
+
+def test_kernel_inputs_must_be_real_numbers():
+    cnot2, split2 = get_ansatz("cnot2"), EncodingStructure.split(2)
+    m = sample_machine(cnot2, split2, 1.0, 20, 3)
+    kernels = (
+        lambda u, v: mc_kernel(m, u, v),
+        lambda u, v: closed_form_kernel(cnot2, split2, u, v, 1.0),
+    )
+    for kernel in kernels:
+        for bad in (["1", "2"], [1j, 0], [None, 0.0], np.array([1, 2], dtype=object)):
+            with pytest.raises(ValueError, match="^u: .*real numbers"):
+                kernel(bad, [0.0, 0.0])
+            with pytest.raises(ValueError, match="^v: .*real numbers"):
+                kernel([0.0, 0.0], bad)
+        # bools, ints and float32 are taken as the floats they hold
+        assert kernel([True, 0], np.array([2, 1], dtype=np.uint8)) == kernel(
+            [1.0, 0.0], np.array([2.0, 1.0], dtype=np.float32)
+        )
 
 
 def test_cz2_marginals_are_unbiased():
@@ -432,16 +509,35 @@ def test_mc_kernel_rejects_inputs_of_the_wrong_size():
 
 
 def test_mc_kernel_names_the_input_whose_encoding_overflows():
-    machine = sample_machine(
-        get_ansatz("cnot2"), EncodingStructure.split(2), 100.0, 20, 3
-    )
-    huge = [1e308, 1e308]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(ValueError, match="^u: .*sigma 100"):
-            mc_kernel(machine, huge, [0.0, 0.0])
-        with pytest.raises(ValueError, match="^v: .*sigma 100"):
-            mc_kernel(machine, [0.0, 0.0], huge)
+    from qks import kernels
+
+    split2, huge = EncodingStructure.split(2), [1e308, 1e308]
+    big = np.array([1e306, 0.0])
+    # cnot2 always encodes; cz2 encodes only past its bound on the inputs.
+    for name in ("cnot2", "cz2"):
+        t = get_ansatz(name)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            machine = sample_machine(t, split2, 100.0, 20, 3)
+            with pytest.raises(ValueError, match="^u: .*sigma 100"):
+                mc_kernel(machine, huge, [0.0, 0.0])
+            with pytest.raises(ValueError, match="^v: .*sigma 100"):
+                mc_kernel(machine, [0.0, 0.0], huge)
+            # ||u||_1 alone is far from overflow; sigma times it is not.
+            machine = sample_machine(t, split2, 1e10, 20, 3)
+            with pytest.raises(ValueError, match="^u: .*sigma 1e\\+10"):
+                mc_kernel(machine, [1e300, 0.0], [0.0, 0.0])
+            # Past the bound on max|omega| * ||u||_1, yet the encode is finite.
+            machine = sample_machine(t, split2, 1.0, 20, 3)
+            assert not kernels._encodes_finitely(machine, big, np.zeros(2))
+            estimates = [mc_kernel(machine, big, [0.0, 0.0])]
+            # sigma 0: a norm that overflows fails the bound; theta is beta.
+            machine = sample_machine(t, split2, 0.0, 20, 3)
+            estimates.append(mc_kernel(machine, huge, huge))
+        for est in estimates:
+            assert np.isfinite(est.value)
+            if name == "cz2":
+                assert (est.value, est.stderr) == (0.5, 0.0)
 
 
 def test_single_episode_stderr():
