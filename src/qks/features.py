@@ -85,10 +85,7 @@ class FeatureMatrix:
 
     def to_dense(self) -> np.ndarray:
         """Unpack to a (rows, num_columns) uint8 array of 0/1 values."""
-        bits = np.unpackbits(
-            self.packed.view(np.uint8), axis=1, bitorder="little"
-        )
-        return bits[:, : self.num_columns]
+        return _unpack_rows(self.packed, self.num_columns)
 
     def truncate(self, episodes: int) -> "FeatureMatrix":
         """Keep only the first ``episodes`` episodes' columns.
@@ -114,6 +111,13 @@ class FeatureMatrix:
 
 def _words_for(columns: int) -> int:
     return (columns + 63) // 64
+
+
+def _unpack_rows(packed: np.ndarray, columns: int) -> np.ndarray:
+    """Unpack (m, words) uint64 rows to an (m, columns) uint8 array of 0/1."""
+    return np.unpackbits(
+        packed.view(np.uint8), axis=1, count=columns, bitorder="little"
+    )
 
 
 def _pack_rows(bits: np.ndarray) -> np.ndarray:

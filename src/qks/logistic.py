@@ -21,13 +21,36 @@ Hessian is ever formed.
 
 A design matrix whose entries are all 0 or 1 (every FeatureMatrix, and a
 dense 0/1 array alike) is held as float32, which stores 0 and 1 exactly in
-half the memory. Only the two products of each H v, ``X @ v`` and
-``X^T @ u``, then run in float32, with v and u first scaled by a power of
-two so that neither can leave float32's range: CG needs only an approximate
-Hessian (Lin, Weng & Keerthi). The margins, loss, gradient and decision
-scores cast the matrix up one block of rows at a time and stay float64, so
-the ||g||_inf <= tol test is as exact as on a float64 matrix. Any other
-matrix is held, and every product formed, in float64.
+half the memory. The two products of each H v, ``X @ v`` and ``X^T @ u``,
+then run in float32, with v and u first scaled by a power of two so that
+neither can leave float32's range: CG needs only an approximate Hessian
+(Lin, Weng & Keerthi).
+
+The margins, loss, gradient and decision scores on such a matrix are exact
+instead, by error-free splitting (Ozaki, Ogita, Oishi & Rump, Numer.
+Algorithms 59, 2012). For a product that sums ``terms`` entries of v (the
+columns for ``X @ v``, the rows for ``X^T @ v``):
+
+- b = 24 - bitlength(terms - 1) bits per digit, and 2**e > max|v|;
+- s = v * 2**(b - e), then digits d_k = rint(s) and s = (s - d_k) * 2**b,
+  all exact in float64, until the remainder is 0 or K = ceil(53 / b)
+  digits have covered 53 bits below 2**e;
+- one float32 product of X with each digit vector, exact because every
+  partial sum is an integer of at most terms * 2**b <= 2**24 (one matrix
+  product against all K digits reads X once, which pays on matrices far
+  larger than the cache, but it is slower on the frames fit and makes
+  OpenBLAS touch up to 20 MB of packing buffer);
+- a recombination in float64 that rounds once (see ``_recombine``).
+
+So each entry of the result is ``math.fsum`` of the products with v
+rounded to the nearest multiple of 2**(e - b*K), whatever the BLAS kernel,
+thread count or summation order, and the ||g||_inf <= tol test is as exact
+as on a float64 matrix. Splitting H v too would make the whole fit
+independent of BLAS, but K digit products per H v cost about K float32
+products (K = 4 to 5 on the frames fit), where CG needs only one. A
+product that sums more than 2**23 terms, where b would reach 0, keeps the
+matrix in float64, and any other matrix is held, and every product formed,
+in float64.
 
 A backtracking (Armijo) line search from the unit step keeps the loss
 sequence non-increasing. The whole procedure is deterministic, and the
@@ -37,20 +60,29 @@ returned model records how it stopped.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .datasets import DataFormatError
-from .features import FeatureMatrix
+from .features import FeatureMatrix, _unpack_rows
 from .quil import _as_int
 
 _ARMIJO_C = 1e-4
 _MAX_BACKTRACKS = 60
-# Rows of a float32 matrix cast up to float64 at a time for a float64 product,
-# so no full float64 copy of the matrix is ever made.
-_ROW_BLOCK = 64
+# The most terms one split product may sum: b = 24 - bitlength(terms - 1)
+# must stay >= 1.
+_MAX_TERMS = 2**23
+# Packed rows unpacked at a time, so that no full uint8 copy of a
+# FeatureMatrix exists beside its float32 one.
+_UNPACK_ROWS = 256
+
+
+def _bits_dtype(shape) -> type:
+    """float32 for a 0/1 matrix, float64 past _MAX_TERMS rows or columns."""
+    return np.float32 if max(shape) <= _MAX_TERMS else np.float64
 
 
 def _as_matrix(x) -> np.ndarray:
@@ -58,40 +90,78 @@ def _as_matrix(x) -> np.ndarray:
 
     A FeatureMatrix holds 0/1 bits by construction, so only an array is
     scanned for non-finite values and for entries other than 0 and 1; any
-    other array is float64.
+    other array is float64. A FeatureMatrix is unpacked a block of rows at
+    a time.
     """
     if isinstance(x, FeatureMatrix):
-        return x.to_dense().astype(np.float32)
+        shape = (x.rows, x.num_columns)
+        dense = np.empty(shape, _bits_dtype(shape))
+        for start in range(0, x.rows, _UNPACK_ROWS):
+            rows = slice(start, start + _UNPACK_ROWS)
+            dense[rows] = _unpack_rows(x.packed[rows], x.num_columns)
+        return dense
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError("design matrix must be 2-D")
     if not np.isfinite(x).all():
         raise ValueError("design matrix must be finite")
     if ((x == 0) | (x == 1)).all():
-        return x.astype(np.float32)
+        return x.astype(_bits_dtype(x.shape))
     return x
 
 
+def _digits(v, terms: int):
+    """Split v into float32 integer digits for a product summing ``terms``.
+
+    Returns (digits, b, exp): K rows of integers of at most b bits, with
+    v ~= sum_k digits[k] * 2**(exp + b * (K - 1 - k)), exact for v rounded
+    to the nearest multiple of 2**exp (the module docstring gives the rule).
+    """
+    b = 24 - (terms - 1).bit_length()
+    _, e = np.frexp(np.abs(v).max(initial=0.0))
+    s = np.ldexp(v, b - e)
+    digits = np.empty((-(-53 // b), s.size), np.float32)
+    for k in range(len(digits)):
+        d = np.rint(s)
+        digits[k] = d
+        s -= d
+        s *= 2.0**b
+        if not s.any():
+            break
+    return digits[: k + 1], b, int(e) - b * (k + 1)
+
+
+def _recombine(p, b: int, exp: int) -> np.ndarray:
+    """sum_k p[k] * 2**(exp + b * (K - 1 - k)) over K digit products.
+
+    Each p[k] holds integers of magnitude at most 2**24. Weighted by their
+    powers of two, up to g = 28 // b + 1 consecutive rows sum to at most
+    2**53 units of their smallest weight, so the first g rows and the rest
+    (never more than g) each sum exactly, in any order. Adding the two
+    groups is the one rounding; the ldexp is exact unless the result
+    leaves float64's normal range.
+    """
+    p = np.array(p, dtype=np.float64)
+    k = len(p)
+    g = min(k, 28 // b + 1)
+    weights = np.ldexp(1.0, b * np.arange(k - 1, -1, -1))
+    return np.ldexp(weights[:g] @ p[:g] + weights[g:] @ p[g:], exp)
+
+
 def _matvec(x, w) -> np.ndarray:
-    """``x @ w`` in float64, a float32 x cast up one row block at a time."""
+    """``x @ w`` in float64; exact for the split w on a float32 0/1 x."""
     if x.dtype == np.float64:
         return x @ w
-    out = np.empty(x.shape[0])
-    for start in range(0, x.shape[0], _ROW_BLOCK):
-        rows = slice(start, start + _ROW_BLOCK)
-        out[rows] = x[rows].astype(np.float64) @ w
-    return out
+    digits, b, exp = _digits(w, x.shape[1])
+    return _recombine([x @ d for d in digits], b, exp)
 
 
 def _rmatvec(x, c) -> np.ndarray:
-    """``x.T @ c`` in float64, a float32 x cast up one row block at a time."""
+    """``x.T @ c`` in float64; exact for the split c on a float32 0/1 x."""
     if x.dtype == np.float64:
         return x.T @ c
-    out = np.zeros(x.shape[1])
-    for start in range(0, x.shape[0], _ROW_BLOCK):
-        rows = slice(start, start + _ROW_BLOCK)
-        out += c[rows] @ x[rows].astype(np.float64)
-    return out
+    digits, b, exp = _digits(c, x.shape[0])
+    return _recombine([d @ x for d in digits], b, exp)
 
 
 def _float32_product(a, v) -> np.ndarray:
@@ -110,10 +180,22 @@ def _as_labels(y, rows: int) -> np.ndarray:
     """One 0/1 label per row, as float64."""
     y = np.asarray(y)
     if y.shape != (rows,):
-        raise ValueError(f"expected {rows} labels, got shape {y.shape}")
+        raise ValueError(
+            "label count must match the number of rows: "
+            f"expected {rows} labels, got shape {y.shape}"
+        )
     if not np.isin(y, (0, 1)).all():
         raise ValueError("labels must be 0 or 1")
     return y.astype(np.float64)
+
+
+def _check_width(x, weights) -> None:
+    """Raise ValueError unless weights is 1-D with one weight per column of x."""
+    if np.shape(weights) != (x.shape[1],):
+        raise ValueError(
+            f"input has {x.shape[1]} columns, "
+            f"the model has {np.size(weights)} weights"
+        )
 
 
 def check_fit_options(reg_lambda: float | None, tol: float, max_iter: int) -> None:
@@ -163,7 +245,9 @@ class LinearClassifier:
     fit: FitRecord | None = None
 
     def decision_function(self, x) -> np.ndarray:
-        return _matvec(_as_matrix(x), self.weights) + self.intercept
+        x = _as_matrix(x)
+        _check_width(x, self.weights)
+        return _matvec(x, self.weights) + self.intercept
 
     def predict(self, x) -> np.ndarray:
         """Predicted {0, 1} labels; a score of exactly 0 goes to class 0."""
@@ -179,12 +263,49 @@ class LinearClassifier:
 
     @classmethod
     def load(cls, path: str | Path) -> "LinearClassifier":
-        payload = json.loads(Path(path).read_text())
+        """Read a model written by :meth:`save`.
+
+        Raises :class:`DataFormatError`, naming the field, unless the file
+        holds a JSON object whose ``weights`` is a list of finite numbers,
+        ``intercept`` a finite number and ``lambda`` one >= 0.
+        """
+        try:
+            payload = json.loads(Path(path).read_text())
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise DataFormatError(f"{path}: not a model file ({exc})") from exc
+        if not isinstance(payload, dict):
+            raise DataFormatError(f"{path}: not a model file (no JSON object)")
+        for name, valid, what in _MODEL_FIELDS:
+            if name not in payload:
+                raise DataFormatError(f"{path}: model field '{name}' is missing")
+            if not valid(payload[name]):
+                raise DataFormatError(
+                    f"{path}: model field '{name}' must be {what}"
+                )
         return cls(
             weights=np.asarray(payload["weights"], dtype=np.float64),
             intercept=float(payload["intercept"]),
             reg_lambda=float(payload["lambda"]),
         )
+
+
+def _finite_number(value) -> bool:
+    """A JSON number (not a bool) that is finite as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond float's range
+        return False
+
+
+# (name, check, what the check requires) for each field of a saved model.
+_MODEL_FIELDS = (
+    ("weights", lambda v: isinstance(v, list) and all(map(_finite_number, v)),
+     "a list of finite numbers"),
+    ("intercept", _finite_number, "a finite number"),
+    ("lambda", lambda v: _finite_number(v) and v >= 0, "a finite number >= 0"),
+)
 
 
 def _margins(params, x, y_pm) -> np.ndarray:
@@ -271,7 +392,9 @@ def loss_and_gradient(
     regularized. ``y01`` holds one 0/1 label per row of ``x``.
     """
     x = _as_matrix(x)
-    params = np.append(np.asarray(weights, dtype=np.float64), intercept)
+    weights = np.asarray(weights, dtype=np.float64)
+    _check_width(x, weights)
+    params = np.append(weights, intercept)
     y_pm = 2.0 * _as_labels(y01, x.shape[0]) - 1.0
     margins = _margins(params, x, y_pm)
     loss = _loss_from_margins(margins, params, reg_lambda)
@@ -292,12 +415,13 @@ def train(
     front, to float32 when every entry is 0 or 1 and to float64 otherwise,
     so packed and dense training on the same bits see the identical design
     matrix. On float32 bits the Hessian-vector products of the CG solves run
-    in float32; the margins, loss and gradient, and so the stopping test,
-    stay float64 on every input. Stops when
-    the gradient's infinity norm drops to ``tol``, after ``max_iter`` Newton
-    steps, or when a step no longer moves the loss or the weights. The
-    returned model's ``fit`` says which, and its ``loss_history`` holds the
-    loss at the start and after each accepted step.
+    in float32, and the margins, loss and gradient, and so the stopping
+    test, come from exact split products that no BLAS setting can move (see
+    the module docstring). Stops when the gradient's infinity norm drops to
+    ``tol``, after ``max_iter`` Newton steps, or when a step no longer moves
+    the loss or the weights. The returned model's ``fit`` says which, and
+    its ``loss_history`` holds the loss at the start and after each
+    accepted step.
 
     Raises :class:`DataFormatError`, naming the largest input, when finite
     inputs are so large that the fit's arithmetic overflows.
@@ -376,8 +500,6 @@ def train(
 
 
 def evaluate(model: LinearClassifier, x, y) -> float:
-    """Misclassification rate of the model on (x, y)."""
+    """Misclassification rate of the model on (x, y); y holds 0/1 labels."""
     pred = model.predict(x)
-    if np.shape(y) != pred.shape:
-        raise ValueError("label count must match the number of rows")
-    return float((pred != y).mean())
+    return float((pred != _as_labels(y, pred.size)).mean())

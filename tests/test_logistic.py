@@ -1,6 +1,12 @@
 """Logistic regression: gradients, convergence, invariances, persistence."""
 
+import json
+import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +24,14 @@ from qks import (
     train,
 )
 from qks import logistic
-from qks.logistic import _as_matrix, _grad_and_curvature, _hessian_vector
+from qks.features import FeatureMatrix, _pack_rows
+from qks.logistic import (
+    _as_matrix,
+    _grad_and_curvature,
+    _hessian_vector,
+    _matvec,
+    _rmatvec,
+)
 
 
 def toy_data(n=60, seed=0, separable=False):
@@ -338,3 +351,175 @@ def test_constructed_model_has_no_fit_record():
     model = LinearClassifier(np.zeros(2), 0.0, 1.0)
     assert model.fit is None
     assert model.loss_history == []
+
+
+def _truncated(v, terms):
+    """v rounded to the split's grid, the nearest multiple of 2**(e - b*K).
+
+    b = 24 - bitlength(terms - 1) bits per digit, K = ceil(53 / b) digits,
+    and 2**e > max|v| >= 2**(e - 1); ties go to the even multiple.
+    """
+    b = 24 - (terms - 1).bit_length()
+    _, e = np.frexp(np.abs(v).max(initial=0.0))
+    shift = b * -(-53 // b) - int(e)
+    return np.ldexp(np.rint(np.ldexp(v, shift)), -shift)
+
+
+def _signed_log_uniform(rng, size, low, high):
+    return rng.choice((-1.0, 1.0), size) * 10.0 ** rng.uniform(low, high, size)
+
+
+def _split_case(name):
+    rng = np.random.default_rng(sum(map(ord, name)))
+
+    def bits(rows, cols):
+        return (rng.random((rows, cols)) < 0.5).astype(float)
+
+    if name == "wide":  # entries from 1e-300 to 1e300
+        x = bits(50, 400)
+        return x, _signed_log_uniform(rng, 400, -300, 300), \
+            _signed_log_uniform(rng, 50, -300, 300)
+    if name == "on-the-grid":  # 41-bit dyadic entries: nothing is truncated
+        x = bits(60, 300)
+        return x, rng.integers(-2**40, 2**40, 300) * 2.0**-30, \
+            rng.integers(-2**40, 2**40, 60) * 2.0**-30
+    if name == "zeros":
+        return bits(30, 40), np.zeros(40), np.zeros(30)
+    if name == "single-nonzero":
+        w, c = np.zeros(40), np.zeros(30)
+        w[17], c[3] = 3.7e-250, -2.9e280
+        return bits(30, 40), w, c
+    if name == "rows-2**16":
+        return bits(2**16, 3), rng.normal(size=3), \
+            _signed_log_uniform(rng, 2**16, -20, 20)
+    if name == "full-digits":  # every digit sum reaches 2**24 exactly
+        return np.ones((2**16, 2)), np.full(2, 1.0 - 2.0**-53), \
+            np.full(2**16, -(1.0 - 2.0**-53))
+    raise AssertionError(name)
+
+
+@pytest.mark.parametrize("name", ["wide", "on-the-grid", "zeros",
+                                  "single-nonzero", "rows-2**16",
+                                  "full-digits"])
+def test_split_products_equal_fsum_of_the_truncated_vector(name):
+    x, w, c = _split_case(name)
+    xm = _as_matrix(x)
+    assert xm.dtype == np.float32
+    wt, ct = _truncated(w, x.shape[1]), _truncated(c, x.shape[0])
+    if name not in ("wide", "rows-2**16"):
+        assert np.array_equal(wt, w) and np.array_equal(ct, c)
+    ones = x.astype(bool)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        xw, xtc = _matvec(xm, w), _rmatvec(xm, c)
+    assert xw.tolist() == [math.fsum(wt[row]) for row in ones]
+    assert xtc.tolist() == [math.fsum(ct[col]) for col in ones.T]
+
+
+_BLAS_PROBE = """
+import hashlib
+import numpy as np
+from qks import LinearClassifier, loss_and_gradient
+rng = np.random.default_rng(21)
+x = (rng.random((320, 1500)) < 0.5).astype(np.float32)
+y = rng.integers(0, 2, 320)
+w = rng.normal(size=1500)
+loss, gw, gb = loss_and_gradient(w, 0.25, x, y, 0.01)
+scores = LinearClassifier(w, 0.25, 0.01).decision_function(x)
+parts = (np.array([loss, gb]), gw, scores)
+print(hashlib.sha256(b"".join(p.tobytes() for p in parts)).hexdigest())
+"""
+_BLAS_SETTINGS = ("OPENBLAS_NUM_THREADS", "OPENBLAS_CORETYPE")
+
+
+def _blas_probe(**setting):
+    env = {k: v for k, v in os.environ.items() if k not in _BLAS_SETTINGS}
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", _BLAS_PROBE], env={**env, **setting},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr[-2000:]
+    return result.stdout
+
+
+@pytest.mark.parametrize("setting", [{"OPENBLAS_NUM_THREADS": "1"},
+                                     {"OPENBLAS_CORETYPE": "Prescott"}],
+                         ids=lambda s: "=".join(*s.items()))
+def test_loss_gradient_and_scores_do_not_depend_on_blas(setting):
+    assert _blas_probe(**setting) == _blas_probe()
+
+
+def test_as_matrix_unpacks_every_row_block():
+    rng = np.random.default_rng(22)
+    bits = (rng.random((700, 130)) < 0.5).astype(np.uint8)
+    fm = FeatureMatrix(_pack_rows(bits), num_qubits=2, episodes=65)
+    xm = _as_matrix(fm)
+    assert xm.dtype == np.float32 and xm.flags.c_contiguous
+    assert np.array_equal(xm, bits)
+
+
+def test_more_terms_than_the_split_allows_stay_float64():
+    # A product over more than 2**23 terms could pass 2**24 in float32.
+    assert _as_matrix(np.zeros((1, 2**23))).dtype == np.float32
+    assert _as_matrix(np.zeros((1, 2**23 + 1))).dtype == np.float64
+
+
+def test_evaluate_checks_labels_and_products_check_width():
+    model = LinearClassifier(weights=np.array([1.0, 0.0]), intercept=0.0,
+                             reg_lambda=0.0)
+    x = np.array([[1.0, 0.0], [-1.0, 0.0]])
+    # Both used to read an error of 1.0.
+    for labels in ([2, 7], ["1", "0"]):
+        with pytest.raises(ValueError, match="0 or 1"):
+            evaluate(model, x, labels)
+    for width in (1, 3):
+        with pytest.raises(ValueError, match=f"{width} columns.*2 weights"):
+            model.predict(np.zeros((2, width)))
+        with pytest.raises(ValueError, match=f"{width} columns.*2 weights"):
+            model.predict(np.ones((2, width)))
+        with pytest.raises(ValueError, match=f"{width} columns.*2 weights"):
+            loss_and_gradient(model.weights, 0.0, np.ones((2, width)), [0, 1], 0.1)
+
+
+_MODEL = {"weights": [0.5, -1.0], "intercept": 0.25, "lambda": 0.1}
+
+
+@pytest.mark.parametrize("field, value", [
+    ("weights", [[0.5, -1.0]]),
+    ("weights", [0.5, float("nan")]),
+    ("weights", ["0.5", 1.0]),
+    ("weights", 0.5),
+    ("intercept", float("nan")),
+    ("intercept", "0.25"),
+    ("intercept", True),
+    ("lambda", -0.1),
+    ("lambda", float("inf")),
+    ("weights", None),
+    ("intercept", None),
+    ("lambda", None),
+])
+def test_load_rejects_a_malformed_field(tmp_path, field, value):
+    payload = dict(_MODEL)
+    if value is None:
+        del payload[field]
+    else:
+        payload[field] = value
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(DataFormatError, match=f"'{field}'"):
+        LinearClassifier.load(path)
+
+
+def test_load_rejects_a_file_that_is_not_a_model(tmp_path):
+    path = tmp_path / "model.json"
+    for text in ("[1, 2]", "{", ""):
+        path.write_text(text)
+        with pytest.raises(DataFormatError, match="model"):
+            LinearClassifier.load(path)
+    path.write_text(json.dumps(_MODEL))
+    model = LinearClassifier.load(path)
+    assert model.weights.tolist() == [0.5, -1.0] and model.reg_lambda == 0.1
