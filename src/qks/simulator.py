@@ -32,29 +32,28 @@ form the same rounded products in the same order (the other part of each
 complex amplitude stays zero), so the probabilities equal theirs bit for
 bit. Chunks are sized for about 1 MiB of amplitudes and allocated as they
 run, so an engine is immutable and :func:`cached_engine` shares one per
-(template, layers). Every shot takes one uniform through one inverse-CDF
-rule over the outcome probabilities in basis-index order: the count of
-cumulative sums down axis 0 that are <= u, clamped to the last outcome.
-Two samplers apply it: :meth:`EpisodeEngine.sample` for templates (features
-and :func:`run_episode` alike) and :func:`sample_shot` for an explicit
-:class:`StateVector`. Both hand it 2**n outcomes, since a StateVector
-rejects any other number of amplitudes. Up to 16 outcomes the sums are
-kept as one running sum per episode and counted as they are added, which
-adds the same numbers in the same order as np.cumsum. For these engines
-:meth:`EpisodeEngine.sample` screens each chunk first: the prefix's cos
-and sin are taken in float32 (numpy's float32 trig is SIMD, its float64
-trig often scalar libm), the same doubling code builds float32 products,
-and float64 running sums count the index and track each episode's
-smallest gap |sum - u|. An episode whose gap exceeds tol = 2**-19 * (n +
-sum |theta_k / 2|) + 4 * 2**n * eps, a proven bound on the float32 error,
-keeps that index; any other, or one with a NaN gap, is recomputed by the
-float64 path, so the indices are the float64 path's bit for bit. Wider
-outcome spaces are searched in blocks of 2**(n//2) rows: the cumulative
-block totals pick each episode's block, and the cumulative sums inside it
-pick the row, so no episode needs all 2**n sums. These sums are added in
-another order, so an episode with any of them within 4 * 2**n * eps of u
-is recomputed with np.cumsum down its column; rounding cannot move the
-others' index.
+(template, layers).
+
+Every shot takes one uniform u through one inverse-CDF rule over the 2**n
+outcome probabilities in basis-index order: the count of cumulative sums
+down axis 0 that are <= u, clamped to the last outcome. :func:`_cdf_index`
+is that rule, and :func:`sample_shot` calls it on an explicit
+:class:`StateVector`. :meth:`EpisodeEngine.sample` (features and
+:func:`run_episode` alike) runs a fast path on each chunk and then one
+guard. Each fast path returns an index and a gap, the smallest |sum - u|
+over the sums it compared with u. Up to 16 outcomes, :func:`_running_sums`
+adds float32 products in float64 running sums: the prefix's cos and sin are
+taken in float32 (numpy's float32 trig is SIMD, its float64 trig often
+scalar libm), and the same doubling code builds the products. Wider spaces
+go to :func:`_blocked_search` on the float64 products, in blocks of
+2**(n//2) rows: the cumulative block totals pick each episode's block and
+the sums inside it pick the row, so no episode needs all 2**n sums. Each
+path's sums differ from the rule's by less than its tol: 2**-19 * (n +
+sum |theta_k / 2|) + 4 * 2**n * eps for the float32 products (proved at
+:meth:`EpisodeEngine._screen_tolerance`), 4 * 2**n * eps for the blocked
+order. So the guard keeps the index of every episode whose gap exceeds
+tol, and hands any other, a NaN gap included, to :func:`_cdf_index` on its
+float64 probabilities: every index is the rule's bit for bit.
 :meth:`EpisodeEngine.probabilities` returns one row per episode, (B, 2**n).
 
 :meth:`EpisodeEngine.marginals` returns P(bit j = 1), (B, n), in the
@@ -100,7 +99,7 @@ _SQRT_HALF = 1.0 / math.sqrt(2.0)
 _POWERS_OF_MINUS_I = np.array([1.0, -1j, -1.0, 1j])
 
 # The widest outcome space sampled with running sums; wider ones use a
-# blocked search (see _inverse_cdf). Its uint8 counts need this to be <= 256.
+# blocked search. The uint8 counts of _running_sums need this to be <= 256.
 _RUNNING_SUM_MAX_DIM = 16
 
 
@@ -403,35 +402,57 @@ def _apply_ops(
     return states
 
 
-def _inverse_cdf(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    """Outcome index per column of (dim, b) ``probs``, one uniform u each.
+def _cdf_index(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """The inverse-CDF rule, per column of (dim, b) ``probs`` and uniform u.
 
-    ``dim`` must be 2**n for an n in [1, MAX_QUBITS]. Its two callers,
-    :func:`sample_shot` and :meth:`EpisodeEngine.sample`, pass the outcomes
-    of a :class:`StateVector` or an engine, which both check their width.
     The index counts the sequential cumulative sums <= u (u's right
     insertion point), clamped to dim - 1 in case rounding leaves the last
-    sum below u. Up to _RUNNING_SUM_MAX_DIM outcomes, one running sum per
-    column replaces the cumulative-sum array: it adds the same numbers in
-    the same order as np.cumsum down axis 0, and it stops after dim - 1
-    sums, which is the clamp, since the sums never decrease (see
-    :func:`_running_sums`).
+    sum below u. Every sampled shot is this index.
+    """
+    cdf = np.cumsum(probs, axis=0)
+    return np.minimum((cdf <= uniforms).sum(axis=0), probs.shape[0] - 1)
 
-    Wider columns are searched in two levels, in 2**(n - n//2) blocks of
+
+def _running_sums(probs: np.ndarray, uniforms: np.ndarray):
+    """(index, gap) per column of (dim, b) ``probs``; the index is uint8.
+
+    One float64 running sum per column adds the rows in order, whatever
+    the dtype of ``probs``, and counts the sums <= u; it stops after dim - 1
+    sums, which is the clamp, since the sums never decrease. On float64
+    ``probs`` it adds the same numbers in the same order as np.cumsum down
+    axis 0, so the index is :func:`_cdf_index`'s. The gap is each column's
+    smallest |sum - u| over the sums it counted; a NaN sum makes it NaN.
+    ``dim`` must be at most 256, the uint8 range.
+    """
+    total = probs[0].astype(np.float64)
+    z = (total <= uniforms).view(np.uint8)
+    gap = np.abs(total - uniforms)
+    d = np.empty_like(gap)
+    for p in probs[1:-1]:
+        total += p
+        z += total <= uniforms
+        np.abs(np.subtract(total, uniforms, out=d), out=d)
+        np.minimum(gap, d, out=gap)
+    return z, gap
+
+
+def _blocked_search(probs: np.ndarray, uniforms: np.ndarray):
+    """(index, gap) per column of (dim, b) ``probs``, for dim = 2**n >= 4.
+
+    Columns are searched in two levels, in 2**(n - n//2) blocks of
     2**(n//2) rows (Devroye's indexed search, Non-Uniform Random Variate
     Generation, 1986, III.3). The cumulative block totals pick each
     column's block, and the cumulative sums of its rows, started from the
     block's approximate start, pick the row. Both levels leave out their
-    last sum, which is the clamp. These sums add the same numbers in
-    another order. For columns that sum to about 1, each of them and each
-    sequential sum carries at most about dim * eps / 2 of rounding, so a
-    column whose sums all lie farther than tol = 4 * dim * eps from u gets
-    the sequential rule's index. Any other column is recomputed by that
-    rule through np.cumsum.
+    last sum, which is the clamp. The gap is the smallest |sum - u| over
+    the block totals and the chosen block's sums.
+
+    These sums add the same numbers as :func:`_cdf_index` in another order.
+    For columns that sum to about 1, each of them and each sequential sum
+    carries at most about dim * eps / 2 of rounding, so a column whose gap
+    exceeds tol = 4 * dim * eps gets the sequential rule's index.
     """
     dim, b = probs.shape
-    if dim <= _RUNNING_SUM_MAX_DIM:
-        return _running_sums(probs, uniforms)
     size = 1 << ((dim - 1).bit_length() // 2)
     blocks = dim // size
     rows = probs.reshape(blocks, size, b)
@@ -445,39 +466,9 @@ def _inverse_cdf(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     sums[1:] = rows[block, :-1, cols].T
     np.cumsum(sums, axis=0, out=sums)
     z = block * size + (sums[1:] <= uniforms).sum(axis=0)
-    tol = 4 * dim * np.finfo(np.float64).eps
-    near = (np.abs(starts[1:] - uniforms) <= tol).any(axis=0)
-    near |= (np.abs(sums[1:] - uniforms) <= tol).any(axis=0)
-    if near.any():
-        tied = np.flatnonzero(near)
-        cdf = np.cumsum(probs[:, tied], axis=0)
-        z[tied] = np.minimum((cdf <= uniforms[tied]).sum(axis=0), dim - 1)
-    return z
-
-
-def _running_sums(
-    probs: np.ndarray, uniforms: np.ndarray, gap: np.ndarray | None = None
-) -> np.ndarray:
-    """The inverse-CDF index of each column of (dim, b) ``probs``, uint8.
-
-    One float64 running sum per column adds the rows in order, whatever
-    the dtype of ``probs``, and counts the sums <= u; it stops after dim - 1
-    sums, which is the clamp. ``dim`` must be at most 256, the uint8 range.
-    With a (b,) ``gap``, each column's smallest |sum - u| over the sums it
-    counted is written there; a NaN sum makes it NaN.
-    """
-    total = probs[0].astype(np.float64)
-    z = (total <= uniforms).view(np.uint8)
-    if gap is not None:
-        np.abs(np.subtract(total, uniforms, out=gap), out=gap)
-        d = np.empty_like(gap)
-    for p in probs[1:-1]:
-        total += p
-        z += total <= uniforms
-        if gap is not None:
-            np.abs(np.subtract(total, uniforms, out=d), out=d)
-            np.minimum(gap, d, out=gap)
-    return z
+    gap = np.minimum(np.abs(starts[1:] - uniforms).min(axis=0),
+                     np.abs(sums[1:] - uniforms).min(axis=0))
+    return z, gap
 
 
 # ---------------------------------------------------------------------------
@@ -495,10 +486,16 @@ def sample_shot(state: StateVector, rng: np.random.Generator) -> Shot:
     """Measure all qubits of an explicit state once, with one uniform variate.
 
     Templates are sampled by :meth:`EpisodeEngine.sample` instead; both use
-    the same inverse-CDF rule.
+    the inverse-CDF rule of :func:`_cdf_index`. The probabilities must be
+    finite and sum to 1 within 1e-6, or ValueError names their total: the
+    rule would read any other vector as some outcome.
     """
-    u = np.array([rng.random()])
-    z = _inverse_cdf(state.probabilities()[:, np.newaxis], u)
+    with np.errstate(over="ignore"):
+        probs = state.probabilities()
+    total = probs.sum()  # NaN or inf if any probability is, as none is negative
+    if not abs(total - 1.0) <= 1e-6:
+        raise ValueError(f"not a state: probabilities sum to {total}, not 1")
+    z = _cdf_index(probs[:, np.newaxis], np.array([rng.random()]))
     return Shot(int(z[0]), state.num_qubits)
 
 
@@ -681,11 +678,13 @@ class EpisodeEngine:
         return out
 
     def sample(self, thetas: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-        """One shot per row, by the inverse-CDF rule of :func:`sample_shot`.
+        """One shot per row, by the inverse-CDF rule of :func:`_cdf_index`.
 
-        Up to _RUNNING_SUM_MAX_DIM outcomes each chunk is screened in
-        float32 first (see :meth:`_screened_sample`); the indices are those
-        of the float64 probabilities either way.
+        Each chunk takes a fast path, :func:`_running_sums` on float32
+        products up to _RUNNING_SUM_MAX_DIM outcomes (tol from
+        :meth:`_screen_tolerance`) or :func:`_blocked_search` on float64 ones
+        (tol = 4 * dim * eps). The guard redoes every episode whose gap is
+        not above tol by :func:`_cdf_index` on its float64 probabilities.
         """
         thetas = self._check_thetas(thetas)
         uniforms = np.asarray(uniforms, dtype=np.float64)
@@ -695,35 +694,37 @@ class EpisodeEngine:
             raise ValueError("uniform variates must lie in [0, 1)")
         out = np.empty(thetas.shape[0], dtype=np.int64)
         for rows in self._chunks(thetas):
+            th, u = thetas[rows], uniforms[rows]
+            # probs outlives its chunk, or glibc trims the heap (p9: 2x slower).
             if self.dim <= _RUNNING_SUM_MAX_DIM:
-                out[rows] = self._screened_sample(thetas[rows], uniforms[rows])
+                half = self._half_angles(th)
+                tol = self._screen_tolerance(half)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    probs = self._outcome_probabilities(th, half.astype(np.float32))
+                    z, gap = _running_sums(probs, u)
             else:
-                probs = self._outcome_probabilities(thetas[rows])
-                out[rows] = _inverse_cdf(probs, uniforms[rows])
+                probs = self._outcome_probabilities(th)
+                z, gap = _blocked_search(probs, u)
+                tol = 4 * self.dim * np.finfo(np.float64).eps
+            redo = np.flatnonzero(~(gap > tol))
+            if redo.size:
+                z[redo] = _cdf_index(self._outcome_probabilities(th[redo]), u[redo])
+            out[rows] = z
         return out
 
     def _screen_tolerance(self, half: np.ndarray) -> np.ndarray:
-        """The screen's tol per episode from its (k, b) float64 half angles."""
-        with np.errstate(over="ignore"):
-            tol = np.abs(half).sum(axis=0)
-        tol += self.num_qubits
-        tol *= 2.0**-19
-        tol += 4 * self.dim * np.finfo(np.float64).eps
-        return tol
-
-    def _screened_sample(self, thetas: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-        """The float64 sampler's indices for one chunk, decided in float32.
-
-        The products are built from float32 cos and sin of the prefix half
-        angles h_k, and their running sums, in float64, track each
-        episode's smallest gap |sum - u|. An episode whose gap exceeds
+        """The float32 screen's tol per episode from its (k, b) float64
+        prefix half angles h_k:
 
             tol = 2**-19 * (n + sum_k |h_k|) + 4 * dim * eps
 
-        (k over the prefix's parameters) gets the index those sums count.
-        Any other episode, or one with a NaN gap, is recomputed by the
-        float64 path. This is a filter with a proven error bound, in the
-        manner of Shewchuk's adaptive predicates (DCG 18, 1997).
+        (k over the prefix's parameters). :meth:`sample` builds the products
+        from float32 cos and sin of h_k, and their running sums, in float64,
+        track each episode's smallest gap |sum - u|. An episode whose gap
+        exceeds tol gets the index those sums count. Any other episode, or
+        one with a NaN gap, is recomputed by the float64 path. This is a
+        filter with a proven error bound, in the manner of Shewchuk's
+        adaptive predicates (DCG 18, 1997).
 
         Why tol bounds |sum32 - sum64| for every counted sum. Write c_k, s_k
         for the exact cos and sin of h_k and c'_k, s'_k for the float32
@@ -747,7 +748,7 @@ class EpisodeEngine:
         2**-24 (2.9 sum_k |h_k| + 14 n) in L1, and so does every partial
         sum. The float64 products, the tail and the sequential sums of the
         float64 path each carry O(dim eps), inside 4 * dim * eps as in
-        :func:`_inverse_cdf`. So tol, 32 * 2**-24 (n + sum |h_k|), exceeds
+        :func:`_blocked_search`. So tol, 32 * 2**-24 (n + sum |h_k|), exceeds
         the bound at least twofold, and a sum farther than tol from u lies
         on the same side of u in both paths. Underflow to float32
         subnormals adds at most 2**-149 per product.
@@ -755,17 +756,12 @@ class EpisodeEngine:
         Half angles past float32's range cast to inf, whose cos is NaN, and
         a huge sum of |h_k| makes tol above 1; both episodes are redone.
         """
-        half = self._half_angles(thetas)
-        tol = self._screen_tolerance(half)
-        gap = np.empty(thetas.shape[0])
-        with np.errstate(over="ignore", invalid="ignore"):
-            probs = self._outcome_probabilities(thetas, half.astype(np.float32))
-            z = _running_sums(probs, uniforms, gap)
-        redo = np.flatnonzero(~(gap > tol))
-        if redo.size:
-            probs = self._outcome_probabilities(thetas[redo])
-            z[redo] = _inverse_cdf(probs, uniforms[redo])
-        return z
+        with np.errstate(over="ignore"):
+            tol = np.abs(half).sum(axis=0)
+        tol += self.num_qubits
+        tol *= 2.0**-19
+        tol += 4 * self.dim * np.finfo(np.float64).eps
+        return tol
 
 
 @lru_cache(maxsize=64)

@@ -332,6 +332,40 @@ def test_sample_shot_follows_sequential_rule(amplitudes):
         assert sample_shot(state, _FixedUniform(u)).bits == expected, u
 
 
+@pytest.mark.parametrize("n", [5, 9])
+def test_sample_shot_follows_the_rule_on_wide_states(n):
+    # 32 and 512 amplitudes, past the 16 outcomes of the running sums, at u
+    # on every cumulative sum and its neighbours.
+    rng = np.random.default_rng(n)
+    a = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    a[rng.integers(1 << n, size=1 << (n - 2))] = 0.0
+    state = StateVector(a / np.linalg.norm(a), n)
+    cdf = np.cumsum(state.probabilities())
+    for u in _adversarial_uniforms(state.probabilities()):
+        expected = min(int(np.searchsorted(cdf, u, side="right")), (1 << n) - 1)
+        assert sample_shot(state, _FixedUniform(u)).bits == expected, u
+
+
+@pytest.mark.parametrize(
+    "amplitudes, total",
+    [
+        ([np.nan, 1.0], "nan"),
+        ([np.inf, 0.0], "inf"),
+        ([1e200, 0.0], "inf"),  # squares past float64's range, with no warning
+        ([0.0, 0.0], "0.0"),
+        ([0.0] * 64, "0.0"),
+        ([3.0, 4.0], "25.0"),
+    ],
+)
+def test_sample_shot_rejects_vectors_that_are_not_states(amplitudes, total):
+    # The rule reads any vector as some outcome: NaN or inf amplitudes gave
+    # 0, [0, 0] gave 1, 64 zeros gave 63 and [3, 4] always 0.
+    n = len(amplitudes).bit_length() - 1
+    state = StateVector(np.array(amplitudes, dtype=np.complex128), n)
+    with pytest.raises(ValueError, match=f"sum to {total},"):
+        sample_shot(state, np.random.default_rng(0))
+
+
 def test_engine_sample_follows_sequential_rule(monkeypatch):
     # cnot2 at theta (x, 0) gives [c^2, 0, 0, s^2] and at (0, x) gives
     # [c^2, 0, s^2, 0]; theta 0 is one-hot. Rows span many small chunks.
@@ -380,22 +414,34 @@ def _adversarial_column(rng, dim, below_one):
 
 def _guard_band_uniforms(probs, rows=slice(None)):
     """u at 5 * dim * eps either side of the running sums at ``rows``: just
-    outside the band of 4 * dim * eps in which the blocked search hands a
-    column to the sequential rule, so it decides these alone."""
+    outside the band of 4 * dim * eps in which the guard hands a blocked
+    search's column to the rule."""
     band = 5 * len(probs) * np.finfo(np.float64).eps
     sums = np.cumsum(probs)[rows]
     us = np.concatenate([sums - band, sums + band])
     return us[(us >= 0.0) & (us < 1.0)].tolist()
 
 
+def _blocked_search_outside_its_band(probs, uniforms, expected):
+    """Check that _blocked_search gives ``expected`` wherever its gap exceeds
+    4 * dim * eps, the tol with which the guard keeps its index; return how
+    many columns fall inside that band."""
+    z, gap = simulator._blocked_search(probs, uniforms)
+    far = gap > 4 * len(probs) * np.finfo(np.float64).eps
+    assert z[far].tolist() == expected[far].tolist()
+    return int((~far).sum())
+
+
 @pytest.mark.parametrize("dim", [*range(2, 17), 32, 64])
 def test_inverse_cdf_matches_cumsum_rule_at_every_dim(dim):
-    # Small outcome spaces are sampled with running sums and wide ones by a
-    # blocked search; both must give the sequential rule's index. Past 16
-    # outcomes, only the power-of-two widths of a state are sampled. Columns
-    # have runs of zero probability, and every other one sums to below 1;
-    # each is sampled at u equal to every cumulative sum, its neighbours
-    # and the guard band's edges, with the columns mixed in one call.
+    # Small outcome spaces are sampled with running sums, which on float64
+    # probabilities give the rule's index and the exact smallest gap to u.
+    # Wide ones go to a blocked search, which gives the rule's index outside
+    # its guard band. Past 16 outcomes, only the power-of-two widths of a
+    # state are sampled. Columns have runs of zero probability, and every
+    # other one sums to below 1; each is sampled at u equal to every
+    # cumulative sum, its neighbours and the guard band's edges, with the
+    # columns mixed in one call.
     rng = np.random.default_rng(dim)
     columns, uniforms = [], []
     for k in range(12):
@@ -404,8 +450,14 @@ def test_inverse_cdf_matches_cumsum_rule_at_every_dim(dim):
             columns.append(p)
             uniforms.append(u)
     probs, uniforms = np.array(columns).T, np.array(uniforms)
-    got = simulator._inverse_cdf(probs, uniforms)
-    assert got.tolist() == _cumsum_outcome(probs, uniforms).tolist()
+    expected = _cumsum_outcome(probs, uniforms)
+    if dim <= 16:
+        got, gap = simulator._running_sums(probs, uniforms)
+        assert got.tolist() == expected.tolist()
+        sums = np.cumsum(probs, axis=0)[:-1]
+        assert gap.tolist() == np.abs(sums - uniforms).min(axis=0).tolist()
+    else:
+        assert _blocked_search_outside_its_band(probs, uniforms, expected) > 0
     assert (uniforms >= np.cumsum(probs, axis=0)[-1]).any()  # clamped
 
 
@@ -433,26 +485,31 @@ def test_inverse_cdf_matches_cumsum_rule_on_wide_columns(dim, below_one):
     # _cumsum_outcome for one column: its sums never decrease, so the count
     # of those <= u is u's right insertion point.
     expected = np.minimum(np.searchsorted(np.cumsum(p), uniforms, "right"), dim - 1)
-    got = [
-        simulator._inverse_cdf(np.broadcast_to(p[:, np.newaxis], (dim, len(us))), us)
-        for us in np.array_split(uniforms, -(-len(uniforms) * dim // (1 << 21)))
-    ]
-    assert np.concatenate(got).tolist() == expected.tolist()
+    splits = -(-len(uniforms) * dim // (1 << 21))
+    close = sum(
+        _blocked_search_outside_its_band(
+            np.broadcast_to(p[:, np.newaxis], (dim, len(us))), us, ex
+        )
+        for us, ex in zip(np.array_split(uniforms, splits), np.array_split(expected, splits))
+    )
+    assert 0 < close < len(uniforms)
 
 
 def test_inverse_cdf_ties_on_block_ends():
     # Multiples of 1/512 add exactly, in any order, so u = k/512 sits on a
-    # cumulative sum, and on every block end, where the blocked search must
-    # hand the column to the sequential rule. Columns of 512 and 256
-    # nonzero outcomes alternate, so a fallback that mixed up columns
-    # would show.
+    # cumulative sum, and for k > 0 in the wide columns on a sum that the
+    # blocked search compares: its gap is 0 and the guard hands it to the
+    # rule. Columns of 512 and 256 nonzero outcomes alternate, so a search
+    # that mixed up columns would show.
     wide = np.full(512, 1 / 512)
     half = np.where(np.arange(512) % 2 == 0, 1 / 256, 0.0)
     uniforms = np.arange(512) / 512
     probs = np.where(np.arange(512) % 2 == 0, wide[:, np.newaxis], half[:, np.newaxis])
-    got = simulator._inverse_cdf(probs, uniforms)
-    assert got.tolist() == _cumsum_outcome(probs, uniforms).tolist()
-    assert got[::2].tolist() == list(range(0, 512, 2))
+    expected = _cumsum_outcome(probs, uniforms)
+    assert expected[::2].tolist() == list(range(0, 512, 2))
+    assert _blocked_search_outside_its_band(probs, uniforms, expected) == 255
+    _, gap = simulator._blocked_search(probs, uniforms)
+    assert (gap[2::2] == 0).all()
 
 
 def test_float32_trig_is_within_the_screen_premise():
@@ -505,6 +562,19 @@ def test_float32_screen_error_is_far_inside_its_tolerance(name, layers):
     assert (error < 0.25 * tol).all(), (error / tol).max()
 
 
+def _spy_on_the_rule(monkeypatch):
+    """Count the episodes that the guard hands to _cdf_index: the returned
+    list gets one entry per call."""
+    redone, cdf_index = [], simulator._cdf_index
+
+    def spy(probs, us):
+        redone.append(len(us))
+        return cdf_index(probs, us)
+
+    monkeypatch.setattr(simulator, "_cdf_index", spy)
+    return redone
+
+
 @pytest.mark.parametrize("name, layers", [*SCREENED[:4], ("cnot2", 2)])
 def test_float32_screen_gives_the_float64_index(name, layers, monkeypatch):
     # u on each cumulative sum of the float64 probabilities and its +-1 ulp
@@ -525,14 +595,7 @@ def test_float32_screen_gives_the_float64_index(name, layers, monkeypatch):
                 rows.append(i)
                 uniforms.append(u)
     thetas, uniforms = thetas[rows], np.array(uniforms)
-    redone = []
-    inverse_cdf = simulator._inverse_cdf
-
-    def spy(probs, us):
-        redone.append(len(us))
-        return inverse_cdf(probs, us)
-
-    monkeypatch.setattr(simulator, "_inverse_cdf", spy)
+    redone = _spy_on_the_rule(monkeypatch)
     got = engine.sample(thetas, uniforms)
     expected = _cumsum_outcome(engine.probabilities(thetas).T, uniforms)
     assert got.tolist() == expected.tolist()
@@ -559,16 +622,52 @@ def test_float32_screen_redoes_angles_past_float32_range(name, layers, big):
 
 def test_wide_engines_are_not_screened(monkeypatch):
     # Past 16 outcomes the float64 products go straight to the blocked
-    # inverse CDF.
+    # search, never to the running sums of the float32 screen.
     def refuse(*args):
         raise AssertionError("screened")
 
-    monkeypatch.setattr(EpisodeEngine, "_screened_sample", refuse)
+    monkeypatch.setattr(simulator, "_running_sums", refuse)
     engine = EpisodeEngine(get_ansatz("p9"))
     thetas = np.random.default_rng(4).normal(size=(10, 9))
     uniforms = np.linspace(0.0, 0.9, 10)
     expected = _cumsum_outcome(engine.probabilities(thetas).T, uniforms)
     assert engine.sample(thetas, uniforms).tolist() == expected.tolist()
+
+
+def _far_uniforms(sums):
+    """Per row of cumulative sums, u in the middle of the widest interval
+    between 0, the sums before the last, and 1: at least 1 / (2 * dim) from
+    every sum that a fast path compares with u."""
+    ends = np.ones((len(sums), 1))
+    edges = np.sort(np.concatenate([0 * ends, sums[:, :-1], ends], axis=1), axis=1)
+    widths = np.diff(edges, axis=1)
+    rows, k = np.arange(len(sums)), widths.argmax(axis=1)
+    return edges[rows, k] + widths[rows, k] / 2
+
+
+@pytest.mark.parametrize("name", ["cnot2", "p9"])
+def test_guard_redoes_only_close_calls(name, monkeypatch):
+    # u on every cumulative sum and its +-1 ulp neighbours is a close call
+    # for the float32 screen (cnot2) and for the blocked search (p9) alike,
+    # and is redone; u far from every sum is decided by the fast path.
+    engine = EpisodeEngine(get_ansatz(name))
+    thetas = np.random.default_rng(engine.dim).normal(size=(6, engine.num_params))
+    probs = engine.probabilities(thetas)
+    sums = np.cumsum(probs, axis=1)
+    far = _far_uniforms(sums)
+    redone = _spy_on_the_rule(monkeypatch)
+    assert engine.sample(thetas, far).tolist() == _cumsum_outcome(probs.T, far).tolist()
+    assert sum(redone) == 0
+    rows, uniforms = [], []
+    for i, row in enumerate(sums):
+        for u in [*row, *np.nextafter(row, 0.0), *np.nextafter(row, 1.0), far[i]]:
+            if 0.0 <= u < 1.0:
+                rows.append(i)
+                uniforms.append(u)
+    uniforms = np.array(uniforms)
+    got = engine.sample(thetas[rows], uniforms)
+    assert got.tolist() == _cumsum_outcome(probs[rows].T, uniforms).tolist()
+    assert 0 < sum(redone) < len(uniforms)
 
 
 def test_born_rule_chisquare():
