@@ -53,6 +53,16 @@ MIXED3 = (
     "    CNOT 1 0\n    CZ 0 2\n    RX(%c) 1\n    H 0\n"
 )
 
+# 64 outcomes from an RX layer in scrambled qubit order, with a literal
+# angle and an idle qubit (3), then one run of CNOTs whose matrix is not
+# triangular (CNOT 5 2 and CNOT 4 0 point both ways), with a CZ inside.
+NONTRI6 = (
+    "DEFCIRCUIT NONTRI6(%a, %b, %c, %d):\n"
+    "    RX(%a) 0\n    RX(%b) 5\n    RX(0.7) 2\n    RX(%c) 4\n    RX(%d) 1\n"
+    "    CNOT 5 2\n    CNOT 4 0\n    CNOT 0 3\n    CZ 1 3\n    CNOT 3 5\n"
+    "    CNOT 2 1\n    CNOT 1 3\n"
+)
+
 
 def random_clifford_template(rng):
     """RX on some of 2-5 qubits in random order, then up to 12 H/CNOT/CZ gates.

@@ -36,7 +36,7 @@ from qks import (
     sample_machine,
 )
 from qks.cli import main
-from conftest import MIXED3
+from conftest import MIXED3, NONTRI6
 
 # (ansatz name or Quil source, structure, layers, workers, episodes, rows,
 # sigma, seed). Row counts above 64 span several featurize blocks; episode
@@ -45,7 +45,10 @@ from conftest import MIXED3
 # tiles of a 28 x 28 image at sigma 0.05, on synthetic rows. The s1e3
 # configs run at sigma 1000, where half angles are in the hundreds and the
 # float32 screen of the sampler sends a share of episodes to its exact
-# float64 redo.
+# float64 redo. p16-r20e40 and nontri6 sample outcome spaces wider than 16
+# from many episodes: all 16 bits of p16, and a 64-outcome template with a
+# literal angle, an idle qubit and a CZ inside a CNOT run that is not
+# triangular.
 FEATURE_CONFIGS = {
     "cnot2-l1-w1": ("cnot2", EncodingStructure.split(2), 1, 1, 37, 70, 1.0, 11),
     "cnot2-l2-w3": ("cnot2", EncodingStructure.split(2), 2, 3, 37, 150, 0.7, 12),
@@ -63,6 +66,8 @@ FEATURE_CONFIGS = {
     "cnot2-s1e3-w1": ("cnot2", EncodingStructure.split(2), 1, 1, 201, 130, 1e3, 27),
     "cz2-s1e3-w3": ("cz2", EncodingStructure.split(2), 1, 3, 37, 130, 1e3, 28),
     "p4-l2-s1e3-w1": ("p4", EncodingStructure.split(4), 2, 1, 19, 66, 1e3, 29),
+    "p16-l1-r20e40-w1": ("p16", EncodingStructure.split(16), 1, 1, 40, 20, 1.0, 30),
+    "nontri6-l1-w3": (NONTRI6, EncodingStructure.split(4), 1, 3, 37, 130, 1.0, 31),
 }
 
 FEATURE_DIGESTS = {
@@ -121,6 +126,14 @@ FEATURE_DIGESTS = {
     "p4-l2-s1e3-w1": (
         "0b9a49f8284644b637a83f1940e1fe51cc7918ee2e637d2ed5e77cae2c98e037",
         "0ddac58983a0f4fa01805d4a7dceefdd00ecaf97a70bc63ea5f3090040b12bb8",
+    ),
+    "p16-l1-r20e40-w1": (
+        "0f45761eda81fb30c5b3061a61b3b32454c6c116fe585271044b995f7334f4ca",
+        "4be5d87adb0c1f5977e37e91a8bbd72420ce6a00ffb96d41f23e8bd88c5c61a7",
+    ),
+    "nontri6-l1-w3": (
+        "f2b1d9a3ac2fe96560c133c836ea38ee29716860d635196745a4c2e765ab0cbb",
+        "7cb88b9626e06984950a498866673c00efa25b5c2d327d005f5f411d2c3130d1",
     ),
 }
 
