@@ -381,6 +381,23 @@ def _cos_sin(op: _Op, thetas: np.ndarray | None):
     return np.cos(half), np.sin(half)
 
 
+def _doubling(out: np.ndarray, factors) -> np.ndarray:
+    """Fill ``out`` (..., 2**m, b) with products of m factor pairs.
+
+    ``factors`` yields (f0, f1) for k = 0..m-1, each broadcasting against
+    ``out[..., :1, :]``; row r of axis -2 becomes the product over k of f1
+    where bit k of r is set and f0 where it is not. Rows [0, 2**k) hold the
+    products of the first k pairs, and pair k extends them by f1 into [2**k,
+    2**(k+1)), then by f0 in place, so every product is formed in k order.
+    """
+    out[..., :1, :] = 1.0
+    for k, (f0, f1) in enumerate(factors):
+        size = 1 << k
+        np.multiply(out[..., :size, :], f1, out=out[..., size : 2 * size, :])
+        out[..., :size, :] *= f0
+    return out
+
+
 def _apply_ops(
     states: np.ndarray, n: int, ops: Sequence[_Op], thetas: np.ndarray | None = None
 ) -> np.ndarray:
@@ -552,10 +569,15 @@ class EpisodeEngine:
             [op.col for op in prefix if op.col is not None], dtype=np.intp
         )
         # The product is built with prefix op k's qubit as bit k of a row
-        # index, so basis state z's amplitude is in row[z]. A permutation
-        # right after the prefix joins the same gather: row[source].
+        # index, so basis state z's amplitude is in row[z], the OR of the
+        # row bits of z's qubits, built by doubling over the qubits. A
+        # permutation right after the prefix joins the same gather:
+        # row[source].
         index = np.arange(self.dim)
-        row = sum(((index >> op.qubits[0]) & 1) << k for k, op in enumerate(prefix))
+        row_bit = {op.qubits[0]: 1 << k for k, op in enumerate(prefix)}
+        row = np.zeros(1, dtype=index.dtype)
+        for q in range(n):
+            row = np.concatenate([row, row | row_bit[q]])
         sign = None
         if rest_ops and rest_ops[0].kind is None:
             first = rest_ops.pop(0)
@@ -574,6 +596,69 @@ class EpisodeEngine:
             phase = _POWERS_OF_MINUS_I[sin_factors % 4, np.newaxis]
             self._phase = phase if sign is None else phase * sign
         self.chunk_size = max(1, min(1 << 16, CHUNK_BYTES // (16 * self.dim)))
+        self._sample_chunk = self.chunk_size
+        if not self._complex and self.dim > _RUNNING_SUM_MAX_DIM:
+            del index
+            self._build_product_search(row, rest)
+
+    def _build_product_search(self, row: np.ndarray, rest: Sequence[GateOp]) -> None:
+        """Index tables and the block-start matrix of :meth:`_product_search`.
+
+        ``row`` maps basis index z to row index r = row[z], which is linear
+        over GF(2): the prefix's qubit order composed with ``rest``, the
+        CNOT and CZ gates after the prefix. Basis indices fall into blocks
+        of 2**L, L = n // 2, and a row index splits into its low L bits and
+        its high H = n - L bits, which index the low and the high half
+        tables of the search.
+        """
+        n = self.num_qubits
+        low = n // 2
+        size, blocks = 1 << low, self.dim >> low
+
+        def split(r):
+            return np.stack([r & (size - 1), r >> low])
+
+        # Block h holds z = h * size + l, whose row is row[h * size] ^ row[l].
+        self._block_rows = split(row[: size - 1])
+        self._block_offsets = split(row[::size])
+        # Bit j of the block number is qubit low + j's reading, the parity
+        # of the prefix qubits in its Z string C^dagger Z C (CNOT and CZ
+        # map Z strings to Z strings), so of the row bits masks[j]. The
+        # character (-1)**(c . h) of block h reads the row bits chars[c],
+        # the XOR of masks[j] over the bits j of c.
+        _, _, z_strings = _heisenberg_z(rest, n)
+        qubits = [op.qubits[0] for op in self._prefix]
+        masks = z_strings[low:, qubits].astype(row.dtype) @ (1 << np.arange(n))
+        chars = np.zeros(1, dtype=row.dtype)
+        for mask in masks:
+            chars = np.concatenate([chars, chars ^ mask])
+        self._chars = split(chars)
+        # starts[h, c] = 2**-H * sum over h' < h of (-1)**(c . h'), so
+        # starts @ character expectations gives each block's start, exactly
+        # 0 for block 0. Doubling over the top bits t of h and of c: the
+        # sum over h' < (t, h) is starts[h, c] for t = 0, and for t = 1 the
+        # whole first half, 2**k [c = 0] in units of 2**-H, plus (-1)**(c_t)
+        # starts[h, c].
+        self._starts = np.zeros((blocks, blocks))
+        for k in range(n - low):
+            half, first = 1 << k, self._starts[: 1 << k, : 1 << k]
+            self._starts[:half, half : 2 * half] = first
+            self._starts[half : 2 * half, :half] = first
+            self._starts[half : 2 * half, half : 2 * half] = -first
+            self._starts[half : 2 * half, [0, half]] += half * 2.0 ** (low - n)
+        literal = [op.col is None for op in self._prefix]
+        self._param_rows = np.flatnonzero(np.logical_not(literal))
+        self._literal_rows = np.flatnonzero(literal)
+        self._literal_trig = np.array(
+            [[op.cos for op in self._prefix if op.col is None],
+             [op.sin for op in self._prefix if op.col is None]]
+        )[..., np.newaxis]
+        # Words per episode that the search holds at its peak: the factors
+        # and their trig, the four half tables, the characters and block
+        # starts with a temporary, and the chosen block's sums, gathered
+        # factors and indices. p9 gets 471 episodes a chunk, p16 49.
+        words = 6 * n + 2 * (size + blocks) + 2 * blocks + 4 * size
+        self._sample_chunk = max(1, min(1 << 16, CHUNK_BYTES // (8 * words)))
 
     def _half_angles(self, thetas: np.ndarray) -> np.ndarray:
         """The prefix's half angles, (prefix parameters, b), in float64."""
@@ -594,16 +679,13 @@ class EpisodeEngine:
         if half is None:
             half = self._half_angles(thetas)
         trig = zip(np.cos(half), np.sin(half, out=half))
-        # Doubling: rows [0, 2**k) hold the products of the first k factors,
-        # and op k extends them by its sin into [2**k, 2**(k+1)), then by
-        # its cos in place, so every product is formed in op order.
-        amps = np.empty((self.dim, thetas.shape[0]), dtype=half.dtype)
-        amps[0] = 1.0
-        for k, op in enumerate(self._prefix):
-            c, s = next(trig) if op.col is not None else (op.cos, op.sin)
-            size = 1 << k
-            np.multiply(amps[:size], s, out=amps[size : 2 * size])
-            amps[:size] *= c
+        # Op k's qubit is bit k of a row, so op k contributes its sin where
+        # that bit is set and its cos where it is not.
+        amps = _doubling(
+            np.empty((self.dim, thetas.shape[0]), dtype=half.dtype),
+            (next(trig) if op.col is not None else (op.cos, op.sin)
+             for op in self._prefix),
+        )
         if not self._complex:
             amps *= amps  # squares drop the permutation's signs
             if self._gather is None:
@@ -614,10 +696,11 @@ class EpisodeEngine:
         s = _apply_ops(amps * self._phase, self.num_qubits, self._rest, thetas)
         return s.real * s.real + s.imag * s.imag
 
-    def _chunks(self, thetas: np.ndarray):
-        """Yield a row slice per chunk of thetas."""
-        for start in range(0, thetas.shape[0], self.chunk_size):
-            yield slice(start, start + self.chunk_size)
+    def _chunks(self, count: int, size: int | None = None):
+        """Yield a slice per chunk of ``count`` rows, ``chunk_size`` by default."""
+        size = size or self.chunk_size
+        for start in range(0, count, size):
+            yield slice(start, start + size)
 
     def _check_thetas(self, thetas: np.ndarray) -> np.ndarray:
         thetas = np.asarray(thetas, dtype=np.float64)
@@ -634,7 +717,7 @@ class EpisodeEngine:
         """Exact outcome distributions, one row of 2**n probabilities each."""
         thetas = self._check_thetas(thetas)
         out = np.empty((thetas.shape[0], self.dim), dtype=np.float64)
-        for rows in self._chunks(thetas):
+        for rows in self._chunks(thetas.shape[0]):
             out[rows] = self._outcome_probabilities(thetas[rows]).T
         return out
 
@@ -662,7 +745,7 @@ class EpisodeEngine:
         out = np.empty((thetas.shape[0], self.num_qubits), dtype=np.float64)
         if self.pauli_rows is None:
             bits = bit_matrix(self.num_qubits)
-            for rows in self._chunks(thetas):
+            for rows in self._chunks(thetas.shape[0]):
                 out[rows] = self._outcome_probabilities(thetas[rows]).T @ bits
             return out
         cos_cols, sin_cols = self._trig_cols
@@ -693,24 +776,122 @@ class EpisodeEngine:
         if not ((uniforms >= 0.0) & (uniforms < 1.0)).all():
             raise ValueError("uniform variates must lie in [0, 1)")
         out = np.empty(thetas.shape[0], dtype=np.int64)
-        for rows in self._chunks(thetas):
+        for rows in self._chunks(thetas.shape[0], self._sample_chunk):
             th, u = thetas[rows], uniforms[rows]
-            # probs outlives its chunk, or glibc trims the heap (p9: 2x slower).
+            # probs outlives its chunk, or glibc trims the heap (2x slower
+            # on 512 outcomes).
             if self.dim <= _RUNNING_SUM_MAX_DIM:
                 half = self._half_angles(th)
                 tol = self._screen_tolerance(half)
                 with np.errstate(over="ignore", invalid="ignore"):
                     probs = self._outcome_probabilities(th, half.astype(np.float32))
                     z, gap = _running_sums(probs, u)
-            else:
+            elif self._complex:
                 probs = self._outcome_probabilities(th)
                 z, gap = _blocked_search(probs, u)
                 tol = 4 * self.dim * np.finfo(np.float64).eps
+            else:
+                z, gap = self._product_search(th, u)
+                tol = self._product_tolerance()
             redo = np.flatnonzero(~(gap > tol))
-            if redo.size:
-                z[redo] = _cdf_index(self._outcome_probabilities(th[redo]), u[redo])
+            for part in self._chunks(redo.size):
+                r = redo[part]
+                z[r] = _cdf_index(self._outcome_probabilities(th[r]), u[r])
             out[rows] = z
         return out
+
+    def _product_search(self, thetas: np.ndarray, uniforms: np.ndarray):
+        """(index, gap) per episode of a real engine, with no 2**n vector.
+
+        The outcome law is the prefix's product law on rows, P(z) = prod_k
+        f_k(bit k of row[z]) with f_k = (c_k**2, s_k**2), so block h's total
+        is 2**-H sum_c (-1)**(c . h) E[chi_c], with E[chi_c] = prod_k (c_k**2
+        - s_k**2 if k reads c else c_k**2 + s_k**2) (O'Donnell, Analysis of
+        Boolean Functions, 2014, ch. 1). The expectations are products of a
+        low and a high half table, one matrix product with the summed signs
+        gives every block's start, and the cumulative starts pick each
+        episode's block as in :func:`_blocked_search`. The chosen block's
+        2**L probabilities are products of entries of two half tables of
+        squares, and their sums from the block's start pick the row. The
+        gap is the smallest |sum - u| over both levels.
+        """
+        n, b = self.num_qubits, thetas.shape[0]
+        low = n // 2
+        # x[0, k] and x[1, k]: prefix op k's factor where its row bit is 0
+        # and where it is 1, for squares (c**2, s**2) in [..., 0, :] and
+        # characters (c**2 + s**2, c**2 - s**2) in [..., 1, :].
+        x = np.empty((2, n, 2, b))
+        half = self._half_angles(thetas)
+        x[0, self._param_rows, 0] = np.cos(half)
+        x[1, self._param_rows, 0] = np.sin(half, out=half)
+        x[:, self._literal_rows, 0] = self._literal_trig
+        squares = x[:, :, 0]
+        squares *= squares
+        np.add(squares[0], squares[1], out=x[0, :, 1])
+        np.subtract(squares[0], squares[1], out=x[1, :, 1])
+        pairs = list(zip(x[0, :, :, np.newaxis], x[1, :, :, np.newaxis]))
+        tables = [
+            _doubling(np.empty((2, 1 << len(part), b)), part)
+            for part in (pairs[:low], pairs[low:])
+        ]
+        characters = np.take(tables[0][1], self._chars[0], axis=0)
+        characters *= np.take(tables[1][1], self._chars[1], axis=0)
+        starts = self._starts @ characters
+        block = (starts[1:] <= uniforms).sum(axis=0)
+        gap = np.abs(starts[1:] - uniforms).min(axis=0)
+        cols = np.arange(b)
+        sums = np.empty((1 << low, b))
+        sums[0] = starts[block, cols]
+        # Row l of block h is row[h * size] ^ row[l]; each half of it picks
+        # a square product from its half table, in that episode's column.
+        low_factor, high_factor = (
+            table[0].ravel()[(rows[:, np.newaxis] ^ offsets[block]) * b + cols]
+            for table, rows, offsets in zip(tables, self._block_rows, self._block_offsets)
+        )
+        np.multiply(low_factor, high_factor, out=sums[1:])
+        np.cumsum(sums, axis=0, out=sums)
+        z = (block << low) + (sums[1:] <= uniforms).sum(axis=0)
+        np.minimum(gap, np.abs(sums[1:] - uniforms).min(axis=0), out=gap)
+        return z, gap
+
+    def _product_tolerance(self) -> float:
+        """The product search's tol, with H = n - n//2 and 2**H blocks:
+
+            tol = 4 * dim * eps + 2**H * (2**H + 3n) * eps
+
+        Write u = eps / 2 for the unit roundoff and gamma_m = m u / (1 - m
+        u) (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+        ch. 3). Take c_k and s_k, prefix op k's float64 cos and sin, as
+        exact, with m_k = c_k**2 + s_k**2, d_k = c_k**2 - s_k**2, P(z) the
+        exact products of their squares and M = sum_z P(z) = prod_k m_k.
+        M is 1 to within a few n eps, as float64 cos and sin are within a
+        few ulp; the factor 2 below absorbs that, and second-order terms.
+
+        The rule's sum R at any index: each float64 product of n factors,
+        squared, rounds at most 2n - 1 times, and a sequential sum of at
+        most dim terms at most dim - 1 times, so |R - exact| <= (2n + dim) u M.
+
+        A block start S_h = sum_c starts[h, c] E[chi_c], in any summation
+        order: each E[chi_c] is a product of n factors d_k or m_k, each
+        within gamma_2 m_k of exact, with n - 1 roundings, so within
+        gamma_{3n} M of exact and at most M (1 + gamma_{3n}) in magnitude.
+        The entries of ``starts`` are exact multiples of 2**-H, at most 1
+        in magnitude, and a dot product of 2**H terms in any order errs by
+        at most gamma_{2**H} times the sum of their magnitudes (Higham, sec.
+        3.1), so |S_h - exact| <= 2**H (2**H + 3n) u M to first order. A sum
+        inside the chosen block adds to S_h at most 2**L products of 2n - 1
+        roundings each, for at most (2**L + 2n) u M more.
+
+        So each compared sum lies within (2**H (2**H + 3n) + 2**L + 4n +
+        dim) u M of R, at most half of tol, since 2**L + 4n < 2 dim and u =
+        eps / 2. The bound holds for any summation order of the matrix
+        product, as BLAS kernels and thread counts choose their own. An
+        episode whose gap exceeds tol therefore sees every compared sum on
+        the side of u that R is on, and gets the rule's index.
+        """
+        blocks = self.dim >> self.num_qubits // 2
+        eps = np.finfo(np.float64).eps
+        return (4 * self.dim + blocks * (blocks + 3 * self.num_qubits)) * eps
 
     def _screen_tolerance(self, half: np.ndarray) -> np.ndarray:
         """The float32 screen's tol per episode from its (k, b) float64
@@ -770,14 +951,26 @@ def cached_engine(template: CircuitTemplate, layers: int = 1) -> EpisodeEngine:
     return EpisodeEngine(template, layers)
 
 
+def _one_theta(template: CircuitTemplate, theta: Sequence[float]) -> np.ndarray:
+    """``theta`` as a batch of one, (1, num_params).
+
+    Anything but one angle per template parameter raises ValueError naming
+    theta, not the batch that the engine would report.
+    """
+    theta = np.asarray(theta, dtype=np.float64)
+    if theta.shape != (template.num_params,):
+        raise ValueError(
+            f"theta must be one-dimensional with {template.num_params} "
+            f"entries, got shape {theta.shape}"
+        )
+    return theta[np.newaxis]
+
+
 def exact_probabilities(
     template: CircuitTemplate, theta: Sequence[float]
 ) -> np.ndarray:
     """Outcome distribution of a template at one parameter setting."""
-    theta = np.asarray(theta, dtype=np.float64)
-    if theta.ndim != 1:
-        raise ValueError("theta must be one-dimensional")
-    return cached_engine(template).probabilities(theta[np.newaxis, :])[0]
+    return cached_engine(template).probabilities(_one_theta(template, theta))[0]
 
 
 def run_episode(
@@ -788,6 +981,6 @@ def run_episode(
     The shot comes from :meth:`EpisodeEngine.sample` on a batch of one, the
     same sampler that features use, over the template's 2**n outcomes.
     """
-    theta = np.asarray(theta, dtype=np.float64)[np.newaxis]
+    theta = _one_theta(template, theta)
     z = cached_engine(template).sample(theta, np.array([rng.random()]))
     return Shot(int(z[0]), template.num_qubits)

@@ -26,6 +26,7 @@ from qks import simulator
 from qks.simulator import _apply_ops, _compile, cached_engine, outcome_bits
 from conftest import (
     MIXED3,
+    NONTRI6,
     oracle_probabilities,
     random_clifford_template,
     template_to_oracle_gates,
@@ -620,18 +621,101 @@ def test_float32_screen_redoes_angles_past_float32_range(name, layers, big):
     assert len(set(got[::2].tolist())) > 1
 
 
-def test_wide_engines_are_not_screened(monkeypatch):
-    # Past 16 outcomes the float64 products go straight to the blocked
-    # search, never to the running sums of the float32 screen.
-    def refuse(*args):
-        raise AssertionError("screened")
+# Real engines past 16 outcomes: an RX layer, then at most one run of CNOT
+# and CZ gates. Their sample takes the product search. idle7 leaves qubits
+# 2 and 5 idle, with a CZ between them.
+PRODUCT_SEARCHED = {
+    "p9": "p9",
+    "p16": "p16",
+    "nontri6": NONTRI6,
+    "idle7": (
+        "DEFCIRCUIT I7(%a, %b, %c, %d, %e):\n    RX(%a) 6\n    RX(%b) 1\n"
+        "    RX(%c) 3\n    RX(%d) 0\n    RX(%e) 4\n    CNOT 6 2\n    CNOT 3 5\n"
+        "    CZ 2 5\n    CNOT 1 6\n    CNOT 0 4\n    CNOT 4 1\n"
+    ),
+}
 
-    monkeypatch.setattr(simulator, "_running_sums", refuse)
-    engine = EpisodeEngine(get_ansatz("p9"))
-    thetas = np.random.default_rng(4).normal(size=(10, 9))
-    uniforms = np.linspace(0.0, 0.9, 10)
+
+def _refuse(name):
+    def refuse(*args):
+        raise AssertionError(f"{name} called")
+
+    return refuse
+
+
+def test_wide_engines_are_not_screened(monkeypatch):
+    # Real engines past 16 outcomes take the product search: never the
+    # running sums of the float32 screen, nor the blocked search over a 2**n
+    # vector.
+    monkeypatch.setattr(simulator, "_running_sums", _refuse("_running_sums"))
+    monkeypatch.setattr(simulator, "_blocked_search", _refuse("_blocked_search"))
+    for source in PRODUCT_SEARCHED.values():
+        engine = EpisodeEngine(_template(source))
+        thetas = np.random.default_rng(4).normal(size=(10, engine.num_params))
+        uniforms = np.linspace(0.0, 0.9, 10)
+        expected = _cumsum_outcome(engine.probabilities(thetas).T, uniforms)
+        assert engine.sample(thetas, uniforms).tolist() == expected.tolist()
+
+
+@pytest.mark.parametrize(
+    "source, layers", [("p9", 2), (NONTRI6 + "    H 2\n", 1)], ids=["p9-l2", "nontri6-h"]
+)
+def test_complex_wide_engines_use_the_blocked_search(source, layers, monkeypatch):
+    # p9 at two layers has RX gates after its entanglers, and an H after
+    # the CNOTs mixes amplitudes: both are complex, so their sample searches
+    # the 2**n outcome vector in blocks.
+    calls, blocked_search = [], simulator._blocked_search
+
+    def spy(probs, uniforms):
+        calls.append(probs.shape)
+        return blocked_search(probs, uniforms)
+
+    monkeypatch.setattr(simulator, "_blocked_search", spy)
+    engine = EpisodeEngine(_template(source), layers)
+    assert engine.dim > 16
+    thetas = np.random.default_rng(5).normal(size=(40, engine.num_params))
+    uniforms = np.random.default_rng(6).random(40)
     expected = _cumsum_outcome(engine.probabilities(thetas).T, uniforms)
     assert engine.sample(thetas, uniforms).tolist() == expected.tolist()
+    assert calls and all(shape[0] == engine.dim for shape in calls)
+
+
+def _probed_sums(dim, rng):
+    """Indices of the cumulative sums to put u on: every one up to 4096
+    outcomes. Of p16's 65,536, where each u redone costs a 2**16 vector,
+    every 16th end of a 256-row block and 16 sums inside one block."""
+    if dim <= 4096:
+        return np.arange(dim)
+    block = int(rng.integers(dim // 256)) * 256
+    return np.concatenate([np.arange(255, dim, 16 * 256),
+                           block + rng.choice(256, 16, replace=False)])
+
+
+@pytest.mark.parametrize("key", PRODUCT_SEARCHED)
+def test_product_search_gives_the_rule_index(key, monkeypatch):
+    # u on cumulative sums of the float64 probabilities and their +-1 ulp
+    # neighbours, which the guard must hand to the rule, and at half and
+    # twice the product search's tol either side, which it mostly decides
+    # alone, for episodes from sigma 0.3 to 1000.
+    engine = EpisodeEngine(_template(PRODUCT_SEARCHED[key]))
+    rng = np.random.default_rng(engine.dim)
+    sigmas = np.repeat([0.3, 3.0, 1e3], 1 if key == "p16" else 3)[:, np.newaxis]
+    thetas = sigmas * rng.normal(size=(sigmas.size, engine.num_params))
+    tol = engine._product_tolerance()
+    rows, uniforms, expected = [], [], []
+    for i, probs in enumerate(engine.probabilities(thetas)):
+        sums = np.cumsum(probs)
+        at = sums[_probed_sums(engine.dim, rng)]
+        us = np.concatenate([at, np.nextafter(at, 0.0), np.nextafter(at, 1.0),
+                             *(at + f * tol for f in (-2, -0.5, 0.5, 2))])
+        us = us[(us >= 0.0) & (us < 1.0)]
+        rows += [i] * len(us)
+        uniforms.append(us)
+        expected.append(np.minimum(np.searchsorted(sums, us, "right"), engine.dim - 1))
+    redone = _spy_on_the_rule(monkeypatch)
+    got = engine.sample(thetas[rows], np.concatenate(uniforms))
+    assert got.tolist() == np.concatenate(expected).tolist()
+    assert 0 < sum(redone) < len(rows)
 
 
 def _far_uniforms(sums):
@@ -645,13 +729,15 @@ def _far_uniforms(sums):
     return edges[rows, k] + widths[rows, k] / 2
 
 
-@pytest.mark.parametrize("name", ["cnot2", "p9"])
+@pytest.mark.parametrize("name", ["cnot2", "p9", "p16"])
 def test_guard_redoes_only_close_calls(name, monkeypatch):
-    # u on every cumulative sum and its +-1 ulp neighbours is a close call
-    # for the float32 screen (cnot2) and for the blocked search (p9) alike,
-    # and is redone; u far from every sum is decided by the fast path.
+    # u on a cumulative sum or its +-1 ulp neighbours is a close call for
+    # the float32 screen (cnot2) and for the product search (p9, p16)
+    # alike, and is redone; u far from every sum is decided by the fast path.
     engine = EpisodeEngine(get_ansatz(name))
-    thetas = np.random.default_rng(engine.dim).normal(size=(6, engine.num_params))
+    rng = np.random.default_rng(engine.dim)
+    rows = 2 if name == "p16" else 6
+    thetas = rng.normal(size=(rows, engine.num_params))
     probs = engine.probabilities(thetas)
     sums = np.cumsum(probs, axis=1)
     far = _far_uniforms(sums)
@@ -660,6 +746,7 @@ def test_guard_redoes_only_close_calls(name, monkeypatch):
     assert sum(redone) == 0
     rows, uniforms = [], []
     for i, row in enumerate(sums):
+        row = row[_probed_sums(engine.dim, rng)]
         for u in [*row, *np.nextafter(row, 0.0), *np.nextafter(row, 1.0), far[i]]:
             if 0.0 <= u < 1.0:
                 rows.append(i)
@@ -752,6 +839,18 @@ def test_engine_and_exact_probabilities_reject_bad_shapes():
     for theta in ([0.1], [[0.1, 0.2]], 0.1):
         with pytest.raises(ValueError, match="shape"):
             run_episode(t, theta, rng)
+
+
+def test_single_state_helpers_name_theta():
+    # A 3-entry theta for p9 was reported as a (1, 3) batch of thetas.
+    t = get_ansatz("p9")
+    for bad in (np.zeros(3), np.zeros(10), np.zeros((1, 9)), 0.5):
+        with pytest.raises(ValueError, match=r"^theta must be one-dimensional with 9 entries"):
+            exact_probabilities(t, bad)
+        with pytest.raises(ValueError, match=r"^theta must be one-dimensional with 9 entries"):
+            run_episode(t, bad, np.random.default_rng(0))
+    assert exact_probabilities(t, np.zeros(9))[0] == 1.0
+    assert run_episode(t, np.zeros(9), np.random.default_rng(0)).bits == 0
 
 
 def test_engine_rejects_non_finite_thetas_and_out_of_range_uniforms():
