@@ -30,9 +30,9 @@ otherwise each is multiplied by its phase, (-i) to the number of sin
 factors, times the run's sign. RX kernels applied one by one from |0...0>
 form the same rounded products in the same order (the other part of each
 complex amplitude stays zero), so the probabilities equal theirs bit for
-bit. Chunks are sized for about 1 MiB of amplitudes and allocated as they
-run, so an engine is immutable and :func:`cached_engine` shares one per
-(template, layers).
+bit. Chunks are sized for about 1 MiB of amplitudes (or, for the product
+search below, of its own tables) and allocated as they run, so an engine
+is immutable and :func:`cached_engine` shares one per (template, layers).
 
 Every shot takes one uniform u through one inverse-CDF rule over the 2**n
 outcome probabilities in basis-index order: the count of cumulative sums
@@ -41,16 +41,29 @@ is that rule, and :func:`sample_shot` calls it on an explicit
 :class:`StateVector`. :meth:`EpisodeEngine.sample` (features and
 :func:`run_episode` alike) runs a fast path on each chunk and then one
 guard. Each fast path returns an index and a gap, the smallest |sum - u|
-over the sums it compared with u. Up to 16 outcomes, :func:`_running_sums`
-adds float32 products in float64 running sums: the prefix's cos and sin are
-taken in float32 (numpy's float32 trig is SIMD, its float64 trig often
-scalar libm), and the same doubling code builds the products. Wider spaces
-go to :func:`_blocked_search` on the float64 products, in blocks of
-2**(n//2) rows: the cumulative block totals pick each episode's block and
-the sums inside it pick the row, so no episode needs all 2**n sums. Each
-path's sums differ from the rule's by less than its tol: 2**-19 * (n +
+over the sums it compared with u, and wide spaces are searched in two
+levels, in blocks of 2**(n//2) rows: the cumulative block totals pick each
+episode's block and the sums inside it pick the row. There are three:
+
+- Up to 16 outcomes, :func:`_running_sums` adds float32 products in float64
+  running sums: the prefix's cos and sin are taken in float32 (numpy's
+  float32 trig is SIMD, its float64 trig often scalar libm), and the same
+  doubling code builds the products.
+- Wider real engines, where at most one CNOT/CZ run follows the prefix
+  (p9 and p16 at one layer), never build the 2**n vector.
+  :meth:`EpisodeEngine._product_search` reads the outcome law as the
+  prefix's product law pushed through a GF(2)-linear map, so the block
+  totals are a Walsh-Hadamard transform of Z-string expectations, and
+  those expectations and the chosen block's probabilities are products of
+  two half tables: O(2**(n/2)) work per episode.
+- Other wide engines (an H after the entanglers, two or more layers) go to
+  :func:`_blocked_search` on the float64 products.
+
+Each path's sums differ from the rule's by less than its tol: 2**-19 * (n +
 sum |theta_k / 2|) + 4 * 2**n * eps for the float32 products (proved at
-:meth:`EpisodeEngine._screen_tolerance`), 4 * 2**n * eps for the blocked
+:meth:`EpisodeEngine._screen_tolerance`), 4 * 2**n * eps plus the
+transform's rounding for the product search (proved at
+:meth:`EpisodeEngine._product_tolerance`), 4 * 2**n * eps for the blocked
 order. So the guard keeps the index of every episode whose gap exceeds
 tol, and hands any other, a NaN gap included, to :func:`_cdf_index` on its
 float64 probabilities: every index is the rule's bit for bit.
@@ -476,13 +489,27 @@ def _blocked_search(probs: np.ndarray, uniforms: np.ndarray):
     starts = np.zeros((blocks, b))
     # einsum sums down the middle axis faster than .sum(axis=1) for small b.
     np.cumsum(np.einsum("ijk->ik", rows[:-1]), axis=0, out=starts[1:])
-    block = (starts[1:] <= uniforms).sum(axis=0)
     cols = np.arange(b)
-    sums = np.empty((size, b))
-    sums[0] = starts[block, cols]
-    sums[1:] = rows[block, :-1, cols].T
+    return _search_blocks(starts, uniforms, lambda block: rows[block, :-1, cols].T)
+
+
+def _search_blocks(starts: np.ndarray, uniforms: np.ndarray, block_probs):
+    """(index, gap) per column from its blocks' starts, (blocks, b).
+
+    ``starts[h]`` is the sum of the probabilities before block h, so
+    ``starts[0]`` is 0, and ``block_probs(block)`` returns the first size -
+    1 probabilities of each column's block, (size - 1, b). The starts
+    after the first pick the block, and the sums of its probabilities from
+    its start pick the row; neither level compares its last sum, which is
+    the clamp. The gap is the smallest |sum - u| over both levels.
+    """
+    block = (starts[1:] <= uniforms).sum(axis=0)
+    probs = block_probs(block)
+    sums = np.empty((len(probs) + 1, len(block)))
+    sums[0] = starts[block, np.arange(len(block))]
+    sums[1:] = probs
     np.cumsum(sums, axis=0, out=sums)
-    z = block * size + (sums[1:] <= uniforms).sum(axis=0)
+    z = block * len(sums) + (sums[1:] <= uniforms).sum(axis=0)
     gap = np.minimum(np.abs(starts[1:] - uniforms).min(axis=0),
                      np.abs(sums[1:] - uniforms).min(axis=0))
     return z, gap
@@ -763,11 +790,15 @@ class EpisodeEngine:
     def sample(self, thetas: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
         """One shot per row, by the inverse-CDF rule of :func:`_cdf_index`.
 
-        Each chunk takes a fast path, :func:`_running_sums` on float32
+        Each chunk takes one fast path: :func:`_running_sums` on float32
         products up to _RUNNING_SUM_MAX_DIM outcomes (tol from
-        :meth:`_screen_tolerance`) or :func:`_blocked_search` on float64 ones
-        (tol = 4 * dim * eps). The guard redoes every episode whose gap is
-        not above tol by :func:`_cdf_index` on its float64 probabilities.
+        :meth:`_screen_tolerance`); past that, on a real engine,
+        :meth:`_product_search` with no 2**n vector (tol from
+        :meth:`_product_tolerance`), and on any other
+        :func:`_blocked_search` on float64 products (tol = 4 * dim * eps).
+        The guard redoes every episode whose gap is not above tol by
+        :func:`_cdf_index` on its float64 probabilities, chunk_size
+        episodes at a time.
         """
         thetas = self._check_thetas(thetas)
         uniforms = np.asarray(uniforms, dtype=np.float64)
@@ -808,12 +839,10 @@ class EpisodeEngine:
         is 2**-H sum_c (-1)**(c . h) E[chi_c], with E[chi_c] = prod_k (c_k**2
         - s_k**2 if k reads c else c_k**2 + s_k**2) (O'Donnell, Analysis of
         Boolean Functions, 2014, ch. 1). The expectations are products of a
-        low and a high half table, one matrix product with the summed signs
-        gives every block's start, and the cumulative starts pick each
-        episode's block as in :func:`_blocked_search`. The chosen block's
-        2**L probabilities are products of entries of two half tables of
-        squares, and their sums from the block's start pick the row. The
-        gap is the smallest |sum - u| over both levels.
+        low and a high half table, and one matrix product with the summed
+        signs gives every block's start. The chosen block's probabilities
+        are products of entries of two half tables of squares, and
+        :func:`_search_blocks` runs both levels of the search.
         """
         n, b = self.num_qubits, thetas.shape[0]
         low = n // 2
@@ -836,23 +865,20 @@ class EpisodeEngine:
         ]
         characters = np.take(tables[0][1], self._chars[0], axis=0)
         characters *= np.take(tables[1][1], self._chars[1], axis=0)
-        starts = self._starts @ characters
-        block = (starts[1:] <= uniforms).sum(axis=0)
-        gap = np.abs(starts[1:] - uniforms).min(axis=0)
         cols = np.arange(b)
-        sums = np.empty((1 << low, b))
-        sums[0] = starts[block, cols]
-        # Row l of block h is row[h * size] ^ row[l]; each half of it picks
-        # a square product from its half table, in that episode's column.
-        low_factor, high_factor = (
-            table[0].ravel()[(rows[:, np.newaxis] ^ offsets[block]) * b + cols]
-            for table, rows, offsets in zip(tables, self._block_rows, self._block_offsets)
-        )
-        np.multiply(low_factor, high_factor, out=sums[1:])
-        np.cumsum(sums, axis=0, out=sums)
-        z = (block << low) + (sums[1:] <= uniforms).sum(axis=0)
-        np.minimum(gap, np.abs(sums[1:] - uniforms).min(axis=0), out=gap)
-        return z, gap
+
+        def block_probs(block):
+            # Row l of block h is row[h * size] ^ row[l]; each half of it
+            # picks a product of squares from its half table, in that
+            # episode's column.
+            low_factor, high_factor = (
+                table[0].ravel()[(rows[:, np.newaxis] ^ offsets[block]) * b + cols]
+                for table, rows, offsets in zip(
+                    tables, self._block_rows, self._block_offsets)
+            )
+            return low_factor * high_factor
+
+        return _search_blocks(self._starts @ characters, uniforms, block_probs)
 
     def _product_tolerance(self) -> float:
         """The product search's tol, with H = n - n//2 and 2**H blocks:
