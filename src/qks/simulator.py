@@ -395,19 +395,19 @@ def _cos_sin(op: _Op, thetas: np.ndarray | None):
 
 
 def _doubling(out: np.ndarray, factors) -> np.ndarray:
-    """Fill ``out`` (..., 2**m, b) with products of m factor pairs.
+    """Fill ``out``, (2**m, ...), with products of m factor pairs.
 
     ``factors`` yields (f0, f1) for k = 0..m-1, each broadcasting against
-    ``out[..., :1, :]``; row r of axis -2 becomes the product over k of f1
-    where bit k of r is set and f0 where it is not. Rows [0, 2**k) hold the
-    products of the first k pairs, and pair k extends them by f1 into [2**k,
-    2**(k+1)), then by f0 in place, so every product is formed in k order.
+    ``out[0]``; row r becomes the product over k of f1 where bit k of r is
+    set and f0 where it is not. Rows [0, 2**k) hold the products of the
+    first k pairs, and pair k extends them by f1 into [2**k, 2**(k+1)),
+    then by f0 in place, so every product is formed in k order.
     """
-    out[..., :1, :] = 1.0
+    out[0] = 1.0
     for k, (f0, f1) in enumerate(factors):
         size = 1 << k
-        np.multiply(out[..., :size, :], f1, out=out[..., size : 2 * size, :])
-        out[..., :size, :] *= f0
+        np.multiply(out[:size], f1, out=out[size : 2 * size])
+        out[:size] *= f0
     return out
 
 
@@ -625,7 +625,7 @@ class EpisodeEngine:
         self.chunk_size = max(1, min(1 << 16, CHUNK_BYTES // (16 * self.dim)))
         self._sample_chunk = self.chunk_size
         if not self._complex and self.dim > _RUNNING_SUM_MAX_DIM:
-            del index
+            del index  # 2**n entries the build does not need
             self._build_product_search(row, rest)
 
     def _build_product_search(self, row: np.ndarray, rest: Sequence[GateOp]) -> None:
@@ -652,20 +652,23 @@ class EpisodeEngine:
         # of the prefix qubits in its Z string C^dagger Z C (CNOT and CZ
         # map Z strings to Z strings), so of the row bits masks[j]. The
         # character (-1)**(c . h) of block h reads the row bits chars[c],
-        # the XOR of masks[j] over the bits j of c.
+        # the XOR of masks[j] over the bits j of c. Each half r of chars[c]
+        # is kept as 2 r + 1, the row of its factor in the search's half
+        # table, viewed as (2 * 2**m, b).
         _, _, z_strings = _heisenberg_z(rest, n)
         qubits = [op.qubits[0] for op in self._prefix]
         masks = z_strings[low:, qubits].astype(row.dtype) @ (1 << np.arange(n))
         chars = np.zeros(1, dtype=row.dtype)
         for mask in masks:
             chars = np.concatenate([chars, chars ^ mask])
-        self._chars = split(chars)
+        self._chars = 2 * split(chars) + 1
         # starts[h, c] = 2**-H * sum over h' < h of (-1)**(c . h'), so
         # starts @ character expectations gives each block's start, exactly
-        # 0 for block 0. Doubling over the top bits t of h and of c: the
-        # sum over h' < (t, h) is starts[h, c] for t = 0, and for t = 1 the
-        # whole first half, 2**k [c = 0] in units of 2**-H, plus (-1)**(c_t)
-        # starts[h, c].
+        # 0 for block 0. It doubles over a new top bit: for h = (t, h0) and
+        # c = (c_t, c0), the h' < h with top bit 0 give starts[h0, c0] if
+        # t = 0, and if t = 1 they are the whole first half, whose signs sum
+        # to 2**k when c0 = 0 and to 0 otherwise; the h' with top bit 1
+        # then add (-1)**c_t * starts[h0, c0].
         self._starts = np.zeros((blocks, blocks))
         for k in range(n - low):
             half, first = 1 << k, self._starts[: 1 << k, : 1 << k]
@@ -858,13 +861,15 @@ class EpisodeEngine:
         squares *= squares
         np.add(squares[0], squares[1], out=x[0, :, 1])
         np.subtract(squares[0], squares[1], out=x[1, :, 1])
-        pairs = list(zip(x[0, :, :, np.newaxis], x[1, :, :, np.newaxis]))
+        pairs = list(zip(x[0], x[1]))
+        # Half table row r holds the products of squares, then those of
+        # characters: rows 2r and 2r + 1 of its (2**(m + 1), b) view.
         tables = [
-            _doubling(np.empty((2, 1 << len(part), b)), part)
+            _doubling(np.empty((1 << len(part), 2, b)), part)
             for part in (pairs[:low], pairs[low:])
         ]
-        characters = np.take(tables[0][1], self._chars[0], axis=0)
-        characters *= np.take(tables[1][1], self._chars[1], axis=0)
+        characters = np.take(tables[0].reshape(-1, b), self._chars[0], axis=0)
+        characters *= np.take(tables[1].reshape(-1, b), self._chars[1], axis=0)
         cols = np.arange(b)
 
         def block_probs(block):
@@ -872,7 +877,7 @@ class EpisodeEngine:
             # picks a product of squares from its half table, in that
             # episode's column.
             low_factor, high_factor = (
-                table[0].ravel()[(rows[:, np.newaxis] ^ offsets[block]) * b + cols]
+                table.ravel()[(rows[:, np.newaxis] ^ offsets[block]) * (2 * b) + cols]
                 for table, rows, offsets in zip(
                     tables, self._block_rows, self._block_offsets)
             )
