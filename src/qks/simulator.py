@@ -709,13 +709,17 @@ class EpisodeEngine:
         if half is None:
             half = self._half_angles(thetas)
         trig = zip(np.cos(half), np.sin(half, out=half))
-        # Op k's qubit is bit k of a row, so op k contributes its sin where
-        # that bit is set and its cos where it is not.
-        amps = _doubling(
-            np.empty((self.dim, thetas.shape[0]), dtype=half.dtype),
-            (next(trig) if op.col is not None else (op.cos, op.sin)
-             for op in self._prefix),
-        )
+        # Doubling: rows [0, 2**k) hold the products of the first k factors,
+        # and op k extends them by its sin into [2**k, 2**(k+1)), then by
+        # its cos in place, so every product is formed in op order. This is
+        # :func:`_doubling` inline, as the call cost one p9 episode 3%.
+        amps = np.empty((self.dim, thetas.shape[0]), dtype=half.dtype)
+        amps[0] = 1.0
+        for k, op in enumerate(self._prefix):
+            c, s = next(trig) if op.col is not None else (op.cos, op.sin)
+            size = 1 << k
+            np.multiply(amps[:size], s, out=amps[size : 2 * size])
+            amps[:size] *= c
         if not self._complex:
             amps *= amps  # squares drop the permutation's signs
             if self._gather is None:

@@ -736,8 +736,8 @@ def test_guard_redoes_only_close_calls(name, monkeypatch):
     # alike, and is redone; u far from every sum is decided by the fast path.
     engine = EpisodeEngine(get_ansatz(name))
     rng = np.random.default_rng(engine.dim)
-    rows = 2 if name == "p16" else 6
-    thetas = rng.normal(size=(rows, engine.num_params))
+    episodes = 2 if name == "p16" else 6
+    thetas = rng.normal(size=(episodes, engine.num_params))
     probs = engine.probabilities(thetas)
     sums = np.cumsum(probs, axis=1)
     far = _far_uniforms(sums)
