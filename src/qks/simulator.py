@@ -842,8 +842,9 @@ class EpisodeEngine:
         """(index, gap) per episode of a real engine, with no 2**n vector.
 
         The outcome law is the prefix's product law on rows, P(z) = prod_k
-        f_k(bit k of row[z]) with f_k = (c_k**2, s_k**2), so block h's total
-        is 2**-H sum_c (-1)**(c . h) E[chi_c], with E[chi_c] = prod_k (c_k**2
+        f_k(bit k of row[z]) with f_k = (c_k**2, s_k**2), so the total of
+        block h, the basis indices whose high H = n - n//2 bits are h, is
+        2**-H sum_c (-1)**(c . h) E[chi_c], with E[chi_c] = prod_k (c_k**2
         - s_k**2 if k reads c else c_k**2 + s_k**2) (O'Donnell, Analysis of
         Boolean Functions, 2014, ch. 1). The expectations are products of a
         low and a high half table, and one matrix product with the summed
