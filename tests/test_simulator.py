@@ -786,19 +786,62 @@ def test_batched_sample_equals_scalar(tmp_path):
         assert batched[i] == z
 
 
-def test_engine_chunking_consistent(monkeypatch):
-    t = get_ansatz("cnot2")
-    rng = np.random.default_rng(2)
-    thetas = rng.uniform(0, 2 * np.pi, (257, 2))
-    uniforms = rng.random(257)
-    big = EpisodeEngine(t)
-    monkeypatch.setattr(simulator, "CHUNK_BYTES", 1 << 10)  # forces many chunks
-    small = EpisodeEngine(t)
-    assert small.chunk_size < 257 <= big.chunk_size
-    assert np.array_equal(small.sample(thetas, uniforms), big.sample(thetas, uniforms))
-    assert np.allclose(
-        small.probabilities(thetas), big.probabilities(thetas), atol=0
+# One template per sampling path: the float32 screen (cnot2), the product
+# search (p9, p16, nontri6) and the blocked search (p9 at two layers).
+CHUNKED = {
+    "cnot2": ("cnot2", 1),
+    "p9": ("p9", 1),
+    "p16": ("p16", 1),
+    "nontri6": (NONTRI6, 1),
+    "p9-l2": ("p9", 2),
+}
+
+
+def _rule_indices(engine, thetas, uniforms):
+    """:func:`_cdf_index` on the float64 probabilities, 8 episodes at a time."""
+    return np.concatenate([
+        simulator._cdf_index(engine.probabilities(thetas[rows]).T, uniforms[rows])
+        for rows in engine._chunks(len(thetas), 8)
+    ])
+
+
+def _episodes(engine, count, seed):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(count, engine.num_params)), rng.random(count)
+
+
+@pytest.mark.parametrize("key", CHUNKED)
+def test_engine_chunking_consistent(key, monkeypatch):
+    # Two chunks and a ragged third at the default size, against many
+    # smaller chunks with a ragged last one, and against the rule.
+    source, layers = CHUNKED[key]
+    big = EpisodeEngine(_template(source), layers)
+    count = 2 * big._sample_chunk + 3
+    monkeypatch.setattr(simulator, "CHUNK_BYTES", 1 << 16)  # forces many chunks
+    small = EpisodeEngine(_template(source), layers)
+    assert 1 < small._sample_chunk < big._sample_chunk
+    assert count % big._sample_chunk and count % small._sample_chunk
+    thetas, uniforms = _episodes(big, count, 2)
+    expected = _rule_indices(big, thetas, uniforms)
+    assert big.sample(thetas, uniforms).tolist() == expected.tolist()
+    assert small.sample(thetas, uniforms).tolist() == expected.tolist()
+    rows = slice(0, 2 * small.chunk_size + 1)
+    assert np.array_equal(
+        small.probabilities(thetas[rows]), big.probabilities(thetas[rows])
     )
+
+
+@pytest.mark.parametrize("key", CHUNKED)
+def test_engine_samples_wide_narrow_wide_on_one_thread(key):
+    # A wide batch, a narrow one, then the wide one again: every call gets
+    # the rule's indices whatever the calls before it left behind.
+    source, layers = CHUNKED[key]
+    engine = EpisodeEngine(_template(source), layers)
+    wide = _episodes(engine, 2 * engine._sample_chunk + 3, 3)
+    narrow = _episodes(engine, 3, 4)
+    expected = {id(batch): _rule_indices(engine, *batch).tolist() for batch in (wide, narrow)}
+    for batch in (wide, narrow, wide):
+        assert engine.sample(*batch).tolist() == expected[id(batch)]
 
 
 def test_engine_layers():
