@@ -262,19 +262,25 @@ class QksMachine:
                 f"got {inputs.shape}"
             )
         sl = episode_slice if episode_slice is not None else slice(0, self.episodes)
-        omega = self.omega[sl]
-        beta = self.beta[sl]
-        m, n_eps = inputs.shape[0], omega.shape[0]
+        theta = np.empty((inputs.shape[0], len(self.beta[sl]), self.num_params))
+        return self._encode_into(inputs, sl, theta)
+
+    def _encode_into(
+        self, inputs: np.ndarray, episode_slice: slice, theta: np.ndarray
+    ) -> np.ndarray:
+        """:meth:`encode_batch` of checked ``inputs`` into ``theta``."""
+        omega = self.omega[episode_slice]
+        beta = self.beta[episode_slice]
         q = self.structure.q
         off = self.structure.offsets()
-        theta = np.empty((m, n_eps, self.num_params))
         for layer in range(self.layers):
             for k, row in enumerate(self.structure.rows):
                 w = omega[:, layer, off[k] : off[k + 1]]  # (E, r_k)
+                column = theta[:, :, layer * q + k]
                 if len(row) == 1:
-                    theta[:, :, layer * q + k] = inputs[:, row[0], None] * w[:, 0]
+                    np.multiply(inputs[:, row[0], None], w[:, 0], out=column)
                 else:
-                    theta[:, :, layer * q + k] = inputs[:, list(row)] @ w.T
+                    column[...] = inputs[:, list(row)] @ w.T
         theta += beta[np.newaxis, :, :]
         return theta
 

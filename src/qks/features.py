@@ -33,7 +33,7 @@ import numpy as np
 from .datasets import DataFormatError
 from .encoding import QksMachine, _shot_keys
 from .quil import _as_int
-from .simulator import cached_engine, outcome_bits
+from .simulator import _workspace, cached_engine, outcome_bits
 
 MAGIC = b"QKSF"
 FORMAT_VERSION = 1
@@ -164,9 +164,14 @@ def featurize(
     def process_block(start: int) -> None:
         stop = min(start + ROW_BLOCK, m)
         block = stop - start
+        # The block's arrays are in the thread's workspace, as are the
+        # engine's, so a warm thread takes no fresh pages.
+        thetas = _workspace.array("thetas", (block, n_eps, machine.num_params))
         with np.errstate(over="ignore", invalid="ignore"):
-            thetas = machine.encode_batch(x[start:stop])  # (block, E, k)
-        finite = np.isfinite(thetas).all(axis=(1, 2))
+            machine._encode_into(x[start:stop], slice(0, n_eps), thetas)
+        finite = np.isfinite(
+            thetas, out=_workspace.array("finite", thetas.shape, bool)
+        ).all(axis=(1, 2))
         if not finite.all():
             row = start + int(np.argmin(finite))
             raise DataFormatError(
@@ -178,7 +183,7 @@ def featurize(
         bitgen = np.random.Philox(key=keys[start])
         rng = np.random.Generator(bitgen)
         state = bitgen.state
-        uniforms = np.empty((block, n_eps))
+        uniforms = _workspace.array("uniforms", (block, n_eps))
         for i in range(block):
             state["state"]["key"] = keys[start + i]
             bitgen.state = state

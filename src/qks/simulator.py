@@ -31,8 +31,11 @@ factors, times the run's sign. RX kernels applied one by one from |0...0>
 form the same rounded products in the same order (the other part of each
 complex amplitude stays zero), so the probabilities equal theirs bit for
 bit. Chunks are sized for about 1 MiB of amplitudes (or, for the product
-search below, of its own tables) and allocated as they run, so an engine
-is immutable and :func:`cached_engine` shares one per (template, layers).
+search below, of its own tables). Their arrays are views into the calling
+thread's workspace, :class:`_Workspace`, whose buffers outlive the chunk
+and the call, so a warm thread samples without fresh pages from the
+allocator. The engine itself holds no mutable state, and
+:func:`cached_engine` shares one per (template, layers) across threads.
 
 Every shot takes one uniform u through one inverse-CDF rule over the 2**n
 outcome probabilities in basis-index order: the count of cumulative sums
@@ -92,6 +95,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Sequence
@@ -114,6 +118,44 @@ _POWERS_OF_MINUS_I = np.array([1.0, -1j, -1.0, 1j])
 # The widest outcome space sampled with running sums; wider ones use a
 # blocked search. The uint8 counts of _running_sums need this to be <= 256.
 _RUNNING_SUM_MAX_DIM = 16
+
+# The largest workspace buffer a thread keeps; a larger array is allocated
+# for its one use.
+_WORKSPACE_MAX_BYTES = 1 << 24
+
+
+class _Workspace(threading.local):
+    """One thread's reusable arrays, one buffer of float64 words per name.
+
+    :meth:`array` views an uninitialised array of any shape and dtype in the
+    buffer called ``name``, which grows to the largest request and is then
+    reused, so a warm thread samples without fresh pages from the
+    allocator. Each thread gets its own buffers on first use, and they are
+    freed when it exits. Two arrays in use at once need two names.
+    """
+
+    def __init__(self):
+        self.buffers: dict[str, np.ndarray] = {}
+
+    def array(self, name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
+        try:
+            return np.ndarray(shape, dtype, self.buffers[name])
+        except (KeyError, TypeError):  # no buffer yet, or one too small
+            pass
+        size = math.prod(shape) * np.dtype(dtype).itemsize
+        if size > _WORKSPACE_MAX_BYTES:
+            return np.empty(shape, dtype)
+        self.buffers[name] = np.empty(-(-size // 8))
+        return np.ndarray(shape, dtype, self.buffers[name])
+
+
+_workspace = _Workspace()
+
+
+def _new_array(name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
+    """A new array; ``name`` is ignored. :meth:`_Workspace.array`'s
+    signature, for code that can run on either."""
+    return np.empty(shape, dtype)
 
 
 @dataclass(frozen=True)
@@ -215,10 +257,11 @@ def _apply_rx_batch(states: np.ndarray, n: int, qubit: int, cos_half, sin_half):
     a0 = s4[:, 0]
     a1 = s4[:, 1]
     isin = 1j * sin_half
-    t1 = a1 * cos_half
-    t1 -= isin * a0
+    t1 = np.multiply(a1, cos_half, out=_workspace.array("t1", a1.shape, states.dtype))
+    t2 = _workspace.array("t2", a1.shape, states.dtype)
+    t1 -= np.multiply(isin, a0, out=t2)
     a0 *= cos_half
-    a0 -= isin * a1
+    a0 -= np.multiply(isin, a1, out=t2)
     a1[:] = t1
 
 
@@ -229,7 +272,7 @@ def _apply_h_batch(states: np.ndarray, n: int, qubit: int):
     s4 = states.reshape(hi, 2, lo, -1)
     a0 = s4[:, 0]
     a1 = s4[:, 1]
-    t1 = a0 - a1
+    t1 = np.subtract(a0, a1, out=_workspace.array("t1", a1.shape, states.dtype))
     a0 += a1
     a0 *= _SQRT_HALF
     t1 *= _SQRT_HALF
@@ -452,15 +495,21 @@ def _running_sums(probs: np.ndarray, uniforms: np.ndarray):
     ``probs`` it adds the same numbers in the same order as np.cumsum down
     axis 0, so the index is :func:`_cdf_index`'s. The gap is each column's
     smallest |sum - u| over the sums it counted; a NaN sum makes it NaN.
-    ``dim`` must be at most 256, the uint8 range.
+    ``dim`` must be at most 256, the uint8 range. Both are in the thread's
+    workspace.
     """
-    total = probs[0].astype(np.float64)
-    z = (total <= uniforms).view(np.uint8)
-    gap = np.abs(total - uniforms)
-    d = np.empty_like(gap)
+    b = len(uniforms)
+    total = _workspace.array("total", (b,))
+    total[...] = probs[0]
+    z = _workspace.array("counts", (b,), np.uint8)
+    np.less_equal(total, uniforms, out=z.view(bool))
+    gap = np.subtract(total, uniforms, out=_workspace.array("gap", (b,)))
+    np.abs(gap, out=gap)
+    below = _workspace.array("below", (b,), bool)
+    d = _workspace.array("distance", (b,))
     for p in probs[1:-1]:
         total += p
-        z += total <= uniforms
+        z += np.less_equal(total, uniforms, out=below)
         np.abs(np.subtract(total, uniforms, out=d), out=d)
         np.minimum(gap, d, out=gap)
     return z, gap
@@ -486,32 +535,44 @@ def _blocked_search(probs: np.ndarray, uniforms: np.ndarray):
     size = 1 << ((dim - 1).bit_length() // 2)
     blocks = dim // size
     rows = probs.reshape(blocks, size, b)
-    starts = np.zeros((blocks, b))
+    starts = _workspace.array("starts", (blocks, b))
+    starts[0] = 0.0
     # einsum sums down the middle axis faster than .sum(axis=1) for small b.
-    np.cumsum(np.einsum("ijk->ik", rows[:-1]), axis=0, out=starts[1:])
+    np.einsum("ijk->ik", rows[:-1], out=starts[1:])
+    np.cumsum(starts[1:], axis=0, out=starts[1:])
     cols = np.arange(b)
-    return _search_blocks(starts, uniforms, lambda block: rows[block, :-1, cols].T)
+
+    def block_probs(block, out):
+        out[...] = rows[block, :-1, cols].T
+
+    return _search_blocks(starts, uniforms, size, block_probs)
 
 
-def _search_blocks(starts: np.ndarray, uniforms: np.ndarray, block_probs):
+def _search_blocks(starts: np.ndarray, uniforms: np.ndarray, size: int, block_probs):
     """(index, gap) per column from its blocks' starts, (blocks, b).
 
     ``starts[h]`` is the sum of the probabilities before block h, so
-    ``starts[0]`` is 0, and ``block_probs(block)`` returns the first size -
-    1 probabilities of each column's block, (size - 1, b). The starts
-    after the first pick the block, and the sums of its probabilities from
-    its start pick the row; neither level compares its last sum, which is
-    the clamp. The gap is the smallest |sum - u| over both levels.
+    ``starts[0]`` is 0, and ``block_probs(block, out)`` writes the first
+    size - 1 probabilities of each column's block into ``out``, (size - 1,
+    b). The starts after the first pick the block, and the sums of its
+    probabilities from its start pick the row; neither level compares its
+    last sum, which is the clamp. The gap is the smallest |sum - u| over
+    both levels. The sums and comparisons are in the thread's workspace.
     """
-    block = (starts[1:] <= uniforms).sum(axis=0)
-    probs = block_probs(block)
-    sums = np.empty((len(probs) + 1, len(block)))
-    sums[0] = starts[block, np.arange(len(block))]
-    sums[1:] = probs
+    b = len(uniforms)
+    below = _workspace.array("below", (len(starts) - 1, b), bool)
+    block = np.less_equal(starts[1:], uniforms, out=below).sum(axis=0)
+    sums = _workspace.array("sums", (size, b))
+    sums[0] = starts[block, np.arange(b)]
+    block_probs(block, sums[1:])
     np.cumsum(sums, axis=0, out=sums)
-    z = block * len(sums) + (sums[1:] <= uniforms).sum(axis=0)
-    gap = np.minimum(np.abs(starts[1:] - uniforms).min(axis=0),
-                     np.abs(sums[1:] - uniforms).min(axis=0))
+    below = _workspace.array("below", (size - 1, b), bool)
+    z = block * size + np.less_equal(sums[1:], uniforms, out=below).sum(axis=0)
+    gap = np.inf
+    for level in (starts[1:], sums[1:]):
+        d = _workspace.array("distance", level.shape)
+        np.abs(np.subtract(level, uniforms, out=d), out=d)
+        gap = np.minimum(gap, d.min(axis=0))
     return z, gap
 
 
@@ -592,9 +653,13 @@ class EpisodeEngine:
                 [col for is_y, col in used if is_y == y] for y in (False, True)
             )
         self._prefix = tuple(prefix)
-        self._prefix_cols = np.array(
-            [op.col for op in prefix if op.col is not None], dtype=np.intp
+        cols = [op.col for op in prefix if op.col is not None]
+        # A run of columns is a slice, whose rows of thetas.T are a view.
+        run = bool(cols) and cols == list(range(cols[0], cols[0] + len(cols)))
+        self._prefix_cols = (
+            slice(cols[0], cols[-1] + 1) if run else np.array(cols, dtype=np.intp)
         )
+        self._prefix_params = len(cols)
         # The product is built with prefix op k's qubit as bit k of a row
         # index, so basis state z's amplitude is in row[z], the OR of the
         # row bits of z's qubits, built by doubling over the qubits. A
@@ -690,30 +755,39 @@ class EpisodeEngine:
         words = 6 * n + 2 * (size + blocks) + 2 * blocks + 4 * size
         self._sample_chunk = max(1, min(1 << 16, CHUNK_BYTES // (8 * words)))
 
-    def _half_angles(self, thetas: np.ndarray) -> np.ndarray:
-        """The prefix's half angles, (prefix parameters, b), in float64."""
-        half = thetas.T[self._prefix_cols]
-        half *= 0.5
-        return half
+    def _half_angles(self, thetas: np.ndarray, new=_workspace.array) -> np.ndarray:
+        """The prefix's half angles, (prefix parameters, b), in float64, in
+        an array from ``new``: by default the thread's workspace."""
+        half = new("half", (self._prefix_params, thetas.shape[0]))
+        return np.multiply(thetas.T[self._prefix_cols], 0.5, out=half)
 
     def _outcome_probabilities(
-        self, thetas: np.ndarray, half: np.ndarray | None = None
+        self, thetas: np.ndarray, half: np.ndarray | None = None, reuse: bool = False
     ) -> np.ndarray:
         """Outcome probabilities, (2**n, b), of one chunk of (b, p) thetas.
 
         ``half`` holds the prefix half angles, by default the float64 ones
         of ``thetas``; they are overwritten. The products take their dtype,
         so float32 half angles give float32 products, and a complex tail
-        promotes them to complex128.
+        promotes them to complex128. With ``reuse`` the result and the
+        arrays on the way are in the thread's workspace, valid until the
+        next such call; otherwise all are new, which costs less for a
+        batch of a few episodes.
         """
+        new = _workspace.array if reuse else _new_array
         if half is None:
-            half = self._half_angles(thetas)
-        trig = zip(np.cos(half), np.sin(half, out=half))
+            half = self._half_angles(thetas, new)
+        dtype = np.float64 if self._complex else half.dtype
+        shape = (self.dim, thetas.shape[0])
+        out = new("probs", shape, dtype)
+        cos = np.cos(half, out=new("cos", half.shape, half.dtype))
+        trig = zip(cos, np.sin(half, out=half))
         # Doubling: rows [0, 2**k) hold the products of the first k factors,
         # and op k extends them by its sin into [2**k, 2**(k+1)), then by
         # its cos in place, so every product is formed in op order. This is
         # :func:`_doubling` inline, as the call cost one p9 episode 3%.
-        amps = np.empty((self.dim, thetas.shape[0]), dtype=half.dtype)
+        direct = not self._complex and self._gather is None
+        amps = out if direct else new("amps", shape, half.dtype)
         amps[0] = 1.0
         for k, op in enumerate(self._prefix):
             c, s = next(trig) if op.col is not None else (op.cos, op.sin)
@@ -722,13 +796,18 @@ class EpisodeEngine:
             amps[:size] *= c
         if not self._complex:
             amps *= amps  # squares drop the permutation's signs
-            if self._gather is None:
-                return amps
-            return np.take(amps, self._gather, axis=0)
+            if not direct:
+                np.take(amps, self._gather, axis=0, out=out, mode="clip")
+            return out
         if self._gather is not None:
-            amps = np.take(amps, self._gather, axis=0)
-        s = _apply_ops(amps * self._phase, self.num_qubits, self._rest, thetas)
-        return s.real * s.real + s.imag * s.imag
+            amps = np.take(amps, self._gather, axis=0, mode="clip",
+                           out=new("gathered", shape, half.dtype))
+        states = new("states", shape, np.complex128)
+        s = _apply_ops(np.multiply(amps, self._phase, out=states),
+                       self.num_qubits, self._rest, thetas)
+        np.multiply(s.real, s.real, out=out)
+        out += np.multiply(s.imag, s.imag, out=new("amps", shape))
+        return out
 
     def _chunks(self, count: int, size: int | None = None):
         """Yield a slice per chunk of ``count`` rows, ``chunk_size`` by default."""
@@ -811,21 +890,22 @@ class EpisodeEngine:
         uniforms = np.asarray(uniforms, dtype=np.float64)
         if uniforms.shape != (thetas.shape[0],):
             raise ValueError("need exactly one uniform variate per episode")
-        if not ((uniforms >= 0.0) & (uniforms < 1.0)).all():
+        # min and max are NaN if any variate is, and NaN fails both tests.
+        if uniforms.size and not (uniforms.min() >= 0.0 and uniforms.max() < 1.0):
             raise ValueError("uniform variates must lie in [0, 1)")
         out = np.empty(thetas.shape[0], dtype=np.int64)
         for rows in self._chunks(thetas.shape[0], self._sample_chunk):
             th, u = thetas[rows], uniforms[rows]
-            # probs outlives its chunk, or glibc trims the heap (2x slower
-            # on 512 outcomes).
             if self.dim <= _RUNNING_SUM_MAX_DIM:
                 half = self._half_angles(th)
                 tol = self._screen_tolerance(half)
+                half32 = _workspace.array("half32", half.shape, np.float32)
                 with np.errstate(over="ignore", invalid="ignore"):
-                    probs = self._outcome_probabilities(th, half.astype(np.float32))
+                    half32[...] = half
+                    probs = self._outcome_probabilities(th, half32, reuse=True)
                     z, gap = _running_sums(probs, u)
             elif self._complex:
-                probs = self._outcome_probabilities(th)
+                probs = self._outcome_probabilities(th, reuse=True)
                 z, gap = _blocked_search(probs, u)
                 tol = 4 * self.dim * np.finfo(np.float64).eps
             else:
@@ -857,9 +937,10 @@ class EpisodeEngine:
         # x[0, k] and x[1, k]: prefix op k's factor where its row bit is 0
         # and where it is 1, for squares (c**2, s**2) in [..., 0, :] and
         # characters (c**2 + s**2, c**2 - s**2) in [..., 1, :].
-        x = np.empty((2, n, 2, b))
+        x = _workspace.array("factors", (2, n, 2, b))
         half = self._half_angles(thetas)
-        x[0, self._param_rows, 0] = np.cos(half)
+        cos = np.cos(half, out=_workspace.array("cos", half.shape))
+        x[0, self._param_rows, 0] = cos
         x[1, self._param_rows, 0] = np.sin(half, out=half)
         x[:, self._literal_rows, 0] = self._literal_trig
         squares = x[:, :, 0]
@@ -870,25 +951,37 @@ class EpisodeEngine:
         # Half table row r holds the products of squares, then those of
         # characters: rows 2r and 2r + 1 of its (2**(m + 1), b) view.
         tables = [
-            _doubling(np.empty((1 << len(part), 2, b)), part)
-            for part in (pairs[:low], pairs[low:])
+            _doubling(_workspace.array(name, (1 << len(part), 2, b)), part)
+            for name, part in (("low", pairs[:low]), ("high", pairs[low:]))
         ]
-        characters = np.take(tables[0].reshape(-1, b), self._chars[0], axis=0)
-        characters *= np.take(tables[1].reshape(-1, b), self._chars[1], axis=0)
+        characters, high = (
+            np.take(table.reshape(-1, b), chars, axis=0, mode="clip",
+                    out=_workspace.array(name, (len(chars), b)))
+            for name, table, chars in zip(
+                ("characters", "high_picks"), tables, self._chars)
+        )
+        characters *= high
+        starts = np.matmul(self._starts, characters,
+                           out=_workspace.array("starts", characters.shape))
         cols = np.arange(b)
+        size = 1 << low
+        index = _workspace.array("index", (size - 1, b), np.intp)
+        high = _workspace.array("high_picks", (size - 1, b))
 
-        def block_probs(block):
+        def block_probs(block, out):
             # Row l of block h is row[h * size] ^ row[l]; each half of it
             # picks a product of squares from its half table, in that
-            # episode's column.
-            low_factor, high_factor = (
-                table.ravel()[(rows[:, np.newaxis] ^ offsets[block]) * (2 * b) + cols]
-                for table, rows, offsets in zip(
-                    tables, self._block_rows, self._block_offsets)
-            )
-            return low_factor * high_factor
+            # episode's column: the low half's into out, the high half's
+            # into high.
+            for table, rows, offsets, factor in zip(
+                    tables, self._block_rows, self._block_offsets, (out, high)):
+                np.bitwise_xor(rows[:, np.newaxis], offsets[block], out=index)
+                np.multiply(index, 2 * b, out=index)
+                np.take(table.ravel(), np.add(index, cols, out=index),
+                        out=factor, mode="clip")
+            out *= high
 
-        return _search_blocks(self._starts @ characters, uniforms, block_probs)
+        return _search_blocks(starts, uniforms, size, block_probs)
 
     def _product_tolerance(self) -> float:
         """The product search's tol, with H = n - n//2 and 2**H blocks:
@@ -973,8 +1066,10 @@ class EpisodeEngine:
         Half angles past float32's range cast to inf, whose cos is NaN, and
         a huge sum of |h_k| makes tol above 1; both episodes are redone.
         """
+        tol = _workspace.array("tol", half.shape[1:])
         with np.errstate(over="ignore"):
-            tol = np.abs(half).sum(axis=0)
+            np.abs(half, out=_workspace.array("abs_half", half.shape)).sum(
+                axis=0, out=tol)
         tol += self.num_qubits
         tol *= 2.0**-19
         tol += 4 * self.dim * np.finfo(np.float64).eps

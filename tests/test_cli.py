@@ -8,6 +8,7 @@ import pytest
 
 from qks import (
     EncodingStructure,
+    FeatureMatrix,
     LinearClassifier,
     featurize,
     gen_picture_frames,
@@ -17,7 +18,8 @@ from qks import (
     make_tilemap,
     sample_machine,
 )
-from qks.cli import UsageError, _machine, main
+from qks.cli import UsageError, _bit_density, _machine, main
+from qks.features import _pack_rows
 
 
 def run_cli(argv, capsys):
@@ -298,6 +300,15 @@ def test_features_load_summary(tmp_path, capsys):
     assert 0.0 <= density <= 1.0
     dense = load_features(path).to_dense()
     assert density_line[0] == f"bit density: {dense.mean():.4f}"
+
+
+@pytest.mark.parametrize("rows, columns", [(1, 5), (300, 130), (513, 64)])
+def test_bit_density_counts_the_packed_bits(rows, columns):
+    # Equal to the mean of the unpacked matrix, across row blocks of 256 and
+    # with padding bits in the last word.
+    bits = (np.random.default_rng(rows).random((rows, columns)) < 0.3).astype(np.uint8)
+    fm = FeatureMatrix(_pack_rows(bits), 1, columns)
+    assert _bit_density(fm) == fm.to_dense().mean()
 
 
 def test_features_load_machine_line_omits_geometry(tmp_path, capsys):

@@ -26,6 +26,7 @@ from qks import (
 )
 from qks.features import ROW_BLOCK, _pack_rows
 from qks.quil import CircuitTemplate
+from qks import simulator
 from qks.simulator import cached_engine
 
 
@@ -97,6 +98,25 @@ def test_determinism_and_worker_invariance():
     c = featurize(m, x, workers=3)
     assert a.equals(b) and a.equals(c)
     assert np.array_equal(a.packed, featurize(m, x).packed)
+
+
+def test_featurize_gives_the_same_bits_from_a_poisoned_workspace():
+    # Every buffer of this thread's workspace is filled with NaN between
+    # calls: the encodings, uniforms and engine arrays of a row block are
+    # all written before they are read. Rows past one block would run on
+    # pool threads with fresh workspaces, so a p9 machine on 64 rows covers
+    # the product search and a cnot2 one the float32 screen.
+    for machine in (small_machine(episodes=300),
+                     sample_machine(get_ansatz("p9"), EncodingStructure.split(9),
+                                    1.0, 30, 7)):
+        x = np.random.default_rng(2).normal(size=(ROW_BLOCK, machine.structure.p))
+        expected = featurize(machine, x, workers=3)
+        for rows in (ROW_BLOCK, 5, ROW_BLOCK):
+            for buffer in simulator._workspace.buffers.values():
+                buffer.fill(np.nan)
+            assert featurize(machine, x[:rows]).equals(
+                FeatureMatrix(expected.packed[:rows], machine.num_qubits,
+                              machine.episodes))
 
 
 def test_row_independence_of_batch():

@@ -1,5 +1,7 @@
 """Statevector engine tests against an independent kron-based oracle."""
 
+import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -842,6 +844,67 @@ def test_engine_samples_wide_narrow_wide_on_one_thread(key):
     expected = {id(batch): _rule_indices(engine, *batch).tolist() for batch in (wide, narrow)}
     for batch in (wide, narrow, wide):
         assert engine.sample(*batch).tolist() == expected[id(batch)]
+
+
+def _poison_workspace():
+    """Fill every buffer of this thread's workspace with NaN."""
+    for buffer in simulator._workspace.buffers.values():
+        buffer.fill(np.nan)
+
+
+@pytest.mark.parametrize("key", CHUNKED)
+def test_engine_samples_the_same_from_a_poisoned_workspace(key, monkeypatch):
+    # A workspace array read before it is written would hold NaN, or as an
+    # index a huge integer: it would move an index, or make a gap NaN and
+    # send more episodes to the guard than a clean workspace does.
+    source, layers = CHUNKED[key]
+    engine = EpisodeEngine(_template(source), layers)
+    wide = _episodes(engine, 2 * engine._sample_chunk + 3, 3)
+    narrow = _episodes(engine, 3, 4)
+    redone = _spy_on_the_rule(monkeypatch)
+    for batch in (wide, narrow, wide):
+        expected = _rule_indices(engine, *batch).tolist()
+        redone.clear()
+        assert engine.sample(*batch).tolist() == expected
+        clean = sum(redone)
+        _poison_workspace()
+        redone.clear()
+        assert engine.sample(*batch).tolist() == expected
+        assert sum(redone) == clean
+    assert simulator._workspace.buffers
+
+
+def test_warm_sample_reuses_its_workspace():
+    # A second p9 sample of 3,200 episodes on one thread takes its chunk
+    # arrays from the workspace. Allocated afresh, they peak at 1,146 KiB.
+    engine = EpisodeEngine(get_ansatz("p9"))
+    thetas, uniforms = _episodes(engine, 3200, 5)
+    engine.sample(thetas, uniforms)
+    tracemalloc.start()
+    try:
+        engine.sample(thetas, uniforms)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 286 * 1024
+
+
+def test_workspace_buffers_belong_to_one_thread():
+    # Each thread views its own buffer under a name; a request past the
+    # largest kept buffer gets an array that no buffer holds.
+    mine = simulator._workspace.array("test", (4,))
+    mine[:] = 1.0
+    theirs = []
+    worker = threading.Thread(
+        target=lambda: theirs.append(simulator._workspace.array("test", (4,))))
+    worker.start()
+    worker.join()
+    assert not np.shares_memory(mine, theirs[0])
+    assert np.shares_memory(mine, simulator._workspace.array("test", (2, 2)))
+    words = simulator._WORKSPACE_MAX_BYTES // 8 + 1
+    big = simulator._workspace.array("test", (words,))
+    assert not np.shares_memory(big, simulator._workspace.array("test", (words,)))
+    assert simulator._workspace.buffers["test"].size == 4
 
 
 def test_engine_layers():
