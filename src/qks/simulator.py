@@ -96,6 +96,7 @@ from __future__ import annotations
 import itertools
 import math
 import threading
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Sequence
@@ -130,12 +131,19 @@ class _Workspace(threading.local):
     :meth:`array` views an uninitialised array of any shape and dtype in the
     buffer called ``name``, which grows to the largest request and is then
     reused, so a warm thread samples without fresh pages from the
-    allocator. Each thread gets its own buffers on first use, and they are
-    freed when it exits. Two arrays in use at once need two names.
+    allocator. Two arrays in use at once need two names. Each thread gets
+    its own buffers on first use, and when it ends they pass to the next
+    thread that samples: ``featurize`` starts new worker threads on each
+    call, and the buffers outlive them.
     """
 
+    # Buffers of threads that have ended, for the next new threads.
+    _spare: list[dict] = []
+
     def __init__(self):
-        self.buffers: dict[str, np.ndarray] = {}
+        spare = self._spare
+        self.buffers: dict[str, np.ndarray] = spare.pop() if spare else {}
+        weakref.finalize(threading.current_thread(), spare.append, self.buffers)
 
     def array(self, name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
         try:

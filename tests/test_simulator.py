@@ -1,5 +1,6 @@
 """Statevector engine tests against an independent kron-based oracle."""
 
+import gc
 import threading
 import tracemalloc
 import warnings
@@ -905,6 +906,23 @@ def test_workspace_buffers_belong_to_one_thread():
     big = simulator._workspace.array("test", (words,))
     assert not np.shares_memory(big, simulator._workspace.array("test", (words,)))
     assert simulator._workspace.buffers["test"].size == 4
+
+
+def test_an_ended_threads_workspace_passes_to_the_next_thread():
+    # featurize's pool starts new threads on each call; they find the
+    # buffers of the threads that ended, not empty ones.
+    def run(target):
+        worker = threading.Thread(target=target)
+        worker.start()
+        worker.join()
+        del worker
+        gc.collect()
+
+    run(lambda: simulator._workspace.array("handed", (8,)).fill(7.0))
+    got = []
+    run(lambda: got.append(simulator._workspace.buffers.get("handed")))
+    assert got[0] is not None and (got[0] == 7.0).all()
+    assert "handed" not in simulator._workspace.buffers  # not this thread's
 
 
 def test_engine_layers():
