@@ -135,6 +135,10 @@ class _Workspace(threading.local):
     its own buffers on first use, and when it ends they pass to the next
     thread that samples: ``featurize`` starts new worker threads on each
     call, and the buffers outlive them.
+
+    ``np.take`` into a workspace array passes ``mode="clip"``: with an
+    ``out`` and the default "raise", numpy gathers into a new array first.
+    The indices are in range by construction.
     """
 
     # Buffers of threads that have ended, for the next new threads.
@@ -962,13 +966,13 @@ class EpisodeEngine:
             _doubling(_workspace.array(name, (1 << len(part), 2, b)), part)
             for name, part in (("low", pairs[:low]), ("high", pairs[low:]))
         ]
-        characters, high = (
+        characters, high_characters = (
             np.take(table.reshape(-1, b), chars, axis=0, mode="clip",
                     out=_workspace.array(name, (len(chars), b)))
             for name, table, chars in zip(
                 ("characters", "high_picks"), tables, self._chars)
         )
-        characters *= high
+        characters *= high_characters
         starts = np.matmul(self._starts, characters,
                            out=_workspace.array("starts", characters.shape))
         cols = np.arange(b)
