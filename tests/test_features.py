@@ -103,8 +103,8 @@ def test_determinism_and_worker_invariance():
 def test_featurize_gives_the_same_bits_from_a_poisoned_workspace():
     # Every buffer of this thread's workspace is filled with NaN between
     # calls: the encodings, uniforms and engine arrays of a row block are
-    # all written before they are read. Rows past one block would run on
-    # pool threads with fresh workspaces, so a p9 machine on 64 rows covers
+    # all written before they are read. Up to one block of rows runs on
+    # this thread, not on pool threads, so a p9 machine on 64 rows covers
     # the product search and a cnot2 one the float32 screen.
     for machine in (small_machine(episodes=300),
                      sample_machine(get_ansatz("p9"), EncodingStructure.split(9),
