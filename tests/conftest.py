@@ -64,25 +64,34 @@ NONTRI6 = (
 )
 
 
-def random_clifford_template(rng):
-    """RX on some of 2-5 qubits in random order, then up to 12 H/CNOT/CZ gates.
+def random_clifford_template(rng, widths=(2, 5), kinds="H CNOT CZ", tail_rx=False):
+    """RX on some of ``widths`` qubits in random order, then up to 12 gates.
 
-    About a third of the RX angles are literal; qubits without an RX idle.
+    The gates after the RX layer are drawn from ``kinds`` (names of H, CNOT
+    and CZ; on one qubit only H); with ``tail_rx``, one more RX on a random
+    qubit follows them. About a third of the RX angles are literal; qubits
+    without an RX idle.
     """
-    n = int(rng.integers(2, 6))
+    n = int(rng.integers(widths[0], widths[1] + 1))
     params, gates = [], []
-    for q in rng.permutation(n)[: rng.integers(1, n + 1)]:
+
+    def rx(q):
         if rng.random() < 0.3:
             angle = float(rng.uniform(-7, 7))
         else:
             params.append(f"t{len(params)}")
             angle = ParamRef(params[-1])
         gates.append(GateOp(GateKind.RX, (int(q),), angle))
-    kinds = (GateKind.H, GateKind.CNOT, GateKind.CZ)
-    for _ in range(rng.integers(0, 13)):
-        kind = kinds[rng.integers(3)]
+
+    for q in rng.permutation(n)[: rng.integers(1, n + 1)]:
+        rx(q)
+    kinds = [k for k in map(GateKind, kinds.split()) if k.num_qubits <= n]
+    for _ in range(rng.integers(0, 13) if kinds else 0):
+        kind = kinds[rng.integers(len(kinds))]
         qubits = rng.choice(n, size=kind.num_qubits, replace=False)
         gates.append(GateOp(kind, tuple(int(q) for q in qubits)))
+    if tail_rx:
+        rx(rng.integers(n))
     return CircuitTemplate("R", tuple(params), tuple(gates), n)
 
 

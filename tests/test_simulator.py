@@ -1087,13 +1087,18 @@ def test_product_path_matches_dense_kernels_bit_for_bit(key):
     assert np.array_equal(engine.probabilities(thetas), probs)
 
 
-def _oracle_marginals(t, layers, theta):
-    """P(bit j = 1) from the kron oracle's probabilities, one episode."""
+def _oracle(t, layers, theta):
+    """The kron oracle's outcome probabilities of ``layers`` layers of t."""
     p = t.num_params
     gates = []
     for layer in range(layers):
         gates += template_to_oracle_gates(t, theta[layer * p : (layer + 1) * p])
-    return oracle_probabilities(gates, t.num_qubits) @ bit_matrix(t.num_qubits)
+    return oracle_probabilities(gates, t.num_qubits)
+
+
+def _oracle_marginals(t, layers, theta):
+    """P(bit j = 1) from the kron oracle's probabilities, one episode."""
+    return _oracle(t, layers, theta) @ bit_matrix(t.num_qubits)
 
 
 def _assert_marginals_match_oracle(t, layers, rows, seed):
@@ -1133,3 +1138,41 @@ def test_marginals_of_random_clifford_templates_against_kron_oracle():
         literal += any(not isinstance(g.angle, ParamRef) for g in rx)
         y_factor += any(y for _, fs in engine.pauli_rows for y, _ in fs)
     assert min(idle, literal, y_factor) >= 10, (idle, literal, y_factor)
+
+
+# The shapes of the differential test below: (random_clifford_template
+# keywords, layers). Tails of H, CNOT and CZ; of CNOT and CZ only, which
+# past 16 outcomes the product search takes; an RX after the entanglers;
+# and two layers of the first.
+RANDOM_SHAPES = [
+    (dict(widths=(1, 10)), 1),
+    (dict(widths=(1, 10), kinds="CNOT CZ"), 1),
+    (dict(widths=(1, 10), tail_rx=True), 1),
+    (dict(widths=(1, 8)), 2),
+]
+
+
+def test_random_templates_sample_the_rule_index():
+    # For each template, the probabilities match the kron oracle, and sample
+    # gives the rule's index on them with u on cumulative sums (at most 24 an
+    # episode), their +-1 ulp neighbours, and at random.
+    rng = np.random.default_rng(2718)
+    for i in range(96):
+        kwargs, layers = RANDOM_SHAPES[i % len(RANDOM_SHAPES)]
+        t = random_clifford_template(rng, **kwargs)
+        engine = EpisodeEngine(t, layers)
+        thetas = rng.uniform(-7, 7, (3, engine.num_params))
+        probs = engine.probabilities(thetas)
+        for theta, row in zip(thetas, probs):
+            assert np.abs(row - _oracle(t, layers, theta)).max() <= 1e-14
+        rows, uniforms = [], []
+        for j, sums in enumerate(np.cumsum(probs, axis=1)):
+            at = sums[rng.choice(engine.dim, min(engine.dim, 24), replace=False)]
+            us = np.concatenate([at, np.nextafter(at, 0.0), np.nextafter(at, 1.0),
+                                 rng.random(8)])
+            us = us[(us >= 0.0) & (us < 1.0)]
+            rows += [j] * len(us)
+            uniforms.append(us)
+        uniforms = np.concatenate(uniforms)
+        expected = simulator._cdf_index(probs[rows].T, uniforms)
+        assert engine.sample(thetas[rows], uniforms).tolist() == expected.tolist()
