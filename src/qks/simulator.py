@@ -42,34 +42,31 @@ outcome probabilities in basis-index order: the count of cumulative sums
 down axis 0 that are <= u, clamped to the last outcome. :func:`_cdf_index`
 is that rule, and :func:`sample_shot` calls it on an explicit
 :class:`StateVector`. :meth:`EpisodeEngine.sample` (features and
-:func:`run_episode` alike) runs a fast path on each chunk and then one
-guard. Each fast path returns an index and a gap, the smallest |sum - u|
-over the sums it compared with u, and wide spaces are searched in two
-levels, in blocks of 2**(n//2) rows: the cumulative block totals pick each
-episode's block and the sums inside it pick the row. There are three:
+:func:`run_episode` alike) runs one fast path on each chunk, then one guard.
+The constructor picks each engine's path, and is the one place where a
+new path is added; :attr:`EpisodeEngine.path` names it. Each path returns
+an index, a gap (the smallest |sum - u| over the sums it compared with u)
+and a tol that bounds how far those sums lie from the rule's. Wide spaces
+are searched in two levels, in blocks of 2**(n//2) rows: block totals pick
+each episode's block, the sums inside it the row.
 
-- Up to 16 outcomes, :func:`_running_sums` adds float32 products in float64
-  running sums: the prefix's cos and sin are taken in float32 (numpy's
-  float32 trig is SIMD, its float64 trig often scalar libm), and the same
-  doubling code builds the products.
-- Wider real engines, where at most one CNOT/CZ run follows the prefix
-  (p9 and p16 at one layer), never build the 2**n vector.
-  :meth:`EpisodeEngine._product_search` reads the outcome law as the
+- "screen32", up to 16 outcomes: :func:`_running_sums` adds float32
+  products in float64 running sums. The prefix's cos and sin are taken in
+  float32 (numpy's float32 trig is SIMD, its float64 trig often scalar
+  libm); tol is proved at :meth:`EpisodeEngine._screen_tolerance`.
+- "product", wider real engines, where at most one CNOT/CZ run follows the
+  prefix (p9 and p16 at one layer): no 2**n vector. The outcome law is the
   prefix's product law pushed through a GF(2)-linear map, so the block
   totals are a Walsh-Hadamard transform of Z-string expectations, and
   those expectations and the chosen block's probabilities are products of
-  two half tables: O(2**(n/2)) work per episode.
-- Other wide engines (an H after the entanglers, two or more layers) go to
-  :func:`_blocked_search` on the float64 products.
+  two half tables: O(2**(n/2)) work per episode. tol is proved at
+  :meth:`EpisodeEngine._product_tolerance`.
+- "blocked", any other wide engine (an H after the entanglers, two or more
+  layers): :func:`_blocked_search` on float64 products; tol = 4 * 2**n * eps.
 
-Each path's sums differ from the rule's by less than its tol: 2**-19 * (n +
-sum |theta_k / 2|) + 4 * 2**n * eps for the float32 products (proved at
-:meth:`EpisodeEngine._screen_tolerance`), 4 * 2**n * eps plus the
-transform's rounding for the product search (proved at
-:meth:`EpisodeEngine._product_tolerance`), 4 * 2**n * eps for the blocked
-order. So the guard keeps the index of every episode whose gap exceeds
-tol, and hands any other, a NaN gap included, to :func:`_cdf_index` on its
-float64 probabilities: every index is the rule's bit for bit.
+The guard keeps the index of every episode whose gap exceeds tol, and hands
+any other, a NaN gap included, to :func:`_cdf_index` on its float64
+probabilities: every index is the rule's bit for bit.
 :meth:`EpisodeEngine.probabilities` returns one row per episode, (B, 2**n).
 
 :meth:`EpisodeEngine.marginals` returns P(bit j = 1), (B, n), in the
@@ -116,8 +113,8 @@ _SQRT_HALF = 1.0 / math.sqrt(2.0)
 # factors, since RX(theta)|0> = cos(theta/2)|0> - i sin(theta/2)|1>.
 _POWERS_OF_MINUS_I = np.array([1.0, -1j, -1.0, 1j])
 
-# The widest outcome space sampled with running sums; wider ones use a
-# blocked search. The uint8 counts of _running_sums need this to be <= 256.
+# The widest outcome space on the "screen32" path; wider ones are searched
+# in blocks. The uint8 counts of _running_sums need this to be <= 256.
 _RUNNING_SUM_MAX_DIM = 16
 
 # The largest workspace buffer a thread keeps; a larger array is allocated
@@ -700,13 +697,25 @@ class EpisodeEngine:
             phase = _POWERS_OF_MINUS_I[sin_factors % 4, np.newaxis]
             self._phase = phase if sign is None else phase * sign
         self.chunk_size = max(1, min(1 << 16, CHUNK_BYTES // (16 * self.dim)))
-        self._sample_chunk = self.chunk_size
-        if not self._complex and self.dim > _RUNNING_SUM_MAX_DIM:
+        # The sampling path: its producer of (index, gap, tol), and its chunks.
+        words = 2 * self.dim
+        if self.dim <= _RUNNING_SUM_MAX_DIM:
+            self._path, self._producer = "screen32", self._screened_search
+        elif self._complex:
+            self._path, self._producer = "blocked", self._vector_search
+        else:
             del index  # 2**n entries the build does not need
-            self._build_product_search(row, rest)
+            self._path, self._producer = "product", self._product_search
+            words = self._build_product_search(row, rest)
+        self._sample_chunk = max(1, min(1 << 16, CHUNK_BYTES // (8 * words)))
 
-    def _build_product_search(self, row: np.ndarray, rest: Sequence[GateOp]) -> None:
-        """Index tables and the block-start matrix of :meth:`_product_search`.
+    @property
+    def path(self) -> str:
+        """The sampling path, "screen32", "product" or "blocked"."""
+        return self._path
+
+    def _build_product_search(self, row: np.ndarray, rest: Sequence[GateOp]) -> int:
+        """Build :meth:`_product_search`'s tables; return its words per episode.
 
         ``row`` maps basis index z to row index r = row[z], which is linear
         over GF(2): the prefix's qubit order composed with ``rest``, the
@@ -764,8 +773,7 @@ class EpisodeEngine:
         # and their trig, the four half tables, the characters and block
         # starts with a temporary, and the chosen block's sums, gathered
         # factors and indices. p9 gets 471 episodes a chunk, p16 49.
-        words = 6 * n + 2 * (size + blocks) + 2 * blocks + 4 * size
-        self._sample_chunk = max(1, min(1 << 16, CHUNK_BYTES // (8 * words)))
+        return 6 * n + 2 * (size + blocks) + 2 * blocks + 4 * size
 
     def _half_angles(self, thetas: np.ndarray, new=_workspace.array) -> np.ndarray:
         """The prefix's half angles, (prefix parameters, b), in float64, in
@@ -888,15 +896,9 @@ class EpisodeEngine:
     def sample(self, thetas: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
         """One shot per row, by the inverse-CDF rule of :func:`_cdf_index`.
 
-        Each chunk takes one fast path: :func:`_running_sums` on float32
-        products up to _RUNNING_SUM_MAX_DIM outcomes (tol from
-        :meth:`_screen_tolerance`); past that, on a real engine,
-        :meth:`_product_search` with no 2**n vector (tol from
-        :meth:`_product_tolerance`), and on any other
-        :func:`_blocked_search` on float64 products (tol = 4 * dim * eps).
-        The guard redoes every episode whose gap is not above tol by
-        :func:`_cdf_index` on its float64 probabilities, chunk_size
-        episodes at a time.
+        Each chunk runs the producer of :attr:`path`, then the guard redoes
+        every episode whose gap is not above tol by :func:`_cdf_index` on
+        its float64 probabilities, chunk_size episodes at a time.
         """
         thetas = self._check_thetas(thetas)
         uniforms = np.asarray(uniforms, dtype=np.float64)
@@ -908,21 +910,7 @@ class EpisodeEngine:
         out = np.empty(thetas.shape[0], dtype=np.int64)
         for rows in self._chunks(thetas.shape[0], self._sample_chunk):
             th, u = thetas[rows], uniforms[rows]
-            if self.dim <= _RUNNING_SUM_MAX_DIM:
-                half = self._half_angles(th)
-                tol = self._screen_tolerance(half)
-                half32 = _workspace.array("half32", half.shape, np.float32)
-                with np.errstate(over="ignore", invalid="ignore"):
-                    half32[...] = half
-                    probs = self._outcome_probabilities(th, half32, reuse=True)
-                    z, gap = _running_sums(probs, u)
-            elif self._complex:
-                probs = self._outcome_probabilities(th, reuse=True)
-                z, gap = _blocked_search(probs, u)
-                tol = 4 * self.dim * np.finfo(np.float64).eps
-            else:
-                z, gap = self._product_search(th, u)
-                tol = self._product_tolerance()
+            z, gap, tol = self._producer(th, u)
             redo = np.flatnonzero(~(gap > tol))
             for part in self._chunks(redo.size):
                 r = redo[part]
@@ -930,8 +918,23 @@ class EpisodeEngine:
             out[rows] = z
         return out
 
+    def _screened_search(self, thetas: np.ndarray, uniforms: np.ndarray):
+        """Path "screen32": :func:`_running_sums` on float32 products."""
+        half = self._half_angles(thetas)
+        half32 = _workspace.array("half32", half.shape, np.float32)
+        with np.errstate(over="ignore", invalid="ignore"):
+            half32[...] = half
+            probs = self._outcome_probabilities(thetas, half32, reuse=True)
+            return (*_running_sums(probs, uniforms), self._screen_tolerance(half))
+
+    def _vector_search(self, thetas: np.ndarray, uniforms: np.ndarray):
+        """Path "blocked": :func:`_blocked_search` on float64 products."""
+        probs = self._outcome_probabilities(thetas, reuse=True)
+        tol = 4 * self.dim * np.finfo(np.float64).eps
+        return (*_blocked_search(probs, uniforms), tol)
+
     def _product_search(self, thetas: np.ndarray, uniforms: np.ndarray):
-        """(index, gap) per episode of a real engine, with no 2**n vector.
+        """Path "product": (index, gap, tol) per episode of a real engine.
 
         The outcome law is the prefix's product law on rows, P(z) = prod_k
         f_k(bit k of row[z]) with f_k = (c_k**2, s_k**2), so the total of
@@ -993,7 +996,8 @@ class EpisodeEngine:
                         out=factor, mode="clip")
             out *= high
 
-        return _search_blocks(starts, uniforms, size, block_probs)
+        return (*_search_blocks(starts, uniforms, size, block_probs),
+                self._product_tolerance())
 
     def _product_tolerance(self) -> float:
         """The product search's tol, with H = n - n//2 and 2**H blocks:
@@ -1040,13 +1044,10 @@ class EpisodeEngine:
 
             tol = 2**-19 * (n + sum_k |h_k|) + 4 * dim * eps
 
-        (k over the prefix's parameters). :meth:`sample` builds the products
-        from float32 cos and sin of h_k, and their running sums, in float64,
-        track each episode's smallest gap |sum - u|. An episode whose gap
-        exceeds tol gets the index those sums count. Any other episode, or
-        one with a NaN gap, is recomputed by the float64 path. This is a
-        filter with a proven error bound, in the manner of Shewchuk's
-        adaptive predicates (DCG 18, 1997).
+        (k over the prefix's parameters). :meth:`_screened_search` builds
+        the products from float32 cos and sin of h_k, and the guard redoes
+        any episode whose gap is not above tol: a filter with a proven error
+        bound, in the manner of Shewchuk's adaptive predicates (DCG 18, 1997).
 
         Why tol bounds |sum32 - sum64| for every counted sum. Write c_k, s_k
         for the exact cos and sin of h_k and c'_k, s'_k for the float32
@@ -1076,12 +1077,11 @@ class EpisodeEngine:
         subnormals adds at most 2**-149 per product.
 
         Half angles past float32's range cast to inf, whose cos is NaN, and
-        a huge sum of |h_k| makes tol above 1; both episodes are redone.
+        a huge sum of |h_k| makes tol above 1 (or inf, which the screen's
+        errstate lets pass); both episodes are redone.
         """
         tol = _workspace.array("tol", half.shape[1:])
-        with np.errstate(over="ignore"):
-            np.abs(half, out=_workspace.array("abs_half", half.shape)).sum(
-                axis=0, out=tol)
+        np.abs(half, out=_workspace.array("abs_half", half.shape)).sum(axis=0, out=tol)
         tol += self.num_qubits
         tol *= 2.0**-19
         tol += 4 * self.dim * np.finfo(np.float64).eps

@@ -639,21 +639,13 @@ PRODUCT_SEARCHED = {
 }
 
 
-def _refuse(name):
-    def refuse(*args):
-        raise AssertionError(f"{name} called")
-
-    return refuse
-
-
-def test_wide_engines_are_not_screened(monkeypatch):
+def test_wide_engines_are_not_screened():
     # Real engines past 16 outcomes take the product search: never the
     # running sums of the float32 screen, nor the blocked search over a 2**n
     # vector.
-    monkeypatch.setattr(simulator, "_running_sums", _refuse("_running_sums"))
-    monkeypatch.setattr(simulator, "_blocked_search", _refuse("_blocked_search"))
     for source in PRODUCT_SEARCHED.values():
         engine = EpisodeEngine(_template(source))
+        assert engine.path == "product"
         thetas = np.random.default_rng(4).normal(size=(10, engine.num_params))
         uniforms = np.linspace(0.0, 0.9, 10)
         expected = _cumsum_outcome(engine.probabilities(thetas).T, uniforms)
@@ -663,24 +655,17 @@ def test_wide_engines_are_not_screened(monkeypatch):
 @pytest.mark.parametrize(
     "source, layers", [("p9", 2), (NONTRI6 + "    H 2\n", 1)], ids=["p9-l2", "nontri6-h"]
 )
-def test_complex_wide_engines_use_the_blocked_search(source, layers, monkeypatch):
+def test_complex_wide_engines_use_the_blocked_search(source, layers):
     # p9 at two layers has RX gates after its entanglers, and an H after
     # the CNOTs mixes amplitudes: both are complex, so their sample searches
     # the 2**n outcome vector in blocks.
-    calls, blocked_search = [], simulator._blocked_search
-
-    def spy(probs, uniforms):
-        calls.append(probs.shape)
-        return blocked_search(probs, uniforms)
-
-    monkeypatch.setattr(simulator, "_blocked_search", spy)
     engine = EpisodeEngine(_template(source), layers)
     assert engine.dim > 16
+    assert engine.path == "blocked"
     thetas = np.random.default_rng(5).normal(size=(40, engine.num_params))
     uniforms = np.random.default_rng(6).random(40)
     expected = _cumsum_outcome(engine.probabilities(thetas).T, uniforms)
     assert engine.sample(thetas, uniforms).tolist() == expected.tolist()
-    assert calls and all(shape[0] == engine.dim for shape in calls)
 
 
 def _probed_sums(dim, rng):
@@ -1152,15 +1137,33 @@ RANDOM_SHAPES = [
 ]
 
 
+def _predicted_path(t, layers):
+    """The sampling path for ``layers`` layers of t: the float32 screen up to
+    16 outcomes; past that, the product search when only CNOT and CZ follow
+    the opening layer of RX gates on distinct qubits, else the blocked one."""
+    if t.num_qubits <= 4:
+        return "screen32"
+    gates, opened = t.gates * layers, set()
+    while gates and gates[0].kind is GateKind.RX and gates[0].qubits not in opened:
+        opened.add(gates[0].qubits)
+        gates = gates[1:]
+    real = all(g.kind in (GateKind.CNOT, GateKind.CZ) for g in gates)
+    return "product" if real else "blocked"
+
+
 def test_random_templates_sample_the_rule_index():
-    # For each template, the probabilities match the kron oracle, and sample
-    # gives the rule's index on them with u on cumulative sums (at most 24 an
-    # episode), their +-1 ulp neighbours, and at random.
+    # For each template, the path is the one predicted, the probabilities
+    # match the kron oracle, and sample gives the rule's index on them with
+    # u on cumulative sums (at most 24 an episode), their +-1 ulp
+    # neighbours, and at random.
     rng = np.random.default_rng(2718)
+    paths = set()
     for i in range(96):
         kwargs, layers = RANDOM_SHAPES[i % len(RANDOM_SHAPES)]
         t = random_clifford_template(rng, **kwargs)
         engine = EpisodeEngine(t, layers)
+        assert engine.path == _predicted_path(t, layers)
+        paths.add((engine.path, i % len(RANDOM_SHAPES)))
         thetas = rng.uniform(-7, 7, (3, engine.num_params))
         probs = engine.probabilities(thetas)
         for theta, row in zip(thetas, probs):
@@ -1176,3 +1179,7 @@ def test_random_templates_sample_the_rule_index():
         uniforms = np.concatenate(uniforms)
         expected = simulator._cdf_index(probs[rows].T, uniforms)
         assert engine.sample(thetas[rows], uniforms).tolist() == expected.tolist()
+    # Each shape reaches the screen and a wide path: the product search
+    # for permutation tails, the blocked one for RX tails and two layers.
+    wide = {("product", 0), ("blocked", 0), ("product", 1), ("blocked", 2), ("blocked", 3)}
+    assert paths >= wide | {("screen32", k) for k in range(4)}, sorted(paths)
