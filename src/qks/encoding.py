@@ -16,13 +16,12 @@ E-episode machine on the first E episodes exactly.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .quil import CircuitTemplate, _as_int
+from .quil import CircuitTemplate, _as_int, _as_real
 
 TAG_OMEGA = 1
 TAG_BETA = 2
@@ -298,15 +297,7 @@ def _check_spec(
             f"structure has q={structure.q} parameters per layer but template "
             f"{template.name!r} declares {template.num_params}"
         )
-    if isinstance(sigma, bool) or not isinstance(sigma, numbers.Real):
-        raise ValueError(f"sigma must be a real number, got {sigma!r}")
-    try:
-        value = float(sigma)
-    except OverflowError:  # an int past float's range
-        value = np.inf
-    if not 0 <= value < np.inf:
-        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
-    return value
+    return _as_real("sigma", sigma)
 
 
 def sample_machine(

@@ -68,7 +68,7 @@ import numpy as np
 
 from .datasets import DataFormatError
 from .features import FeatureMatrix, _unpack_rows
-from .quil import _as_int
+from .quil import _as_int, _as_real
 
 _ARMIJO_C = 1e-4
 _MAX_BACKTRACKS = 60
@@ -148,29 +148,25 @@ def _recombine(p, b: int, exp: int) -> np.ndarray:
     return np.ldexp(weights[:g] @ p[:g] + weights[g:] @ p[g:], exp)
 
 
-def _matvec(x, w) -> np.ndarray:
-    """``x @ w`` in float64; exact for the split w on a float32 0/1 x."""
-    if x.dtype == np.float64:
-        return x @ w
-    digits, b, exp = _digits(w, x.shape[1])
-    return _recombine([x @ d for d in digits], b, exp)
-
-
-def _rmatvec(x, c) -> np.ndarray:
-    """``x.T @ c`` in float64; exact for the split c on a float32 0/1 x."""
-    if x.dtype == np.float64:
-        return x.T @ c
-    digits, b, exp = _digits(c, x.shape[0])
-    return _recombine([d @ x for d in digits], b, exp)
+def _exact_product(a, v) -> np.ndarray:
+    """``a @ v`` in float64; exact for the split v on a float32 0/1 ``a``
+    (``x`` or ``x.T``), in any summation order."""
+    if a.dtype == np.float64:
+        return a @ v
+    digits, b, exp = _digits(v, a.shape[1])
+    return _recombine([a @ d for d in digits], b, exp)
 
 
 def _float32_product(a, v) -> np.ndarray:
-    """``a @ v`` by float32 BLAS on a float32 ``a``, returned as float64.
+    """``a @ v`` by float32 BLAS on a float32 ``a``, returned as float64;
+    on a float64 ``a``, a float64 product.
 
     v is scaled by an exact power of two to a largest entry in [0.5, 1)
     before the cast, and the product scaled back after it, so neither tiny
     nor huge entries of v leave float32's range.
     """
+    if a.dtype == np.float64:
+        return a @ v
     _, exp = np.frexp(np.abs(v).max(initial=0.0))
     scaled = np.ldexp(v, -exp).astype(np.float32)
     return np.ldexp((a @ scaled).astype(np.float64), exp)
@@ -201,12 +197,14 @@ def _check_width(x, weights) -> None:
 def check_fit_options(reg_lambda: float | None, tol: float, max_iter: int) -> None:
     """Raise ValueError unless :func:`train` accepts these options.
 
-    ``reg_lambda`` is None (for 1/M) or finite and >= 0, ``tol`` is finite
-    and > 0, and ``max_iter`` is an integer (not a float or bool) >= 1.
+    ``reg_lambda`` is None (for 1/M) or a real number (not a bool or a
+    string) that is finite and >= 0, ``tol`` one that is finite and > 0,
+    and ``max_iter`` an integer (not a float or bool) >= 1.
     """
-    if reg_lambda is not None and not 0 <= float(reg_lambda) < np.inf:
-        raise ValueError(f"reg_lambda must be finite and >= 0, got {reg_lambda}")
-    if not (0 < tol < np.inf and _as_int("max_iter", max_iter) >= 1):
+    if reg_lambda is not None:
+        _as_real("reg_lambda", reg_lambda)
+    _as_real("tol", tol, positive=True)
+    if _as_int("max_iter", max_iter) < 1:
         raise ValueError("tol must be finite and > 0, and max_iter >= 1")
 
 
@@ -247,7 +245,7 @@ class LinearClassifier:
     def decision_function(self, x) -> np.ndarray:
         x = _as_matrix(x)
         _check_width(x, self.weights)
-        return _matvec(x, self.weights) + self.intercept
+        return _exact_product(x, self.weights) + self.intercept
 
     def predict(self, x) -> np.ndarray:
         """Predicted {0, 1} labels; a score of exactly 0 goes to class 0."""
@@ -309,7 +307,7 @@ _MODEL_FIELDS = (
 
 
 def _margins(params, x, y_pm) -> np.ndarray:
-    return y_pm * (_matvec(x, params[:-1]) + params[-1])
+    return y_pm * (_exact_product(x, params[:-1]) + params[-1])
 
 
 def _loss_from_margins(margins, params, reg_lambda) -> float:
@@ -330,7 +328,7 @@ def _grad_and_curvature(margins, params, x, y_pm, reg_lambda):
     e = np.exp(-np.abs(margins))
     rows = margins.shape[0]
     coef = (-y_pm / rows) * (np.where(margins >= 0, e, 1.0) / (1.0 + e))
-    grad = np.append(_rmatvec(x, coef) + reg_lambda * params[:-1], coef.sum())
+    grad = np.append(_exact_product(x.T, coef) + reg_lambda * params[:-1], coef.sum())
     return grad, e / ((1.0 + e) ** 2 * rows)
 
 
@@ -340,13 +338,8 @@ def _hessian_vector(x, curv, reg_lambda, v):
     On a float32 x the products ``x @ v`` and ``x.T @ u`` run in float32;
     the rest, and every product on a float64 x, is float64.
     """
-    if x.dtype == np.float64:
-        u = curv * (x @ v[:-1] + v[-1])
-        xt_u = x.T @ u
-    else:
-        u = curv * (_float32_product(x, v[:-1]) + v[-1])
-        xt_u = _float32_product(x.T, u)
-    return np.append(xt_u + reg_lambda * v[:-1], u.sum())
+    u = curv * (_float32_product(x, v[:-1]) + v[-1])
+    return np.append(_float32_product(x.T, u) + reg_lambda * v[:-1], u.sum())
 
 
 def _newton_direction(x, curv, reg_lambda, g):

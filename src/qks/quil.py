@@ -13,6 +13,7 @@ literal (``1.5708``), or a pi multiple (``pi``, ``pi/2``, ``2*pi``, ``-pi/4``).
 from __future__ import annotations
 
 import math
+import numbers
 import re
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -37,6 +38,26 @@ def _as_int(
         rule += [f"at most {high}"] * (high is not None)
         raise ValueError(f"{name} must be {' and '.join(rule)}, got {value}")
     return value
+
+
+def _as_real(name: str, value, positive: bool = False) -> float:
+    """``value`` as a finite float >= 0, or > 0 if ``positive``.
+
+    A bool, a string, a complex number or any other value that is not a
+    real number raises ValueError, where float() would take True or "0.5",
+    and so does a value out of range or past float's range; both messages
+    start with ``name``.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:  # an int past float's range
+        x = math.inf
+    if not ((x > 0 if positive else x >= 0) and x < math.inf):  # NaN fails
+        rule = ">" if positive else ">="
+        raise ValueError(f"{name} must be finite and {rule} 0, got {value}")
+    return x
 
 
 class QuilParseError(ValueError):

@@ -31,9 +31,11 @@ factors, times the run's sign. RX kernels applied one by one from |0...0>
 form the same rounded products in the same order (the other part of each
 complex amplitude stays zero), so the probabilities equal theirs bit for
 bit. Chunks are sized for about 1 MiB of amplitudes (or, for the product
-search below, of its own tables). Their arrays are views into the calling
-thread's workspace, :class:`_Workspace`, whose buffers outlive the chunk
-and the call, so a warm thread samples without fresh pages from the
+search below, of its own tables). A chunk's half angles, products,
+outcome probabilities and search sums are views into the calling thread's
+workspace, :class:`_Workspace`, when the engine samples, redoes close calls,
+or returns probabilities or marginals. Its buffers outlive the chunk and
+the call, so a warm thread builds them without fresh pages from the
 allocator. The engine itself holds no mutable state, and
 :func:`cached_engine` shares one per (template, layers) across threads.
 
@@ -127,11 +129,12 @@ class _Workspace(threading.local):
 
     :meth:`array` views an uninitialised array of any shape and dtype in the
     buffer called ``name``, which grows to the largest request and is then
-    reused, so a warm thread samples without fresh pages from the
-    allocator. Two arrays in use at once need two names. Each thread gets
-    its own buffers on first use, and when it ends they pass to the next
-    thread that samples: ``featurize`` starts new worker threads on each
-    call, and the buffers outlive them.
+    reused, so a warm thread samples, and builds outcome probabilities,
+    without fresh pages from the allocator. Each such view is valid until
+    the thread's next request for its name; two arrays in use at once need
+    two names. Each thread gets its own buffers on first use, and when it
+    ends they pass to the next thread that samples: ``featurize`` starts
+    new worker threads on each call, and the buffers outlive them.
 
     ``np.take`` into a workspace array passes ``mode="clip"``: with an
     ``out`` and the default "raise", numpy gathers into a new array first.
@@ -159,12 +162,6 @@ class _Workspace(threading.local):
 
 
 _workspace = _Workspace()
-
-
-def _new_array(name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
-    """A new array; ``name`` is ignored. :meth:`_Workspace.array`'s
-    signature, for code that can run on either."""
-    return np.empty(shape, dtype)
 
 
 @dataclass(frozen=True)
@@ -196,7 +193,7 @@ class Shot:
 
     def to_array(self) -> np.ndarray:
         """Outcome as a uint8 vector, index j = qubit j."""
-        return ((self.bits >> np.arange(self.num_qubits)) & 1).astype(np.uint8)
+        return outcome_bits([self.bits], self.num_qubits)[0]
 
 
 def _check_width(num_qubits: int) -> int:
@@ -225,9 +222,10 @@ class StateVector:
     """Dense complex amplitudes over the computational basis.
 
     ``num_qubits`` is an integer in [1, MAX_QUBITS] and ``amplitudes`` a 1-D
-    array of exactly 2**num_qubits entries, one per basis index; anything
-    else raises ValueError here, so every outcome space a state hands to
-    the inverse-CDF rule has 2**n rows.
+    array of exactly 2**num_qubits numbers, one per basis index, kept as
+    complex128 so that every gate applies to them; anything else (strings
+    and objects among them) raises ValueError here, so every outcome space
+    a state hands to the inverse-CDF rule has 2**n rows.
     """
 
     amplitudes: np.ndarray
@@ -236,6 +234,9 @@ class StateVector:
     def __post_init__(self):
         n = _check_width(self.num_qubits)
         a = np.asarray(self.amplitudes)
+        if a.dtype.kind not in "biufc":
+            raise ValueError(f"amplitudes must be numbers, got dtype {a.dtype}")
+        a = a.astype(np.complex128, copy=False)
         object.__setattr__(self, "num_qubits", n)
         object.__setattr__(self, "amplitudes", a)
         if a.shape != (1 << n,):
@@ -406,10 +407,11 @@ def _heisenberg_z(gates: Sequence[GateOp], n: int):
     return r, x, z
 
 
-def _pauli_rows(gates: Sequence[GateOp], prefix: Sequence[_Op], n: int):
-    """Each qubit's <Z_j> after ``gates`` as a constant times trig factors.
+def _pauli_rows(tableau, prefix: Sequence[_Op]):
+    """Each qubit's <Z_j> as a constant times trig factors.
 
-    ``prefix`` has one RX op per qubit and ``gates`` only H, CNOT and CZ.
+    ``prefix`` has one RX op per qubit, and ``tableau`` is
+    :func:`_heisenberg_z` of the H, CNOT and CZ gates after it.
     A prefix RX(theta) puts its qubit's Bloch vector at (0, -sin theta,
     cos theta), so a Z factor contributes cos theta, a Y factor -sin theta
     and an X factor 0; a literal angle's factor goes into the constant, from
@@ -418,9 +420,9 @@ def _pauli_rows(gates: Sequence[GateOp], prefix: Sequence[_Op], n: int):
     prefix order, sin (is_y) or cos of theta column col. The minus sign of
     each Y factor is in the constant, and a zero constant has no factors.
     """
-    r, x, z = _heisenberg_z(gates, n)
+    r, x, z = tableau
     rows = []
-    for j in range(n):
+    for j in range(len(r)):
         constant, factors = -1.0 if r[j] else 1.0, []
         for op in prefix:
             q = op.qubits[0]
@@ -444,6 +446,15 @@ def _cos_sin(op: _Op, thetas: np.ndarray | None):
         return op.cos, op.sin
     half = 0.5 * thetas[:, op.col]
     return np.cos(half), np.sin(half)
+
+
+def _span(generators) -> np.ndarray:
+    """The XORs of every subset of ``generators``, integers by doubling:
+    entry i is the XOR of generators[k] over the bits k of i."""
+    span = np.zeros(1, dtype=np.intp)
+    for g in generators:
+        span = np.concatenate([span, span ^ g])
+    return span
 
 
 def _doubling(out: np.ndarray, factors) -> np.ndarray:
@@ -589,11 +600,16 @@ def _search_blocks(starts: np.ndarray, uniforms: np.ndarray, size: int, block_pr
 # Single-state API.
 
 
+def _run(state: StateVector, gates: Sequence[GateOp]) -> StateVector:
+    """``gates`` applied to a copy of ``state``, as a new StateVector."""
+    n = state.num_qubits
+    amps = _apply_ops(state.amplitudes[:, np.newaxis].copy(), n, _compile(gates, n))
+    return StateVector(amps[:, 0], n)
+
+
 def apply_gate(state: StateVector, gate: GateOp) -> StateVector:
     """Apply one gate, returning a new StateVector (the input is untouched)."""
-    amps = state.amplitudes[:, np.newaxis].copy()
-    amps = _apply_ops(amps, state.num_qubits, _compile([gate], state.num_qubits))
-    return StateVector(amps[:, 0], state.num_qubits)
+    return _run(state, [gate])
 
 
 def sample_shot(state: StateVector, rng: np.random.Generator) -> Shot:
@@ -615,9 +631,7 @@ def sample_shot(state: StateVector, rng: np.random.Generator) -> Shot:
 
 def run_circuit(gates: Sequence[GateOp], num_qubits: int) -> StateVector:
     """Run concrete gates from |0...0>, returning the final state."""
-    amps = StateVector.zero(num_qubits).amplitudes[:, np.newaxis]
-    amps = _apply_ops(amps, num_qubits, _compile(gates, num_qubits))
-    return StateVector(amps[:, 0], num_qubits)
+    return _run(StateVector.zero(num_qubits), gates)
 
 
 # ---------------------------------------------------------------------------
@@ -655,7 +669,8 @@ class EpisodeEngine:
         prefix += [_Op(GateKind.RX, (q,)) for q in sorted(idle)]
         self._pauli_rows = None
         if all(g.kind is not GateKind.RX for g in rest):
-            self._pauli_rows = _pauli_rows(rest, prefix, n)
+            tableau = _heisenberg_z(rest, n)
+            self._pauli_rows = _pauli_rows(tableau, prefix)
             # The theta columns whose cos and whose sin the rows read.
             used = sorted({f for _, factors in self._pauli_rows for f in factors})
             self._trig_cols = tuple(
@@ -670,15 +685,11 @@ class EpisodeEngine:
         )
         self._prefix_params = len(cols)
         # The product is built with prefix op k's qubit as bit k of a row
-        # index, so basis state z's amplitude is in row[z], the OR of the
-        # row bits of z's qubits, built by doubling over the qubits. A
-        # permutation right after the prefix joins the same gather:
-        # row[source].
-        index = np.arange(self.dim)
+        # index, so basis state z's amplitude is in row[z], the OR (here
+        # the XOR) of the row bits of z's qubits. A permutation right after
+        # the prefix joins the same gather: row[source].
         row_bit = {op.qubits[0]: 1 << k for k, op in enumerate(prefix)}
-        row = np.zeros(1, dtype=index.dtype)
-        for q in range(n):
-            row = np.concatenate([row, row | row_bit[q]])
+        row = _span([row_bit[q] for q in range(n)])
         sign = None
         if rest_ops and rest_ops[0].kind is None:
             first = rest_ops.pop(0)
@@ -686,7 +697,7 @@ class EpisodeEngine:
                 row = row[first.source]
             sign = first.sign
         self._rest = tuple(rest_ops)
-        self._gather = None if np.array_equal(row, index) else row
+        self._gather = None if np.array_equal(row, np.arange(self.dim)) else row
         # Permutations only move and negate amplitudes, so without a gate
         # kernel after them the real factors give the same |amplitude|.
         # Otherwise each amplitude takes the phase of its sin factors,
@@ -704,9 +715,9 @@ class EpisodeEngine:
         elif self._complex:
             self._path, self._producer = "blocked", self._vector_search
         else:
-            del index  # 2**n entries the build does not need
+            # Only CNOT and CZ follow the prefix, so the tableau is built.
             self._path, self._producer = "product", self._product_search
-            words = self._build_product_search(row, rest)
+            words = self._build_product_search(row, tableau[2])
         self._sample_chunk = max(1, min(1 << 16, CHUNK_BYTES // (8 * words)))
 
     @property
@@ -714,15 +725,16 @@ class EpisodeEngine:
         """The sampling path, "screen32", "product" or "blocked"."""
         return self._path
 
-    def _build_product_search(self, row: np.ndarray, rest: Sequence[GateOp]) -> int:
+    def _build_product_search(self, row: np.ndarray, z_strings: np.ndarray) -> int:
         """Build :meth:`_product_search`'s tables; return its words per episode.
 
         ``row`` maps basis index z to row index r = row[z], which is linear
-        over GF(2): the prefix's qubit order composed with ``rest``, the
-        CNOT and CZ gates after the prefix. Basis indices fall into blocks
-        of 2**L, L = n // 2, and a row index splits into its low L bits and
-        its high H = n - L bits, which index the low and the high half
-        tables of the search.
+        over GF(2): the prefix's qubit order composed with the CNOT and CZ
+        gates after the prefix, whose Z strings C^dagger Z_j C are the rows
+        of ``z_strings`` (:func:`_heisenberg_z`). Basis indices fall into
+        blocks of 2**L, L = n // 2, and a row index splits into its low L
+        bits and its high H = n - L bits, which index the low and the high
+        half tables of the search.
         """
         n = self.num_qubits
         low = n // 2
@@ -741,27 +753,20 @@ class EpisodeEngine:
         # the XOR of masks[j] over the bits j of c. Each half r of chars[c]
         # is kept as 2 r + 1, the row of its factor in the search's half
         # table, viewed as (2 * 2**m, b).
-        _, _, z_strings = _heisenberg_z(rest, n)
         qubits = [op.qubits[0] for op in self._prefix]
         masks = z_strings[low:, qubits].astype(row.dtype) @ (1 << np.arange(n))
-        chars = np.zeros(1, dtype=row.dtype)
-        for mask in masks:
-            chars = np.concatenate([chars, chars ^ mask])
-        self._chars = 2 * split(chars) + 1
+        self._chars = 2 * split(_span(masks)) + 1
         # starts[h, c] = 2**-H * sum over h' < h of (-1)**(c . h'), so
         # starts @ character expectations gives each block's start, exactly
-        # 0 for block 0. It doubles over a new top bit: for h = (t, h0) and
-        # c = (c_t, c0), the h' < h with top bit 0 give starts[h0, c0] if
-        # t = 0, and if t = 1 they are the whole first half, whose signs sum
-        # to 2**k when c0 = 0 and to 0 otherwise; the h' with top bit 1
-        # then add (-1)**c_t * starts[h0, c0].
+        # 0 for block 0: the Sylvester-Hadamard signs (-1)**(c . h'), by
+        # doubling, summed down each column before row h. Every entry is an
+        # exact multiple of 2**-H.
+        signs = np.ones((1, 1))
+        for _ in range(n - low):
+            signs = np.block([[signs, signs], [signs, -signs]])
         self._starts = np.zeros((blocks, blocks))
-        for k in range(n - low):
-            half, first = 1 << k, self._starts[: 1 << k, : 1 << k]
-            self._starts[:half, half : 2 * half] = first
-            self._starts[half : 2 * half, :half] = first
-            self._starts[half : 2 * half, half : 2 * half] = -first
-            self._starts[half : 2 * half, [0, half]] += half * 2.0 ** (low - n)
+        np.cumsum(signs[:-1], axis=0, out=self._starts[1:])
+        self._starts *= 2.0 ** (low - n)
         literal = [op.col is None for op in self._prefix]
         self._param_rows = np.flatnonzero(np.logical_not(literal))
         self._literal_rows = np.flatnonzero(literal)
@@ -775,45 +780,36 @@ class EpisodeEngine:
         # factors and indices. p9 gets 471 episodes a chunk, p16 49.
         return 6 * n + 2 * (size + blocks) + 2 * blocks + 4 * size
 
-    def _half_angles(self, thetas: np.ndarray, new=_workspace.array) -> np.ndarray:
+    def _half_angles(self, thetas: np.ndarray) -> np.ndarray:
         """The prefix's half angles, (prefix parameters, b), in float64, in
-        an array from ``new``: by default the thread's workspace."""
-        half = new("half", (self._prefix_params, thetas.shape[0]))
+        the thread's workspace."""
+        half = _workspace.array("half", (self._prefix_params, thetas.shape[0]))
         return np.multiply(thetas.T[self._prefix_cols], 0.5, out=half)
 
     def _outcome_probabilities(
-        self, thetas: np.ndarray, half: np.ndarray | None = None, reuse: bool = False
+        self, thetas: np.ndarray, half: np.ndarray | None = None
     ) -> np.ndarray:
         """Outcome probabilities, (2**n, b), of one chunk of (b, p) thetas.
 
         ``half`` holds the prefix half angles, by default the float64 ones
         of ``thetas``; they are overwritten. The products take their dtype,
         so float32 half angles give float32 products, and a complex tail
-        promotes them to complex128. With ``reuse`` the result and the
-        arrays on the way are in the thread's workspace, valid until the
-        next such call; otherwise all are new, which costs less for a
-        batch of a few episodes.
+        promotes them to complex128. The result and the arrays on the way
+        are in the thread's workspace: the result stays valid until the
+        thread's next such call.
         """
-        new = _workspace.array if reuse else _new_array
+        array = _workspace.array
         if half is None:
-            half = self._half_angles(thetas, new)
+            half = self._half_angles(thetas)
         dtype = np.float64 if self._complex else half.dtype
         shape = (self.dim, thetas.shape[0])
-        out = new("probs", shape, dtype)
-        cos = np.cos(half, out=new("cos", half.shape, half.dtype))
+        out = array("probs", shape, dtype)
+        cos = np.cos(half, out=array("cos", half.shape, half.dtype))
         trig = zip(cos, np.sin(half, out=half))
-        # Doubling: rows [0, 2**k) hold the products of the first k factors,
-        # and op k extends them by its sin into [2**k, 2**(k+1)), then by
-        # its cos in place, so every product is formed in op order. This is
-        # :func:`_doubling` inline, as the call cost one p9 episode 3%.
         direct = not self._complex and self._gather is None
-        amps = out if direct else new("amps", shape, half.dtype)
-        amps[0] = 1.0
-        for k, op in enumerate(self._prefix):
-            c, s = next(trig) if op.col is not None else (op.cos, op.sin)
-            size = 1 << k
-            np.multiply(amps[:size], s, out=amps[size : 2 * size])
-            amps[:size] *= c
+        amps = out if direct else array("amps", shape, half.dtype)
+        _doubling(amps, (next(trig) if op.col is not None else (op.cos, op.sin)
+                         for op in self._prefix))
         if not self._complex:
             amps *= amps  # squares drop the permutation's signs
             if not direct:
@@ -821,12 +817,12 @@ class EpisodeEngine:
             return out
         if self._gather is not None:
             amps = np.take(amps, self._gather, axis=0, mode="clip",
-                           out=new("gathered", shape, half.dtype))
-        states = new("states", shape, np.complex128)
+                           out=array("gathered", shape, half.dtype))
+        states = array("states", shape, np.complex128)
         s = _apply_ops(np.multiply(amps, self._phase, out=states),
                        self.num_qubits, self._rest, thetas)
         np.multiply(s.real, s.real, out=out)
-        out += np.multiply(s.imag, s.imag, out=new("amps", shape))
+        out += np.multiply(s.imag, s.imag, out=array("amps", shape))
         return out
 
     def _chunks(self, count: int, size: int | None = None):
@@ -924,12 +920,12 @@ class EpisodeEngine:
         half32 = _workspace.array("half32", half.shape, np.float32)
         with np.errstate(over="ignore", invalid="ignore"):
             half32[...] = half
-            probs = self._outcome_probabilities(thetas, half32, reuse=True)
+            probs = self._outcome_probabilities(thetas, half32)
             return (*_running_sums(probs, uniforms), self._screen_tolerance(half))
 
     def _vector_search(self, thetas: np.ndarray, uniforms: np.ndarray):
         """Path "blocked": :func:`_blocked_search` on float64 products."""
-        probs = self._outcome_probabilities(thetas, reuse=True)
+        probs = self._outcome_probabilities(thetas)
         tol = 4 * self.dim * np.finfo(np.float64).eps
         return (*_blocked_search(probs, uniforms), tol)
 

@@ -28,9 +28,8 @@ from qks.features import FeatureMatrix, _pack_rows
 from qks.logistic import (
     _as_matrix,
     _grad_and_curvature,
+    _exact_product,
     _hessian_vector,
-    _matvec,
-    _rmatvec,
 )
 
 
@@ -411,7 +410,7 @@ def test_split_products_equal_fsum_of_the_truncated_vector(name):
     ones = x.astype(bool)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        xw, xtc = _matvec(xm, w), _rmatvec(xm, c)
+        xw, xtc = _exact_product(xm, w), _exact_product(xm.T, c)
     assert xw.tolist() == [math.fsum(wt[row]) for row in ones]
     assert xtc.tolist() == [math.fsum(ct[col]) for col in ones.T]
 

@@ -19,7 +19,8 @@ from qks import (
     parse_template,
     to_quil,
 )
-from qks.quil import _as_int
+from qks.logistic import check_fit_options, train
+from qks.quil import _as_int, _as_real
 from qks.simulator import cached_engine
 
 CNOT2_SRC = """\
@@ -209,6 +210,35 @@ def test_as_int_checks_the_range():
         with pytest.raises(ValueError) as exc_info:
             _as_int("n", value, low, high)
         assert str(exc_info.value) == message
+
+
+@pytest.mark.parametrize(
+    "value",
+    [True, np.True_, "0.5", "1e-8", 1j, None, [0.5], np.array(0.5), -0.5,
+     math.nan, math.inf, pytest.param(10**400, id="int-past-float-range")],
+)
+def test_real_options_must_be_finite_real_numbers(value):
+    # Unchecked, train took tol=True as 1 and reg_lambda="0.5", raised a
+    # bare TypeError on tol="1e-8" and an OverflowError on
+    # reg_lambda=10**400, and stopped at once on tol=10**400.
+    x = np.random.default_rng(0).normal(size=(8, 2))
+    y = np.arange(8) % 2
+    with pytest.raises(ValueError, match="^n must be"):
+        _as_real("n", value)
+    for name in (["tol"] if value is None else ["tol", "reg_lambda"]):
+        options = {"reg_lambda": None, "tol": 1e-8, "max_iter": 5, name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            check_fit_options(**options)
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            train(x, y, **options)
+
+
+def test_as_real_keeps_finite_real_numbers():
+    for value in (0, 2, np.int64(2), np.float32(0.5), 1e-300):
+        assert _as_real("n", value) == float(value)
+        assert type(_as_real("n", value)) is float
+    with pytest.raises(ValueError, match="n must be finite and > 0, got 0.0"):
+        _as_real("n", 0.0, positive=True)
 
 
 def test_error_carries_position():

@@ -75,6 +75,22 @@ def test_state_vector_keeps_a_valid_width():
     assert sample_shot(state, np.random.default_rng(0)) == Shot(1, 1)
 
 
+def test_state_vector_holds_amplitudes_every_gate_applies_to():
+    # Real and integer amplitudes used to fail inside the RX and H kernels
+    # with numpy's UFuncTypeError, and strings only inside sample_shot.
+    gates = [GateOp(GateKind.RX, (0,), 0.5), GateOp(GateKind.H, (0,))]
+    expected = run_circuit(gates, 1).amplitudes
+    for amplitudes in (np.array([1.0, 0.0]), np.array([1, 0]), [True, False]):
+        state = StateVector(amplitudes, 1)
+        assert state.amplitudes.dtype == np.complex128
+        for gate in gates:
+            state = apply_gate(state, gate)
+        assert np.array_equal(state.amplitudes, expected)
+    for bad in (np.array(["1", "0"]), np.array([1.0, None], dtype=object)):
+        with pytest.raises(ValueError, match="amplitudes must be numbers"):
+            StateVector(bad, 1)
+
+
 def test_rx_analytic():
     t = parse_template("DEFCIRCUIT R(%a):\n    RX(%a) 0\n")
     for theta in np.linspace(-2 * np.pi, 2 * np.pi, 17):
@@ -556,7 +572,7 @@ def test_float32_screen_error_is_far_inside_its_tolerance(name, layers):
     thetas = sigmas * rng.normal(size=(sigmas.size, engine.num_params))
     half = engine._half_angles(thetas)
     tol = engine._screen_tolerance(half)
-    screened = engine._outcome_probabilities(thetas, half.astype(np.float32))
+    screened = engine._outcome_probabilities(thetas, half.astype(np.float32)).copy()
     # Real products stay float32; a complex tail squares in float64.
     assert screened.dtype == (np.float64 if engine._complex else np.float32)
     exact = engine._outcome_probabilities(thetas)
@@ -873,6 +889,65 @@ def test_warm_sample_reuses_its_workspace():
     finally:
         tracemalloc.stop()
     assert peak <= 286 * 1024
+
+
+@pytest.mark.parametrize("name, layers, count, method, bound", [
+    ("p9", 1, 64, "probabilities", 400 * 1024),
+    ("p4", 2, 4096, "marginals", 1600 * 1024),
+])
+def test_warm_probabilities_and_marginals_reuse_the_workspace(
+        name, layers, count, method, bound):
+    # A second call on one thread takes its chunk arrays from the workspace.
+    # Allocated afresh, they peak at 844 KiB (p9) and 3,972 KiB (p4 at two
+    # layers, whose marginals sum outcome probabilities).
+    engine = EpisodeEngine(get_ansatz(name), layers)
+    thetas, _ = _episodes(engine, count, 5)
+    call = getattr(engine, method)
+    call(thetas)
+    tracemalloc.start()
+    try:
+        call(thetas)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound
+
+
+def test_probabilities_and_marginals_are_the_same_from_a_poisoned_workspace():
+    # p9 at two layers is complex and has no Pauli rows, so both read
+    # every chunk's outcome probabilities from the workspace.
+    engine = EpisodeEngine(get_ansatz("p9"), 2)
+    assert engine.pauli_rows is None
+    for thetas, _ in (_episodes(engine, 2 * engine.chunk_size + 3, 7),
+                      _episodes(engine, 3, 8)):
+        for method in (engine.probabilities, engine.marginals):
+            expected = method(thetas)
+            _poison_workspace()
+            assert np.array_equal(method(thetas), expected)
+
+
+@pytest.mark.parametrize("key", CHUNKED)
+def test_many_redone_episodes_are_the_same_from_a_poisoned_workspace(
+        key, monkeypatch):
+    # u on a cumulative sum is a close call, so the guard redoes more than
+    # chunk_size episodes, from arrays in the workspace.
+    source, layers = CHUNKED[key]
+    engine = EpisodeEngine(_template(source), layers)
+    count = 2 * engine.chunk_size + 3
+    thetas, _ = _episodes(engine, count, 9)
+    rng = np.random.default_rng(10)
+    sums = np.cumsum(engine.probabilities(thetas), axis=1)
+    uniforms = sums[np.arange(count), rng.integers(engine.dim - 1, size=count)]
+    uniforms[uniforms >= 1.0] = 0.5
+    expected = _rule_indices(engine, thetas, uniforms).tolist()
+    redone = _spy_on_the_rule(monkeypatch)
+    assert engine.sample(thetas, uniforms).tolist() == expected
+    clean = sum(redone)
+    assert clean > engine.chunk_size
+    _poison_workspace()
+    redone.clear()
+    assert engine.sample(thetas, uniforms).tolist() == expected
+    assert sum(redone) == clean
 
 
 def test_workspace_buffers_belong_to_one_thread():
