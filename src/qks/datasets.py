@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .encoding import EncodingStructure, _substream
-from .quil import _as_int
+from .quil import _as_int, _as_labels, _as_reals
 
 _TAG_TRAIN = 0
 _TAG_TEST = 1
@@ -40,19 +40,22 @@ class DataFormatError(ValueError):
 
 @dataclass(frozen=True)
 class LabeledDataset:
-    """Inputs (M, p) float64 with {0, 1} labels."""
+    """Inputs (M, p) float64 with {0, 1} labels, stored as int64.
+
+    ``inputs`` must be 2-D finite real numbers and ``labels`` one 0 or 1
+    per row; anything else raises ValueError, where a cast would parse
+    strings or truncate a label of 0.7 to 0.
+    """
 
     inputs: np.ndarray
     labels: np.ndarray
     name: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "inputs", np.asarray(self.inputs, dtype=np.float64))
-        object.__setattr__(self, "labels", np.asarray(self.labels, dtype=np.int64))
-        if self.inputs.ndim != 2:
-            raise ValueError("inputs must be 2-D")
-        if self.labels.shape != (self.inputs.shape[0],):
-            raise ValueError("one label per input row required")
+        inputs = _as_reals("inputs", self.inputs, (None, None))
+        labels = _as_labels(self.labels, len(inputs)).astype(np.int64)
+        object.__setattr__(self, "inputs", inputs)
+        object.__setattr__(self, "labels", labels)
 
     @property
     def size(self) -> int:
@@ -221,9 +224,12 @@ class Standardization:
     std: np.ndarray
 
     def apply(self, inputs: np.ndarray) -> np.ndarray:
+        """Rescaled ``inputs``: rows of finite real numbers, one per
+        coordinate of ``mean``."""
+        inputs = _as_reals("inputs", inputs, (None, len(self.mean)))
         safe = np.where(self.std > 0, self.std, 1.0)
         inv = np.where(self.std > 0, 1.0 / safe, 0.0)
-        return (np.asarray(inputs, dtype=np.float64) - self.mean) * inv
+        return (inputs - self.mean) * inv
 
 
 def standardize(

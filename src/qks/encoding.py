@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .quil import CircuitTemplate, _as_int, _as_real
+from .quil import CircuitTemplate, _as_int, _as_real, _as_reals
 
 TAG_OMEGA = 1
 TAG_BETA = 2
@@ -231,35 +231,29 @@ class QksMachine:
         return EpisodeEncoding(omega, self.beta[episode].copy())
 
     def encode(self, u: np.ndarray, episode: int) -> np.ndarray:
-        """theta = Omega_e u + beta_e for one input vector."""
+        """theta = Omega_e u + beta_e for one input vector ``u`` of p finite
+        real numbers."""
         episode = self._check_episode(episode)
-        u = np.asarray(u, dtype=np.float64)
-        if u.shape != (self.structure.p,):
-            raise ValueError(
-                f"expected input of shape ({self.structure.p},), got {u.shape}"
-            )
-        return self.encode_batch(u[np.newaxis, :], slice(episode, episode + 1))[0, 0]
+        u = _as_reals("u", u, (self.structure.p,))
+        sl, theta = slice(episode, episode + 1), np.empty((1, 1, self.num_params))
+        return self._encode_into(u[np.newaxis], sl, theta)[0, 0]
 
     def encode_batch(
         self, inputs: np.ndarray, episode_slice: slice | None = None
     ) -> np.ndarray:
         """Parameter tensor of shape (M, E_slice, layers*q).
 
-        Computed tile by tile: for parameter k, theta[:, :, k] =
-        inputs[:, rows[k]] @ omega[:, layer, k-support].T + beta. Each
-        matmul's shape depends only on (M, row size, episode count), never
-        on any worker split, which keeps results bit-reproducible. A row
-        that reads one coordinate c is the broadcast product
+        ``inputs`` holds M rows of p finite real numbers. Computed tile by
+        tile: for parameter k, theta[:, :, k] = inputs[:, rows[k]] @
+        omega[:, layer, k-support].T + beta. Each matmul's shape depends
+        only on (M, row size, episode count), never on any worker split,
+        which keeps results bit-reproducible. A row that reads one
+        coordinate c is the broadcast product
         ``inputs[:, c, None] * w[:, 0]`` instead: one correctly rounded
-        multiply, which is the matmul's value up to the sign of a zero,
-        and adding beta (>= +0) makes them equal bit for bit.
+        multiply, which is the matmul's value up to the sign of a zero, and
+        adding beta (>= +0) makes them equal bit for bit.
         """
-        inputs = np.asarray(inputs, dtype=np.float64)
-        if inputs.ndim != 2 or inputs.shape[1] != self.structure.p:
-            raise ValueError(
-                f"expected inputs of shape (M, {self.structure.p}), "
-                f"got {inputs.shape}"
-            )
+        inputs = _as_reals("inputs", inputs, (None, self.structure.p))
         sl = episode_slice if episode_slice is not None else slice(0, self.episodes)
         theta = np.empty((inputs.shape[0], len(self.beta[sl]), self.num_params))
         return self._encode_into(inputs, sl, theta)

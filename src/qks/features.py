@@ -32,7 +32,7 @@ import numpy as np
 
 from .datasets import DataFormatError
 from .encoding import QksMachine, _shot_keys
-from .quil import _as_int
+from .quil import _as_int, _as_reals
 from .simulator import _workspace, cached_engine, outcome_bits
 
 MAGIC = b"QKSF"
@@ -139,18 +139,14 @@ def featurize(
     for example i, episode e consumes the e-th variate of a stream keyed by
     (seed, i), so worker count, row order within a call, and the machine's
     total episode count never change a bit that both runs produce.
-    ``workers``, the number of threads, is an integer >= 1 (not a bool).
+    ``inputs`` holds rows of p finite real numbers, and ``workers``, the
+    number of threads, is an integer >= 1 (not a bool).
 
     Raises :class:`DataFormatError` naming the first input row whose encoding
     is not finite, as when ``sigma * x`` overflows for a large finite x.
     """
-    x = np.ascontiguousarray(np.asarray(inputs, dtype=np.float64))
-    if x.ndim != 2 or x.shape[1] != machine.structure.p:
-        raise ValueError(
-            f"expected inputs of shape (M, {machine.structure.p}), got {x.shape}"
-        )
-    if x.size and not np.isfinite(x).all():
-        raise ValueError("inputs must be finite")
+    x = _as_reals("inputs", inputs, (None, machine.structure.p))
+    x = np.ascontiguousarray(x)
     workers = _as_int("workers", workers, low=1)
 
     m = x.shape[0]

@@ -64,7 +64,7 @@ import numpy as np
 
 from .ansatze import get_ansatz
 from .encoding import EncodingStructure, QksMachine, _check_spec
-from .quil import CircuitTemplate
+from .quil import CircuitTemplate, _as_reals
 from .simulator import EpisodeEngine, bit_matrix, cached_engine
 
 # Episodes per block of mc_kernel's marginals.
@@ -79,45 +79,20 @@ def _allowed_cpus() -> int:
 
 
 def expected_inner(u_probs: np.ndarray, v_probs: np.ndarray) -> float:
-    """Exact E[b_u . b_v] for one episode: (u_probs B) . (v_probs B)."""
-    u_probs = np.asarray(u_probs, dtype=np.float64)
-    v_probs = np.asarray(v_probs, dtype=np.float64)
-    if u_probs.shape != v_probs.shape or u_probs.ndim != 1:
-        raise ValueError("probability vectors must be 1-D with equal length")
+    """Exact E[b_u . b_v] for one episode: (u_probs B) . (v_probs B).
+
+    ``u_probs`` and ``v_probs`` are 1-D finite real numbers of one
+    power-of-two length >= 2.
+    """
+    u_probs = _as_reals("u_probs", u_probs, (None,))
+    v_probs = _as_reals("v_probs", v_probs, u_probs.shape)
     dim = u_probs.shape[0]
     if dim < 2 or dim & (dim - 1):
         raise ValueError(
             f"probability vectors must have power-of-two length >= 2, got {dim}"
         )
-    if not (np.isfinite(u_probs).all() and np.isfinite(v_probs).all()):
-        raise ValueError("probability vectors must be finite")
     b = bit_matrix(dim.bit_length() - 1)
     return float((u_probs @ b) @ (v_probs @ b))
-
-
-def _check_pair(u, v, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """``u`` and ``v`` as finite float vectors of ``p`` coordinates each.
-
-    Only bool, integer and float arrays are taken: strings, complex numbers
-    and objects raise ValueError naming ``u`` or ``v``.
-    """
-    pair = []
-    for name, x in zip("uv", (u, v)):
-        x = np.asarray(x)
-        if x.dtype.kind not in "biuf":
-            raise ValueError(
-                f"{name}: inputs must be real numbers, got dtype {x.dtype}"
-            )
-        if x.size != p:
-            raise ValueError(
-                f"{name}: the encoding takes inputs of dimension p = {p}, "
-                f"got {x.size}"
-            )
-        pair.append(np.asarray(x, dtype=np.float64).reshape(p))
-    u, v = pair
-    if not (np.isfinite(u).all() and np.isfinite(v).all()):
-        raise ValueError("u and v must be finite")
-    return u, v
 
 
 @dataclass(frozen=True)
@@ -155,11 +130,12 @@ def mc_kernel(machine: QksMachine, u: np.ndarray, v: np.ndarray) -> KernelEstima
     the encode runs and is checked as for any engine, so the same inputs
     raise.
 
-    Raises ValueError naming ``u`` or ``v`` when it does not hold
-    ``structure.p`` coordinates, or when its encoding is not finite, as when
-    ``sigma * x`` overflows for a large finite x.
+    Raises ValueError naming ``u`` or ``v`` unless it holds
+    ``structure.p`` finite real numbers, or when its encoding is not
+    finite, as when ``sigma * x`` overflows for a large finite x.
     """
-    u, v = _check_pair(u, v, machine.structure.p)
+    p = machine.structure.p
+    u, v = _as_reals("u", u, (p,)), _as_reals("v", v, (p,))
     n_eps = machine.episodes
     engine = cached_engine(machine.template, machine.layers)
     rows = engine.pauli_rows
@@ -236,13 +212,13 @@ def closed_form_kernel(
     This is the limit of :func:`mc_kernel` as the episodes grow, for a
     one-layer machine (see the module docstring). Raises ValueError when
     the structure's q is not the template's parameter count, when ``u`` or
-    ``v`` does not hold ``structure.p`` finite coordinates, when ``sigma``
+    ``v`` does not hold ``structure.p`` finite real numbers, when ``sigma``
     is not a real number (a bool or a string) or not finite and >= 0, and
     naming the template when it has no Pauli strings (an RX after the
     entanglers) or a qubit's string reads one parameter twice.
     """
     sigma = _check_spec(template, structure, sigma)
-    u, v = _check_pair(u, v, structure.p)
+    u, v = _as_reals("u", u, (structure.p,)), _as_reals("v", v, (structure.p,))
     rows = cached_engine(template).pauli_rows
     if rows is None:
         raise ValueError(
@@ -277,7 +253,8 @@ def closed_form_cnot2(u: np.ndarray, v: np.ndarray, sigma: float) -> float:
     Coordinate 0 feeds the control qubit's rotation and coordinate 1 the
     target's. A tiled cnot2 kernel is ``closed_form_kernel(get_ansatz(
     "cnot2"), EncodingStructure.from_tiles([tile, rest], p), u, v, sigma)``.
-    Raises ValueError as :func:`closed_form_kernel` does.
+    ``u`` and ``v`` hold two finite real numbers each. Raises ValueError as
+    :func:`closed_form_kernel` does.
     """
     return closed_form_kernel(
         get_ansatz("cnot2"), EncodingStructure.split(2), u, v, sigma

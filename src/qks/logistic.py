@@ -68,7 +68,7 @@ import numpy as np
 
 from .datasets import DataFormatError
 from .features import FeatureMatrix, _unpack_rows
-from .quil import _as_int, _as_real
+from .quil import _as_int, _as_labels, _as_real, _as_reals
 
 _ARMIJO_C = 1e-4
 _MAX_BACKTRACKS = 60
@@ -89,9 +89,9 @@ def _as_matrix(x) -> np.ndarray:
     """The design matrix: 2-D and finite, float32 if every entry is 0 or 1.
 
     A FeatureMatrix holds 0/1 bits by construction, so only an array is
-    scanned for non-finite values and for entries other than 0 and 1; any
-    other array is float64. A FeatureMatrix is unpacked a block of rows at
-    a time.
+    checked, as real numbers by :func:`qks.quil._as_reals`, and scanned for
+    entries other than 0 and 1; any other array is float64. A FeatureMatrix
+    is unpacked a block of rows at a time.
     """
     if isinstance(x, FeatureMatrix):
         shape = (x.rows, x.num_columns)
@@ -100,11 +100,7 @@ def _as_matrix(x) -> np.ndarray:
             rows = slice(start, start + _UNPACK_ROWS)
             dense[rows] = _unpack_rows(x.packed[rows], x.num_columns)
         return dense
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError("design matrix must be 2-D")
-    if not np.isfinite(x).all():
-        raise ValueError("design matrix must be finite")
+    x = _as_reals("x", x, (None, None))
     if ((x == 0) | (x == 1)).all():
         return x.astype(_bits_dtype(x.shape))
     return x
@@ -172,19 +168,6 @@ def _float32_product(a, v) -> np.ndarray:
     return np.ldexp((a @ scaled).astype(np.float64), exp)
 
 
-def _as_labels(y, rows: int) -> np.ndarray:
-    """One 0/1 label per row, as float64."""
-    y = np.asarray(y)
-    if y.shape != (rows,):
-        raise ValueError(
-            "label count must match the number of rows: "
-            f"expected {rows} labels, got shape {y.shape}"
-        )
-    if not np.isin(y, (0, 1)).all():
-        raise ValueError("labels must be 0 or 1")
-    return y.astype(np.float64)
-
-
 def _check_width(x, weights) -> None:
     """Raise ValueError unless weights is 1-D with one weight per column of x."""
     if np.shape(weights) != (x.shape[1],):
@@ -204,8 +187,7 @@ def check_fit_options(reg_lambda: float | None, tol: float, max_iter: int) -> No
     if reg_lambda is not None:
         _as_real("reg_lambda", reg_lambda)
     _as_real("tol", tol, positive=True)
-    if _as_int("max_iter", max_iter) < 1:
-        raise ValueError("tol must be finite and > 0, and max_iter >= 1")
+    _as_int("max_iter", max_iter, low=1)
 
 
 @dataclass(frozen=True)
@@ -243,12 +225,17 @@ class LinearClassifier:
     fit: FitRecord | None = None
 
     def decision_function(self, x) -> np.ndarray:
+        """Scores w . x + b; ``x`` is a FeatureMatrix or 2-D real numbers."""
         x = _as_matrix(x)
         _check_width(x, self.weights)
         return _exact_product(x, self.weights) + self.intercept
 
     def predict(self, x) -> np.ndarray:
-        """Predicted {0, 1} labels; a score of exactly 0 goes to class 0."""
+        """Predicted {0, 1} labels; a score of exactly 0 goes to class 0.
+
+        ``x`` is a FeatureMatrix or 2-D real numbers, as for
+        :meth:`decision_function`.
+        """
         return (self.decision_function(x) > 0).astype(np.int64)
 
     def save(self, path: str | Path) -> None:
@@ -382,10 +369,11 @@ def loss_and_gradient(
     """Regularized mean logistic loss and its gradient.
 
     Returns (loss, grad_weights, grad_intercept); the intercept is not
-    regularized. ``y01`` holds one 0/1 label per row of ``x``.
+    regularized. ``x`` is a FeatureMatrix or 2-D real numbers, ``weights``
+    one real number per column, and ``y01`` one 0/1 label per row.
     """
     x = _as_matrix(x)
-    weights = np.asarray(weights, dtype=np.float64)
+    weights = _as_reals("weights", weights, (None,))
     _check_width(x, weights)
     params = np.append(weights, intercept)
     y_pm = 2.0 * _as_labels(y01, x.shape[0]) - 1.0
@@ -404,13 +392,14 @@ def train(
 ) -> LinearClassifier:
     """Fit a classifier by truncated Newton-CG; lambda defaults to 1/M.
 
-    Accepts a dense array or a FeatureMatrix. Either is converted once up
-    front, to float32 when every entry is 0 or 1 and to float64 otherwise,
-    so packed and dense training on the same bits see the identical design
-    matrix. On float32 bits the Hessian-vector products of the CG solves run
-    in float32, and the margins, loss and gradient, and so the stopping
-    test, come from exact split products that no BLAS setting can move (see
-    the module docstring). Stops when the gradient's infinity norm drops to
+    Accepts a FeatureMatrix or a 2-D array of real numbers, and one 0/1
+    label per row. Either matrix is converted once up front, to float32
+    when every entry is 0 or 1 and to float64 otherwise, so packed and
+    dense training on the same bits see the identical design matrix. On
+    float32 bits the Hessian-vector products of the CG solves run in
+    float32, and the margins, loss and gradient, and so the stopping test,
+    come from exact split products that no BLAS setting can move (see the
+    module docstring). Stops when the gradient's infinity norm drops to
     ``tol``, after ``max_iter`` Newton steps, or when a step no longer moves
     the loss or the weights. The returned model's ``fit`` says which, and
     its ``loss_history`` holds the loss at the start and after each
@@ -493,6 +482,9 @@ def train(
 
 
 def evaluate(model: LinearClassifier, x, y) -> float:
-    """Misclassification rate of the model on (x, y); y holds 0/1 labels."""
+    """Misclassification rate of the model on (x, y); y holds 0/1 labels.
+
+    ``x`` is a FeatureMatrix or 2-D real numbers, as for :func:`train`.
+    """
     pred = model.predict(x)
     return float((pred != _as_labels(y, pred.size)).mean())

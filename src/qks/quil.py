@@ -60,6 +60,56 @@ def _as_real(name: str, value, positive: bool = False) -> float:
     return x
 
 
+def _as_reals(name: str, value, shape: tuple, unit: bool = False) -> np.ndarray:
+    """``value`` as a float64 array of ``shape``, finite, or in [0, 1) if ``unit``.
+
+    Each entry of ``shape`` is a length, or None for any length. Only bool,
+    integer and float arrays are taken: strings, complex numbers and objects
+    raise ValueError, where a float64 cast would parse "0.5" or drop an
+    imaginary part, and so do a wrong shape and an entry out of range (NaN
+    and inf among them); every message starts with ``name``. A float64
+    array comes back as it is, not copied.
+    """
+    a = np.asarray(value)
+    kind = a.dtype.kind
+    if kind not in "biuf":
+        raise ValueError(f"{name} must be real numbers, got dtype {a.dtype}")
+    fits = a.shape == shape or (a.ndim == len(shape) and all(
+        s is None or s == t for s, t in zip(shape, a.shape)
+    ))
+    if not fits:
+        spec = ", ".join("any" if s is None else str(s) for s in shape)
+        spec += "," * (len(shape) == 1)
+        raise ValueError(
+            f"{name} must be {len(shape)}-D of shape ({spec}), got shape {a.shape}"
+        )
+    a = a.astype(np.float64, copy=False)
+    if unit:  # NaN fails both comparisons
+        if a.size and not (a.min() >= 0.0 and a.max() < 1.0):
+            raise ValueError(f"{name} must lie in [0, 1)")
+    elif kind == "f" and not np.isfinite(a).all():
+        raise ValueError(f"{name} must be finite")
+    return a
+
+
+def _as_labels(y, rows: int) -> np.ndarray:
+    """One 0/1 label per row, as float64.
+
+    Bools, integers and floats that equal 0 or 1 are taken; any other value
+    (2, 0.7, NaN, a string, a complex number or an object) raises
+    ValueError, where an integer cast would truncate 0.7 to 0.
+    """
+    y = np.asarray(y)
+    if y.shape != (rows,):
+        raise ValueError(
+            "label count must match the number of rows: "
+            f"expected {rows} labels, got shape {y.shape}"
+        )
+    if y.dtype.kind not in "biuf" or not np.isin(y, (0, 1)).all():
+        raise ValueError("labels must be 0 or 1")
+    return y.astype(np.float64)
+
+
 class QuilParseError(ValueError):
     """Syntax or semantic error in circuit source, with a 1-based position."""
 

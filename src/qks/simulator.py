@@ -102,7 +102,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .quil import CircuitTemplate, GateKind, GateOp, ParamRef, _as_int
+from .quil import CircuitTemplate, GateKind, GateOp, ParamRef, _as_int, _as_reals
 
 MAX_QUBITS = 16
 
@@ -479,9 +479,12 @@ def _apply_ops(
 ) -> np.ndarray:
     """Apply ops to a (2**n, b) batch; ``thetas`` is (b, num_params).
 
-    Gate kernels work in place, but a permutation gathers into a new array,
-    so callers use the returned batch.
+    Gate kernels work in place, but a permutation gathers into the thread's
+    workspace, so callers use the returned batch, which stays valid until
+    the thread's next such call. Gathers alternate between two buffers, so
+    none reads the buffer it writes.
     """
+    gathers = itertools.cycle(("permuted0", "permuted1"))
     for op in ops:
         if op.kind is GateKind.RX:
             _apply_rx_batch(states, n, op.qubits[0], *_cos_sin(op, thetas))
@@ -489,7 +492,8 @@ def _apply_ops(
             _apply_h_batch(states, n, op.qubits[0])
         else:
             if op.source is not None:
-                states = np.take(states, op.source, axis=0)
+                out = _workspace.array(next(gathers), states.shape, states.dtype)
+                states = np.take(states, op.source, axis=0, out=out, mode="clip")
             if op.sign is not None:
                 states *= op.sign
     return states
@@ -601,10 +605,11 @@ def _search_blocks(starts: np.ndarray, uniforms: np.ndarray, size: int, block_pr
 
 
 def _run(state: StateVector, gates: Sequence[GateOp]) -> StateVector:
-    """``gates`` applied to a copy of ``state``, as a new StateVector."""
+    """``gates`` applied to a copy of ``state``, as a new StateVector that
+    owns its amplitudes, never a view of the workspace."""
     n = state.num_qubits
     amps = _apply_ops(state.amplitudes[:, np.newaxis].copy(), n, _compile(gates, n))
-    return StateVector(amps[:, 0], n)
+    return StateVector(amps[:, 0].copy(), n)
 
 
 def apply_gate(state: StateVector, gate: GateOp) -> StateVector:
@@ -831,20 +836,17 @@ class EpisodeEngine:
         for start in range(0, count, size):
             yield slice(start, start + size)
 
-    def _check_thetas(self, thetas: np.ndarray) -> np.ndarray:
-        thetas = np.asarray(thetas, dtype=np.float64)
-        if thetas.ndim != 2 or thetas.shape[1] != self.num_params:
-            raise ValueError(
-                f"expected thetas of shape (B, {self.num_params}), "
-                f"got {thetas.shape}"
-            )
-        if not np.isfinite(thetas).all():
-            raise ValueError("thetas must be finite")
-        return thetas
-
     def probabilities(self, thetas: np.ndarray) -> np.ndarray:
-        """Exact outcome distributions, one row of 2**n probabilities each."""
-        thetas = self._check_thetas(thetas)
+        """Exact outcome distributions, one row of 2**n probabilities each.
+
+        ``thetas`` holds one row of num_params finite real numbers per
+        episode.
+        """
+        thetas = _as_reals("thetas", thetas, (None, self.num_params))
+        return self._probabilities(thetas)
+
+    def _probabilities(self, thetas: np.ndarray) -> np.ndarray:
+        """:meth:`probabilities` of checked ``thetas``."""
         out = np.empty((thetas.shape[0], self.dim), dtype=np.float64)
         for rows in self._chunks(thetas.shape[0]):
             out[rows] = self._outcome_probabilities(thetas[rows]).T
@@ -868,9 +870,10 @@ class EpisodeEngine:
 
         With :attr:`pauli_rows`, each column is 1/2 - <Z_j>/2 from its row,
         and no outcome vector is built. Any other template sums each chunk's
-        outcome probabilities.
+        outcome probabilities. ``thetas`` holds one row of num_params finite
+        real numbers per episode.
         """
-        thetas = self._check_thetas(thetas)
+        thetas = _as_reals("thetas", thetas, (None, self.num_params))
         out = np.empty((thetas.shape[0], self.num_qubits), dtype=np.float64)
         if self.pauli_rows is None:
             bits = bit_matrix(self.num_qubits)
@@ -895,14 +898,15 @@ class EpisodeEngine:
         Each chunk runs the producer of :attr:`path`, then the guard redoes
         every episode whose gap is not above tol by :func:`_cdf_index` on
         its float64 probabilities, chunk_size episodes at a time.
+        ``thetas`` holds one row of num_params finite real numbers per
+        episode, and ``uniforms`` one real number in [0, 1) per episode.
         """
-        thetas = self._check_thetas(thetas)
-        uniforms = np.asarray(uniforms, dtype=np.float64)
-        if uniforms.shape != (thetas.shape[0],):
-            raise ValueError("need exactly one uniform variate per episode")
-        # min and max are NaN if any variate is, and NaN fails both tests.
-        if uniforms.size and not (uniforms.min() >= 0.0 and uniforms.max() < 1.0):
-            raise ValueError("uniform variates must lie in [0, 1)")
+        thetas = _as_reals("thetas", thetas, (None, self.num_params))
+        uniforms = _as_reals("uniforms", uniforms, thetas.shape[:1], unit=True)
+        return self._sample(thetas, uniforms)
+
+    def _sample(self, thetas: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+        """:meth:`sample` of checked ``thetas`` and ``uniforms``."""
         out = np.empty(thetas.shape[0], dtype=np.int64)
         for rows in self._chunks(thetas.shape[0], self._sample_chunk):
             th, u = thetas[rows], uniforms[rows]
@@ -1090,26 +1094,16 @@ def cached_engine(template: CircuitTemplate, layers: int = 1) -> EpisodeEngine:
     return EpisodeEngine(template, layers)
 
 
-def _one_theta(template: CircuitTemplate, theta: Sequence[float]) -> np.ndarray:
-    """``theta`` as a batch of one, (1, num_params).
-
-    Anything but one angle per template parameter raises ValueError naming
-    theta, not the batch that the engine would report.
-    """
-    theta = np.asarray(theta, dtype=np.float64)
-    if theta.shape != (template.num_params,):
-        raise ValueError(
-            f"theta must be one-dimensional with {template.num_params} "
-            f"entries, got shape {theta.shape}"
-        )
-    return theta[np.newaxis]
-
-
 def exact_probabilities(
     template: CircuitTemplate, theta: Sequence[float]
 ) -> np.ndarray:
-    """Outcome distribution of a template at one parameter setting."""
-    return cached_engine(template).probabilities(_one_theta(template, theta))[0]
+    """Outcome distribution of a template at one parameter setting.
+
+    ``theta`` holds finite real numbers, one per template parameter; it is
+    checked here, once, and not again as the engine's batch of one.
+    """
+    theta = _as_reals("theta", theta, (template.num_params,))
+    return cached_engine(template)._probabilities(theta[np.newaxis])[0]
 
 
 def run_episode(
@@ -1119,7 +1113,8 @@ def run_episode(
 
     The shot comes from :meth:`EpisodeEngine.sample` on a batch of one, the
     same sampler that features use, over the template's 2**n outcomes.
+    ``theta`` holds finite real numbers, one per template parameter.
     """
-    theta = _one_theta(template, theta)
-    z = cached_engine(template).sample(theta, np.array([rng.random()]))
+    theta = _as_reals("theta", theta, (template.num_params,))
+    z = cached_engine(template)._sample(theta[np.newaxis], np.array([rng.random()]))
     return Shot(int(z[0]), template.num_qubits)

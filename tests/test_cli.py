@@ -483,7 +483,8 @@ def test_classifier_flags_checked_before_featurize(monkeypatch, capsys, argv):
     rc, _, err = run_cli(argv + ["--frames-train", "20", "--frames-test", "10"],
                          capsys)
     assert rc == 2
-    assert "reg_lambda" in err or "tol" in err
+    name = {"--lambda": "reg_lambda", "--tol": "tol", "--max-iter": "max_iter"}
+    assert f"error: {name[argv[1]]} must be" in err
 
 
 def test_mnist_requires_dir(capsys):

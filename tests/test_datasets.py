@@ -74,7 +74,7 @@ def test_frames_validation():
 def test_labeled_dataset_validation():
     with pytest.raises(ValueError, match="2-D"):
         LabeledDataset(np.zeros(3), np.zeros(3))
-    with pytest.raises(ValueError, match="one label"):
+    with pytest.raises(ValueError, match="label count must match the number of rows"):
         LabeledDataset(np.zeros((3, 2)), np.zeros(4))
 
 

@@ -894,12 +894,15 @@ def test_warm_sample_reuses_its_workspace():
 @pytest.mark.parametrize("name, layers, count, method, bound", [
     ("p9", 1, 64, "probabilities", 400 * 1024),
     ("p4", 2, 4096, "marginals", 1600 * 1024),
+    ("p4", 3, 4096, "marginals", 600 * 1024),
 ])
 def test_warm_probabilities_and_marginals_reuse_the_workspace(
         name, layers, count, method, bound):
     # A second call on one thread takes its chunk arrays from the workspace.
     # Allocated afresh, they peak at 844 KiB (p9) and 3,972 KiB (p4 at two
-    # layers, whose marginals sum outcome probabilities).
+    # layers, whose marginals sum outcome probabilities). At three layers
+    # p4's tail gathers twice, and gathers that allocate, or that share one
+    # buffer, peak at 1,155 KiB; the workspace's two keep it at 452 KiB.
     engine = EpisodeEngine(get_ansatz(name), layers)
     thetas, _ = _episodes(engine, count, 5)
     call = getattr(engine, method)
@@ -1017,7 +1020,7 @@ def test_engine_and_exact_probabilities_reject_bad_shapes():
     for layers in (0, -1):
         with pytest.raises(ValueError, match="layers must be >= 1"):
             EpisodeEngine(t, layers=layers)
-    with pytest.raises(ValueError, match="one-dimensional"):
+    with pytest.raises(ValueError, match=r"^theta must be 1-D of shape \(2,\)"):
         exact_probabilities(t, [[0.1, 0.2]])
     rng = np.random.default_rng(0)
     for theta in ([0.1], [[0.1, 0.2]], 0.1):
@@ -1029,9 +1032,9 @@ def test_single_state_helpers_name_theta():
     # A 3-entry theta for p9 was reported as a (1, 3) batch of thetas.
     t = get_ansatz("p9")
     for bad in (np.zeros(3), np.zeros(10), np.zeros((1, 9)), 0.5):
-        with pytest.raises(ValueError, match=r"^theta must be one-dimensional with 9 entries"):
+        with pytest.raises(ValueError, match=r"^theta must be 1-D of shape \(9,\)"):
             exact_probabilities(t, bad)
-        with pytest.raises(ValueError, match=r"^theta must be one-dimensional with 9 entries"):
+        with pytest.raises(ValueError, match=r"^theta must be 1-D of shape \(9,\)"):
             run_episode(t, bad, np.random.default_rng(0))
     assert exact_probabilities(t, np.zeros(9))[0] == 1.0
     assert run_episode(t, np.zeros(9), np.random.default_rng(0)).bits == 0
@@ -1181,6 +1184,29 @@ def test_marginals_against_kron_oracle(name, layers):
     rows = 2 if name == "p16" else 10
     engine = _assert_marginals_match_oracle(t, layers, rows, seed=41)
     assert (engine.pauli_rows is not None) == (layers == 1 and name != "mixed3")
+
+
+@pytest.mark.parametrize("name", ["p4", "p9"])
+def test_tails_with_two_permutations_against_kron_oracle(name):
+    # The second permutation of a three-layer tail gathers from the first
+    # one's workspace buffer into the other.
+    engine = _assert_marginals_match_oracle(get_ansatz(name), 3, 10, seed=43)
+    assert sum(op.kind is None and op.source is not None for op in engine._rest) == 2
+
+
+def test_single_state_results_own_their_amplitudes():
+    # A permutation gathers into the thread's workspace, which a later
+    # engine call overwrites; run_circuit and apply_gate copy out of it.
+    engine = EpisodeEngine(get_ansatz("p4"), layers=2)
+    thetas = np.random.default_rng(44).uniform(-7, 7, (64, engine.num_params))
+    engine.marginals(thetas)  # the gather buffers now hold 64 episodes
+    gates = [GateOp(GateKind.RX, (q,), 0.3 + q) for q in range(4)]
+    state = run_circuit(gates + [GateOp(GateKind.CNOT, (0, 1))], 4)
+    step = apply_gate(state, GateOp(GateKind.CNOT, (1, 2)))
+    before = state.amplitudes.copy(), step.amplitudes.copy()
+    engine.marginals(thetas)
+    assert np.array_equal(state.amplitudes, before[0])
+    assert np.array_equal(step.amplitudes, before[1])
 
 
 def test_marginals_of_random_clifford_templates_against_kron_oracle():
