@@ -24,7 +24,6 @@ from __future__ import annotations
 import json
 import struct
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -33,7 +32,7 @@ import numpy as np
 from .datasets import DataFormatError
 from .encoding import QksMachine, _shot_keys
 from .quil import _as_int, _as_reals
-from .simulator import _workspace, cached_engine, outcome_bits
+from .simulator import _run_blocks, _workspace, cached_engine, outcome_bits
 
 MAGIC = b"QKSF"
 FORMAT_VERSION = 1
@@ -140,7 +139,9 @@ def featurize(
     (seed, i), so worker count, row order within a call, and the machine's
     total episode count never change a bit that both runs produce.
     ``inputs`` holds rows of p finite real numbers, and ``workers``, the
-    number of threads, is an integer >= 1 (not a bool).
+    number of threads, the calling thread among them, is an integer >= 1
+    (not a bool); blocks of ``ROW_BLOCK`` rows go to min(workers, blocks)
+    threads.
 
     Raises :class:`DataFormatError` naming the first input row whose encoding
     is not finite, as when ``sigma * x`` overflows for a large finite x.
@@ -190,13 +191,7 @@ def featurize(
         )
         out[start:stop] = _pack_rows(outcome_bits(z, n_q).reshape(block, columns))
 
-    starts = range(0, m, ROW_BLOCK)
-    if workers == 1 or m <= ROW_BLOCK:
-        for s in starts:
-            process_block(s)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(process_block, starts))
+    _run_blocks(process_block, range(0, m, ROW_BLOCK), workers)
 
     meta = {
         "template": machine.template.name,

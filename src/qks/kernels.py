@@ -57,15 +57,21 @@ an image, is :func:`closed_form_kernel` with the tiling's
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .ansatze import get_ansatz
 from .encoding import EncodingStructure, QksMachine, _check_spec
 from .quil import CircuitTemplate, _as_reals
-from .simulator import EpisodeEngine, bit_matrix, cached_engine
+from .simulator import (
+    EpisodeEngine,
+    _run_blocks,
+    _workspace,
+    bit_matrix,
+    cached_engine,
+)
 
 # Episodes per block of mc_kernel's marginals.
 KERNEL_BLOCK = 16_384
@@ -109,10 +115,11 @@ def mc_kernel(machine: QksMachine, u: np.ndarray, v: np.ndarray) -> KernelEstima
 
     Per episode the expected shot inner product is the dot product of the
     two per-qubit marginals (see module docstring), taken over blocks of
-    ``KERNEL_BLOCK`` episodes. The blocks run on a thread pool, one thread
-    per allowed CPU up to the number of blocks; each writes its own slice
-    of the per-episode values, and the mean and standard error are taken
-    once over all of them, so the result is bit-identical for any thread
+    ``KERNEL_BLOCK`` episodes. The blocks run on one thread per allowed CPU
+    up to the number of blocks, the calling thread among them, so one CPU
+    or one block starts no pool; each writes its own slice of the
+    per-episode values, and the mean and standard error are taken once
+    over all of them, so the result is bit-identical for any thread
     count. The factorized form makes the estimate exactly symmetric in
     (u, v): elementwise products of marginals commute, so both argument
     orders sum the same floats.
@@ -121,7 +128,8 @@ def mc_kernel(machine: QksMachine, u: np.ndarray, v: np.ndarray) -> KernelEstima
     a template with no parameters), every episode's marginals are the
     constants 1/2 - c_j/2, so every per-episode value is one row's dot
     product: the values are filled with it, with no encode, trig or pool,
-    and the mean and standard error are taken as above, bit for bit. The
+    and the mean and standard error are taken as above, bit for bit, once
+    per (rows, episodes) in a process. The
     encode is skipped only when max|omega| * ||x||_1 < 2**1000 for both
     inputs, which proves every theta finite: each |omega_i x_i| is at most
     max|omega| * |x_i|, so every partial sum of a product or a matmul, in
@@ -144,14 +152,30 @@ def mc_kernel(machine: QksMachine, u: np.ndarray, v: np.ndarray) -> KernelEstima
         and not any(factors for _, factors in rows)
         and _encodes_finitely(machine, u, v)
     ):
-        # Every episode's marginals are the constants 1/2 - c_j/2.
-        m = 0.5 - 0.5 * np.array([[c for c, _ in rows]])
-        vals = np.full(n_eps, np.einsum("ej,ej->e", m, m)[0])
+        value, stderr = _constant_estimate(rows, n_eps)
     else:
-        vals = _episode_values(machine, engine, u, v)
-    value = float(vals.mean())
-    stderr = float(vals.std(ddof=1) / np.sqrt(n_eps)) if n_eps > 1 else 0.0
+        value, stderr = _mean_and_stderr(_episode_values(machine, engine, u, v))
     return KernelEstimate(value, stderr, n_eps)
+
+
+def _mean_and_stderr(vals: np.ndarray) -> tuple[float, float]:
+    """The mean of the per-episode values and its standard error."""
+    n_eps = len(vals)
+    stderr = float(vals.std(ddof=1) / np.sqrt(n_eps)) if n_eps > 1 else 0.0
+    return float(vals.mean()), stderr
+
+
+@lru_cache(maxsize=256)
+def _constant_estimate(rows: tuple, n_eps: int) -> tuple[float, float]:
+    """:func:`_mean_and_stderr` of ``n_eps`` episodes of constant ``rows``.
+
+    Every episode's marginals are the constants 1/2 - c_j/2, so every
+    per-episode value is one row's dot product. The values are filled with
+    it and reduced as the per-episode pipeline's are, bit for bit, once per
+    (rows, episodes).
+    """
+    m = 0.5 - 0.5 * np.array([[c for c, _ in rows]])
+    return _mean_and_stderr(np.full(n_eps, np.einsum("ej,ej->e", m, m)[0]))
 
 
 def _encodes_finitely(machine: QksMachine, u: np.ndarray, v: np.ndarray) -> bool:
@@ -182,21 +206,17 @@ def _episode_values(
                 "the input is too large for this machine"
             )
     vals = np.empty(n_eps)
+    n = engine.num_qubits
 
     def run_block(start: int) -> None:
         block = slice(start, start + KERNEL_BLOCK)
-        mu = engine.marginals(theta[0, block])
-        mv = engine.marginals(theta[1, block])
-        vals[block] = np.einsum("ej,ej->e", mu, mv)
+        th_u, th_v = theta[0, block], theta[1, block]
+        shape = (th_u.shape[0], n)
+        mu = engine._marginals(th_u, _workspace.array("marginals_u", shape))
+        mv = engine._marginals(th_v, _workspace.array("marginals_v", shape))
+        np.einsum("ej,ej->e", mu, mv, out=vals[block])
 
-    starts = range(0, n_eps, KERNEL_BLOCK)
-    workers = min(_allowed_cpus(), len(starts))
-    if workers == 1:
-        for start in starts:
-            run_block(start)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_block, starts))
+    _run_blocks(run_block, range(0, n_eps, KERNEL_BLOCK), _allowed_cpus())
     return vals
 
 

@@ -215,7 +215,10 @@ class LinearClassifier:
 
     A model returned by :func:`train` also carries ``loss_history`` (the loss
     at each accepted iterate, starting from the zero model) and ``fit``; a
-    model built directly or loaded from disk has neither.
+    model built directly or loaded from disk has neither. ``weights`` are
+    1-D finite real numbers, stored as float64, ``intercept`` is a finite
+    real number and ``reg_lambda`` one >= 0; anything else raises
+    ValueError naming the field.
     """
 
     weights: np.ndarray
@@ -223,6 +226,11 @@ class LinearClassifier:
     reg_lambda: float
     loss_history: list[float] = field(default_factory=list)
     fit: FitRecord | None = None
+
+    def __post_init__(self):
+        self.weights = _as_reals("weights", self.weights, (None,))
+        self.intercept = _as_real("intercept", self.intercept, signed=True)
+        self.reg_lambda = _as_real("reg_lambda", self.reg_lambda)
 
     def decision_function(self, x) -> np.ndarray:
         """Scores w . x + b; ``x`` is a FeatureMatrix or 2-D real numbers."""

@@ -40,8 +40,11 @@ def _as_int(
     return value
 
 
-def _as_real(name: str, value, positive: bool = False) -> float:
-    """``value`` as a finite float >= 0, or > 0 if ``positive``.
+def _as_real(
+    name: str, value, positive: bool = False, signed: bool = False
+) -> float:
+    """``value`` as a finite float >= 0, > 0 if ``positive``, of either
+    sign if ``signed``.
 
     A bool, a string, a complex number or any other value that is not a
     real number raises ValueError, where float() would take True or "0.5",
@@ -54,7 +57,10 @@ def _as_real(name: str, value, positive: bool = False) -> float:
         x = float(value)
     except OverflowError:  # an int past float's range
         x = math.inf
-    if not ((x > 0 if positive else x >= 0) and x < math.inf):  # NaN fails
+    if signed:
+        if not math.isfinite(x):
+            raise ValueError(f"{name} must be finite, got {value}")
+    elif not ((x > 0 if positive else x >= 0) and x < math.inf):  # NaN fails
         rule = ">" if positive else ">="
         raise ValueError(f"{name} must be finite and {rule} 0, got {value}")
     return x

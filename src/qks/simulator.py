@@ -96,6 +96,7 @@ import itertools
 import math
 import threading
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Sequence
@@ -162,6 +163,44 @@ class _Workspace(threading.local):
 
 
 _workspace = _Workspace()
+
+
+def _run_blocks(run, starts, workers: int) -> list:
+    """``[run(start) for start in starts]`` on up to ``workers`` threads.
+
+    The calling thread is one of them: it and min(workers, blocks) - 1 pool
+    threads pull the blocks from one iterator, in order, so a single worker
+    or a single block starts no pool. Each thread's arrays come from its
+    own workspace. Results come back in block order. When blocks fail, no
+    thread takes a new block, and the exception of the first failing block
+    in order is raised: every block before it was already taken, and runs
+    to its end.
+    """
+    starts = list(starts)
+    threads = min(workers, len(starts))
+    if threads <= 1:
+        return [run(start) for start in starts]
+    results, failures = [None] * len(starts), {}
+    tasks, lock = iter(enumerate(starts)), threading.Lock()
+
+    def drain():
+        while not failures:
+            with lock:
+                i, start = next(tasks, (None, None))
+            if i is None:
+                return
+            try:
+                results[i] = run(start)
+            except BaseException as exc:  # raised below, after every thread
+                failures[i] = exc
+
+    with ThreadPoolExecutor(max_workers=threads - 1) as pool:
+        for _ in range(threads - 1):
+            pool.submit(drain)
+        drain()
+    if failures:
+        raise failures[min(failures)]
+    return results
 
 
 @dataclass(frozen=True)
@@ -676,10 +715,9 @@ class EpisodeEngine:
         if all(g.kind is not GateKind.RX for g in rest):
             tableau = _heisenberg_z(rest, n)
             self._pauli_rows = _pauli_rows(tableau, prefix)
-            # The theta columns whose cos and whose sin the rows read.
-            used = sorted({f for _, factors in self._pauli_rows for f in factors})
+            # The (is_y, col) factors the rows read: cos columns, then sin.
             self._trig_cols = tuple(
-                [col for is_y, col in used if is_y == y] for y in (False, True)
+                sorted({f for _, factors in self._pauli_rows for f in factors})
             )
         self._prefix = tuple(prefix)
         cols = [op.col for op in prefix if op.col is not None]
@@ -875,21 +913,35 @@ class EpisodeEngine:
         """
         thetas = _as_reals("thetas", thetas, (None, self.num_params))
         out = np.empty((thetas.shape[0], self.num_qubits), dtype=np.float64)
+        return self._marginals(thetas, out)
+
+    def _marginals(self, thetas: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """:meth:`marginals` of checked ``thetas``, written into ``out``, (B, n).
+
+        With :attr:`pauli_rows`, the cos or sin of each theta column that a
+        row reads, and each row's product, formed in place in factor order,
+        are in the thread's workspace.
+        """
         if self.pauli_rows is None:
             bits = bit_matrix(self.num_qubits)
             for rows in self._chunks(thetas.shape[0]):
                 out[rows] = self._outcome_probabilities(thetas[rows]).T @ bits
             return out
-        cos_cols, sin_cols = self._trig_cols
-        trig = dict(zip(
-            [(False, col) for col in cos_cols] + [(True, col) for col in sin_cols],
-            np.concatenate([np.cos(thetas.T[cos_cols]), np.sin(thetas.T[sin_cols])]),
-        ))
+        b = thetas.shape[0]
+        values = _workspace.array("trig", (len(self._trig_cols), b))
+        for value, (is_y, col) in zip(values, self._trig_cols):
+            (np.sin if is_y else np.cos)(thetas[:, col], out=value)
+        trig = dict(zip(self._trig_cols, values))
+        expectation = _workspace.array("expectation", (b,))
         for j, (constant, factors) in enumerate(self.pauli_rows):
-            expectation = constant
-            for f in factors:
-                expectation = expectation * trig[f]
-            out[:, j] = 0.5 - 0.5 * expectation
+            if not factors:
+                out[:, j] = 0.5 - 0.5 * constant
+                continue
+            np.multiply(constant, trig[factors[0]], out=expectation)
+            for f in factors[1:]:
+                expectation *= trig[f]
+            expectation *= 0.5
+            np.subtract(0.5, expectation, out=out[:, j])
         return out
 
     def sample(self, thetas: np.ndarray, uniforms: np.ndarray) -> np.ndarray:

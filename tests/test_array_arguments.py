@@ -69,6 +69,8 @@ ENTRY_POINTS = [
     ("train", "x", ROWS, lambda a: train(a, LABELS)),
     ("evaluate", "x", ROWS, lambda a: evaluate(MODEL, a, LABELS)),
     ("LinearClassifier.predict", "x", ROWS, MODEL.predict),
+    ("LinearClassifier", "weights", MODEL.weights,
+     lambda a: LinearClassifier(a, 0.0, 0.1)),
     ("loss_and_gradient", "x", ROWS,
      lambda a: loss_and_gradient(MODEL.weights, 0.0, a, LABELS, 0.1)),
     ("loss_and_gradient", "weights", MODEL.weights,
@@ -132,3 +134,26 @@ def test_float64_arrays_pass_through_uncopied():
     assert _as_reals("thetas", thetas, (None, 2)) is thetas
     ints = _as_reals("u", np.array([1, 2], dtype=np.uint8), (2,))
     assert ints.dtype == np.float64 and ints.tolist() == [1.0, 2.0]
+
+
+@pytest.mark.parametrize("field, bad", [
+    ("intercept", "0.5"), ("intercept", 1j), ("intercept", True),
+    ("intercept", np.nan), ("intercept", -np.inf), ("intercept", -10**400),
+    ("intercept", np.array([0.5])), ("reg_lambda", "0.1"),
+    ("reg_lambda", True), ("reg_lambda", -0.1), ("reg_lambda", np.nan),
+])
+def test_classifier_scalars_are_finite_real_numbers(field, bad):
+    # Unchecked, a NaN intercept predicted class 0 for every row.
+    fields = {"weights": [1.0, -1.0], "intercept": 0.0, "reg_lambda": 0.1}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=rf"^{field} must "):
+            LinearClassifier(**{**fields, field: bad})
+
+
+def test_classifier_fields_are_stored_as_floats():
+    model = LinearClassifier([1, 0], -2, np.float32(0.5))
+    assert model.weights.dtype == np.float64 and model.weights.tolist() == [1.0, 0.0]
+    assert (model.intercept, model.reg_lambda) == (-2.0, 0.5)
+    assert type(model.intercept) is float and type(model.reg_lambda) is float
+    assert model.predict(np.array([[3.0, 0.0], [1.0, 5.0]])).tolist() == [1, 0]

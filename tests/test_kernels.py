@@ -1,8 +1,8 @@
 """Kernel machinery: bit matrix, exact inner products, Monte Carlo vs closed form."""
 
 import threading
+import tracemalloc
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -158,38 +158,54 @@ def test_mc_kernel_is_the_same_for_any_thread_count(monkeypatch, name, layers, w
     m = sample_machine(get_ansatz(name), EncodingStructure.split(width), 1.3,
                        episodes, seed=31, layers=layers)
     u, v = np.random.default_rng(32).normal(size=(2, width))
-    pools, threads = [], set()
-    marginals = EpisodeEngine.marginals
+    runs, threads = [], set()
+    marginals, run_blocks = EpisodeEngine._marginals, kernels._run_blocks
 
-    class Pool(ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-            super().__init__(max_workers=max_workers)
+    def runner(run, starts, workers):
+        runs.append((len(starts), workers))
+        return run_blocks(run, starts, workers)
 
-    def spy(self, thetas):
+    def spy(self, thetas, out):
         threads.add(threading.get_ident())
-        return marginals(self, thetas)
+        return marginals(self, thetas, out)
 
-    monkeypatch.setattr(kernels, "ThreadPoolExecutor", Pool)
-    monkeypatch.setattr(EpisodeEngine, "marginals", spy)
+    monkeypatch.setattr(kernels, "_run_blocks", runner)
+    monkeypatch.setattr(EpisodeEngine, "_marginals", spy)
     for block in (7, 1000, episodes, 3 * episodes):
         monkeypatch.setattr(kernels, "KERNEL_BLOCK", block)
         blocks = -(-episodes // block)
         results = set()
         for workers in (1, 2, 3):
             monkeypatch.setattr(kernels, "_allowed_cpus", lambda: workers)
-            pools.clear()
+            runs.clear()
             threads.clear()
             est = mc_kernel(m, u, v)
             results.add((est.value, est.stderr))
             if name == "cz2":
-                # Constant rows: no pool, and marginals are never computed.
-                assert pools == [] and threads == set()
+                # Constant rows: no blocks, and marginals are never computed.
+                assert runs == [] and threads == set()
                 continue
-            used = min(workers, blocks)
-            assert pools == ([] if used == 1 else [used])
-            assert 1 <= len(threads) <= used
+            assert runs == [(blocks, workers)]
+            assert 1 <= len(threads) <= min(workers, blocks)
         assert len(results) == 1, (block, results)
+
+
+def test_warm_mc_kernel_allocates_only_the_encode_and_the_values():
+    # A warm cnot2 call at E = 1e5 allocates the (2, E, 2) encode (3.05 MiB)
+    # and the E per-episode values (0.76 MiB); each block's trig, products
+    # and marginals are in its thread's workspace. Gathered trig columns and
+    # one temporary per factor, on a fresh pool each call, peaked at 6.0 MiB.
+    m = sample_machine(get_ansatz("cnot2"), EncodingStructure.split(2), 1.0,
+                       100_000, seed=35)
+    u, v = np.random.default_rng(36).normal(size=(2, 2))
+    mc_kernel(m, u, v)
+    tracemalloc.start()
+    try:
+        mc_kernel(m, u, v)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.5 * 2**20
 
 
 @pytest.mark.parametrize("sigma", [0.25, 1.0, 4.0])

@@ -2,6 +2,7 @@
 
 import gc
 import threading
+import time
 import tracemalloc
 import warnings
 
@@ -986,6 +987,62 @@ def test_an_ended_threads_workspace_passes_to_the_next_thread():
     run(lambda: got.append(simulator._workspace.buffers.get("handed")))
     assert got[0] is not None and (got[0] == 7.0).all()
     assert "handed" not in simulator._workspace.buffers  # not this thread's
+
+
+def test_run_blocks_returns_results_in_block_order_on_the_calling_thread_too():
+    # Slow blocks on three workers: the calling thread takes some of them.
+    seen = []
+
+    def run(start):
+        seen.append(threading.get_ident())
+        time.sleep(0.01)
+        return start * start
+
+    starts = range(0, 18, 3)
+    assert simulator._run_blocks(run, starts, 3) == [s * s for s in starts]
+    assert threading.get_ident() in seen and 1 < len(set(seen)) <= 3
+    assert simulator._run_blocks(run, [], 3) == []
+
+
+def test_run_blocks_raises_the_first_failing_blocks_exception():
+    # Block 4 fails at once, block 1 later: block 1's exception is raised.
+    # After a failure, each other thread finishes at most the one block it
+    # was taking, so of three threads none reaches block 7.
+    taken = []
+
+    def run(start):
+        taken.append(start)
+        if start in (0, 1):
+            time.sleep(0.05)
+        if start in (1, 4):
+            raise ValueError(f"block {start}")
+        return start
+
+    with pytest.raises(ValueError, match="^block 1$"):
+        simulator._run_blocks(run, range(8), 3)
+    assert {0, 1} <= set(taken) and 7 not in taken
+
+
+@pytest.mark.parametrize("count, workers", [(5, 1), (1, 4)])
+def test_run_blocks_starts_no_pool_for_one_worker_or_one_block(
+        monkeypatch, count, workers):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(simulator, "ThreadPoolExecutor", no_pool)
+    threads = set()
+
+    def run(start):
+        threads.add(threading.get_ident())
+        if start == count - 1:
+            raise KeyError(start)
+        return -start
+
+    with pytest.raises(KeyError):
+        simulator._run_blocks(run, range(count), workers)
+    assert threads == {threading.get_ident()}
+    assert simulator._run_blocks(lambda s: -s, range(count), workers) == [
+        -s for s in range(count)]
 
 
 def test_engine_layers():
