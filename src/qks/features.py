@@ -15,8 +15,9 @@ matrix geometry (rows, columns, episodes, num_qubits) at its top level. Its
 produced the bits: template, sigma, seed, layers and structure.
 A :class:`FeatureMatrix` holds its geometry once: rows from ``packed``,
 ``num_qubits`` and ``episodes`` as fields, and ``num_columns`` derived from
-them, never in ``meta``. Loading checks the sidecar's columns against
-episodes x num_qubits and rejects a file whose padding bits are set.
+them, never in ``meta``. The constructor rejects set padding bits, so a
+file that has them fails to load, as does one whose sidecar's columns are
+not episodes x num_qubits.
 """
 
 from __future__ import annotations
@@ -57,8 +58,9 @@ class FeatureMatrix:
 
     The geometry is ``packed``'s row count, ``num_qubits`` and ``episodes``,
     both integers >= 1 (a float or bool raises); ``num_columns`` is
-    episodes * num_qubits. ``meta``, when present, describes the machine,
-    not the geometry.
+    episodes * num_qubits. The bits past the last column are zero, since
+    :meth:`equals` compares whole words; a set one raises ValueError.
+    ``meta``, when present, describes the machine, not the geometry.
     """
 
     packed: np.ndarray  # (rows, words) uint64
@@ -73,6 +75,10 @@ class FeatureMatrix:
             raise ValueError("packed storage must be a 2-D uint64 array")
         if self.packed.shape[1] != _words_for(self.num_columns):
             raise ValueError("packed width does not match the column count")
+        tail = self.num_columns % 64
+        if tail and (self.packed[:, -1] >> np.uint64(tail)).any():
+            raise ValueError(
+                f"padding bits past column {self.num_columns} are set")
 
     @property
     def rows(self) -> int:
@@ -90,14 +96,18 @@ class FeatureMatrix:
         """Keep only the first ``episodes`` episodes' columns.
 
         Valid because the column layout is episode-major: episode e's bits
-        occupy columns [e*num_qubits, (e+1)*num_qubits). ``episodes`` must
-        be an integer in [1, self.episodes], not a float or bool.
+        occupy columns [e*num_qubits, (e+1)*num_qubits). The leading words
+        are copied, and the bits past the new last column cleared.
+        ``episodes`` must be an integer in [1, self.episodes], not a float
+        or bool.
         """
         episodes = _as_int("episodes", episodes, low=1, high=self.episodes)
         if episodes == self.episodes:
             return self
         cols = episodes * self.num_qubits
-        packed = _pack_rows(self.to_dense()[:, :cols])
+        packed = self.packed[:, :_words_for(cols)].copy()
+        if cols % 64:
+            packed[:, -1] &= np.uint64((1 << (cols % 64)) - 1)
         return FeatureMatrix(packed, self.num_qubits, episodes, self.meta)
 
     def equals(self, other: "FeatureMatrix") -> bool:
@@ -129,6 +139,41 @@ def _pack_rows(bits: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(by).view(np.uint64)
 
 
+def _pack_indices(z: np.ndarray, num_qubits: int, out: np.ndarray) -> None:
+    """Pack outcome indices into the (m, words) uint64 rows of ``out``.
+
+    ``z`` holds m rows of E indices below 2**num_qubits, row-major, uint8
+    up to 8 qubits and uint16 above (as ``featurize`` samples them). A packed
+    row is its indices laid end to end, least significant bit first, with
+    zeros past the last column: ``_pack_rows`` of their ``outcome_bits``.
+    Widths 1, 2 and 4 OR 8 // n shifted indices into each byte, widths 8
+    and 16 cast them into the row's bytes or 16-bit words, and any other
+    width packs their bits.
+    """
+    n, m = num_qubits, out.shape[0]
+    z = z.reshape(m, -1)
+    e = z.shape[1]
+    if n in (8, 16):
+        lanes = out.view(np.uint8 if n == 8 else "<u2")
+        lanes[:, :e] = z
+        lanes[:, e:] = 0
+    elif 8 % n == 0:
+        per = 8 // n
+        by = out.view(np.uint8)
+        # Lane k of byte c holds index c * per + k; lane 0 sets every byte.
+        used = -(-e // per)
+        by[:, :used] = z[:, ::per]
+        shifted = _workspace.array("shifted", (m, used), np.uint8)
+        for k in range(1, per):
+            lane = z[:, k::per]
+            c = lane.shape[1]
+            np.left_shift(lane, k * n, out=shifted[:, :c])
+            by[:, :c] |= shifted[:, :c]
+        by[:, used:] = 0
+    else:
+        out[...] = _pack_rows(outcome_bits(z.reshape(-1), n).reshape(m, e * n))
+
+
 def featurize(
     machine: QksMachine, inputs: np.ndarray, workers: int = 1
 ) -> FeatureMatrix:
@@ -154,8 +199,9 @@ def featurize(
     n_eps = machine.episodes
     n_q = machine.num_qubits
     columns = n_eps * n_q
-    out = np.zeros((m, _words_for(columns)), dtype=np.uint64)
+    out = np.empty((m, _words_for(columns)), dtype=np.uint64)
     engine = cached_engine(machine.template, machine.layers)
+    index_dtype = np.uint8 if n_q <= 8 else np.uint16
     keys = _shot_keys(machine.seed, np.arange(m))
 
     def process_block(start: int) -> None:
@@ -185,11 +231,14 @@ def featurize(
             state["state"]["key"] = keys[start + i]
             bitgen.state = state
             rng.random(out=uniforms[i])
-        z = engine.sample(
+        # theta is finite and the uniforms are in [0, 1), so the engine's checks
+        # are skipped.
+        z = engine._sample(
             thetas.reshape(block * n_eps, machine.num_params),
             uniforms.reshape(-1),
+            _workspace.array("outcomes", (block * n_eps,), index_dtype),
         )
-        out[start:stop] = _pack_rows(outcome_bits(z, n_q).reshape(block, columns))
+        _pack_indices(z, n_q, out[start:stop])
 
     _run_blocks(process_block, range(0, m, ROW_BLOCK), workers)
 
@@ -296,10 +345,10 @@ def load_features(path: str | Path) -> FeatureMatrix:
         .reshape(rows, words)
         .astype(np.uint64)
     )
-    # Bits past the last column must be zero: equals() compares whole words.
-    if columns % 64 and (packed[:, -1] >> np.uint64(columns % 64)).any():
-        raise FeatureFileError(f"{path}: padding bits past column {columns} are set")
     meta = sidecar.get("machine")
     if meta is not None and not isinstance(meta, dict):
         raise FeatureFileError(f"{sidecar_file}: machine must be an object")
-    return FeatureMatrix(packed, num_qubits, episodes, meta)
+    try:
+        return FeatureMatrix(packed, num_qubits, episodes, meta)
+    except ValueError as exc:  # only set padding bits are left to raise
+        raise FeatureFileError(f"{path}: {exc}") from exc

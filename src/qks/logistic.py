@@ -137,7 +137,7 @@ def _recombine(p, b: int, exp: int) -> np.ndarray:
     groups is the one rounding; the ldexp is exact unless the result
     leaves float64's normal range.
     """
-    p = np.array(p, dtype=np.float64)
+    p = p.astype(np.float64)
     k = len(p)
     g = min(k, 28 // b + 1)
     weights = np.ldexp(1.0, b * np.arange(k - 1, -1, -1))
@@ -150,22 +150,28 @@ def _exact_product(a, v) -> np.ndarray:
     if a.dtype == np.float64:
         return a @ v
     digits, b, exp = _digits(v, a.shape[1])
-    return _recombine([a @ d for d in digits], b, exp)
+    p = np.empty((len(digits), a.shape[0]), np.float32)
+    for d, row in zip(digits, p):
+        np.matmul(a, d, out=row)
+    return _recombine(p, b, exp)
 
 
-def _float32_product(a, v) -> np.ndarray:
-    """``a @ v`` by float32 BLAS on a float32 ``a``, returned as float64;
-    on a float64 ``a``, a float64 product.
+def _float32_product(a, v, scaled, product, out) -> np.ndarray:
+    """``a @ v`` by float32 BLAS on a float32 ``a``, written as float64
+    into ``out``; on a float64 ``a``, a float64 product.
 
     v is scaled by an exact power of two to a largest entry in [0.5, 1)
-    before the cast, and the product scaled back after it, so neither tiny
-    nor huge entries of v leave float32's range.
+    and cast into ``scaled``, and the float32 ``product`` scaled back into
+    ``out`` after it, so neither tiny nor huge entries of v leave float32's
+    range.
     """
     if a.dtype == np.float64:
-        return a @ v
-    _, exp = np.frexp(np.abs(v).max(initial=0.0))
-    scaled = np.ldexp(v, -exp).astype(np.float32)
-    return np.ldexp((a @ scaled).astype(np.float64), exp)
+        return np.matmul(a, v, out=out)
+    # max|v| without an abs copy of v.
+    _, exp = np.frexp(np.maximum(v.max(initial=0.0), -v.min(initial=0.0)))
+    np.ldexp(v, -exp, out=scaled)
+    out[...] = np.matmul(a, scaled, out=product)
+    return np.ldexp(out, exp, out=out)
 
 
 def _check_width(x, weights) -> None:
@@ -327,25 +333,46 @@ def _grad_and_curvature(margins, params, x, y_pm, reg_lambda):
     return grad, e / ((1.0 + e) ** 2 * rows)
 
 
-def _hessian_vector(x, curv, reg_lambda, v):
-    """H v for the curvature weights ``curv``, without forming H.
+def _hessian_product(x, curv, reg_lambda):
+    """A function v -> H v for the curvature weights ``curv``, without H.
 
     On a float32 x the products ``x @ v`` and ``x.T @ u`` run in float32;
-    the rest, and every product on a float64 x, is float64.
+    the rest, and every product on a float64 x, is float64. Its vectors are
+    made once, here, so each call overwrites the H v it returned before.
     """
-    u = curv * (_float32_product(x, v[:-1]) + v[-1])
-    return np.append(_float32_product(x.T, u) + reg_lambda * v[:-1], u.sum())
+    m, d = x.shape
+    u, lam_v, hv = np.empty(m), np.empty(d), np.empty(d + 1)
+    for_xv = np.empty(d, x.dtype), np.empty(m, x.dtype)
+    for_xtu = np.empty(m, x.dtype), np.empty(d, x.dtype)
+
+    def product(v):
+        _float32_product(x, v[:-1], *for_xv, u)
+        np.multiply(np.add(u, v[-1], out=u), curv, out=u)
+        _float32_product(x.T, u, *for_xtu, hv[:-1])
+        hv[:-1] += np.multiply(v[:-1], reg_lambda, out=lam_v)
+        hv[-1] = u.sum()
+        return hv
+
+    return product
+
+
+def _hessian_vector(x, curv, reg_lambda, v):
+    """H v for the curvature weights ``curv``, in a new array."""
+    return _hessian_product(x, curv, reg_lambda)(v)
 
 
 def _newton_direction(x, curv, reg_lambda, g):
     """Truncated CG on H s = -g; returns (s, Hessian-vector products).
 
     CG stops once the residual is below min(0.5, sqrt(|g|)) |g|, at
-    non-positive curvature, or after d + 1 steps.
+    non-positive curvature, or after d + 1 steps. Its vectors are made once
+    per solve and updated in place.
     """
     r = -g
     p = r.copy()
     s = np.zeros_like(g)
+    scaled = np.empty_like(g)
+    hessian_vector = _hessian_product(x, curv, reg_lambda)
     rr = float(r @ r)
     gnorm = np.sqrt(rr)
     cg_tol = min(0.5, np.sqrt(gnorm)) * gnorm
@@ -353,16 +380,17 @@ def _newton_direction(x, curv, reg_lambda, g):
     for _ in range(g.size):
         if np.sqrt(rr) <= cg_tol:
             break
-        h = _hessian_vector(x, curv, reg_lambda, p)
+        h = hessian_vector(p)
         products += 1
         php = float(p @ h)
         if not php > 0:
             break
         alpha = rr / php
-        s += alpha * p
-        r -= alpha * h
+        s += np.multiply(p, alpha, out=scaled)
+        r -= np.multiply(h, alpha, out=scaled)
         rr_new = float(r @ r)
-        p = r + (rr_new / rr) * p
+        p *= rr_new / rr
+        p += r
         rr = rr_new
     return s, products
 

@@ -85,9 +85,10 @@ each chunk's outcome probabilities against :func:`bit_matrix`.
 
 The readout rule lives here too: qubit j's reading is bit j of the outcome
 index, and an index fits in MAX_QUBITS = 16 bits. :func:`outcome_bits`
-applies it to the sampled indices that features pack, and
-:func:`bit_matrix` to every basis index, for marginals summed from outcome
-probabilities.
+applies it to one :class:`Shot`, and :func:`bit_matrix` to every basis
+index, for marginals summed from outcome probabilities. Features pack the
+sampled indices themselves: a packed row is its n-bit indices laid end to
+end, least significant bit first.
 """
 
 from __future__ import annotations
@@ -957,9 +958,16 @@ class EpisodeEngine:
         uniforms = _as_reals("uniforms", uniforms, thetas.shape[:1], unit=True)
         return self._sample(thetas, uniforms)
 
-    def _sample(self, thetas: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-        """:meth:`sample` of checked ``thetas`` and ``uniforms``."""
-        out = np.empty(thetas.shape[0], dtype=np.int64)
+    def _sample(
+        self, thetas: np.ndarray, uniforms: np.ndarray, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """:meth:`sample` of checked ``thetas`` and ``uniforms``.
+
+        The indices are written into ``out``, one integer per episode of any
+        integer dtype that holds 2**n - 1, or into a new int64 array.
+        """
+        if out is None:
+            out = np.empty(thetas.shape[0], dtype=np.int64)
         for rows in self._chunks(thetas.shape[0], self._sample_chunk):
             th, u = thetas[rows], uniforms[rows]
             z, gap, tol = self._producer(th, u)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -24,10 +25,10 @@ from qks import (
     save_features,
     shot_stream,
 )
-from qks.features import ROW_BLOCK, _pack_rows
+from qks.features import ROW_BLOCK, _pack_indices, _pack_rows
 from qks.quil import CircuitTemplate
 from qks import simulator
-from qks.simulator import cached_engine
+from qks.simulator import cached_engine, outcome_bits
 
 
 def small_machine(episodes=40, sigma=1.0, seed=5, layers=1):
@@ -76,13 +77,13 @@ def test_block_uniforms_are_shot_streams(monkeypatch):
     # must still draw exactly shot_stream(seed, row)'s uniforms.
     m = small_machine(episodes=7, seed=2**40 + 3)
     x = frame_inputs(n=2 * ROW_BLOCK + 5)
-    seen, sample = [], EpisodeEngine.sample
+    seen, sample = [], EpisodeEngine._sample
 
-    def spy(self, thetas, uniforms):
+    def spy(self, thetas, uniforms, out=None):
         seen.append(uniforms.reshape(-1, m.episodes).copy())
-        return sample(self, thetas, uniforms)
+        return sample(self, thetas, uniforms, out)
 
-    monkeypatch.setattr(EpisodeEngine, "sample", spy)
+    monkeypatch.setattr(EpisodeEngine, "_sample", spy)
     featurize(m, x)
     assert [len(u) for u in seen] == [ROW_BLOCK, ROW_BLOCK, 5]
     got = np.concatenate(seen)
@@ -155,6 +156,53 @@ def test_truncate():
             fm.truncate(bad)
     cut = fm.truncate(np.int64(33))
     assert type(cut.episodes) is int and cut.equals(fm.truncate(33))
+
+
+@pytest.mark.parametrize("name, episodes", [("cnot2", 70), ("p9", 40)])
+def test_truncate_equals_repacking_the_leading_columns(name, episodes):
+    # Truncation copies whole words and clears the bits past the new last
+    # column. _pack_rows pads with zeros, so equal words also mean zero
+    # padding, and the constructor rejects set padding bits too.
+    template = get_ansatz(name)
+    n = template.num_qubits
+    machine = sample_machine(template, EncodingStructure.split(n), 1.0, episodes, 3)
+    fm = featurize(machine, np.random.default_rng(4).normal(size=(5, n)))
+    dense = fm.to_dense()
+    for e in range(1, episodes + 1):
+        assert np.array_equal(fm.truncate(e).packed, _pack_rows(dense[:, :e * n]))
+
+
+@pytest.mark.parametrize("num_qubits", range(1, 17))
+def test_pack_indices_equal_packed_outcome_bits(num_qubits):
+    # E * n is a multiple of 64 at E = 64 and, for some widths, 1000; E = 7
+    # and 999 leave a part-filled byte at widths 2 and 4. The rows start
+    # from set bits, so every pad byte and bit must be written.
+    n = num_qubits
+    rng = np.random.default_rng(n)
+    dtype = np.uint8 if n <= 8 else np.uint16
+    for episodes in (1, 7, 64, 999, 1000):
+        z = rng.integers(0, 1 << n, size=3 * episodes).astype(dtype)
+        out = np.full((3, (episodes * n + 63) // 64), ~np.uint64(0))
+        _pack_indices(z, n, out)
+        expected = _pack_rows(outcome_bits(z, n).reshape(3, episodes * n))
+        assert np.array_equal(out, expected), episodes
+
+
+def test_warm_featurize_packs_the_indices_in_place():
+    # A second 64-row cnot2 featurize at E = 1000 on one thread samples
+    # uint8 indices into the workspace and packs them straight into the
+    # words. With int64 indices turned into a bit matrix and packed again,
+    # it peaked at 776 KiB.
+    machine = small_machine(episodes=1000)
+    x = frame_inputs(n=ROW_BLOCK)
+    featurize(machine, x)
+    tracemalloc.start()
+    try:
+        featurize(machine, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 256 * 1024
 
 
 def test_identity_template_gives_zero_features():
@@ -251,6 +299,11 @@ def test_feature_matrix_validation():
         packed = np.zeros((2, width), dtype=np.uint64)
         with pytest.raises(ValueError, match="num_qubits|episodes"):
             FeatureMatrix(packed, num_qubits, episodes)
+    # 20 columns: bit 40 is padding, which equals() would compare and
+    # to_dense() drop.
+    with pytest.raises(ValueError, match="padding bits past column 20"):
+        FeatureMatrix(np.array([[1 | 1 << 40]], np.uint64), 2, 10)
+    assert FeatureMatrix(np.array([[1 | 1 << 19]], np.uint64), 2, 10).rows == 1
 
 
 def test_value_classes_are_frozen():

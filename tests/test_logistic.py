@@ -29,6 +29,7 @@ from qks.logistic import (
     _as_matrix,
     _grad_and_curvature,
     _exact_product,
+    _hessian_product,
     _hessian_vector,
 )
 
@@ -313,6 +314,30 @@ def test_float32_hessian_vector_matches_float64(scale):
             hv32 = _hessian_vector(x32, curv, 0.01, v)
         hv64 = _hessian_vector(x64, curv, 0.01, v)
         assert np.abs(hv32 - hv64).max() <= 1e-6 * np.abs(hv64).max()
+
+
+def test_hessian_vectors_stay_independent():
+    # Each _hessian_vector call makes its own vectors, so a result is not
+    # overwritten by the next call. A CG solve reuses one set for all its
+    # products, and each gives the bits of a fresh call, whatever the
+    # buffers held before.
+    fm, labels = _frames_features()
+    x32 = _as_matrix(fm)
+    y_pm = 2.0 * labels - 1.0
+    rng = np.random.default_rng(15)
+    for x in (x32, x32.astype(np.float64)):
+        theta = 0.3 * rng.normal(size=x.shape[1] + 1)
+        margins = y_pm * (x @ theta[:-1] + theta[-1])
+        _, curv = _grad_and_curvature(margins, theta, x, y_pm, 0.01)
+        vs = rng.normal(size=(3, theta.size))
+        first = _hessian_vector(x, curv, 0.01, vs[0])
+        kept = first.copy()
+        second = _hessian_vector(x, curv, 0.01, vs[1])
+        assert np.array_equal(first, kept)
+        assert not np.shares_memory(first, second)
+        solve = _hessian_product(x, curv, 0.01)
+        for v in (vs[2], vs[0], vs[1]):
+            assert np.array_equal(solve(v), _hessian_vector(x, curv, 0.01, v))
 
 
 def test_frames_features_converge_to_tol():
