@@ -17,6 +17,7 @@ E-episode machine on the first E episodes exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -36,6 +37,11 @@ _HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
 _HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _MASK32 = (1 << 32) - 1
+
+
+def _max_abs(a: np.ndarray) -> float:
+    """max|a| without an abs copy, 0 for an empty array."""
+    return max(a.max(initial=0.0), -a.min(initial=0.0))
 
 
 def _substream(seed: int, *tags: int) -> np.random.Generator:
@@ -197,6 +203,11 @@ class QksMachine:
     @property
     def episodes(self) -> int:
         return self.omega.shape[0]
+
+    @cached_property
+    def max_abs_omega(self) -> float:
+        """max|omega| over every episode, 0 for none; scanned once per machine."""
+        return _max_abs(self.omega)
 
     @property
     def layers(self) -> int:

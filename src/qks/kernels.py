@@ -183,8 +183,7 @@ def _encodes_finitely(machine: QksMachine, u: np.ndarray, v: np.ndarray) -> bool
 
     An overflow to inf or a 0 * inf (nan) fails the test without a warning.
     """
-    omega = machine.omega
-    w = max(omega.max(initial=0.0), -omega.min(initial=0.0))
+    w = machine.max_abs_omega
     with np.errstate(over="ignore", invalid="ignore"):
         return all(w * np.abs(x).sum() < 2.0**1000 for x in (u, v))
 

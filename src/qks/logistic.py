@@ -19,6 +19,21 @@ with curvature weights D_i = sigma(m_i) (1 - sigma(m_i)) / M taken once per
 accepted step from the margins m, so neither X1 nor the (d+1) x (d+1)
 Hessian is ever formed.
 
+CG stops once its residual r = H s + g has ||r||_2 <= max(eta ||g||_2,
+tol / 2) with eta = min(1/2, sqrt(||g||_2)), at non-positive curvature, or
+after d + 1 steps. eta is a forcing term: an early Newton step gains
+nothing from a solve more exact than its own quadratic model (Eisenstat &
+Walker, SIAM J. Sci. Comput. 17, 1996). The floor tol / 2 stops the last
+steps at the fit's tolerance instead: after a full step the gradient is g +
+H s + e = r + e, where e is what the quadratic model and the float32
+products miss, so a residual of tol / 2 already gives ||g_new||_inf <= tol
+whenever ||e||_inf <= tol / 2. A floor c * tol keeps the forcing term
+||r||_2 / ||g||_2 below max(1/2, c) at every step that runs, since CG runs
+only while ||g||_2 >= ||g||_inf > tol; any c < 1 keeps the inexact Newton
+iteration convergent (Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal.
+19, 1982), and c = 1/2 splits tol evenly between r and e, with no forcing
+term above the 1/2 that eta already allows.
+
 A design matrix whose entries are all 0 or 1 (every FeatureMatrix, and a
 dense 0/1 array alike) is held as float32, which stores 0 and 1 exactly in
 half the memory. The two products of each H v, ``X @ v`` and ``X^T @ u``,
@@ -71,6 +86,8 @@ from .features import FeatureMatrix, _unpack_rows
 from .quil import _as_int, _as_labels, _as_real, _as_reals
 
 _ARMIJO_C = 1e-4
+# CG's residual floor, as a fraction of the fit's tol (module docstring).
+_CG_TOL_FRACTION = 0.5
 _MAX_BACKTRACKS = 60
 # The most terms one split product may sum: b = 24 - bitlength(terms - 1)
 # must stay >= 1.
@@ -181,6 +198,13 @@ def _check_width(x, weights) -> None:
             f"input has {x.shape[1]} columns, "
             f"the model has {np.size(weights)} weights"
         )
+
+
+def _check_rows(a, what: str) -> None:
+    """Raise ValueError naming x when ``a``, x or one result per row of x,
+    is empty: ``what`` is a mean over the rows."""
+    if len(a) == 0:
+        raise ValueError(f"x has no rows, and {what} over no rows is undefined")
 
 
 def check_fit_options(reg_lambda: float | None, tol: float, max_iter: int) -> None:
@@ -361,12 +385,13 @@ def _hessian_vector(x, curv, reg_lambda, v):
     return _hessian_product(x, curv, reg_lambda)(v)
 
 
-def _newton_direction(x, curv, reg_lambda, g):
+def _newton_direction(x, curv, reg_lambda, g, tol):
     """Truncated CG on H s = -g; returns (s, Hessian-vector products).
 
-    CG stops once the residual is below min(0.5, sqrt(|g|)) |g|, at
-    non-positive curvature, or after d + 1 steps. Its vectors are made once
-    per solve and updated in place.
+    CG stops once the residual is below max(min(0.5, sqrt(|g|)) |g|,
+    _CG_TOL_FRACTION * tol), at non-positive curvature, or after d + 1
+    steps; ``tol`` is the fit's tolerance on |g|_inf (see the module
+    docstring). Its vectors are made once per solve and updated in place.
     """
     r = -g
     p = r.copy()
@@ -375,7 +400,7 @@ def _newton_direction(x, curv, reg_lambda, g):
     hessian_vector = _hessian_product(x, curv, reg_lambda)
     rr = float(r @ r)
     gnorm = np.sqrt(rr)
-    cg_tol = min(0.5, np.sqrt(gnorm)) * gnorm
+    cg_tol = max(min(0.5, np.sqrt(gnorm)) * gnorm, _CG_TOL_FRACTION * tol)
     products = 0
     for _ in range(g.size):
         if np.sqrt(rr) <= cg_tol:
@@ -405,10 +430,12 @@ def loss_and_gradient(
     """Regularized mean logistic loss and its gradient.
 
     Returns (loss, grad_weights, grad_intercept); the intercept is not
-    regularized. ``x`` is a FeatureMatrix or 2-D real numbers, ``weights``
-    one real number per column, and ``y01`` one 0/1 label per row.
+    regularized. ``x`` is a FeatureMatrix or 2-D real numbers with at
+    least one row, ``weights`` one real number per column, and ``y01`` one
+    0/1 label per row.
     """
     x = _as_matrix(x)
+    _check_rows(x, "the mean loss")
     weights = _as_reals("weights", weights, (None,))
     _check_width(x, weights)
     params = np.append(weights, intercept)
@@ -472,7 +499,7 @@ def train(
                     stop = "max_iter"
                     break
 
-                step, n = _newton_direction(xm, curv, lam, grad)
+                step, n = _newton_direction(xm, curv, lam, grad, tol)
                 products += n
                 if not grad @ step < 0:
                     # CG made no usable step (curvature underflowed, as on
@@ -520,7 +547,9 @@ def train(
 def evaluate(model: LinearClassifier, x, y) -> float:
     """Misclassification rate of the model on (x, y); y holds 0/1 labels.
 
-    ``x`` is a FeatureMatrix or 2-D real numbers, as for :func:`train`.
+    ``x`` is a FeatureMatrix or 2-D real numbers, as for :func:`train`,
+    with at least one row.
     """
     pred = model.predict(x)
+    _check_rows(pred, "the misclassification rate")
     return float((pred != _as_labels(y, pred.size)).mean())

@@ -52,10 +52,13 @@ and a tol that bounds how far those sums lie from the rule's. Wide spaces
 are searched in two levels, in blocks of 2**(n//2) rows: block totals pick
 each episode's block, the sums inside it the row.
 
-- "screen32", up to 16 outcomes: :func:`_running_sums` adds float32
-  products in float64 running sums. The prefix's cos and sin are taken in
-  float32 (numpy's float32 trig is SIMD, its float64 trig often scalar
-  libm); tol is proved at :meth:`EpisodeEngine._screen_tolerance`.
+- "screen32", up to 16 outcomes: float32 from start to finish. The half
+  angles are stored as float32, and their cos and sin taken in float32
+  (numpy's float32 trig is SIMD, its float64 trig often scalar libm); a
+  real engine multiplies their squares, and :func:`_running_sums` adds the
+  float32 probabilities in float32 running sums against u cast to float32,
+  walking a real engine's rows in basis order without a gather. tol is
+  proved at :meth:`EpisodeEngine._screen_tolerance`.
 - "product", wider real engines, where at most one CNOT/CZ run follows the
   prefix (p9 and p16 at one layer): no 2**n vector. The outcome law is the
   prefix's product law pushed through a GF(2)-linear map, so the block
@@ -550,27 +553,30 @@ def _cdf_index(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     return np.minimum((cdf <= uniforms).sum(axis=0), probs.shape[0] - 1)
 
 
-def _running_sums(probs: np.ndarray, uniforms: np.ndarray):
+def _running_sums(probs: np.ndarray, uniforms: np.ndarray, order=None):
     """(index, gap) per column of (dim, b) ``probs``; the index is uint8.
 
-    One float64 running sum per column adds the rows in order, whatever
-    the dtype of ``probs``, and counts the sums <= u; it stops after dim - 1
+    One running sum per column, in the dtype of ``uniforms``, adds the rows
+    in order (rows order[0], order[1], ... with ``order``), whatever the
+    dtype of ``probs``, and counts the sums <= u; it stops after dim - 1
     sums, which is the clamp, since the sums never decrease. On float64
-    ``probs`` it adds the same numbers in the same order as np.cumsum down
-    axis 0, so the index is :func:`_cdf_index`'s. The gap is each column's
-    smallest |sum - u| over the sums it counted; a NaN sum makes it NaN.
-    ``dim`` must be at most 256, the uint8 range. Both are in the thread's
-    workspace.
+    ``probs`` and ``uniforms`` it adds the same numbers in the same order
+    as np.cumsum down axis 0, so the index is :func:`_cdf_index`'s. The
+    gap is each column's smallest |sum - u| over the sums it counted, in
+    the same dtype; a NaN sum makes it NaN. ``dim`` must be at most 256,
+    the uint8 range. Both are in the thread's workspace.
     """
-    b = len(uniforms)
-    total = _workspace.array("total", (b,))
+    b, dtype = len(uniforms), uniforms.dtype
+    if order is not None:
+        probs = [probs[r] for r in order]
+    total = _workspace.array("total", (b,), dtype)
     total[...] = probs[0]
     z = _workspace.array("counts", (b,), np.uint8)
     np.less_equal(total, uniforms, out=z.view(bool))
-    gap = np.subtract(total, uniforms, out=_workspace.array("gap", (b,)))
+    gap = np.subtract(total, uniforms, out=_workspace.array("gap", (b,), dtype))
     np.abs(gap, out=gap)
     below = _workspace.array("below", (b,), bool)
-    d = _workspace.array("distance", (b,))
+    d = _workspace.array("distance", (b,), dtype)
     for p in probs[1:-1]:
         total += p
         z += np.less_equal(total, uniforms, out=below)
@@ -824,11 +830,34 @@ class EpisodeEngine:
         # factors and indices. p9 gets 471 episodes a chunk, p16 49.
         return 6 * n + 2 * (size + blocks) + 2 * blocks + 4 * size
 
-    def _half_angles(self, thetas: np.ndarray) -> np.ndarray:
-        """The prefix's half angles, (prefix parameters, b), in float64, in
-        the thread's workspace."""
-        half = _workspace.array("half", (self._prefix_params, thetas.shape[0]))
+    def _half_angles(self, thetas: np.ndarray, dtype=np.float64) -> np.ndarray:
+        """The prefix's half angles, (prefix parameters, b), in the thread's
+        workspace: halved in float64, then stored as ``dtype``. Stored as
+        float32, a half angle past float32's range becomes inf, and the
+        caller's errstate decides whether the cast warns."""
+        half = _workspace.array("half", (self._prefix_params, thetas.shape[0]), dtype)
         return np.multiply(thetas.T[self._prefix_cols], 0.5, out=half)
+
+    def _prefix_products(self, half: np.ndarray, out: np.ndarray, squared: bool):
+        """Fill ``out``, (2**n, b), with the prefix's products by doubling.
+
+        Row r takes, for each prefix op k, the sin of its half angle where
+        bit k of r is set and the cos where it is not; with ``squared``,
+        their squares, each taken by one ufunc call on the (k, b) array of
+        cos or sin. ``half`` holds the prefix half angles, (k, b), and is
+        overwritten; the products take its dtype.
+        """
+        cos = np.cos(half, out=_workspace.array("cos", half.shape, half.dtype))
+        sin = np.sin(half, out=half)
+        power = 1
+        if squared:
+            cos *= cos
+            sin *= sin
+            power = 2
+        trig = zip(cos, sin)
+        return _doubling(out, (next(trig) if op.col is not None
+                               else (op.cos**power, op.sin**power)
+                               for op in self._prefix))
 
     def _outcome_probabilities(
         self, thetas: np.ndarray, half: np.ndarray | None = None
@@ -838,7 +867,10 @@ class EpisodeEngine:
         ``half`` holds the prefix half angles, by default the float64 ones
         of ``thetas``; they are overwritten. The products take their dtype,
         so float32 half angles give float32 products, and a complex tail
-        promotes them to complex128. The result and the arrays on the way
+        promotes them to complex128. A real engine squares the float64
+        products, which is the rule's arithmetic, and multiplies the
+        squares of float32 cos and sin, which is the screen's (see
+        :meth:`_screened_search`). The result and the arrays on the way
         are in the thread's workspace: the result stays valid until the
         thread's next such call.
         """
@@ -848,14 +880,13 @@ class EpisodeEngine:
         dtype = np.float64 if self._complex else half.dtype
         shape = (self.dim, thetas.shape[0])
         out = array("probs", shape, dtype)
-        cos = np.cos(half, out=array("cos", half.shape, half.dtype))
-        trig = zip(cos, np.sin(half, out=half))
         direct = not self._complex and self._gather is None
-        amps = out if direct else array("amps", shape, half.dtype)
-        _doubling(amps, (next(trig) if op.col is not None else (op.cos, op.sin)
-                         for op in self._prefix))
+        squared = not self._complex and half.dtype == np.float32
+        amps = self._prefix_products(
+            half, out if direct else array("amps", shape, half.dtype), squared)
         if not self._complex:
-            amps *= amps  # squares drop the permutation's signs
+            if not squared:
+                amps *= amps  # squares drop the permutation's signs
             if not direct:
                 np.take(amps, self._gather, axis=0, out=out, mode="clip")
             return out
@@ -979,13 +1010,28 @@ class EpisodeEngine:
         return out
 
     def _screened_search(self, thetas: np.ndarray, uniforms: np.ndarray):
-        """Path "screen32": :func:`_running_sums` on float32 products."""
-        half = self._half_angles(thetas)
-        half32 = _workspace.array("half32", half.shape, np.float32)
+        """Path "screen32": float32 half angles, products and running sums.
+
+        The half angles are written straight into float32 and tol is taken
+        from them; :func:`_running_sums` adds the probabilities in float32
+        against u cast to float32 once per chunk. A real engine's products
+        of squares stay in row order, and the sums walk the rows in basis
+        order, so no gather copies them; a complex tail's probabilities
+        come from :meth:`_outcome_probabilities`, in float64.
+        """
         with np.errstate(over="ignore", invalid="ignore"):
-            half32[...] = half
-            probs = self._outcome_probabilities(thetas, half32)
-            return (*_running_sums(probs, uniforms), self._screen_tolerance(half))
+            half = self._half_angles(thetas, np.float32)
+            tol = self._screen_tolerance(half)
+            u = _workspace.array("u32", uniforms.shape, np.float32)
+            u[...] = uniforms
+            if self._complex:
+                probs, order = self._outcome_probabilities(thetas, half), None
+            else:
+                probs = self._prefix_products(
+                    half, _workspace.array("probs", (self.dim, len(u)), np.float32),
+                    squared=True)
+                order = self._gather
+            return (*_running_sums(probs, u, order), tol)
 
     def _vector_search(self, thetas: np.ndarray, uniforms: np.ndarray):
         """Path "blocked": :func:`_blocked_search` on float64 products."""
@@ -1099,52 +1145,72 @@ class EpisodeEngine:
         return (4 * self.dim + blocks * (blocks + 3 * self.num_qubits)) * eps
 
     def _screen_tolerance(self, half: np.ndarray) -> np.ndarray:
-        """The float32 screen's tol per episode from its (k, b) float64
-        prefix half angles h_k:
+        """The float32 screen's tol per episode from its (k, b) prefix half
+        angles h_k, float32 as :meth:`_screened_search` stores them:
 
-            tol = 2**-19 * (n + sum_k |h_k|) + 4 * dim * eps
+            tol = 2**-19 * (n + dim / 16 + sum_k |h_k|)
 
-        (k over the prefix's parameters). :meth:`_screened_search` builds
-        the products from float32 cos and sin of h_k, and the guard redoes
-        any episode whose gap is not above tol: a filter with a proven error
-        bound, in the manner of Shewchuk's adaptive predicates (DCG 18, 1997).
+        (k over the prefix's parameters), computed in the dtype of ``half``.
+        :meth:`_screened_search` builds the products from float32 cos and
+        sin of h_k and adds them in float32 running sums, and the guard
+        redoes any episode whose gap is not above tol: a filter with a
+        proven error bound, in the manner of Shewchuk's adaptive predicates
+        (DCG 18, 1997).
 
-        Why tol bounds |sum32 - sum64| for every counted sum. Write c_k, s_k
-        for the exact cos and sin of h_k and c'_k, s'_k for the float32
-        values. Casting h_k to float32 moves it by at most |h_k| 2**-24, and
-        numpy's float32 cos and sin are taken to be within 4 ulp (the trig
-        premise test checks both together), so e_k = max(|c'_k - c_k|,
-        |s'_k - s_k|) <= (|h_k| + 4) 2**-24; a literal angle's float64 cos
-        and sin only round, with h_k counted as 0. The exact outcome
-        probabilities are the product distribution of the pairs (c_k**2,
-        s_k**2), each of mass c**2 + s**2 = 1, so replacing one factor at
-        a time telescopes: the L1 change of the outcome vector is at most
-        sum_k (|c'_k**2 - c_k**2| + |s'_k**2 - s_k**2|) <= sum_k 2 sqrt(2)
-        e_k, to first order. Each product of n float32 factors and its
-        square round at most 2n - 1 times, adding (2n - 1) 2**-24 in L1.
-        With a complex tail the products promote to complex128 before their
+        Why tol bounds the distance between each compared float32 sum S and
+        u32, u cast to float32, that decides the side of u on which the
+        float64 rule's sum R lies. All errors below are in units of 2**-24
+        and to first order.
+
+        Half angles. Each h_k is rounded from the float64 half angle H_k =
+        theta / 2, so |H_k| <= |h_k| (1 + 2**-23). Write c_k, s_k for the
+        exact cos and sin of H_k and c'_k, s'_k for numpy's float32 cos and
+        sin of h_k, taken to be within 4 ulp (the trig premise test checks
+        the cast and the trig together), so e_k = max(|c'_k - c_k|, |s'_k
+        - s_k|) <= |H_k| + 4. A literal angle's float64 cos and sin only
+        round to float32, with H_k counted as 0.
+
+        Products. The exact outcome probabilities are the product
+        distribution of the pairs (c_k**2, s_k**2), each of mass 1, so
+        replacing one factor at a time telescopes: the L1 change of the
+        outcome vector is at most sum_k 2 sqrt(2) e_k. Each float32
+        probability, a square of a product of n factors or a product of n
+        squares, rounds at most 2n - 1 times, adding 2n - 1 in L1. With a
+        complex tail the products promote to complex128 before their
         phases, and the tail is unitary, so the L2 error of the amplitudes,
-        at most sqrt(2) sum_k e_k + (n - 1) 2**-24, carries through to its
-        output; Cauchy-Schwarz turns an L2 error delta of unit vectors into
-        an L1 error of at most 2 delta + delta**2 in their squared
-        magnitudes. Either way the probabilities move by at most about
-        2**-24 (2.9 sum_k |h_k| + 14 n) in L1, and so does every partial
-        sum. The float64 products, the tail and the sequential sums of the
-        float64 path each carry O(dim eps), inside 4 * dim * eps as in
-        :func:`_blocked_search`. So tol, 32 * 2**-24 (n + sum |h_k|), exceeds
-        the bound at least twofold, and a sum farther than tol from u lies
-        on the same side of u in both paths. Underflow to float32
-        subnormals adds at most 2**-149 per product.
+        at most sqrt(2) sum_k e_k + n - 1, carries through to its output;
+        Cauchy-Schwarz turns an L2 error delta of unit vectors into an L1
+        error of at most 2 delta + delta**2 in their squared magnitudes.
+        Either way the probabilities, and every partial sum of their exact
+        values, move by at most 2.9 sum_k |H_k| + 14 n.
+
+        Sums. The screen compares at most dim - 1 running sums, each of at
+        most dim - 1 probabilities, so each is rounded at most dim - 1
+        times (dim - 2 additions, and the first term's cast when a complex
+        tail leaves the probabilities in float64), each time by at most half
+        an ulp of a float32 sum of at most about 1: at most dim - 1 in all.
+        u < 1 casts to float32 within 1/2. The float64 products, the tail
+        and the sequential sums of the float64 rule each carry O(dim eps),
+        below 2**-40 here.
+
+        So |S - R| + |u32 - u| <= 2.9 sum |H_k| + 14 n + dim, and tol,
+        32 (n + sum |h_k|) + 2 dim in these units, exceeds it at least
+        twofold. The factor two absorbs the second-order terms and the
+        float32 rounding of tol (k roundings) and of the gap |S - u32|
+        (one), all relative. An episode whose gap exceeds tol therefore has
+        |S - u32| > |S - R| + |u32 - u|, so S <= u32 exactly when R <= u,
+        for every compared sum, and gets the rule's index. Underflow to
+        float32 subnormals adds at most 2**-149 per product.
 
         Half angles past float32's range cast to inf, whose cos is NaN, and
         a huge sum of |h_k| makes tol above 1 (or inf, which the screen's
         errstate lets pass); both episodes are redone.
         """
-        tol = _workspace.array("tol", half.shape[1:])
-        np.abs(half, out=_workspace.array("abs_half", half.shape)).sum(axis=0, out=tol)
-        tol += self.num_qubits
+        tol = _workspace.array("tol", half.shape[1:], half.dtype)
+        abs_half = np.abs(half, out=_workspace.array("abs_half", half.shape, half.dtype))
+        abs_half.sum(axis=0, out=tol)
+        tol += self.num_qubits + self.dim / 16
         tol *= 2.0**-19
-        tol += 4 * self.dim * np.finfo(np.float64).eps
         return tol
 
 

@@ -528,6 +528,33 @@ def test_mc_kernel_rejects_inputs_of_the_wrong_size():
             mc_kernel(machine, u, v)
 
 
+def test_omega_bound_is_scanned_once_per_machine(monkeypatch):
+    # _encodes_finitely reads max|omega| from the machine, which scans omega
+    # on first use only; the estimates are the same bits as before the
+    # first scan, and an oversized input still raises.
+    from qks import encoding
+
+    split2, u, v = EncodingStructure.split(2), [0.3, -1.2], [0.7, 0.1]
+    before = [mc_kernel(sample_machine(get_ansatz("cz2"), split2, s, 500, 5), u, v)
+              for s in (1.0, 100.0)]
+    scans, max_abs = [], encoding._max_abs
+
+    def spy(a):
+        scans.append(a.shape)
+        return max_abs(a)
+
+    monkeypatch.setattr(encoding, "_max_abs", spy)
+    for k, sigma in enumerate((1.0, 100.0)):
+        machine = sample_machine(get_ansatz("cz2"), split2, sigma, 500, 5)
+        for _ in range(3):
+            assert mc_kernel(machine, u, v) == before[k]
+        assert scans == [machine.omega.shape] * (k + 1)
+        assert machine.max_abs_omega == np.abs(machine.omega).max()
+        with pytest.raises(ValueError, match="^u: .*not finite"):
+            mc_kernel(machine, [1e308, 1e308], v)
+    assert len(scans) == 2
+
+
 def test_mc_kernel_names_the_input_whose_encoding_overflows():
     from qks import kernels
 

@@ -108,8 +108,8 @@ def test_steepest_descent_fallback_when_cg_makes_no_step(monkeypatch):
     x, y = np.array([[-1.0], [1.0]]), np.array([0, 1])
     newton, unusable = logistic._newton_direction, []
 
-    def spy(xm, curv, lam, g):
-        step, products = newton(xm, curv, lam, g)
+    def spy(xm, curv, lam, g, tol):
+        step, products = newton(xm, curv, lam, g, tol)
         unusable.append(not g @ step < 0)
         return step, products
 
@@ -350,6 +350,44 @@ def test_frames_features_converge_to_tol():
     assert fit.iterations == len(model.loss_history) - 1
     assert fit.grad_inf <= 1e-8
     assert fit.hessian_vector_products >= fit.iterations
+
+
+def test_cg_floor_stops_at_tol_within_the_bound_of_a_fit_without_it(monkeypatch):
+    # CG's residual floor of tol / 2 against the plain forcing term (a floor
+    # of 0), on the quarter frames fit. Both stop at tol, and their weights
+    # agree within ||w1 - w2||_2 <= 2 tol (sqrt(d) + max_i ||x_i||_2) / lambda:
+    # for gradients g1, g2 of infinity norm <= tol, dg = g1 - g2 = H' dtheta
+    # with H' = X1^T D' X1 + lambda P the mean Hessian on the segment, and
+    # Cauchy-Schwarz on the D'-weighted sum of X1 dtheta leaves
+    # lambda ||dw||^2 <= (dg_w - dg_b xbar) . dw, where xbar is a
+    # D'-weighted mean of the rows.
+    train_ds, test_ds = gen_picture_frames(200, 50, seed=0)
+    m = sample_machine(get_ansatz("cnot2"), EncodingStructure.split(2), 1.0, 1000, seed=0)
+    fm, fte = featurize(m, train_ds.inputs), featurize(m, test_ds.inputs)
+    floored = train(fm, train_ds.labels)
+    monkeypatch.setattr(logistic, "_CG_TOL_FRACTION", 0.0)
+    plain = train(fm, train_ds.labels)
+    assert floored.fit.stop_reason == plain.fit.stop_reason == "tol"
+    assert floored.fit.hessian_vector_products < plain.fit.hessian_vector_products
+    x = fm.to_dense()
+    tol, lam = 1e-8, floored.reg_lambda
+    bound = 2 * tol * (np.sqrt(x.shape[1]) + np.sqrt(x.sum(axis=1).max())) / lam
+    assert np.linalg.norm(floored.weights - plain.weights) <= bound
+    assert np.array_equal(floored.predict(fte), plain.predict(fte))
+
+
+def test_mean_over_no_rows_is_a_value_error():
+    # Both used to warn "Mean of empty slice" and return NaN.
+    machine = sample_machine(get_ansatz("cnot2"), EncodingStructure.split(2), 1.0, 8, seed=0)
+    model = LinearClassifier(np.zeros(16), 0.0, 0.1)
+    packed = featurize(machine, np.zeros((0, 2)))
+    for x in (packed, np.zeros((0, 16)), np.full((0, 16), 0.5)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^x has no rows"):
+                evaluate(model, x, [])
+            with pytest.raises(ValueError, match="^x has no rows"):
+                loss_and_gradient(model.weights, 0.0, x, [], 0.1)
 
 
 def test_max_iter_stop_is_reported():

@@ -623,6 +623,70 @@ def test_float32_screen_gives_the_float64_index(name, layers, monkeypatch):
     assert 0 < sum(redone) < len(uniforms)
 
 
+def _spy_on_the_float32_sums(monkeypatch):
+    """Record the running sums that each call to _running_sums forms, in
+    its dtype and by its operations: the returned list gets one (dim - 1,
+    b) array per call."""
+    recorded, running_sums = [], simulator._running_sums
+
+    def spy(probs, uniforms, order=None):
+        rows = probs if order is None else probs[order]
+        total = np.empty(len(uniforms), uniforms.dtype)
+        total[...] = rows[0]
+        sums = [total.copy()]
+        for p in rows[1:-1]:
+            total += p
+            sums.append(total.copy())
+        recorded.append(np.array(sums))
+        return running_sums(probs, uniforms, order)
+
+    monkeypatch.setattr(simulator, "_running_sums", spy)
+    return recorded
+
+
+def _float32_index(sums, uniforms):
+    """The index that (dim - 1, b) float32 ``sums`` alone give each u."""
+    return (sums <= uniforms.astype(np.float32)).sum(axis=0)
+
+
+@pytest.mark.parametrize("name", ["rx1", "cnot2", "cz2", "p4"])
+@pytest.mark.parametrize("layers", [1, 2])
+def test_float32_screen_redoes_u_between_float32_and_float64_sums(
+    name, layers, monkeypatch
+):
+    # u between a float32 running sum of the screen and the float64 rule's
+    # sum at the same index, kept where the float32 sums alone, against u
+    # cast to float32, would pick another index than the rule. The guard
+    # must redo every such episode and give the rule's index.
+    engine = EpisodeEngine(get_ansatz(name), layers)
+    assert engine.path == "screen32"
+    rng = np.random.default_rng(10 * engine.dim + layers)
+    thetas = rng.normal(scale=2.0, size=(50, engine.num_params))
+    recorded = _spy_on_the_float32_sums(monkeypatch)
+    engine.sample(thetas, np.zeros(len(thetas)))
+    (sums32,) = recorded
+    probs = engine.probabilities(thetas)
+    sums64 = np.cumsum(probs, axis=1)[:, :-1].T
+    rows, uniforms = [], []
+    for j, i in zip(*np.nonzero(sums32 != sums64)):
+        lo, hi = sorted((float(sums32[j, i]), float(sums64[j, i])))
+        for u in (lo, hi, (lo + hi) / 2, np.nextafter(lo, 1.0), np.nextafter(hi, 0.0)):
+            if 0.0 <= u < 1.0:
+                rows.append(i)
+                uniforms.append(u)
+    rows, uniforms = np.array(rows), np.array(uniforms)
+    rule = _cumsum_outcome(probs[rows].T, uniforms)
+    keep = _float32_index(sums32[:, rows], uniforms) != rule
+    rows, uniforms, rule = rows[keep], uniforms[keep], rule[keep]
+    assert len(rows) >= 100
+    redone = _spy_on_the_rule(monkeypatch)
+    got = engine.sample(thetas[rows], uniforms)
+    assert got.tolist() == rule.tolist()
+    # The float32 sums of this call, too, pick another index at every u.
+    assert (_float32_index(recorded[-1], uniforms) != rule).all()
+    assert sum(redone) == len(uniforms)
+
+
 @pytest.mark.parametrize("name, layers", [("cnot2", 1), ("cz2", 1), ("p4", 2)])
 @pytest.mark.parametrize("big", [1e300, 2 * 3.41e38, 2.0 * float(np.finfo(np.float32).max)])
 def test_float32_screen_redoes_angles_past_float32_range(name, layers, big):
