@@ -218,10 +218,23 @@ def load_mnist_split(
 
 @dataclass(frozen=True)
 class Standardization:
-    """Per-coordinate train-split statistics used to rescale both splits."""
+    """Per-coordinate train-split statistics used to rescale both splits.
+
+    ``mean`` and ``std`` are 1-D arrays of finite real numbers of one
+    length, and ``std`` is >= 0; anything else raises ValueError, where
+    :meth:`apply` would map a coordinate with a NaN std to 0.
+    """
 
     mean: np.ndarray
     std: np.ndarray
+
+    def __post_init__(self):
+        mean = _as_reals("mean", self.mean, (None,))
+        std = _as_reals("std", self.std, mean.shape)
+        if (std < 0).any():
+            raise ValueError("std must be >= 0")
+        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "std", std)
 
     def apply(self, inputs: np.ndarray) -> np.ndarray:
         """Rescaled ``inputs``: rows of finite real numbers, one per

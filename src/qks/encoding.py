@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .quil import CircuitTemplate, _as_int, _as_real, _as_reals
+from .quil import CircuitTemplate, _as_int, _as_real, _as_reals, _as_zero_one
 
 TAG_OMEGA = 1
 TAG_BETA = 2
@@ -133,10 +133,15 @@ class EncodingStructure:
 
     @classmethod
     def from_mask(cls, mask: np.ndarray) -> "EncodingStructure":
-        """Structure from a boolean (q, p) mask; rows may overlap."""
-        mask = np.asarray(mask, dtype=bool)
+        """Structure from a (q, p) mask of bools or 0/1 values; rows may
+        overlap. Any other entry raises ValueError (see
+        :func:`~qks.quil._as_zero_one`), where a bool cast would read 0.5 as
+        True.
+        """
+        mask = np.asarray(mask)
         if mask.ndim != 2:
             raise ValueError("mask must be two-dimensional")
+        mask = _as_zero_one("mask", mask)
         rows = tuple(tuple(np.flatnonzero(r).tolist()) for r in mask)
         return cls(mask.shape[1], rows)
 

@@ -146,18 +146,13 @@ def _pack_indices(z: np.ndarray, num_qubits: int, out: np.ndarray) -> None:
     up to 8 qubits and uint16 above (as ``featurize`` samples them). A packed
     row is its indices laid end to end, least significant bit first, with
     zeros past the last column: ``_pack_rows`` of their ``outcome_bits``.
-    Widths 1, 2 and 4 OR 8 // n shifted indices into each byte, widths 8
-    and 16 cast them into the row's bytes or 16-bit words, and any other
-    width packs their bits.
+    Widths 1, 2, 4 and 8 OR 8 // n indices into each byte, each shifted
+    into its lane, and any other width packs their bits.
     """
     n, m = num_qubits, out.shape[0]
     z = z.reshape(m, -1)
     e = z.shape[1]
-    if n in (8, 16):
-        lanes = out.view(np.uint8 if n == 8 else "<u2")
-        lanes[:, :e] = z
-        lanes[:, e:] = 0
-    elif 8 % n == 0:
+    if 8 % n == 0:
         per = 8 // n
         by = out.view(np.uint8)
         # Lane k of byte c holds index c * per + k; lane 0 sets every byte.

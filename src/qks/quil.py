@@ -101,9 +101,7 @@ def _as_reals(name: str, value, shape: tuple, unit: bool = False) -> np.ndarray:
 def _as_labels(y, rows: int) -> np.ndarray:
     """One 0/1 label per row, as float64.
 
-    Bools, integers and floats that equal 0 or 1 are taken; any other value
-    (2, 0.7, NaN, a string, a complex number or an object) raises
-    ValueError, where an integer cast would truncate 0.7 to 0.
+    Entries are checked by :func:`_as_zero_one`.
     """
     y = np.asarray(y)
     if y.shape != (rows,):
@@ -111,9 +109,21 @@ def _as_labels(y, rows: int) -> np.ndarray:
             "label count must match the number of rows: "
             f"expected {rows} labels, got shape {y.shape}"
         )
-    if y.dtype.kind not in "biuf" or not np.isin(y, (0, 1)).all():
-        raise ValueError("labels must be 0 or 1")
-    return y.astype(np.float64)
+    return _as_zero_one("labels", y).astype(np.float64)
+
+
+def _as_zero_one(name: str, value) -> np.ndarray:
+    """``value`` as an array whose entries are bools, or integers or floats
+    equal to 0 or 1.
+
+    Any other entry (2, 0.7, NaN, a string, a complex number or an object)
+    raises ValueError, whose message starts with ``name``, where a bool
+    cast would read 0.7 as True and an integer cast truncate it to 0.
+    """
+    a = np.asarray(value)
+    if a.dtype.kind not in "biuf" or not np.isin(a, (0, 1)).all():
+        raise ValueError(f"{name} must be 0 or 1")
+    return a
 
 
 class QuilParseError(ValueError):
@@ -408,12 +418,13 @@ def instantiate(
 ) -> CircuitTemplate:
     """Bind parameter values to a template, returning one with no parameters.
 
-    ``theta`` is matched positionally against ``template.params``; a length
-    mismatch raises ValueError. The template itself is never mutated. The
-    bound circuit prints, parses and simulates like any other template, at
-    an empty parameter vector.
+    ``theta`` holds finite real numbers, matched positionally against
+    ``template.params``; anything else raises ValueError, as does a length
+    mismatch. The template itself is never mutated. The bound circuit
+    prints, parses and simulates like any other template, at an empty
+    parameter vector.
     """
-    values = [float(t) for t in theta]
+    values = _as_reals("theta", theta, (None,)).tolist()
     if len(values) != template.num_params:
         raise ValueError(
             f"template {template.name!r} takes {template.num_params} "

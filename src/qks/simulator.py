@@ -506,11 +506,18 @@ def _doubling(out: np.ndarray, factors) -> np.ndarray:
     ``factors`` yields (f0, f1) for k = 0..m-1, each broadcasting against
     ``out[0]``; row r becomes the product over k of f1 where bit k of r is
     set and f0 where it is not. Rows [0, 2**k) hold the products of the
-    first k pairs, and pair k extends them by f1 into [2**k, 2**(k+1)),
-    then by f0 in place, so every product is formed in k order.
+    first k pairs: pair 0 is copied into rows 0 and 1, which is its product
+    with the empty product 1.0, and each later pair k extends them by f1
+    into [2**k, 2**(k+1)), then by f0 in place, so every product is formed
+    in k order. With no pairs, row 0 is 1.0.
     """
-    out[0] = 1.0
-    for k, (f0, f1) in enumerate(factors):
+    factors = iter(factors)
+    first = next(factors, None)
+    if first is None:
+        out[0] = 1.0
+        return out
+    out[0], out[1] = first
+    for k, (f0, f1) in enumerate(factors, 1):
         size = 1 << k
         np.multiply(out[:size], f1, out=out[size : 2 * size])
         out[:size] *= f0
@@ -862,34 +869,32 @@ class EpisodeEngine:
     def _outcome_probabilities(
         self, thetas: np.ndarray, half: np.ndarray | None = None
     ) -> np.ndarray:
-        """Outcome probabilities, (2**n, b), of one chunk of (b, p) thetas.
+        """Outcome probabilities, (2**n, b), float64, of one chunk of (b, p)
+        thetas.
 
-        ``half`` holds the prefix half angles, by default the float64 ones
-        of ``thetas``; they are overwritten. The products take their dtype,
-        so float32 half angles give float32 products, and a complex tail
-        promotes them to complex128. A real engine squares the float64
-        products, which is the rule's arithmetic, and multiplies the
-        squares of float32 cos and sin, which is the screen's (see
-        :meth:`_screened_search`). The result and the arrays on the way
-        are in the thread's workspace: the result stays valid until the
-        thread's next such call.
+        A real engine squares its float64 products, which is the rule's
+        arithmetic. A complex tail's products take the dtype of ``half``,
+        the prefix half angles, by default the float64 ones of ``thetas``;
+        the screen passes float32 ones (see :meth:`_screened_search`). They
+        are overwritten, and the products promote to complex128 at their
+        phases. The result and the arrays on the way are in the thread's
+        workspace: the result stays valid until the thread's next such call.
         """
         array = _workspace.array
         if half is None:
             half = self._half_angles(thetas)
-        dtype = np.float64 if self._complex else half.dtype
         shape = (self.dim, thetas.shape[0])
-        out = array("probs", shape, dtype)
-        direct = not self._complex and self._gather is None
-        squared = not self._complex and half.dtype == np.float32
-        amps = self._prefix_products(
-            half, out if direct else array("amps", shape, half.dtype), squared)
+        out = array("probs", shape)
         if not self._complex:
-            if not squared:
-                amps *= amps  # squares drop the permutation's signs
+            direct = self._gather is None
+            amps = self._prefix_products(
+                half, out if direct else array("amps", shape), squared=False)
+            amps *= amps  # squares drop the permutation's signs
             if not direct:
                 np.take(amps, self._gather, axis=0, out=out, mode="clip")
             return out
+        amps = self._prefix_products(
+            half, array("amps", shape, half.dtype), squared=False)
         if self._gather is not None:
             amps = np.take(amps, self._gather, axis=0, mode="clip",
                            out=array("gathered", shape, half.dtype))

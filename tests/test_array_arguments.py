@@ -26,6 +26,7 @@ from qks import (
     expected_inner,
     featurize,
     get_ansatz,
+    instantiate,
     loss_and_gradient,
     mc_kernel,
     run_episode,
@@ -43,6 +44,7 @@ MODEL = LinearClassifier(weights=np.array([1.0, -1.0]), intercept=0.0,
 STATS = Standardization(np.zeros(2), np.ones(2))
 ROWS = np.array([[0.1, 0.2], [0.3, 0.4]])
 PAIR = np.array([0.5, 0.25])
+MASK = np.array([[1.0, 0.0], [1.0, 1.0]])
 LABELS = [0, 1]
 
 # (entry point, argument, a valid value, the call with that argument)
@@ -55,6 +57,8 @@ ENTRY_POINTS = [
      lambda a: exact_probabilities(CNOT2, a)),
     ("run_episode", "theta", PAIR,
      lambda a: run_episode(CNOT2, a, np.random.default_rng(0))),
+    ("instantiate", "theta", PAIR, lambda a: instantiate(CNOT2, a)),
+    ("EncodingStructure.from_mask", "mask", MASK, EncodingStructure.from_mask),
     ("QksMachine.encode", "u", PAIR, lambda a: MACHINE.encode(a, 0)),
     ("QksMachine.encode_batch", "inputs", ROWS, MACHINE.encode_batch),
     ("featurize", "inputs", ROWS, lambda a: featurize(MACHINE, a)),
@@ -77,6 +81,8 @@ ENTRY_POINTS = [
      lambda a: loss_and_gradient(a, 0.0, ROWS, LABELS, 0.1)),
     ("LabeledDataset", "inputs", ROWS, lambda a: LabeledDataset(a, LABELS)),
     ("Standardization.apply", "inputs", ROWS, STATS.apply),
+    ("Standardization", "mean", PAIR, lambda a: Standardization(a, PAIR)),
+    ("Standardization", "std", PAIR, lambda a: Standardization(PAIR, a)),
 ]
 
 
@@ -157,3 +163,44 @@ def test_classifier_fields_are_stored_as_floats():
     assert (model.intercept, model.reg_lambda) == (-2.0, 0.5)
     assert type(model.intercept) is float and type(model.reg_lambda) is float
     assert model.predict(np.array([[3.0, 0.0], [1.0, 5.0]])).tolist() == [1, 0]
+
+
+def test_instantiate_binds_the_array_rule_values():
+    # float() bound "0.5" as 0.5, and raised TypeError on a complex or a
+    # nested value. Bools and integers are real numbers, as for every array.
+    for bad in (["0.5", 0.25], [0.5 + 0j, 0.25], [[0.5], [0.25]]):
+        with pytest.raises(ValueError, match="^theta must "):
+            instantiate(CNOT2, bad)
+    bound = instantiate(CNOT2, [True, np.int64(2)])
+    assert [g.angle for g in bound.gates if g.angle is not None][:2] == [1.0, 2.0]
+    with pytest.raises(ValueError, match="takes 2 parameter"):
+        instantiate(CNOT2, [0.5])
+
+
+@pytest.mark.parametrize("entry", [0.5, 2, -1, "a", np.nan])
+def test_mask_entries_are_bools_or_zero_or_one(entry):
+    # A bool cast read 0.5 and "a" as True.
+    mask = np.array([[1, 0], [entry, 1]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^mask must be 0 or 1"):
+            EncodingStructure.from_mask(mask)
+    rows = ((0,), (0, 1))
+    for good in ([[1, 0], [1, 1]], [[1.0, 0.0], [1.0, 1.0]], [[True, False], [True, True]]):
+        assert EncodingStructure.from_mask(good).rows == rows
+
+
+def test_standardization_fields_are_checked():
+    # Unchecked, a NaN std mapped its coordinate to 0, and a string mean
+    # raised numpy's UFuncTypeError in apply.
+    for mean, std, match in [
+        (["0", "1"], PAIR, "^mean must be real"),
+        (PAIR, [np.nan, 1.0], "^std must be finite"),
+        (PAIR, [-1.0, 1.0], "^std must be >= 0"),
+        (PAIR, [1.0, 1.0, 1.0], r"^std must be 1-D of shape \(2,\)"),
+    ]:
+        with pytest.raises(ValueError, match=match):
+            Standardization(mean, std)
+    stats = Standardization([1, 2], [2, 0])
+    assert stats.mean.dtype == stats.std.dtype == np.float64
+    assert stats.apply(np.array([[3.0, 7.0]])).tolist() == [[1.0, 0.0]]

@@ -563,23 +563,22 @@ SCREENED = [("rx1", 1), ("cnot2", 1), ("cz2", 1), ("p4", 1),
 
 
 @pytest.mark.parametrize("name, layers", SCREENED)
-def test_float32_screen_error_is_far_inside_its_tolerance(name, layers):
+def test_float32_screen_error_is_far_inside_its_tolerance(name, layers, monkeypatch):
     # The tolerance is a worst-case bound; on random episodes from sigma 0.1
-    # to 1000 the float32 path's cumulative sums stay within a quarter of it
-    # of the float64 path's.
+    # to 1000 the screen's own float32 running sums stay within a quarter
+    # of it of the float64 rule's cumulative sums.
     engine = EpisodeEngine(get_ansatz(name), layers)
     rng = np.random.default_rng(layers * 100 + engine.dim)
     sigmas = np.repeat([0.1, 1.0, 10.0, 100.0, 1e3], 2000)[:, np.newaxis]
     thetas = sigmas * rng.normal(size=(sigmas.size, engine.num_params))
-    half = engine._half_angles(thetas)
-    tol = engine._screen_tolerance(half)
-    screened = engine._outcome_probabilities(thetas, half.astype(np.float32)).copy()
-    # Real products stay float32; a complex tail squares in float64.
-    assert screened.dtype == (np.float64 if engine._complex else np.float32)
-    exact = engine._outcome_probabilities(thetas)
-    error = np.abs(
-        np.cumsum(screened, axis=0, dtype=np.float64) - np.cumsum(exact, axis=0)
-    ).max(axis=0)
+    recorded = _spy_on_the_float32_sums(monkeypatch)
+    engine.sample(thetas, np.zeros(len(thetas)))
+    screened = np.concatenate(recorded, axis=1)
+    assert screened.dtype == np.float32 and screened.shape == (engine.dim - 1, len(thetas))
+    with np.errstate(over="ignore"):
+        tol = engine._screen_tolerance(engine._half_angles(thetas, np.float32))
+    exact = np.cumsum(engine.probabilities(thetas), axis=1)[:, :-1].T
+    error = np.abs(screened.astype(np.float64) - exact).max(axis=0)
     assert (error < 0.25 * tol).all(), (error / tol).max()
 
 
