@@ -17,27 +17,31 @@ per row. The single-state helpers run a (2**n, 1) batch of one.
 
 :class:`EpisodeEngine` splits a template's ops in two. Its prefix is the
 opening RX layer: RX gates on distinct fresh qubits, with an RX(0) for each
-qubit they leave idle. That state is a product, so each chunk takes cos and
-sin of every prefix half angle in one call each and builds the products by
-doubling, into one (2**n, B) array: prefix op k's qubit is bit k of a row
-index, and op k multiplies rows [0, 2**k) by its sin into rows [2**k,
-2**(k+1)), then by its cos in place. At build time the map from basis index
-to row index is composed with the permutation of a CNOT/CZ run that follows
-the prefix, so one gather puts the rows in basis order, and the remaining
-ops act on the result. When only permutations follow, the products stay
-real, since moving and negating amplitudes keeps their magnitudes;
-otherwise each is multiplied by its phase, (-i) to the number of sin
-factors, times the run's sign. RX kernels applied one by one from |0...0>
-form the same rounded products in the same order (the other part of each
-complex amplitude stays zero), so the probabilities equal theirs bit for
-bit. Chunks are sized for about 1 MiB of amplitudes (or, for the product
-search below, of its own tables). A chunk's half angles, products,
-outcome probabilities and search sums are views into the calling thread's
-workspace, :class:`_Workspace`, when the engine samples, redoes close calls,
-or returns probabilities or marginals. Its buffers outlive the chunk and
-the call, so a warm thread builds them without fresh pages from the
-allocator. The engine itself holds no mutable state, and
-:func:`cached_engine` shares one per (template, layers) across threads.
+qubit they leave idle. That state is a product, so it is built by doubling
+into one (2**n, B) array: prefix op k's qubit is bit k of a row index, and
+op k multiplies rows [0, 2**k) by one factor into rows [2**k, 2**(k+1)),
+then by the other in place. Only the rule's probabilities and complex tails
+take cos and sin of every prefix half angle, in one call each, and build
+products of sin and cos. The fast paths of real engines take one cos of
+each whole angle theta instead, since the squares of the half angle's cos
+and sin are (1 + cos theta) / 2 and (1 - cos theta) / 2. At build time the
+map from basis index to row index is composed with the permutation of a
+CNOT/CZ run that follows the prefix, so one gather puts the rows in basis
+order, and the remaining ops act on the result. When only permutations
+follow, the products stay real, since moving and negating amplitudes keeps
+their magnitudes; otherwise each is multiplied by its phase, (-i) to the
+number of sin factors, times the run's sign. RX kernels applied one by one
+from |0...0> form the same rounded products of sin and cos in the same
+order (the other part of each complex amplitude stays zero), so the
+probabilities equal theirs bit for bit. Chunks are sized for about 1 MiB
+of amplitudes (or, for the product search below, of its own tables). A
+chunk's angles, products, outcome probabilities and search sums are views
+into the calling thread's workspace, :class:`_Workspace`, when the engine
+samples, redoes close calls, or returns probabilities or marginals. Its
+buffers outlive the chunk and the call, so a warm thread builds them
+without fresh pages from the allocator. The engine itself holds no mutable
+state, and :func:`cached_engine` shares one per (template, layers) across
+threads.
 
 Every shot takes one uniform u through one inverse-CDF rule over the 2**n
 outcome probabilities in basis-index order: the count of cumulative sums
@@ -52,10 +56,11 @@ and a tol that bounds how far those sums lie from the rule's. Wide spaces
 are searched in two levels, in blocks of 2**(n//2) rows: block totals pick
 each episode's block, the sums inside it the row.
 
-- "screen32", up to 16 outcomes: float32 from start to finish. The half
-  angles are stored as float32, and their cos and sin taken in float32
-  (numpy's float32 trig is SIMD, its float64 trig often scalar libm); a
-  real engine multiplies their squares, and :func:`_running_sums` adds the
+- "screen32", up to 16 outcomes: float32 from start to finish, with trig
+  taken in float32 (numpy's float32 trig is SIMD, its float64 trig often
+  scalar libm). A real engine casts the angles to float32 and multiplies
+  squares from one cos each; a complex tail stores its half angles as
+  float32 and takes their cos and sin. :func:`_running_sums` adds the
   float32 probabilities in float32 running sums against u cast to float32,
   walking a real engine's rows in basis order without a gather. tol is
   proved at :meth:`EpisodeEngine._screen_tolerance`.
@@ -64,8 +69,8 @@ each episode's block, the sums inside it the row.
   prefix's product law pushed through a GF(2)-linear map, so the block
   totals are a Walsh-Hadamard transform of Z-string expectations, and
   those expectations and the chosen block's probabilities are products of
-  two half tables: O(2**(n/2)) work per episode. tol is proved at
-  :meth:`EpisodeEngine._product_tolerance`.
+  two half tables, built from one float64 cos per angle: O(2**(n/2)) work
+  per episode. tol is proved at :meth:`EpisodeEngine._product_tolerance`.
 - "blocked", any other wide engine (an H after the entanglers, two or more
   layers): :func:`_blocked_search` on float64 products; tol = 4 * 2**n * eps.
 
@@ -340,10 +345,10 @@ class _Op(NamedTuple):
     """One compiled gate, or one folded run of CNOT/CZ gates.
 
     A parameterized RX reads theta column ``col``; a literal RX has ``col``
-    None and carries cos/sin of its half angle. A folded run has ``kind``
-    None and maps amplitudes z -> sign[z] * amplitude[source[z]]; ``sign``
-    is a (2**n, 1) column, and ``source`` or ``sign`` is None where the run
-    leaves it unchanged.
+    None and carries its angle and the cos/sin of its half angle. A folded
+    run has ``kind`` None and maps amplitudes z -> sign[z] *
+    amplitude[source[z]]; ``sign`` is a (2**n, 1) column, and ``source`` or
+    ``sign`` is None where the run leaves it unchanged.
     """
 
     kind: GateKind | None
@@ -351,6 +356,7 @@ class _Op(NamedTuple):
     col: int | None = None
     cos: float = 1.0
     sin: float = 0.0
+    angle: float = 0.0
     source: np.ndarray | None = None
     sign: np.ndarray | None = None
 
@@ -407,7 +413,9 @@ def _compile(
             ops.append(_Op(g.kind, g.qubits, col))
         else:
             half = 0.5 * g.angle
-            ops.append(_Op(g.kind, g.qubits, None, math.cos(half), math.sin(half)))
+            ops.append(
+                _Op(g.kind, g.qubits, None, math.cos(half), math.sin(half), g.angle)
+            )
     folded: list[_Op] = []
     for permutes, run in itertools.groupby(
         ops, key=lambda op: op.kind in (GateKind.CNOT, GateKind.CZ)
@@ -500,6 +508,13 @@ def _span(generators) -> np.ndarray:
     return span
 
 
+def _literal_squares(op: _Op) -> tuple[float, float]:
+    """A literal RX op's ((1 + C) / 2, (1 - C) / 2), C the float64 cos of
+    its angle: the squares of its half angle's cos and sin."""
+    half = 0.5 * math.cos(op.angle)
+    return 0.5 + half, 0.5 - half
+
+
 def _doubling(out: np.ndarray, factors) -> np.ndarray:
     """Fill ``out``, (2**m, ...), with products of m factor pairs.
 
@@ -509,18 +524,21 @@ def _doubling(out: np.ndarray, factors) -> np.ndarray:
     first k pairs: pair 0 is copied into rows 0 and 1, which is its product
     with the empty product 1.0, and each later pair k extends them by f1
     into [2**k, 2**(k+1)), then by f0 in place, so every product is formed
-    in k order. With no pairs, row 0 is 1.0.
+    in k order. With no pairs, row 0 is 1.0. An f0 of None is the factor
+    1.0, which leaves rows [0, 2**k) as they are.
     """
     factors = iter(factors)
     first = next(factors, None)
     if first is None:
         out[0] = 1.0
         return out
-    out[0], out[1] = first
+    f0, out[1] = first
+    out[0] = 1.0 if f0 is None else f0
     for k, (f0, f1) in enumerate(factors, 1):
         size = 1 << k
         np.multiply(out[:size], f1, out=out[size : 2 * size])
-        out[:size] *= f0
+        if f0 is not None:
+            out[:size] *= f0
     return out
 
 
@@ -635,22 +653,25 @@ def _search_blocks(starts: np.ndarray, uniforms: np.ndarray, size: int, block_pr
     probabilities from its start pick the row; neither level compares its
     last sum, which is the clamp. The gap is the smallest |sum - u| over
     both levels. The sums and comparisons are in the thread's workspace.
+    Each level's distances |sum - u| overwrite its sums once it has picked,
+    so ``starts`` is free for ``block_probs`` to reuse.
     """
     b = len(uniforms)
     below = _workspace.array("below", (len(starts) - 1, b), bool)
     block = np.less_equal(starts[1:], uniforms, out=below).sum(axis=0)
     sums = _workspace.array("sums", (size, b))
     sums[0] = starts[block, np.arange(b)]
+    gap = _smallest_distance(starts[1:], uniforms)
     block_probs(block, sums[1:])
     np.cumsum(sums, axis=0, out=sums)
     below = _workspace.array("below", (size - 1, b), bool)
     z = block * size + np.less_equal(sums[1:], uniforms, out=below).sum(axis=0)
-    gap = np.inf
-    for level in (starts[1:], sums[1:]):
-        d = _workspace.array("distance", level.shape)
-        np.abs(np.subtract(level, uniforms, out=d), out=d)
-        gap = np.minimum(gap, d.min(axis=0))
-    return z, gap
+    return z, np.minimum(gap, _smallest_distance(sums[1:], uniforms))
+
+
+def _smallest_distance(sums: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """min |sum - u| down each column of (k, b) ``sums``, which it overwrites."""
+    return np.abs(np.subtract(sums, uniforms, out=sums), out=sums).min(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -807,12 +828,11 @@ class EpisodeEngine:
         # of the prefix qubits in its Z string C^dagger Z C (CNOT and CZ
         # map Z strings to Z strings), so of the row bits masks[j]. The
         # character (-1)**(c . h) of block h reads the row bits chars[c],
-        # the XOR of masks[j] over the bits j of c. Each half r of chars[c]
-        # is kept as 2 r + 1, the row of its factor in the search's half
-        # table, viewed as (2 * 2**m, b).
+        # the XOR of masks[j] over the bits j of c; each half of chars[c]
+        # is a row of the search's half table of characters.
         qubits = [op.qubits[0] for op in self._prefix]
         masks = z_strings[low:, qubits].astype(row.dtype) @ (1 << np.arange(n))
-        self._chars = 2 * split(_span(masks)) + 1
+        self._chars = split(_span(masks))
         # starts[h, c] = 2**-H * sum over h' < h of (-1)**(c . h'), so
         # starts @ character expectations gives each block's start, exactly
         # 0 for block 0: the Sylvester-Hadamard signs (-1)**(c . h'), by
@@ -824,18 +844,12 @@ class EpisodeEngine:
         self._starts = np.zeros((blocks, blocks))
         np.cumsum(signs[:-1], axis=0, out=self._starts[1:])
         self._starts *= 2.0 ** (low - n)
-        literal = [op.col is None for op in self._prefix]
-        self._param_rows = np.flatnonzero(np.logical_not(literal))
-        self._literal_rows = np.flatnonzero(literal)
-        self._literal_trig = np.array(
-            [[op.cos for op in self._prefix if op.col is None],
-             [op.sin for op in self._prefix if op.col is None]]
-        )[..., np.newaxis]
-        # Words per episode that the search holds at its peak: the factors
-        # and their trig, the four half tables, the characters and block
-        # starts with a temporary, and the chosen block's sums, gathered
-        # factors and indices. p9 gets 471 episodes a chunk, p16 49.
-        return 6 * n + 2 * (size + blocks) + 2 * blocks + 4 * size
+        # Words per episode of the search's workspace buffers, each sized
+        # by its largest use (see _product_search): "low" and "sums" hold
+        # 2**L, "high", "picks" and "starts" 2**H, "cos" one per prefix
+        # parameter, and "below" a bool per block after the first. p9 gets
+        # 929 episodes a chunk, p16 98.
+        return 2 * size + 3 * blocks + self._prefix_params + -(-(blocks - 1) // 8)
 
     def _half_angles(self, thetas: np.ndarray, dtype=np.float64) -> np.ndarray:
         """The prefix's half angles, (prefix parameters, b), in the thread's
@@ -845,26 +859,38 @@ class EpisodeEngine:
         half = _workspace.array("half", (self._prefix_params, thetas.shape[0]), dtype)
         return np.multiply(thetas.T[self._prefix_cols], 0.5, out=half)
 
-    def _prefix_products(self, half: np.ndarray, out: np.ndarray, squared: bool):
+    def _prefix_products(self, half: np.ndarray, out: np.ndarray):
         """Fill ``out``, (2**n, b), with the prefix's products by doubling.
 
         Row r takes, for each prefix op k, the sin of its half angle where
-        bit k of r is set and the cos where it is not; with ``squared``,
-        their squares, each taken by one ufunc call on the (k, b) array of
-        cos or sin. ``half`` holds the prefix half angles, (k, b), and is
-        overwritten; the products take its dtype.
+        bit k of r is set and the cos where it is not. ``half`` holds the
+        prefix half angles, (k, b), and is overwritten; the products take
+        its dtype.
         """
         cos = np.cos(half, out=_workspace.array("cos", half.shape, half.dtype))
-        sin = np.sin(half, out=half)
-        power = 1
-        if squared:
-            cos *= cos
-            sin *= sin
-            power = 2
-        trig = zip(cos, sin)
-        return _doubling(out, (next(trig) if op.col is not None
-                               else (op.cos**power, op.sin**power)
-                               for op in self._prefix))
+        return _doubling(out, self._per_op(zip(cos, np.sin(half, out=half)),
+                                           lambda op: (op.cos, op.sin)))
+
+    def _per_op(self, rows, literal) -> list:
+        """One entry per prefix op: the next of ``rows`` for a parameter,
+        ``literal(op)`` for a literal angle."""
+        rows = iter(rows)
+        return [next(rows) if op.col is not None else literal(op)
+                for op in self._prefix]
+
+    def _square_pairs(self, cos: np.ndarray, spare: np.ndarray) -> list:
+        """Each prefix op's squares (cos**2, sin**2) of its half angle, as
+        ((1 + C) / 2, (1 - C) / 2) from C = cos theta of its whole angle.
+
+        ``cos`` holds C of the prefix parameters, (k, b): (1 + C) / 2
+        overwrites it and (1 - C) / 2 goes into ``spare``, an array of the
+        same shape and dtype, each formed as 0.5 +- 0.5 C with one rounding.
+        A literal angle's pair is two floats.
+        """
+        half = np.multiply(cos, 0.5, out=cos)
+        sin2 = np.subtract(0.5, half, out=spare)
+        cos2 = np.add(0.5, half, out=cos)
+        return self._per_op(zip(cos2, sin2), _literal_squares)
 
     def _outcome_probabilities(
         self, thetas: np.ndarray, half: np.ndarray | None = None
@@ -887,14 +913,12 @@ class EpisodeEngine:
         out = array("probs", shape)
         if not self._complex:
             direct = self._gather is None
-            amps = self._prefix_products(
-                half, out if direct else array("amps", shape), squared=False)
+            amps = self._prefix_products(half, out if direct else array("amps", shape))
             amps *= amps  # squares drop the permutation's signs
             if not direct:
                 np.take(amps, self._gather, axis=0, out=out, mode="clip")
             return out
-        amps = self._prefix_products(
-            half, array("amps", shape, half.dtype), squared=False)
+        amps = self._prefix_products(half, array("amps", shape, half.dtype))
         if self._gather is not None:
             amps = np.take(amps, self._gather, axis=0, mode="clip",
                            out=array("gathered", shape, half.dtype))
@@ -1015,26 +1039,34 @@ class EpisodeEngine:
         return out
 
     def _screened_search(self, thetas: np.ndarray, uniforms: np.ndarray):
-        """Path "screen32": float32 half angles, products and running sums.
+        """Path "screen32": float32 angles, products and running sums.
 
-        The half angles are written straight into float32 and tol is taken
-        from them; :func:`_running_sums` adds the probabilities in float32
-        against u cast to float32 once per chunk. A real engine's products
-        of squares stay in row order, and the sums walk the rows in basis
-        order, so no gather copies them; a complex tail's probabilities
-        come from :meth:`_outcome_probabilities`, in float64.
+        A real engine casts the prefix angles to float32, takes tol from
+        them and one float32 cos of each, and builds the products of the
+        squares :meth:`_square_pairs` forms; they stay in row order, and
+        the sums walk the rows in basis order, so no gather copies them. A
+        complex tail writes its half angles straight into float32, takes
+        tol from them, and gets its probabilities from
+        :meth:`_outcome_probabilities`, in float64. :func:`_running_sums`
+        adds the probabilities in float32 against u cast to float32 once
+        per chunk.
         """
+        array = _workspace.array
         with np.errstate(over="ignore", invalid="ignore"):
-            half = self._half_angles(thetas, np.float32)
-            tol = self._screen_tolerance(half)
-            u = _workspace.array("u32", uniforms.shape, np.float32)
+            u = array("u32", uniforms.shape, np.float32)
             u[...] = uniforms
             if self._complex:
+                half = self._half_angles(thetas, np.float32)
+                tol = self._screen_tolerance(half)
                 probs, order = self._outcome_probabilities(thetas, half), None
             else:
-                probs = self._prefix_products(
-                    half, _workspace.array("probs", (self.dim, len(u)), np.float32),
-                    squared=True)
+                shape = (self._prefix_params, len(u))
+                cos = array("half", shape, np.float32)
+                cos[...] = thetas.T[self._prefix_cols]
+                tol = self._screen_tolerance(cos, whole=True)
+                pairs = self._square_pairs(np.cos(cos, out=cos),
+                                           array("cos", shape, np.float32))
+                probs = _doubling(array("probs", (self.dim, len(u)), np.float32), pairs)
                 order = self._gather
             return (*_running_sums(probs, u, order), tol)
 
@@ -1047,62 +1079,67 @@ class EpisodeEngine:
     def _product_search(self, thetas: np.ndarray, uniforms: np.ndarray):
         """Path "product": (index, gap, tol) per episode of a real engine.
 
-        The outcome law is the prefix's product law on rows, P(z) = prod_k
-        f_k(bit k of row[z]) with f_k = (c_k**2, s_k**2), so the total of
-        block h, the basis indices whose high H = n - n//2 bits are h, is
-        2**-H sum_c (-1)**(c . h) E[chi_c], with E[chi_c] = prod_k (c_k**2
-        - s_k**2 if k reads c else c_k**2 + s_k**2) (O'Donnell, Analysis of
-        Boolean Functions, 2014, ch. 1). The expectations are products of a
-        low and a high half table, and one matrix product with the summed
-        signs gives every block's start. The chosen block's probabilities
-        are products of entries of two half tables of squares, and
-        :func:`_search_blocks` runs both levels of the search.
+        With C_k = cos theta_k, prefix op k's squares c_k**2 and s_k**2 are
+        (1 + C_k) / 2 and (1 - C_k) / 2, so the outcome law is the prefix's
+        product law on rows, P(z) = prod_k f_k(bit k of row[z]) with f_k =
+        ((1 + C_k) / 2, (1 - C_k) / 2). The total of block h, the basis
+        indices whose high H = n - n//2 bits are h, is 2**-H sum_c (-1)**(c
+        . h) E[chi_c], with E[chi_c] = prod_k (C_k if k reads c else 1)
+        (O'Donnell, Analysis of Boolean Functions, 2014, ch. 1). The
+        expectations are products of a low and a high half table of
+        characters, and one matrix product with the summed signs gives
+        every block's start. The chosen block's probabilities are products
+        of entries of two half tables of squares, and
+        :func:`_search_blocks` runs both levels of the search. Each chunk
+        takes one float64 cos per prefix parameter, and no sin.
+
+        Later phases reuse the workspace names of dead arrays, so the
+        words per episode are :meth:`_build_product_search`'s. By phase:
+
+        ============  ===================  ===============  ================
+        name          characters           squares          search
+        ============  ===================  ===============  ================
+        "cos"         C                    (1 + C) / 2
+        "low", "high" character tables     square tables    square tables
+        "picks"       low picks, E[chi_c]  (1 - C) / 2      high picks
+        "starts"      high picks, starts                    starts, index
+        "sums"                                              sums in a block
+        ============  ===================  ===============  ================
         """
         n, b = self.num_qubits, thetas.shape[0]
-        low = n // 2
-        # x[0, k] and x[1, k]: prefix op k's factor where its row bit is 0
-        # and where it is 1, for squares (c**2, s**2) in [..., 0, :] and
-        # characters (c**2 + s**2, c**2 - s**2) in [..., 1, :].
-        x = _workspace.array("factors", (2, n, 2, b))
-        half = self._half_angles(thetas)
-        cos = np.cos(half, out=_workspace.array("cos", half.shape))
-        x[0, self._param_rows, 0] = cos
-        x[1, self._param_rows, 0] = np.sin(half, out=half)
-        x[:, self._literal_rows, 0] = self._literal_trig
-        squares = x[:, :, 0]
-        squares *= squares
-        np.add(squares[0], squares[1], out=x[0, :, 1])
-        np.subtract(squares[0], squares[1], out=x[1, :, 1])
-        pairs = list(zip(x[0], x[1]))
-        # Half table row r holds the products of squares, then those of
-        # characters: rows 2r and 2r + 1 of its (2**(m + 1), b) view.
-        tables = [
-            _doubling(_workspace.array(name, (1 << len(part), 2, b)), part)
-            for name, part in (("low", pairs[:low]), ("high", pairs[low:]))
-        ]
-        characters, high_characters = (
-            np.take(table.reshape(-1, b), chars, axis=0, mode="clip",
-                    out=_workspace.array(name, (len(chars), b)))
-            for name, table, chars in zip(
-                ("characters", "high_picks"), tables, self._chars)
-        )
-        characters *= high_characters
-        starts = np.matmul(self._starts, characters,
-                           out=_workspace.array("starts", characters.shape))
+        low, array = n // 2, _workspace.array
+        size, blocks = 1 << low, self.dim >> low
+        cos = np.cos(thetas.T[self._prefix_cols],
+                     out=array("cos", (self._prefix_params, b)))
+
+        def half_tables(factors):
+            return [_doubling(array(name, (1 << len(part), b)), part)
+                    for name, part in (("low", factors[:low]),
+                                       ("high", factors[low:]))]
+
+        # An op's character factor is 1 where its row bit is 0, C where 1.
+        low_table, high_table = half_tables(self._per_op(
+            ((None, c) for c in cos), lambda op: (None, math.cos(op.angle))))
+        characters = np.take(low_table, self._chars[0], axis=0, mode="clip",
+                             out=array("picks", (blocks, b)))
+        starts = array("starts", (blocks, b))
+        characters *= np.take(high_table, self._chars[1], axis=0, mode="clip",
+                              out=starts)
+        np.matmul(self._starts, characters, out=starts)
+        tables = half_tables(self._square_pairs(cos, array("picks", cos.shape)))
         cols = np.arange(b)
-        size = 1 << low
-        index = _workspace.array("index", (size - 1, b), np.intp)
-        high = _workspace.array("high_picks", (size - 1, b))
 
         def block_probs(block, out):
             # Row l of block h is row[h * size] ^ row[l]; each half of it
             # picks a product of squares from its half table, in that
             # episode's column: the low half's into out, the high half's
             # into high.
+            index = array("starts", (size - 1, b), np.intp)
+            high = array("picks", (size - 1, b))
             for table, rows, offsets, factor in zip(
                     tables, self._block_rows, self._block_offsets, (out, high)):
                 np.bitwise_xor(rows[:, np.newaxis], offsets[block], out=index)
-                np.multiply(index, 2 * b, out=index)
+                np.multiply(index, b, out=index)
                 np.take(table.ravel(), np.add(index, cols, out=index),
                         out=factor, mode="clip")
             out *= high
@@ -1113,52 +1150,69 @@ class EpisodeEngine:
     def _product_tolerance(self) -> float:
         """The product search's tol, with H = n - n//2 and 2**H blocks:
 
-            tol = 4 * dim * eps + 2**H * (2**H + 3n) * eps
+            tol = (4 * dim + 2**H * (2**H + n) + 24 n) * eps
 
         Write u = eps / 2 for the unit roundoff and gamma_m = m u / (1 - m
         u) (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
-        ch. 3). Take c_k and s_k, prefix op k's float64 cos and sin, as
-        exact, with m_k = c_k**2 + s_k**2, d_k = c_k**2 - s_k**2, P(z) the
-        exact products of their squares and M = sum_z P(z) = prod_k m_k.
-        M is 1 to within a few n eps, as float64 cos and sin are within a
-        few ulp; the factor 2 below absorbs that, and second-order terms.
+        ch. 3). Numpy's float64 cos and sin are taken to be within 4 ulp,
+        so within 8 u of the exact value, relative to it. Terms of second
+        order are dropped; the factor 2 below absorbs them.
+
+        Two laws. The rule halves theta_k exactly and takes its float64 cos
+        and sin, c_k and s_k; let P_R(z) be the exact products of their
+        squares, of mass M = prod_k (c_k**2 + s_k**2), within 16 n u of 1.
+        Pair k of P_R, (c_k**2, s_k**2), lies within 16 u in L1 of the
+        exact squares of the half angle's cos and sin. The search takes C_k
+        = cos theta_k in float64 (a literal angle's too), and its law P_S
+        has the pairs ((1 + C_k) / 2, (1 - C_k) / 2), of mass exactly 1:
+        within 8 u in L1 of the same exact squares, as cos theta = c**2 - s**2.
+        So the pairs of the two laws differ by at most 24 u in L1 each, and
+        replacing one pair at a time telescopes: every partial sum of P_S
+        lies within 24 n u of P_R's at the same index.
 
         The rule's sum R at any index: each float64 product of n factors,
         squared, rounds at most 2n - 1 times, and a sequential sum of at
-        most dim terms at most dim - 1 times, so |R - exact| <= (2n + dim) u M.
+        most dim terms at most dim - 1 times, so R lies within (2n + dim) u
+        M of P_R's partial sum.
 
         A block start S_h = sum_c starts[h, c] E[chi_c], in any summation
-        order: each E[chi_c] is a product of n factors d_k or m_k, each
-        within gamma_2 m_k of exact, with n - 1 roundings, so within
-        gamma_{3n} M of exact and at most M (1 + gamma_{3n}) in magnitude.
-        The entries of ``starts`` are exact multiples of 2**-H, at most 1
-        in magnitude, and a dot product of 2**H terms in any order errs by
-        at most gamma_{2**H} times the sum of their magnitudes (Higham, sec.
-        3.1), so |S_h - exact| <= 2**H (2**H + 3n) u M to first order. A sum
-        inside the chosen block adds to S_h at most 2**L products of 2n - 1
-        roundings each, for at most (2**L + 2n) u M more.
+        order: E[chi_c] is a product of at most n factors C_k or 1, exact
+        floats of magnitude at most 1, with at most n - 1 roundings (one
+        per half table multiply and one for the pick's product), so within
+        gamma_{n-1} of P_S's expectation. The entries of ``starts`` are
+        exact multiples of 2**-H, at most 1 in magnitude, and a dot product
+        of 2**H terms in any order errs by at most gamma_{2**H} times the
+        sum of their magnitudes (Higham, sec. 3.1), so S_h lies within
+        2**H (2**H + n) u of P_S's start of block h. A sum inside the
+        chosen block adds to S_h at most 2**L probabilities, each a
+        product of n squares 0.5 +- 0.5 C_k that round once each, with n -
+        1 roundings more, so within gamma_{2n-1} of P_S's, for at most
+        (2**L + 2n) u more.
 
-        So each compared sum lies within (2**H (2**H + 3n) + 2**L + 4n +
-        dim) u M of R, at most half of tol, since 2**L + 4n < 2 dim and u =
+        So each compared sum lies within (2**H (2**H + n) + 2**L + 28n +
+        dim) u of R, at most half of tol, since 2**L + 4n < 2 dim and u =
         eps / 2. The bound holds for any summation order of the matrix
         product, as BLAS kernels and thread counts choose their own. An
         episode whose gap exceeds tol therefore sees every compared sum on
         the side of u that R is on, and gets the rule's index.
         """
-        blocks = self.dim >> self.num_qubits // 2
+        n = self.num_qubits
+        blocks = self.dim >> n // 2
         eps = np.finfo(np.float64).eps
-        return (4 * self.dim + blocks * (blocks + 3 * self.num_qubits)) * eps
+        return (4 * self.dim + blocks * (blocks + n) + 24 * n) * eps
 
-    def _screen_tolerance(self, half: np.ndarray) -> np.ndarray:
+    def _screen_tolerance(self, half: np.ndarray, whole: bool = False) -> np.ndarray:
         """The float32 screen's tol per episode from its (k, b) prefix half
         angles h_k, float32 as :meth:`_screened_search` stores them:
 
             tol = 2**-19 * (n + dim / 16 + sum_k |h_k|)
 
         (k over the prefix's parameters), computed in the dtype of ``half``.
-        :meth:`_screened_search` builds the products from float32 cos and
-        sin of h_k and adds them in float32 running sums, and the guard
-        redoes any episode whose gap is not above tol: a filter with a
+        With ``whole``, ``half`` holds the whole angles t_k instead, as a
+        real engine's screen casts them, and sum_k |t_k| / 2 stands for sum_k
+        |h_k|: the same float32 number, since halving is exact. The screen
+        builds float32 products, adds them in float32 running sums, and the
+        guard redoes any episode whose gap is not above tol: a filter with a
         proven error bound, in the manner of Shewchuk's adaptive predicates
         (DCG 18, 1997).
 
@@ -1167,27 +1221,34 @@ class EpisodeEngine:
         float64 rule's sum R lies. All errors below are in units of 2**-24
         and to first order.
 
-        Half angles. Each h_k is rounded from the float64 half angle H_k =
-        theta / 2, so |H_k| <= |h_k| (1 + 2**-23). Write c_k, s_k for the
-        exact cos and sin of H_k and c'_k, s'_k for numpy's float32 cos and
-        sin of h_k, taken to be within 4 ulp (the trig premise test checks
-        the cast and the trig together), so e_k = max(|c'_k - c_k|, |s'_k
-        - s_k|) <= |H_k| + 4. A literal angle's float64 cos and sin only
-        round to float32, with H_k counted as 0.
+        Factors. Write H_k = theta / 2 for the float64 half angle and c_k,
+        s_k for the exact cos and sin of H_k. Numpy's float32 cos and sin
+        of a float32 cast of x are taken to be within (|x| + 4) of the
+        exact values at x (the trig premise test checks the cast and the
+        trig together). A complex tail rounds H_k to h_k, |H_k| <= |h_k| (1
+        + 2**-23), and takes cos and sin of h_k, each within e_k = |H_k| +
+        4 of c_k and s_k. A real engine casts theta to t_k and takes C'_k,
+        its float32 cos, within 2 |H_k| + 4 of cos theta = c_k**2 - s_k**2;
+        its squares 0.5 +- 0.5 C'_k halve that and round once (1/2), so
+        each lies within |H_k| + 2.5 of c_k**2 or s_k**2. A literal
+        angle's float64 factors only round to float32, with H_k counted as
+        0.
 
         Products. The exact outcome probabilities are the product
         distribution of the pairs (c_k**2, s_k**2), each of mass 1, so
         replacing one factor at a time telescopes: the L1 change of the
-        outcome vector is at most sum_k 2 sqrt(2) e_k. Each float32
-        probability, a square of a product of n factors or a product of n
-        squares, rounds at most 2n - 1 times, adding 2n - 1 in L1. With a
-        complex tail the products promote to complex128 before their
-        phases, and the tail is unitary, so the L2 error of the amplitudes,
-        at most sqrt(2) sum_k e_k + n - 1, carries through to its output;
-        Cauchy-Schwarz turns an L2 error delta of unit vectors into an L1
-        error of at most 2 delta + delta**2 in their squared magnitudes.
-        Either way the probabilities, and every partial sum of their exact
-        values, move by at most 2.9 sum_k |H_k| + 14 n.
+        outcome vector is at most the sum over k of the L1 change of pair
+        k, 2 (|H_k| + 2.5) for a real engine's squares. Each float32
+        probability, a product of n squares, rounds at most n - 1 times
+        more, adding n - 1 in L1. With a complex tail the products of cos
+        and sin, each within sqrt(2) e_k in L2 per pair, promote to
+        complex128 before their phases, and the tail is unitary, so the L2
+        error of the amplitudes, at most sqrt(2) sum_k e_k + n - 1, carries
+        through to its output; Cauchy-Schwarz turns an L2 error delta of
+        unit vectors into an L1 error of at most 2 delta + delta**2 in
+        their squared magnitudes. Either way the probabilities, and every
+        partial sum of their exact values, move by at most 2.9 sum_k |H_k|
+        + 14 n.
 
         Sums. The screen compares at most dim - 1 running sums, each of at
         most dim - 1 probabilities, so each is rounded at most dim - 1
@@ -1207,13 +1268,15 @@ class EpisodeEngine:
         for every compared sum, and gets the rule's index. Underflow to
         float32 subnormals adds at most 2**-149 per product.
 
-        Half angles past float32's range cast to inf, whose cos is NaN, and
-        a huge sum of |h_k| makes tol above 1 (or inf, which the screen's
+        Angles past float32's range cast to inf, whose cos is NaN, and a
+        huge sum of |h_k| makes tol above 1 (or inf, which the screen's
         errstate lets pass); both episodes are redone.
         """
         tol = _workspace.array("tol", half.shape[1:], half.dtype)
         abs_half = np.abs(half, out=_workspace.array("abs_half", half.shape, half.dtype))
         abs_half.sum(axis=0, out=tol)
+        if whole:
+            tol *= 0.5
         tol += self.num_qubits + self.dim / 16
         tol *= 2.0**-19
         return tol

@@ -854,6 +854,90 @@ def test_batched_sample_equals_scalar(tmp_path):
         assert batched[i] == z
 
 
+def test_float64_trig_is_within_the_product_premise():
+    # The product search takes float64 cos of whole angles, and the rule
+    # cos and sin of half angles; the product search's tol assumes both
+    # within 4 ulp of the exact value, which long double trig stands for
+    # here. The grid holds multiples of pi/2 and their neighbours, and runs
+    # sparsely out to 1e9.
+    rng = np.random.default_rng(8)
+    k = np.arange(-2607, 2608) * (np.pi / 2)
+    wide = np.geomspace(2.0**12, 1e9, 20_001)
+    grid = np.concatenate([k, np.nextafter(k, np.inf), np.nextafter(k, -np.inf),
+                           rng.uniform(-(2.0**12), 2.0**12, 2**18), wide, -wide,
+                           [1e8, -1e8, 2e3 * np.pi]])
+    exact_grid = grid.astype(np.longdouble)
+    for f in (np.cos, np.sin):
+        exact = f(exact_grid)
+        error = np.abs(f(grid).astype(np.longdouble) - exact)
+        excess = error - 4 * np.spacing(np.abs(exact.astype(np.float64)))
+        assert (excess <= 0).all(), (f.__name__, grid[np.argmax(excess)])
+
+
+# Angles whose cos is 0, +-1 or of a huge argument, for the one-cos factors
+# of real engines; literal6 has literal and idle RX ops in its prefix.
+SPECIAL_ANGLES = [0.0, np.pi / 2, -np.pi / 2, np.pi, -np.pi,
+                  2 * np.pi, -4 * np.pi, 2e3 * np.pi, 1e8]
+ONE_COS = {
+    "p9": "p9",
+    "p16": "p16",
+    "idle7": PRODUCT_SEARCHED["idle7"],
+    "literal6": (
+        "DEFCIRCUIT L6(%a, %b, %c):\n    RX(%a) 0\n    RX(0.3) 1\n    RX(%b) 2\n"
+        "    RX(-2.5) 5\n    RX(%c) 3\n    CNOT 0 1\n    CZ 1 2\n    CNOT 2 4\n"
+        "    CNOT 3 5\n"
+    ),
+    "rx1": "rx1",
+    "cnot2": "cnot2",
+    "p4": "p4",
+}
+
+
+@pytest.mark.parametrize("key", ONE_COS)
+def test_one_cos_factors_give_the_rule_index_at_special_angles(key, monkeypatch):
+    # The fast paths of real engines form the squares of each half angle's
+    # cos and sin as (1 +- cos theta) / 2. At these angles they put zeros
+    # and ties among the probabilities; u on the rule's cumulative sums, or
+    # 1 or 2 ulp either side, must still get the rule's index.
+    engine = EpisodeEngine(_template(ONE_COS[key]))
+    assert engine.path == ("screen32" if engine.dim <= 16 else "product")
+    rng = np.random.default_rng(engine.dim + 11)
+    episodes = 2 if key == "p16" else 12
+    thetas = rng.choice(SPECIAL_ANGLES, size=(episodes, engine.num_params))
+    thetas[0] = 0.0
+    rows, uniforms = [], []
+    for i, probs in enumerate(engine.probabilities(thetas)):
+        at = np.cumsum(probs)[_probed_sums(engine.dim, rng)]
+        us = [at]
+        for direction in (0.0, 1.0):
+            us.append(np.nextafter(us[0], direction))
+            us.append(np.nextafter(us[-1], direction))
+        us = np.concatenate(us)
+        us = us[(us >= 0.0) & (us < 1.0)]
+        rows += [i] * len(us)
+        uniforms.append(us)
+    thetas, uniforms = thetas[rows], np.concatenate(uniforms)
+    redone = _spy_on_the_rule(monkeypatch)
+    got = engine.sample(thetas, uniforms)
+    assert got.tolist() == _rule_indices(engine, thetas, uniforms).tolist()
+    assert sum(redone) > 0
+
+
+@pytest.mark.parametrize("key", PRODUCT_SEARCHED)
+def test_product_search_fills_its_chunk_budget(key, monkeypatch):
+    # The product search's chunk is sized from its words per episode. After
+    # a sample of three chunks on a cleared workspace, the buffers hold at
+    # most CHUNK_BYTES and at least 95% of it: the count is the real peak.
+    engine = EpisodeEngine(_template(PRODUCT_SEARCHED[key]))
+    thetas, uniforms = _episodes(engine, 2 * engine._sample_chunk + 3, 12)
+    redone = _spy_on_the_rule(monkeypatch)
+    simulator._workspace.buffers.clear()
+    engine.sample(thetas, uniforms)
+    assert sum(redone) == 0  # a redo would add the rule's buffers
+    words = sum(buffer.size for buffer in simulator._workspace.buffers.values())
+    assert 0.95 * simulator.CHUNK_BYTES <= 8 * words <= simulator.CHUNK_BYTES
+
+
 # One template per sampling path: the float32 screen (cnot2), the product
 # search (p9, p16, nontri6) and the blocked search (p9 at two layers).
 CHUNKED = {
