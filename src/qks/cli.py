@@ -97,8 +97,6 @@ def _add_qks_args(parser: argparse.ArgumentParser, grid: bool = False) -> None:
                        help="episode count (default 1000)")
         g.add_argument("--seed", type=int, default=0, metavar="N",
                        help="machine seed (default 0)")
-    g.add_argument("--workers", type=int, default=1, metavar="N",
-                   help="featurization threads (default 1)")
 
 
 def _parse_digits(text: str) -> tuple[int, int]:
@@ -214,14 +212,13 @@ def _fit_and_report(args) -> int:
     headline, config = args.command, {}
     if args.command == "run":
         machine = _machine(args, train_ds, args.sigma, args.episodes, args.seed)
-        x_train = featurize(machine, x_train, workers=args.workers)
-        x_test = featurize(machine, x_test, workers=args.workers)
+        x_train = featurize(machine, x_train)
+        x_test = featurize(machine, x_test)
         headline += (f" ansatz={args.ansatz} sigma={args.sigma} "
                      f"episodes={args.episodes}")
         config = {"ansatz": args.ansatz, "layers": args.layers,
                   "sigma": args.sigma, "episodes": args.episodes,
-                  "seed": args.seed, "workers": args.workers,
-                  "structure": machine.structure.pattern}
+                  "seed": args.seed, "structure": machine.structure.pattern}
     model, train_err, test_err = _fit(args, x_train, x_test, train_ds, test_ds)
     seconds = time.perf_counter() - start
     print(f"{headline} train_error={train_err:.4f} test_error={test_err:.4f} "
@@ -269,8 +266,8 @@ def cmd_sweep(args) -> int:
         for seed in seeds:
             t0 = time.perf_counter()
             machine = _machine(args, train_ds, sigma, e_max, seed)
-            train_full = featurize(machine, train_ds.inputs, workers=args.workers)
-            test_full = featurize(machine, test_ds.inputs, workers=args.workers)
+            train_full = featurize(machine, train_ds.inputs)
+            test_full = featurize(machine, test_ds.inputs)
             feat_seconds = time.perf_counter() - t0
             for episodes in episode_grid:
                 t1 = time.perf_counter()
@@ -330,7 +327,7 @@ def cmd_features_dump(args) -> int:
     train_ds, test_ds, _ = _load_splits(args)
     ds = train_ds if args.split == "train" else test_ds
     machine = _machine(args, train_ds, args.sigma, args.episodes, args.seed)
-    fm = featurize(machine, ds.inputs, workers=args.workers)
+    fm = featurize(machine, ds.inputs)
     save_features(fm, args.out)
     print(f"wrote {args.out}: {fm.rows} rows x {fm.num_columns} columns "
           f"({fm.episodes} episodes x {fm.num_qubits} qubits)")

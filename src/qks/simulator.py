@@ -58,19 +58,22 @@ each episode's block, the sums inside it the row.
 
 - "screen32", up to 16 outcomes: float32 from start to finish, with trig
   taken in float32 (numpy's float32 trig is SIMD, its float64 trig often
-  scalar libm). A real engine casts the angles to float32 and multiplies
-  squares from one cos each; a complex tail stores its half angles as
-  float32 and takes their cos and sin. :func:`_running_sums` adds the
-  float32 probabilities in float32 running sums against u cast to float32,
-  walking a real engine's rows in basis order without a gather. tol is
-  proved at :meth:`EpisodeEngine._screen_tolerance`.
+  scalar libm). The prefix angles are cast to float32 once per chunk: a
+  real engine multiplies squares from one cos of each, and a complex tail
+  halves them, exactly, and takes their cos and sin. :func:`_running_sums`
+  adds the float32 probabilities in float32 running sums against u cast to
+  float32, walking a real engine's rows in basis order without a gather.
+  tol is proved at :meth:`EpisodeEngine._screen_tolerance`.
 - "product", wider real engines, where at most one CNOT/CZ run follows the
   prefix (p9 and p16 at one layer): no 2**n vector. The outcome law is the
   prefix's product law pushed through a GF(2)-linear map, so the block
   totals are a Walsh-Hadamard transform of Z-string expectations, and
   those expectations and the chosen block's probabilities are products of
   two half tables, built from one float64 cos per angle: O(2**(n/2)) work
-  per episode. tol is proved at :meth:`EpisodeEngine._product_tolerance`.
+  per episode, except for the block starts, one dense 2**H x 2**H matrix
+  product (H = n - n//2), which costs 2**(2H) multiply-adds per episode:
+  1,024 for p9, 65,536 for p16 (ROADMAP item 15). tol is proved at
+  :meth:`EpisodeEngine._product_tolerance`.
 - "blocked", any other wide engine (an H after the entanglers, two or more
   layers): :func:`_blocked_search` on float64 products; tol = 4 * 2**n * eps.
 
@@ -851,14 +854,6 @@ class EpisodeEngine:
         # 929 episodes a chunk, p16 98.
         return 2 * size + 3 * blocks + self._prefix_params + -(-(blocks - 1) // 8)
 
-    def _half_angles(self, thetas: np.ndarray, dtype=np.float64) -> np.ndarray:
-        """The prefix's half angles, (prefix parameters, b), in the thread's
-        workspace: halved in float64, then stored as ``dtype``. Stored as
-        float32, a half angle past float32's range becomes inf, and the
-        caller's errstate decides whether the cast warns."""
-        half = _workspace.array("half", (self._prefix_params, thetas.shape[0]), dtype)
-        return np.multiply(thetas.T[self._prefix_cols], 0.5, out=half)
-
     def _prefix_products(self, half: np.ndarray, out: np.ndarray):
         """Fill ``out``, (2**n, b), with the prefix's products by doubling.
 
@@ -900,16 +895,18 @@ class EpisodeEngine:
 
         A real engine squares its float64 products, which is the rule's
         arithmetic. A complex tail's products take the dtype of ``half``,
-        the prefix half angles, by default the float64 ones of ``thetas``;
-        the screen passes float32 ones (see :meth:`_screened_search`). They
-        are overwritten, and the products promote to complex128 at their
-        phases. The result and the arrays on the way are in the thread's
-        workspace: the result stays valid until the thread's next such call.
+        the prefix half angles, (prefix parameters, b), by default the
+        float64 ones of ``thetas``; the screen passes float32 ones (see
+        :meth:`_screened_search`). They are overwritten, and the products
+        promote to complex128 at their phases. The result and the arrays on
+        the way are in the thread's workspace: the result stays valid until
+        the thread's next such call.
         """
         array = _workspace.array
-        if half is None:
-            half = self._half_angles(thetas)
         shape = (self.dim, thetas.shape[0])
+        if half is None:
+            half = np.multiply(thetas.T[self._prefix_cols], 0.5,
+                               out=array("half", (self._prefix_params, shape[1])))
         out = array("probs", shape)
         if not self._complex:
             direct = self._gather is None
@@ -1041,12 +1038,12 @@ class EpisodeEngine:
     def _screened_search(self, thetas: np.ndarray, uniforms: np.ndarray):
         """Path "screen32": float32 angles, products and running sums.
 
-        A real engine casts the prefix angles to float32, takes tol from
-        them and one float32 cos of each, and builds the products of the
-        squares :meth:`_square_pairs` forms; they stay in row order, and
-        the sums walk the rows in basis order, so no gather copies them. A
-        complex tail writes its half angles straight into float32, takes
-        tol from them, and gets its probabilities from
+        The prefix angles are cast to float32 once per chunk, and tol is
+        taken from them. A real engine takes one float32 cos of each, in
+        place, and builds the products of the squares :meth:`_square_pairs`
+        forms; they stay in row order, and the sums walk the rows in basis
+        order, so no gather copies them. A complex tail halves them in
+        place, which is exact, and gets its probabilities from
         :meth:`_outcome_probabilities`, in float64. :func:`_running_sums`
         adds the probabilities in float32 against u cast to float32 once
         per chunk.
@@ -1055,16 +1052,15 @@ class EpisodeEngine:
         with np.errstate(over="ignore", invalid="ignore"):
             u = array("u32", uniforms.shape, np.float32)
             u[...] = uniforms
+            shape = (self._prefix_params, len(u))
+            theta = array("theta32", shape, np.float32)
+            theta[...] = thetas.T[self._prefix_cols]
+            tol = self._screen_tolerance(theta)
             if self._complex:
-                half = self._half_angles(thetas, np.float32)
-                tol = self._screen_tolerance(half)
+                half = np.multiply(theta, 0.5, out=theta)
                 probs, order = self._outcome_probabilities(thetas, half), None
             else:
-                shape = (self._prefix_params, len(u))
-                cos = array("half", shape, np.float32)
-                cos[...] = thetas.T[self._prefix_cols]
-                tol = self._screen_tolerance(cos, whole=True)
-                pairs = self._square_pairs(np.cos(cos, out=cos),
+                pairs = self._square_pairs(np.cos(theta, out=theta),
                                            array("cos", shape, np.float32))
                 probs = _doubling(array("probs", (self.dim, len(u)), np.float32), pairs)
                 order = self._gather
@@ -1201,38 +1197,38 @@ class EpisodeEngine:
         eps = np.finfo(np.float64).eps
         return (4 * self.dim + blocks * (blocks + n) + 24 * n) * eps
 
-    def _screen_tolerance(self, half: np.ndarray, whole: bool = False) -> np.ndarray:
-        """The float32 screen's tol per episode from its (k, b) prefix half
-        angles h_k, float32 as :meth:`_screened_search` stores them:
+    def _screen_tolerance(self, theta: np.ndarray) -> np.ndarray:
+        """The float32 screen's tol per episode from its (k, b) prefix
+        angles t_k = float32(theta_k), as :meth:`_screened_search` casts
+        them:
 
-            tol = 2**-19 * (n + dim / 16 + sum_k |h_k|)
+            tol = 2**-20 * (2 n + dim / 8 + sum_k |t_k|)
 
-        (k over the prefix's parameters), computed in the dtype of ``half``.
-        With ``whole``, ``half`` holds the whole angles t_k instead, as a
-        real engine's screen casts them, and sum_k |t_k| / 2 stands for sum_k
-        |h_k|: the same float32 number, since halving is exact. The screen
-        builds float32 products, adds them in float32 running sums, and the
-        guard redoes any episode whose gap is not above tol: a filter with a
-        proven error bound, in the manner of Shewchuk's adaptive predicates
-        (DCG 18, 1997).
+        (k over the prefix's parameters), computed in the dtype of
+        ``theta``. The screen builds float32 products, adds them in float32
+        running sums, and the guard redoes any episode whose gap is not
+        above tol: a filter with a proven error bound, in the manner of
+        Shewchuk's adaptive predicates (DCG 18, 1997).
 
         Why tol bounds the distance between each compared float32 sum S and
         u32, u cast to float32, that decides the side of u on which the
         float64 rule's sum R lies. All errors below are in units of 2**-24
         and to first order.
 
-        Factors. Write H_k = theta / 2 for the float64 half angle and c_k,
+        Factors. Write H_k = theta_k / 2 for the exact half angle and c_k,
         s_k for the exact cos and sin of H_k. Numpy's float32 cos and sin
         of a float32 cast of x are taken to be within (|x| + 4) of the
         exact values at x (the trig premise test checks the cast and the
-        trig together). A complex tail rounds H_k to h_k, |H_k| <= |h_k| (1
-        + 2**-23), and takes cos and sin of h_k, each within e_k = |H_k| +
-        4 of c_k and s_k. A real engine casts theta to t_k and takes C'_k,
-        its float32 cos, within 2 |H_k| + 4 of cos theta = c_k**2 - s_k**2;
-        its squares 0.5 +- 0.5 C'_k halve that and round once (1/2), so
-        each lies within |H_k| + 2.5 of c_k**2 or s_k**2. A literal
-        angle's float64 factors only round to float32, with H_k counted as
-        0.
+        trig together). A complex tail halves t_k to h_k = t_k / 2, exactly,
+        and h_k is the float32 cast of H_k, since rounding to float32
+        commutes with halving while h_k is float32-normal (below that range
+        halving rounds by at most 2**-150, far inside tol). So |H_k| <= |h_k|
+        (1 + 2**-23), and cos and sin of h_k lie within e_k = |H_k| + 4 of
+        c_k and s_k. A real engine takes C'_k, the float32 cos of t_k,
+        within 2 |H_k| + 4 of cos theta_k = c_k**2 - s_k**2; its squares
+        0.5 +- 0.5 C'_k halve that and round once (1/2), so each lies within
+        |H_k| + 2.5 of c_k**2 or s_k**2. A literal angle's float64 factors
+        only round to float32, with H_k counted as 0.
 
         Products. The exact outcome probabilities are the product
         distribution of the pairs (c_k**2, s_k**2), each of mass 1, so
@@ -1260,25 +1256,24 @@ class EpisodeEngine:
         below 2**-40 here.
 
         So |S - R| + |u32 - u| <= 2.9 sum |H_k| + 14 n + dim, and tol,
-        32 (n + sum |h_k|) + 2 dim in these units, exceeds it at least
-        twofold. The factor two absorbs the second-order terms and the
-        float32 rounding of tol (k roundings) and of the gap |S - u32|
-        (one), all relative. An episode whose gap exceeds tol therefore has
-        |S - u32| > |S - R| + |u32 - u|, so S <= u32 exactly when R <= u,
-        for every compared sum, and gets the rule's index. Underflow to
-        float32 subnormals adds at most 2**-149 per product.
+        16 (2 n + dim / 8 + sum |t_k|) = 32 (n + sum |h_k|) + 2 dim in these
+        units, exceeds it at least twofold. The factor two absorbs the
+        second-order terms and the float32 rounding of tol (k roundings)
+        and of the gap |S - u32| (one), all relative. An episode whose gap
+        exceeds tol therefore has |S - u32| > |S - R| + |u32 - u|, so S <=
+        u32 exactly when R <= u, for every compared sum, and gets the
+        rule's index. Underflow to float32 subnormals adds at most 2**-149
+        per product.
 
         Angles past float32's range cast to inf, whose cos is NaN, and a
-        huge sum of |h_k| makes tol above 1 (or inf, which the screen's
+        huge sum of |t_k| makes tol above 1 (or inf, which the screen's
         errstate lets pass); both episodes are redone.
         """
-        tol = _workspace.array("tol", half.shape[1:], half.dtype)
-        abs_half = np.abs(half, out=_workspace.array("abs_half", half.shape, half.dtype))
-        abs_half.sum(axis=0, out=tol)
-        if whole:
-            tol *= 0.5
-        tol += self.num_qubits + self.dim / 16
-        tol *= 2.0**-19
+        array, dtype = _workspace.array, theta.dtype
+        tol = array("tol", theta.shape[1:], dtype)
+        np.abs(theta, out=array("abs_theta", theta.shape, dtype)).sum(axis=0, out=tol)
+        tol += 2 * self.num_qubits + self.dim / 8
+        tol *= 2.0**-20
         return tol
 
 

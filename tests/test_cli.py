@@ -1,5 +1,6 @@
 """Command line interface: outputs, reports, determinism, exit codes."""
 
+import argparse
 import json
 from types import SimpleNamespace
 
@@ -18,7 +19,7 @@ from qks import (
     make_tilemap,
     sample_machine,
 )
-from qks.cli import UsageError, _bit_density, _machine, main
+from qks.cli import UsageError, _bit_density, _machine, build_parser, main
 from qks.features import _pack_rows
 
 
@@ -542,8 +543,7 @@ DATASET_KEYS = {"train_size", "test_size", "dim", "sha256"}
 RESULT_KEYS = {"train_error", "test_error", "seconds"}
 FIT_CONFIG_KEYS = {"reg_lambda", "tol", "max_iter"}
 FRAMES_KEYS = {"dataset", "train_per_class", "test_per_class", "data_seed"}
-MACHINE_KEYS = {"ansatz", "layers", "sigma", "episodes", "seed", "workers",
-                "structure"}
+MACHINE_KEYS = {"ansatz", "layers", "sigma", "episodes", "seed", "structure"}
 
 
 def test_report_key_sets(tmp_path, capsys):
@@ -575,6 +575,52 @@ def test_report_key_sets(tmp_path, capsys):
     assert set(data["config"]) == (
         {"ansatz", "layers", "structure"} | FIT_CONFIG_KEYS
     )
+
+
+DATASET_FLAGS = {"--dataset", "--frames-train", "--frames-test", "--data-seed",
+                 "--mnist-dir", "--digits", "--train-csv", "--test-csv"}
+CLASSIFIER_FLAGS = {"--lambda", "--tol", "--max-iter"}
+MACHINE_FLAGS = {"--ansatz", "--layers", "--sigma", "--episodes"}
+HELP_FLAGS = {"-h", "--help"}
+
+
+def _option_strings(parser, prefix=()):
+    """{subcommand: its option strings}, nested subcommands joined by spaces."""
+    options = {}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                options.update(_option_strings(sub, (*prefix, name)))
+        elif prefix:
+            options.setdefault(" ".join(prefix), set()).update(action.option_strings)
+    return options
+
+
+def test_each_subcommand_takes_exactly_its_options():
+    assert _option_strings(build_parser()) == {
+        "gen-frames": HELP_FLAGS | {"--out", "--seed", "--train-per-class",
+                                    "--test-per-class"},
+        "baseline": HELP_FLAGS | DATASET_FLAGS | CLASSIFIER_FLAGS
+        | {"--out", "--save-model"},
+        "run": HELP_FLAGS | DATASET_FLAGS | CLASSIFIER_FLAGS | MACHINE_FLAGS
+        | {"--seed", "--out", "--save-model"},
+        "sweep": HELP_FLAGS | DATASET_FLAGS | CLASSIFIER_FLAGS | MACHINE_FLAGS
+        | {"--seeds", "--out", "--report"},
+        "kernel": HELP_FLAGS | {"--ansatz", "--sigma", "--pairs", "--episodes",
+                                "--seed", "--out"},
+        "features": HELP_FLAGS,
+        "features dump": HELP_FLAGS | DATASET_FLAGS | MACHINE_FLAGS
+        | {"--seed", "--split", "--out"},
+        "features load": HELP_FLAGS | {"--path"},
+    }
+
+
+@pytest.mark.parametrize("argv", [
+    ["run"], ["sweep"], ["features", "dump", "--out", "f.qksf"]])
+def test_featurizing_commands_take_no_workers_flag(capsys, argv):
+    rc, out, err = run_cli([*argv, "--workers", "2"], capsys)
+    assert (rc, out) == (2, "")
+    assert "unrecognized arguments: --workers 2" in err
 
 
 def test_machine_structure_follows_p_and_q():

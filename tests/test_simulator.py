@@ -1,6 +1,7 @@
 """Statevector engine tests against an independent kron-based oracle."""
 
 import gc
+import sys
 import threading
 import time
 import tracemalloc
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 from qks import (
+    EncodingStructure,
     EpisodeEngine,
     GateKind,
     GateOp,
@@ -19,11 +21,14 @@ from qks import (
     apply_gate,
     bit_matrix,
     exact_probabilities,
+    featurize,
     get_ansatz,
     instantiate,
+    mc_kernel,
     parse_template,
     run_circuit,
     run_episode,
+    sample_machine,
     sample_shot,
 )
 from qks import simulator
@@ -576,7 +581,7 @@ def test_float32_screen_error_is_far_inside_its_tolerance(name, layers, monkeypa
     screened = np.concatenate(recorded, axis=1)
     assert screened.dtype == np.float32 and screened.shape == (engine.dim - 1, len(thetas))
     with np.errstate(over="ignore"):
-        tol = engine._screen_tolerance(engine._half_angles(thetas, np.float32))
+        tol = engine._screen_tolerance(thetas.T[engine._prefix_cols].astype(np.float32))
     exact = np.cumsum(engine.probabilities(thetas), axis=1)[:, :-1].T
     error = np.abs(screened.astype(np.float64) - exact).max(axis=0)
     assert (error < 0.25 * tol).all(), (error / tol).max()
@@ -605,7 +610,7 @@ def test_float32_screen_gives_the_float64_index(name, layers, monkeypatch):
     rng = np.random.default_rng(engine.dim + layers)
     sigmas = np.repeat([0.3, 3.0, 1e3], 20)[:, np.newaxis]
     thetas = sigmas * rng.normal(size=(sigmas.size, engine.num_params))
-    tol = engine._screen_tolerance(engine._half_angles(thetas))
+    tol = engine._screen_tolerance(thetas.T[engine._prefix_cols].astype(np.float32))
     sums = np.cumsum(engine.probabilities(thetas), axis=1)
     rows, uniforms = [], []
     for i, row in enumerate(sums):
@@ -686,19 +691,26 @@ def test_float32_screen_redoes_u_between_float32_and_float64_sums(
     assert sum(redone) == len(uniforms)
 
 
+FLT_MAX = float(np.finfo(np.float32).max)
+
+
 @pytest.mark.parametrize("name, layers", [("cnot2", 1), ("cz2", 1), ("p4", 2)])
-@pytest.mark.parametrize("big", [1e300, 2 * 3.41e38, 2.0 * float(np.finfo(np.float32).max)])
-def test_float32_screen_redoes_angles_past_float32_range(name, layers, big):
-    # The first two half angles cast to inf in float32 (the last one rounds
-    # to float32's largest value), and cos(inf) is NaN: the screen must
-    # treat a NaN gap as a close call, and must not warn.
+@pytest.mark.parametrize("big", [1e300, 2 * 3.41e38, 2.0 * FLT_MAX, FLT_MAX])
+def test_float32_screen_redoes_angles_past_float32_range(
+        name, layers, big, monkeypatch):
+    # The first three angles cast to inf in float32, and cos(inf) is NaN:
+    # the screen must treat a NaN gap as a close call. The last one, float32's
+    # largest value, stays finite and makes tol far above 1, so its episodes
+    # are redone too. The screen must not warn.
     engine = EpisodeEngine(get_ansatz(name), layers)
     uniforms = np.arange(64) / 64
     thetas = np.random.default_rng(3).normal(size=(64, engine.num_params))
     thetas[::2, 0] = big
+    redone = _spy_on_the_rule(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = engine.sample(thetas, uniforms)
+    assert sum(redone) >= 32
     expected = _cumsum_outcome(engine.probabilities(thetas).T, uniforms)
     assert got.tolist() == expected.tolist()
     assert len(set(got[::2].tolist())) > 1
@@ -1134,6 +1146,38 @@ def test_an_ended_threads_workspace_passes_to_the_next_thread():
     run(lambda: got.append(simulator._workspace.buffers.get("handed")))
     assert got[0] is not None and (got[0] == 7.0).all()
     assert "handed" not in simulator._workspace.buffers  # not this thread's
+
+
+def test_featurize_and_kernel_buffers_share_no_name_with_the_engines(monkeypatch):
+    # featurize holds its thetas and uniforms, and mc_kernel its marginals,
+    # in workspace buffers while the engine samples or sums into its own: a
+    # name used by both would overwrite the caller's array mid-call. One
+    # engine per path, each sampled, with probabilities and marginals.
+    names, array = {}, simulator._Workspace.array
+
+    def spy(self, name, shape, dtype=np.float64):
+        names.setdefault(sys._getframe(1).f_globals["__name__"], set()).add(name)
+        return array(self, name, shape, dtype)
+
+    monkeypatch.setattr(simulator._Workspace, "array", spy)
+    paths = set()
+    for name, layers in (("cnot2", 1), ("cz2", 1), ("p9", 1), ("p9", 2)):
+        q = get_ansatz(name).num_params
+        machine = sample_machine(get_ansatz(name), EncodingStructure.split(q), 1.0,
+                                 40, seed=11, layers=layers)
+        x = np.random.default_rng(12).normal(size=(6, q))
+        featurize(machine, x)
+        mc_kernel(machine, x[0], x[1])
+        engine = cached_engine(machine.template, layers)
+        paths.add(engine.path)
+        thetas, uniforms = _episodes(engine, 50, 13)
+        engine.sample(thetas, uniforms)
+        engine.probabilities(thetas)
+        engine.marginals(thetas)
+    assert paths == {"screen32", "product", "blocked"}
+    library = names["qks.features"] | names["qks.kernels"]
+    assert {"thetas", "uniforms", "marginals_u"} <= library
+    assert not library & names["qks.simulator"], library & names["qks.simulator"]
 
 
 def test_run_blocks_returns_results_in_block_order_on_the_calling_thread_too():
